@@ -19,7 +19,6 @@ from .ambient import (
     ambient_signature,
     calibration_gap,
     flat_geometry,
-    general_geometry,
     radial_geometry,
     sphere_geometry,
     theta_form,
@@ -62,8 +61,6 @@ from .numerics import (
     integrate_annulus,
     integrate_circle,
     radial_derivative,
-    wirtinger_d,
-    wirtinger_dbar,
 )
 from .rotsym import (
     FamilyParams,

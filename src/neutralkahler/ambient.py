@@ -50,7 +50,6 @@ __all__ = [
     "flat_geometry",
     "sphere_geometry",
     "radial_geometry",
-    "general_geometry",
     "ambient_frame",
     "calibration_gap",
     "ambient_signature",
@@ -205,15 +204,6 @@ def radial_geometry(
         du_of_R=du_of_R,
         ddu_of_R=ddu_of_R,
     )
-
-
-def general_geometry(
-    name: str,
-    u: Callable[[complex], float],
-    du: Optional[Callable[[complex], complex]] = None,
-) -> ConformalGeometry:
-    """An arbitrary (not necessarily symmetric) conformal exponent."""
-    return ConformalGeometry(name=name, u=u, du=du)
 
 
 @dataclass(frozen=True)

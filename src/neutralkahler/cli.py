@@ -35,12 +35,7 @@ from .ambient import (
     calibration_gap,
     theta_form,
 )
-from .errors import (
-    ConfigError,
-    EmptyDomainError,
-    NeutralKahlerError,
-    SingularResidualError,
-)
+from .errors import ConfigError, NeutralKahlerError, SingularResidualError
 from .graphs import (
     GraphSection,
     area,
@@ -64,6 +59,7 @@ from .rotsym import (
 from .sampling import (
     geometry_by_name,
     j_invariant_plane,
+    random_family_profiles,
     random_lagrangian_section,
     random_plane,
     random_polynomial_section,
@@ -71,7 +67,7 @@ from .sampling import (
     rng_from_seed,
 )
 
-TASKS = ("verify", "residual", "area", "variation", "family", "classify", "export")
+TASKS = ("verify", "residual", "area", "variation", "classify", "export")
 
 #: default check tolerances; every report entry cites one of these or an override
 DEFAULT_TOLERANCES = {
@@ -146,12 +142,22 @@ class Report:
         self.values: dict = {}
         self.artifacts: list[str] = []
 
-    def check(self, name: str, value: float, tolerance: float, passed: Optional[bool] = None):
+    def check(
+        self,
+        name: str,
+        value: float,
+        tolerance: float,
+        passed: Optional[bool] = None,
+        evaluated: Optional[int] = None,
+    ):
+        """Record one check; a sweep that reports ``evaluated == 0`` points fails."""
         if passed is None:
             passed = bool(value <= tolerance)
-        self.checks.append(
-            {"name": name, "value": float(value), "tolerance": float(tolerance), "passed": passed}
-        )
+        entry = {"name": name, "value": float(value), "tolerance": float(tolerance),
+                 "passed": passed and evaluated != 0}
+        if evaluated is not None:
+            entry["evaluated"] = evaluated
+        self.checks.append(entry)
 
     def all_passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
@@ -299,6 +305,7 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
     n_sections = max(config.samples // 10, 10)
 
     worst = 0.0
+    evaluated = 0
     for _ in range(n_sections):
         section = random_polynomial_section(rng, geom)
         for _ in range(5):
@@ -310,7 +317,8 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
             d1 = sl.det_factor * geom.conformal_factor(xi) ** 2
             d2 = pullback_determinant(section, xi)
             worst = max(worst, abs(d1 - d2) / max(abs(d1), 1e-12))
-    report.check("det_oracle", worst, config.tolerance("det_oracle"))
+            evaluated += 1
+    report.check("det_oracle", worst, config.tolerance("det_oracle"), evaluated=evaluated)
 
     worst_stokes = 0.0
     for k in range(max(n_sections // 5, 3)):
@@ -326,33 +334,10 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
     report.check("stokes", worst_stokes, config.tolerance("stokes"))
 
 
-def _family_tuples(rng, geometry: str, count: int):
-    """Seeded admissible family parameters with their trimmed profiles."""
-    out = []
-    while len(out) < count:
-        params = FamilyParams(
-            a1=rng.uniform(-0.5, 0.5),
-            b1=rng.uniform(-0.5, 0.5),
-            a2=rng.uniform(0.3, 2.0) * (1 if rng.uniform() < 0.5 else -1),
-            b2=rng.uniform(0.5, 2.5),
-        )
-        r_range = (0.15, 0.95) if geometry == "sphere" else (0.3, 4.0)
-        try:
-            geom = geometry_by_name(geometry)
-            profile = stationary_family(geom, params, 1, r_range)
-        except (EmptyDomainError, NeutralKahlerError):
-            continue
-        lo, hi = profile.domain
-        if hi - lo < 0.25:
-            continue
-        out.append((params, profile))
-    return out
-
-
 def _suite_rotsym(config: RunConfig, report: Report) -> None:
     geom = geometry_by_name(config.geometry)
     rng = rng_from_seed(config.seed + 2)
-    tuples = _family_tuples(rng, config.geometry, max(config.samples // 40, 5))
+    tuples = random_family_profiles(rng, config.geometry, max(config.samples // 40, 5))
 
     worst_ode = 0.0
     for _params, profile in tuples:
@@ -379,9 +364,10 @@ def _suite_rotsym(config: RunConfig, report: Report) -> None:
 
 def _suite_families(config: RunConfig, report: Report) -> None:
     rng = rng_from_seed(config.seed + 3)
-    tuples = _family_tuples(rng, config.geometry, max(config.samples // 50, 4))
+    tuples = random_family_profiles(rng, config.geometry, max(config.samples // 50, 4))
 
     worst_res = 0.0
+    evaluated = 0
     worst_fv = 0.0
     for _params, profile in tuples:
         section = profile.section()
@@ -393,11 +379,13 @@ def _suite_families(config: RunConfig, report: Report) -> None:
                 worst_res = max(worst_res, abs(el_residual(section, xi)))
             except SingularResidualError:
                 continue
+            evaluated += 1
         a_val = area(section, grid)
         for bump in bump_basis(grid.r_min, grid.r_max)[:4]:
             fv = first_variation(section, bump, grid)
             worst_fv = max(worst_fv, abs(fv) / max(a_val, 1e-12))
-    report.check("residual_max", worst_res, config.tolerance("residual_max"))
+    report.check("residual_max", worst_res, config.tolerance("residual_max"),
+                 evaluated=evaluated)
     report.check("first_variation_rel", worst_fv, config.tolerance("first_variation_rel"))
 
 
@@ -423,16 +411,18 @@ def _run_verify(config: RunConfig, report: Report) -> None:
 def _run_residual(config: RunConfig, report: Report) -> None:
     section, r_range = _build_section(config)
     grid = _build_grid(config, r_range)
+    nodes = grid.mesh_nodes()
     worst = 0.0
     skipped = 0
-    for r, t in grid.mesh_nodes():
+    for r, t in nodes:
         xi = r * complex(math.cos(t), math.sin(t))
         try:
             worst = max(worst, abs(el_residual(section, xi)))
         except SingularResidualError:
             skipped += 1
     report.values["skipped_nodes"] = skipped
-    report.check("residual_max", worst, config.tolerance("residual_max"))
+    report.check("residual_max", worst, config.tolerance("residual_max"),
+                 evaluated=len(nodes) - skipped)
     if config.out:
         path = _resolve(config.out)
         rows = export_classification_csv(section, grid, path)
@@ -488,21 +478,6 @@ def _run_export(config: RunConfig, report: Report) -> None:
     report.artifacts.append(str(path))
 
 
-def _run_family(config: RunConfig, report: Report) -> None:
-    sub = {
-        "residual": _run_residual,
-        "area": _run_area,
-        "variation": _run_variation,
-        "classify": _run_classify,
-        "export": _run_export,
-    }
-    # "all" is the generic suite default; family sweeps default to residual
-    name = "residual" if config.suite == "all" else config.suite
-    if name not in sub:
-        raise ConfigError(f"unknown family sub-task '{name}'")
-    sub[name](config, report)
-
-
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one task; returns (exit_code, report_dict) and writes the report."""
     report = Report(config)
@@ -511,7 +486,6 @@ def run(config: RunConfig) -> tuple[int, dict]:
         "residual": _run_residual,
         "area": _run_area,
         "variation": _run_variation,
-        "family": _run_family,
         "classify": _run_classify,
         "export": _run_export,
     }
@@ -611,14 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
         add_family(p)
 
-    p_family = sub.add_parser("family", help="generate a family and run a sub-task on it")
-    add_common(p_family)
-    add_family(p_family)
-    p_family.add_argument("--task", dest="suite",
-                          choices=("residual", "area", "variation", "classify", "export"))
-    p_family.add_argument("--half-length", dest="half_length", type=float)
-    p_family.add_argument("--format", dest="fmt", choices=("obj", "csv"))
-
     p_export = sub.add_parser("export", help="export a line congruence mesh")
     add_common(p_export)
     add_family(p_export)
@@ -649,6 +615,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 values["grid"] = raw
             elif key == "exclude":
                 values["exclude"] = _parse_exclude(raw.split())
+            elif key == "tol":
+                values["tol"] = _parse_tols(raw.split())
             elif key in _CONFIG_CASTS:
                 values[key] = _CONFIG_CASTS[key](raw)
             else:
@@ -702,8 +670,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
+        evaluated = f" evaluated={check['evaluated']}" if "evaluated" in check else ""
         print(f"[{status}] {check['name']}: value={check['value']:.3e} "
-              f"tolerance={check['tolerance']:.3e}")
+              f"tolerance={check['tolerance']:.3e}{evaluated}")
     for key, val in report["values"].items():
         print(f"{key}: {val}")
     return code

@@ -104,9 +104,6 @@ class GraphSection:
     F: ComplexField
     geometry: ConformalGeometry
 
-    def value(self, xi: complex) -> complex:
-        return self.F(xi)
-
     def point(self, xi: complex) -> TangentPoint:
         return TangentPoint(xi, self.F(xi))
 
@@ -128,17 +125,23 @@ class SlopeData:
 
     @property
     def det_factor(self) -> float:
-        return self.lam * self.lam - _abs2(self.sigma)
+        lam = self.lam
+        return lam * lam - _abs2(self.sigma)
+
+    @property
+    def degenerate(self) -> bool:
+        """``det_factor`` is zero relative to the slope scale."""
+        lam = self.lam
+        lam2 = lam * lam
+        ss = _abs2(self.sigma)
+        return abs(lam2 - ss) < DEGENERACY_RTOL * (lam2 + ss + DEGENERACY_SCALE_FLOOR)
 
     def classify(self) -> SurfaceClass:
-        lam2 = self.lam * self.lam
-        ss = _abs2(self.sigma)
-        d = lam2 - ss
-        if abs(d) < DEGENERACY_RTOL * (lam2 + ss + DEGENERACY_SCALE_FLOOR):
+        if self.degenerate:
             if abs(self.sigma) < NULL_ATOL and abs(self.lam) < NULL_ATOL:
                 return SurfaceClass.TOTALLY_NULL
             return SurfaceClass.DEGENERATE
-        return SurfaceClass.RIEMANNIAN if d > 0.0 else SurfaceClass.LORENTZ
+        return SurfaceClass.RIEMANNIAN if self.det_factor > 0.0 else SurfaceClass.LORENTZ
 
 
 @dataclass(frozen=True)
@@ -253,9 +256,7 @@ def _residual_quotient(section: GraphSection, xi: complex, step: float) -> compl
     data = [slopes(section, z) for z in stencil]
 
     for z, sl in zip(stencil, data):
-        lam2 = sl.lam**2
-        ss = _abs2(sl.sigma)
-        if abs(sl.det_factor) < DEGENERACY_RTOL * (lam2 + ss + DEGENERACY_SCALE_FLOOR):
+        if sl.degenerate:
             raise SingularResidualError(f"degenerate induced metric near xi={z}")
     signs = {math.copysign(1.0, sl.det_factor) for sl in data}
     if len(signs) > 1:

@@ -42,7 +42,7 @@ from .ambient import TangentPoint, sphere_geometry
 from .errors import AdmissibilityError, ChartError, DomainError
 from .graphs import GraphSection, SurfaceClass, slopes
 from .numerics import AnnulusGrid, RadialFunction
-from .rotsym import RotSymProfile, rotsym_section
+from .rotsym import RotSymProfile
 
 __all__ = [
     "OrientedLine",
@@ -151,19 +151,7 @@ def torus_section(fam: TorusFamily) -> GraphSection:
     Defined for all ``R in (0, oo)`` and extendable through the poles; the
     admissibility constraints keep ``Psi >= 0`` everywhere.
     """
-    psi = fam.psi()
-    branch = fam.branch
-
-    def G(r: float) -> complex:
-        return complex(0.0, branch * math.sqrt(max(psi(r), 0.0)))
-
-    def dG(r: float) -> complex:
-        w = math.sqrt(max(psi(r), 0.0))
-        if w == 0.0:
-            raise DomainError(f"torus section derivative undefined where Psi = 0 (R = {r})")
-        return complex(0.0, branch * psi.deriv(r, 1) / (2.0 * w))
-
-    return rotsym_section(sphere_geometry(), G, dG)
+    return torus_profile(fam).section()
 
 
 class SignatureSample(NamedTuple):

@@ -30,8 +30,6 @@ __all__ = [
     "ComplexField",
     "RadialFunction",
     "AnnulusGrid",
-    "wirtinger_d",
-    "wirtinger_dbar",
     "radial_derivative",
     "integrate_annulus",
     "integrate_circle",
@@ -118,16 +116,6 @@ class ComplexField:
         return ComplexField(ev, fd_step=step)
 
 
-def wirtinger_d(f: ComplexField, xi: complex) -> complex:
-    """Holomorphic Wirtinger derivative ``(f_x - i f_y)/2`` of a field."""
-    return f.wirtinger_d(xi)
-
-
-def wirtinger_dbar(f: ComplexField, xi: complex) -> complex:
-    """Anti-holomorphic Wirtinger derivative ``(f_x + i f_y)/2`` of a field."""
-    return f.wirtinger_dbar(xi)
-
-
 @dataclass(frozen=True)
 class RadialFunction:
     """A real function of the radius with optional closed-form derivatives."""
@@ -155,21 +143,12 @@ def radial_derivative(
     g: Callable[[float], float],
     r: float,
     order: int = 1,
-    dg: Optional[Callable[[float], float]] = None,
-    d2g: Optional[Callable[[float], float]] = None,
     h: Optional[float] = None,
 ) -> float:
-    """First or second derivative of ``g`` at radius ``r > 0``.
-
-    Uses the supplied closed form when available, otherwise Richardson-
-    extrapolated central differences.
-    """
+    """First or second derivative of ``g`` at radius ``r > 0`` by Richardson-
+    extrapolated central differences."""
     if r <= 0.0:
         raise DomainError(f"radial derivative requested at non-positive radius {r}")
-    if order == 1 and dg is not None:
-        return float(dg(r))
-    if order == 2 and d2g is not None:
-        return float(d2g(r))
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
 
@@ -276,6 +255,10 @@ class AnnulusGrid:
         object.__setattr__(self, "exclusion_bands", bands)
 
         segments = _kept_segments(self.r_min, self.r_max, bands)
+        if len(segments) > self.n_r:
+            raise DomainError(
+                f"n_r = {self.n_r} cells cannot cover {len(segments)} kept radial segments"
+            )
         total = sum(b - a for a, b in segments)
         nodes, weights = [], []
         gl_t, gl_w = roots_legendre(4)
@@ -305,11 +288,6 @@ class AnnulusGrid:
     def excluded(self, r: float) -> bool:
         return any(abs(r - c) < h for c, h in self.exclusion_bands)
 
-    def with_bands(self, extra: Sequence[tuple[float, float]]) -> "AnnulusGrid":
-        return AnnulusGrid(
-            self.r_min, self.r_max, self.n_r, self.n_theta, self.exclusion_bands + tuple(extra)
-        )
-
     def mesh_nodes(self) -> list[tuple[float, float]]:
         """Uniform ``n_r x n_theta`` lattice (inclusive in R), bands removed.
 
@@ -318,9 +296,6 @@ class AnnulusGrid:
         """
         rs = np.linspace(self.r_min, self.r_max, self.n_r)
         return [(float(r), float(t)) for r in rs if not self.excluded(r) for t in self.theta_nodes]
-
-    def complex_nodes(self) -> list[complex]:
-        return [r * np.exp(1j * t) for r, t in self.mesh_nodes()]
 
 
 def integrate_annulus(integrand: Callable[[float, float], float], grid: AnnulusGrid) -> float:

@@ -311,9 +311,6 @@ class RotSymProfile:
     def section(self) -> GraphSection:
         return rotsym_section(self.geometry, self.G, self.dG)
 
-    def ode_residuals_at(self, r: float) -> tuple[float, float]:
-        return ode_residuals(self.geometry, self.H, self.psi, r)
-
 
 def rotsym_section(
     geom: ConformalGeometry, G: Callable[[float], complex], dG: Callable[[float], complex]

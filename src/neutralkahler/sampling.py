@@ -11,10 +11,10 @@ import math
 import numpy as np
 
 from .ambient import ConformalGeometry, J4_MATRIX, flat_geometry, radial_geometry, sphere_geometry
-from .errors import DomainError
+from .errors import DomainError, NeutralKahlerError
 from .graphs import GraphSection, lagrangian_section, polynomial_section, slopes
 from .numerics import RadialFunction
-from .rotsym import RotSymProfile
+from .rotsym import FamilyParams, RotSymProfile, stationary_family
 
 __all__ = [
     "rng_from_seed",
@@ -25,9 +25,15 @@ __all__ = [
     "random_holomorphic_section",
     "random_lagrangian_section",
     "random_radial_geometry",
+    "random_family_profiles",
     "off_family_profile",
     "geometry_by_name",
 ]
+
+#: bound on redraws of ``random_plane``
+MAX_PLANE_DRAWS = 64
+#: bound on the draws behind one profile of ``random_family_profiles``
+MAX_FAMILY_DRAWS = 64
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -56,12 +62,13 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def random_plane(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Two independent unit 4-vectors."""
-    while True:
+    for _ in range(MAX_PLANE_DRAWS):
         v1 = rng.normal(size=4)
         v2 = rng.normal(size=4)
         sv = np.linalg.svd(np.stack([v1, v2]), compute_uv=False)
         if sv[-1] > 1e-3 * sv[0]:
             return _unit(v1), _unit(v2)
+    raise DomainError(f"no independent pair of 4-vectors in {MAX_PLANE_DRAWS} draws")
 
 
 def j_invariant_plane(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +156,41 @@ def random_radial_geometry(rng: np.random.Generator) -> ConformalGeometry:
         RadialFunction(du, d2u),
         RadialFunction(d2u),
     )
+
+
+def _admissible_family(
+    rng: np.random.Generator, geom: ConformalGeometry, r_range: tuple[float, float]
+) -> tuple[FamilyParams, RotSymProfile]:
+    for _ in range(MAX_FAMILY_DRAWS):
+        params = FamilyParams(
+            a1=rng.uniform(-0.5, 0.5),
+            b1=rng.uniform(-0.5, 0.5),
+            a2=rng.uniform(0.3, 2.0) * (1 if rng.uniform() < 0.5 else -1),
+            b2=rng.uniform(0.5, 2.5),
+        )
+        try:
+            profile = stationary_family(geom, params, 1, r_range)
+        except NeutralKahlerError:
+            continue
+        lo, hi = profile.domain
+        if hi - lo >= 0.25:
+            return params, profile
+    raise DomainError(f"no admissible family in {MAX_FAMILY_DRAWS} draws on {geom.name}")
+
+
+def random_family_profiles(
+    rng: np.random.Generator, geometry: str, count: int
+) -> list[tuple[FamilyParams, RotSymProfile]]:
+    """Admissible stationary families (branch +1) with their trimmed profiles.
+
+    Constants are redrawn until the profile's domain inside the fixed range
+    of the named geometry is at least 0.25 wide; a draw the family
+    constructor rejects is skipped. Raises ``DomainError`` when one profile
+    takes more than ``MAX_FAMILY_DRAWS`` draws.
+    """
+    geom = geometry_by_name(geometry)
+    r_range = (0.15, 0.95) if geometry == "sphere" else (0.3, 4.0)
+    return [_admissible_family(rng, geom, r_range) for _ in range(count)]
 
 
 def off_family_profile(

@@ -17,7 +17,6 @@ import numpy as np
 
 from neutralkahler import (
     AnnulusGrid,
-    FamilyParams,
     TangentPoint,
     TorusFamily,
     ambient_frame,
@@ -34,12 +33,11 @@ from neutralkahler import (
     reduction_of_order,
     signature_profile,
     slopes,
-    stationary_family,
     stokes_check,
     torus_section,
 )
 from neutralkahler.cli import RunConfig, run
-from neutralkahler.errors import NeutralKahlerError, SingularResidualError
+from neutralkahler.errors import SingularResidualError
 from neutralkahler.graphs import SurfaceClass
 from neutralkahler.numerics import RadialFunction
 from neutralkahler.rotsym import ode_coefficients
@@ -47,6 +45,7 @@ from neutralkahler.sampling import (
     geometry_by_name,
     j_invariant_plane,
     off_family_profile,
+    random_family_profiles,
     random_holomorphic_section,
     random_lagrangian_section,
     random_plane,
@@ -60,28 +59,6 @@ GEOMETRIES = ("flat", "sphere")
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {name} — {detail}")
-
-
-def family_profiles(rng, geometry: str, count: int):
-    geom = geometry_by_name(geometry)
-    out = []
-    while len(out) < count:
-        params = FamilyParams(
-            a1=rng.uniform(-0.5, 0.5),
-            b1=rng.uniform(-0.5, 0.5),
-            a2=rng.uniform(0.3, 2.0) * (1 if rng.uniform() < 0.5 else -1),
-            b2=rng.uniform(0.5, 2.5),
-        )
-        r_range = (0.15, 0.95) if geometry == "sphere" else (0.3, 4.0)
-        try:
-            profile = stationary_family(geom, params, 1, r_range)
-        except NeutralKahlerError:
-            continue
-        lo, hi = profile.domain
-        if hi - lo < 0.25:
-            continue
-        out.append((params, profile))
-    return out
 
 
 def sampling_range(profile):
@@ -239,7 +216,7 @@ def test_criterion_5_stationary_families():
     worst_fv = 0.0
     for geometry in GEOMETRIES:
         rng = rng_from_seed(105)
-        for params, profile in family_profiles(rng, geometry, 25):
+        for params, profile in random_family_profiles(rng, geometry, 25):
             section = profile.section()
             lo, hi = sampling_range(profile)
             grid = AnnulusGrid(lo, hi, 10, 12)
@@ -294,7 +271,7 @@ def test_criterion_6_ode_machinery():
     for geometry in GEOMETRIES:
         geom = geometry_by_name(geometry)
         rng = rng_from_seed(106)
-        for params, profile in family_profiles(rng, geometry, 10):
+        for params, profile in random_family_profiles(rng, geometry, 10):
             lo, hi = sampling_range(profile)
             for r in np.linspace(lo, hi, 9):
                 r1, r2 = ode_residuals(geom, profile.H, profile.psi, float(r))

@@ -47,13 +47,13 @@ class TestGeometry:
             TangentPoint(complex("inf"), 0.0)
 
     def test_broken_conformal_derivative_propagates(self):
-        from neutralkahler.ambient import ambient_frame, general_geometry
+        from neutralkahler.ambient import ConformalGeometry, ambient_frame
         from neutralkahler.errors import DerivativeUnavailableError
 
         def bad_du(xi):
             raise ValueError("no derivative here")
 
-        geom = general_geometry("broken", u=lambda xi: 0.0, du=bad_du)
+        geom = ConformalGeometry("broken", u=lambda xi: 0.0, du=bad_du)
         with pytest.raises(DerivativeUnavailableError):
             ambient_frame(geom, TangentPoint(0.0, 1.0))
 

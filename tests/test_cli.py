@@ -1,6 +1,8 @@
 """The batch entry point: configs, reports, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +43,7 @@ class TestConfig:
             parse(["residual", "--A2", "1", "--grid", "64by48"])
 
     def test_exclusion_bands(self):
-        cfg = parse(["family", "--B2", "1", "--C2", "0", "--exclude", "1.0:0.05",
+        cfg = parse(["residual", "--B2", "1", "--C2", "0", "--exclude", "1.0:0.05",
                      "--exclude", "2.0"])
         assert cfg.exclude == ((1.0, 0.05), (2.0, 1e-3))
 
@@ -57,11 +59,15 @@ class TestConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(
             "[run]\ngeometry = sphere\nseed = 7\nsamples = 50\nsuite = ambient\n"
+            "tol = residual_max=1e-4 stokes=2e-6\n"
         )
         cfg = parse(["verify", "--config", str(cfg_file), "--seed", "9"])
         assert cfg.geometry == "sphere"
         assert cfg.samples == 50
         assert cfg.seed == 9  # flag wins
+        assert cfg.tol == {"residual_max": 1e-4, "stokes": 2e-6}
+        cfg = parse(["verify", "--config", str(cfg_file), "--tol", "stokes=1e-5"])
+        assert cfg.tol == {"stokes": 1e-5}  # flag wins
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -70,6 +76,17 @@ class TestConfig:
     def test_main_exit_codes(self, tmp_path):
         assert main(["residual", "--grid", "13", "--A2", "1"]) == 2  # bad grid
         assert main([]) == 2  # no task
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [
+            line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("nklab ")
+        ]
+        assert len(commands) >= 4
+        for line in commands:
+            parse(shlex.split(line)[1:])
 
 
 class TestRun:
@@ -93,7 +110,7 @@ class TestRun:
 
     def test_torus_residual_task(self, outdir):
         code, report = run(RunConfig(
-            task="family", suite="residual", geometry="sphere",
+            task="residual", geometry="sphere",
             b2=1.0, c2=0.0, rmin=0.3, rmax=2.5, grid_r=16, grid_theta=16,
             exclude=((1.0, 0.05),), out="classes.csv", report="res.json",
         ))
@@ -101,6 +118,9 @@ class TestRun:
         check = report["checks"][0]
         assert check["name"] == "residual_max"
         assert check["value"] <= 1e-6
+        # 15 rings of 16 nodes: the ring at R = 1.033 lies in the band
+        assert check["evaluated"] + report["values"]["skipped_nodes"] == 15 * 16
+        assert check["evaluated"] > 0
         assert (outdir / "classes.csv").exists()
 
     def test_flat_family_variation(self):
@@ -123,7 +143,7 @@ class TestRun:
 
     def test_failed_check_exits_one(self):
         code, report = run(RunConfig(
-            task="family", suite="residual", geometry="sphere",
+            task="residual", geometry="sphere",
             b2=1.0, c2=0.0, rmin=0.3, rmax=2.5, grid_r=12, grid_theta=12,
             exclude=((1.0, 0.05),), tol={"residual_max": 1e-15}, report="f.json",
         ))
@@ -132,12 +152,22 @@ class TestRun:
 
     def test_tolerances_echoed(self):
         _, report = run(RunConfig(
-            task="family", suite="residual", geometry="sphere",
+            task="residual", geometry="sphere",
             b2=1.0, c2=0.0, rmin=0.3, rmax=2.5, grid_r=12, grid_theta=12,
             exclude=((1.0, 0.05),), tol={"residual_max": 1e-5}, report="t.json",
         ))
         assert report["config"]["tolerance_overrides"] == {"residual_max": 1e-5}
         assert report["checks"][0]["tolerance"] == 1e-5
+
+    def test_check_that_evaluated_nothing_fails(self, outdir, capsys):
+        # C2 = 2 B2: the torus is degenerate everywhere, so every node is skipped
+        assert main(["residual", "--B2", "1", "--C2", "2", "--rmin", "0.3", "--rmax", "2.5",
+                     "--grid", "16x16", "--report", "vacuous.json"]) == 1
+        assert "[FAIL] residual_max" in capsys.readouterr().out
+        report = json.loads((outdir / "vacuous.json").read_text())
+        assert report["values"]["skipped_nodes"] == 256
+        check = report["checks"][0]
+        assert (check["value"], check["evaluated"], check["passed"]) == (0.0, 0, False)
 
     def test_area_value_reported(self):
         _, report = run(RunConfig(

@@ -24,7 +24,7 @@ from neutralkahler import (
     stokes_check,
     torus_section,
 )
-from neutralkahler.ambient import general_geometry
+from neutralkahler.ambient import ConformalGeometry
 from neutralkahler.errors import SingularResidualError
 from neutralkahler.graphs import radial_bump
 from neutralkahler.numerics import RadialFunction
@@ -224,7 +224,7 @@ class TestElResidual:
         assert best > 1e-3
 
     def test_conjugation_symmetry(self):
-        geom = general_geometry(
+        geom = ConformalGeometry(
             "tilted",
             u=lambda z: 0.1 * z.real + 0.05 * z.imag**2,
             du=lambda z: 0.5 * (0.1 - 0.1j * z.imag),

@@ -15,6 +15,7 @@ from neutralkahler import (
     export_congruence,
     signature_profile,
     to_oriented_line,
+    torus_profile,
     torus_section,
 )
 from neutralkahler.errors import AdmissibilityError, ChartError, DomainError
@@ -34,22 +35,30 @@ class TestTorusFamily:
         section = torus_section(TorusFamily(1.0, 0.0))
         xi = 1.5 * np.exp(0.3j)
         expected = 1j * math.sqrt(1.0 + 1.5**4) * np.exp(0.3j)
-        assert section.value(xi) == pytest.approx(expected)
+        assert section.F(xi) == pytest.approx(expected)
 
     def test_degenerate_torus_values(self):
         section = torus_section(TorusFamily(1.0, 2.0))
         xi = 0.7 * np.exp(1.2j)
         expected = 1j * (1.0 + 0.49) * np.exp(1.2j)
-        assert section.value(xi) == pytest.approx(expected)
+        assert section.F(xi) == pytest.approx(expected)
 
     def test_branches_double_cover(self):
         up = torus_section(TorusFamily(1.0, 0.0, branch=1))
         down = torus_section(TorusFamily(1.0, 0.0, branch=-1))
         for r in (0.4, 1.0, 2.5):
             xi = r * np.exp(0.9j)
-            assert up.value(xi) == pytest.approx(-down.value(xi))
+            assert up.F(xi) == pytest.approx(-down.F(xi))
             if r != 1.0:
-                assert abs(up.value(xi)) > 0.0
+                assert abs(up.F(xi)) > 0.0
+
+    def test_section_is_the_profile_section(self):
+        for fam in (TorusFamily(1.0, 0.0), TorusFamily(2.0, 1.0, branch=-1),
+                    TorusFamily(0.5, 3.0)):
+            a, b = torus_section(fam).F, torus_profile(fam).section().F
+            for r in (0.3, 0.9, 1.7, 2.6):
+                xi = r * np.exp(0.7j)
+                assert (a(xi), a.d(xi), a.dbar(xi)) == (b(xi), b.d(xi), b.dbar(xi))
 
     def test_stationarity_away_from_null_circle(self):
         section = torus_section(TorusFamily(2.0, 1.0))

@@ -15,8 +15,6 @@ from neutralkahler.numerics import (
     integrate_annulus,
     integrate_circle,
     radial_derivative,
-    wirtinger_d,
-    wirtinger_dbar,
 )
 
 
@@ -28,19 +26,19 @@ class TestWirtinger:
     def test_identity_function(self):
         f = fd_field(lambda z: z)
         for xi in (0.3 + 0.4j, -2.0 + 1.0j, 5.0j):
-            assert wirtinger_d(f, xi) == pytest.approx(1.0, abs=1e-9)
-            assert wirtinger_dbar(f, xi) == pytest.approx(0.0, abs=1e-9)
+            assert f.wirtinger_d(xi) == pytest.approx(1.0, abs=1e-9)
+            assert f.wirtinger_dbar(xi) == pytest.approx(0.0, abs=1e-9)
 
     def test_antiholomorphic_function(self):
         f = fd_field(lambda z: z.conjugate())
-        assert wirtinger_d(f, 1.0 + 2.0j) == pytest.approx(0.0, abs=1e-9)
-        assert wirtinger_dbar(f, 1.0 + 2.0j) == pytest.approx(1.0, abs=1e-9)
+        assert f.wirtinger_d(1.0 + 2.0j) == pytest.approx(0.0, abs=1e-9)
+        assert f.wirtinger_dbar(1.0 + 2.0j) == pytest.approx(1.0, abs=1e-9)
 
     def test_modulus_squared(self):
         # d(xi xibar) = xibar by the product rule
         f = fd_field(lambda z: (z * z.conjugate()).real)
         xi = 1.0 + 1.0j
-        assert wirtinger_d(f, xi) == pytest.approx(1.0 - 1.0j, abs=1e-8)
+        assert f.wirtinger_d(xi) == pytest.approx(1.0 - 1.0j, abs=1e-8)
 
     def test_mixed_monomial_dbar(self):
         # dbar(xi^2 xibar) = xi^2; closed form against finite differences
@@ -51,14 +49,14 @@ class TestWirtinger:
             dbar=lambda z: z * z,
         )
         xi = 2.0 + 0.0j
-        assert wirtinger_dbar(an, xi) == pytest.approx(4.0)
-        assert wirtinger_dbar(fd, xi) == pytest.approx(4.0, abs=1e-8)
+        assert an.wirtinger_dbar(xi) == pytest.approx(4.0)
+        assert fd.wirtinger_dbar(xi) == pytest.approx(4.0, abs=1e-8)
 
     def test_deterministic_evaluation(self):
         f = fd_field(lambda z: math.sin(z.real) + 1j * math.cos(z.imag))
         xi = 0.7 - 0.2j
         assert f(xi) == f(xi)
-        assert wirtinger_d(f, xi) == wirtinger_d(f, xi)
+        assert f.wirtinger_d(xi) == f.wirtinger_d(xi)
 
     @given(
         coeffs=st.lists(
@@ -87,7 +85,7 @@ class TestWirtinger:
 
         fd = ComplexField(ev)
         exact = d(xi)
-        got = wirtinger_d(fd, xi)
+        got = fd.wirtinger_d(xi)
         scale = max(1.0, abs(exact))
         assert abs(got - exact) <= 1e-6 * scale
 
@@ -106,8 +104,8 @@ class TestWirtinger:
             d=lambda z: f.dbar(z).conjugate(),
             dbar=lambda z: f.d(z).conjugate(),
         )
-        assert wirtinger_d(f, xi).conjugate() == pytest.approx(
-            wirtinger_dbar(fbar, xi), abs=1e-12
+        assert f.wirtinger_d(xi).conjugate() == pytest.approx(
+            fbar.wirtinger_dbar(xi), abs=1e-12
         )
 
     def test_stencil_failure_raises(self):
@@ -120,14 +118,14 @@ class TestWirtinger:
 
         f = fd_field(spiky)
         with pytest.raises(DerivativeUnavailableError):
-            wirtinger_d(f, 1.0 + 0.0j)
+            f.wirtinger_d(1.0 + 0.0j)
 
     def test_nonfinite_stencil_raises(self):
         from neutralkahler.errors import DerivativeUnavailableError
 
         f = fd_field(lambda z: float("inf") if z.real > 1.0 else 1.0)
         with pytest.raises(DerivativeUnavailableError):
-            wirtinger_d(f, 1.0 + 0.0j)
+            f.wirtinger_d(1.0 + 0.0j)
 
     def test_fd_error_scales_quadratically(self):
         # f = sin(x) + i e^{0.3 y}:  d f = (cos x + 0.3 e^{0.3 y}) / 2
@@ -158,7 +156,7 @@ class TestRadialDerivative:
             radial_derivative(lambda r: r, -1.0, 2)
 
     def test_closed_form_takes_priority(self):
-        assert radial_derivative(lambda r: r * r, 3.0, 1, dg=lambda r: -1.0) == -1.0
+        assert RadialFunction(lambda r: r * r, lambda r: -1.0).deriv(3.0, 1) == -1.0
 
     def test_radial_function_fallback(self):
         rf = RadialFunction(lambda r: r**3)
@@ -189,6 +187,14 @@ class TestAnnulusGrid:
             AnnulusGrid(1.0, 2.0, 1, 8)
         with pytest.raises(DomainError):
             AnnulusGrid(1.0, 2.0, 8, 3)
+
+    def test_every_kept_segment_gets_a_cell(self):
+        bands = ((1.0, 0.1), (1.5, 0.1))  # keep [0.5, 0.9], [1.1, 1.4], [1.6, 2.5]
+        with pytest.raises(DomainError):
+            AnnulusGrid(0.5, 2.5, 2, 16, bands)
+        grid = AnnulusGrid(0.5, 2.5, 3, 16, bands)
+        for lo, hi in ((0.5, 0.9), (1.1, 1.4), (1.6, 2.5)):
+            assert np.any((grid.radial_nodes > lo) & (grid.radial_nodes < hi))
 
 
 class TestIntegrateAnnulus:

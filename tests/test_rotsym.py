@@ -199,7 +199,7 @@ class TestStationaryFamily:
         profile = stationary_family(flat, FamilyParams(0.0, 0.0, 1.0, 0.0), 1, (0.3, 3.0))
         section = profile.section()
         xi = 1.2 * np.exp(0.5j)
-        assert section.value(xi) == pytest.approx(1j * xi)
+        assert section.F(xi) == pytest.approx(1j * xi)
         sl = slopes(section, xi)
         assert abs(sl.sigma) <= 1e-12
         assert sl.lam == pytest.approx(1.0)
@@ -274,7 +274,7 @@ class TestDegenerateFamily:
         profile = degenerate_family(flat, RadialFunction.constant(0.0), 1.0, 1, (0.3, 3.0))
         section = profile.section()
         xi = 1.4 * np.exp(0.3j)
-        assert section.value(xi) == pytest.approx(1j * xi / abs(xi))
+        assert section.F(xi) == pytest.approx(1j * xi / abs(xi))
         sl = slopes(section, xi)
         assert abs(sl.det_factor) <= 1e-14
 
