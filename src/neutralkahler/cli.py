@@ -68,6 +68,7 @@ from .sampling import (
 )
 
 TASKS = ("verify", "residual", "area", "variation", "classify", "export")
+_FORMATS = ("obj", "csv")
 
 #: default check tolerances; every report entry cites one of these or an override
 DEFAULT_TOLERANCES = {
@@ -90,7 +91,7 @@ class RunConfig:
     """Resolved options of one CLI invocation."""
 
     task: str
-    geometry: str = "flat"
+    geometry: Optional[str] = None  # "sphere" with the --C2 shorthand, else "flat"
     suite: str = "all"
     samples: int = 500
     seed: int = 0
@@ -114,8 +115,20 @@ class RunConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task '{self.task}'")
+        if self.geometry is None:
+            self.geometry = "sphere" if self.c2 is not None else "flat"
         if self.geometry not in ("flat", "sphere"):
             raise ConfigError(f"unknown geometry '{self.geometry}'")
+        if self.c2 is not None and self.geometry != "sphere":
+            raise ConfigError("the --B2/--C2 torus shorthand lives over the round sphere")
+        if self.task == "export" and self.geometry != "sphere":
+            raise ConfigError("line congruences exist over the round sphere only")
+        if self.suite not in _SUITES:
+            raise ConfigError(f"unknown verify suite '{self.suite}'")
+        if self.branch not in (1, -1):
+            raise ConfigError(f"branch must be +1 or -1, got {self.branch}")
+        if self.fmt not in _FORMATS:
+            raise ConfigError(f"unknown export format '{self.fmt}'")
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
         unknown = set(self.tol) - set(DEFAULT_TOLERANCES)
@@ -166,14 +179,15 @@ class Report:
         cfg = {
             "task": self.config.task,
             "geometry": self.config.geometry,
-            "suite": self.config.suite,
-            "samples": self.config.samples,
             "seed": self.config.seed,
             "grid": [self.config.grid_r, self.config.grid_theta],
             "r_range": [self.config.rmin, self.config.rmax],
             "exclude": [list(b) for b in self.config.exclude],
             "tolerance_overrides": dict(sorted(self.config.tol.items())),
         }
+        if self.config.task == "verify":
+            cfg["suite"] = self.config.suite
+            cfg["samples"] = self.config.samples
         return {
             "schema": 1,
             "version": __version__,
@@ -389,17 +403,17 @@ def _suite_families(config: RunConfig, report: Report) -> None:
     report.check("first_variation_rel", worst_fv, config.tolerance("first_variation_rel"))
 
 
+_SUITES = {
+    "ambient": (_suite_ambient,),
+    "graphs": (_suite_graphs,),
+    "rotsym": (_suite_rotsym,),
+    "families": (_suite_families,),
+    "all": (_suite_ambient, _suite_graphs, _suite_rotsym, _suite_families),
+}
+
+
 def _run_verify(config: RunConfig, report: Report) -> None:
-    suites = {
-        "ambient": (_suite_ambient,),
-        "graphs": (_suite_graphs,),
-        "rotsym": (_suite_rotsym,),
-        "families": (_suite_families,),
-        "all": (_suite_ambient, _suite_graphs, _suite_rotsym, _suite_families),
-    }
-    if config.suite not in suites:
-        raise ConfigError(f"unknown verify suite '{config.suite}'")
-    for fn in suites[config.suite]:
+    for fn in _SUITES[config.suite]:
         fn(config, report)
 
 
@@ -572,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a seeded verification suite")
     add_common(p_verify)
-    p_verify.add_argument("--suite", choices=("ambient", "graphs", "rotsym", "families", "all"))
+    p_verify.add_argument("--suite", choices=tuple(_SUITES))
     p_verify.add_argument("--samples", type=int)
 
     for name, help_ in (
@@ -589,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_export)
     add_family(p_export)
     p_export.add_argument("--half-length", dest="half_length", type=float)
-    p_export.add_argument("--format", dest="fmt", choices=("obj", "csv"))
+    p_export.add_argument("--format", dest="fmt", choices=_FORMATS)
 
     return parser
 

@@ -36,16 +36,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .ambient import ConformalGeometry, TangentPoint, ambient_frame, theta_form
-from .errors import SingularResidualError
+from .errors import DomainError, SingularResidualError
 from .numerics import (
     AnnulusGrid,
     ComplexField,
     RadialFunction,
+    _node_sum,
+    _node_table,
     integrate_annulus,
     integrate_circle,
 )
@@ -225,19 +227,32 @@ def pullback_determinant(section: GraphSection, xi: complex, h: Optional[float] 
     return float(np.linalg.det(pullback_metric(section, xi, h))) / PULLBACK_DET_FACTOR
 
 
+def _slope_table(
+    section: GraphSection, grid: AnnulusGrid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sigma``, ``lam`` and ``e^{2u}`` at every Gauss node of the grid."""
+
+    def at(r: float, t: float) -> tuple[complex, float, float]:
+        xi = r * complex(math.cos(t), math.sin(t))
+        sl = slopes(section, xi)
+        return sl.sigma, sl.lam, section.geometry.conformal_factor(xi)
+
+    table = _node_table(at, grid)
+    return table[..., 0], table[..., 1].real, table[..., 2].real
+
+
+def _area_from_slopes(sigma: np.ndarray, lam: np.ndarray, w: np.ndarray, grid: AnnulusGrid):
+    """Area from node tables of the slopes; leading axes (one per ``t``) are kept."""
+    return _node_sum(2.0 * np.sqrt(np.abs(lam * lam - _abs2(sigma))) * w, grid)
+
+
 def area(section: GraphSection, grid: AnnulusGrid) -> float:
     """Induced area ``∫∫ |det_factor|^{1/2} e^{2u} * 2 dx dy`` over the annulus.
 
     The normalisation fixes ``|dxi ^ dxibar| = 2 dx ^ dy``; stationarity
     statements do not depend on it, absolute values do.
     """
-
-    def integrand(r: float, t: float) -> float:
-        xi = r * complex(math.cos(t), math.sin(t))
-        sl = slopes(section, xi)
-        return 2.0 * math.sqrt(abs(sl.det_factor)) * section.geometry.conformal_factor(xi)
-
-    return integrate_annulus(integrand, grid)
+    return float(_area_from_slopes(*_slope_table(section, grid), grid))
 
 
 def _residual_step(section: GraphSection, xi: complex, h: Optional[float]) -> float:
@@ -324,28 +339,35 @@ def radial_bump(r_lo: float, r_hi: float) -> RadialFunction:
     return RadialFunction(f, df)
 
 
-def _angular_field(phi: RadialFunction, k: int, coeff: complex) -> ComplexField:
-    """The field ``coeff * phi(R) e^{i k theta}`` with closed derivatives."""
+def _angular_field(
+    g: Callable[[float], complex], dg: Callable[[float], complex], k: int
+) -> ComplexField:
+    """The angular mode ``g(R) e^{i k theta}`` with closed Wirtinger derivatives
+
+        d    = e^{i (k-1) theta} (g' + k g / R) / 2,
+        dbar = e^{i (k+1) theta} (g' - k g / R) / 2,
+
+    written with the phase ``xi / R`` so that ``k = 1`` needs no power
+    beyond the exact ``phase**0`` and ``xi**1``.
+    """
+
+    def radius(xi: complex) -> float:
+        r = abs(xi)
+        if r == 0.0:
+            raise DomainError("angular mode undefined at xi = 0")
+        return r
 
     def ev(xi: complex) -> complex:
-        r = abs(xi)
-        if r == 0.0:
-            return 0.0 if k != 0 else coeff * phi(0.0)
-        return coeff * phi(r) * np.exp(1j * k * np.angle(xi))
+        r = radius(xi)
+        return g(r) * xi**k / r**k
 
     def d(xi: complex) -> complex:
-        r = abs(xi)
-        if r == 0.0:
-            return 0.0j
-        t = np.angle(xi)
-        return 0.5 * coeff * np.exp(1j * (k - 1) * t) * (phi.deriv(r) + k * phi(r) / r)
+        r = radius(xi)
+        return 0.5 * (xi / r) ** (k - 1) * (dg(r) + k * g(r) / r)
 
     def dbar(xi: complex) -> complex:
-        r = abs(xi)
-        if r == 0.0:
-            return 0.0j
-        t = np.angle(xi)
-        return 0.5 * coeff * np.exp(1j * (k + 1) * t) * (phi.deriv(r) - k * phi(r) / r)
+        r = radius(xi)
+        return 0.5 * (xi / r) ** (k + 1) * (dg(r) - k * g(r) / r)
 
     return ComplexField(ev, d=d, dbar=dbar)
 
@@ -356,11 +378,11 @@ def bump_basis(
     """Compactly supported variation bumps: radial hat times ``e^{i k theta}``,
     applied separately to the real and imaginary parts of the perturbation."""
     phi = radial_bump(r_lo, r_hi)
-    fields = []
-    for k in ks:
-        fields.append(_angular_field(phi, k, 1.0))
-        fields.append(_angular_field(phi, k, 1.0j))
-    return fields
+    return [
+        _angular_field(lambda r, c=c: c * phi(r), lambda r, c=c: c * phi.deriv(r), k)
+        for k in ks
+        for c in (1.0, 1.0j)
+    ]
 
 
 def first_variation(
@@ -371,18 +393,23 @@ def first_variation(
 ) -> float:
     """Derivative of the area along ``F + t * bump`` at ``t = 0``.
 
-    Symmetric differences in ``t`` with one Richardson step; this is the
-    independent stationarity oracle, sharing nothing with ``el_residual``
-    beyond the area quadrature.
+    Symmetric differences in ``t`` with one Richardson step. The slopes
+    are real-linear in the field, ``sigma(F + t b) = sigma(F) + t sigma(b)``
+    and likewise ``lam``, so ``slopes`` runs once per Gauss node for F and
+    once for the bump, and the four shifted areas are sums over the same
+    per-node table that ``area`` reads. This is the independent
+    stationarity oracle: it shares nothing with ``el_residual`` and does
+    no spatial differencing.
     """
-
-    def area_at(t: float) -> float:
-        field = ComplexField.combination([(1.0, section.F), (t, bump)])
-        return area(GraphSection(field, section.geometry), grid)
-
-    coarse = (area_at(t_step) - area_at(-t_step)) / (2.0 * t_step)
-    fine = (area_at(0.5 * t_step) - area_at(-0.5 * t_step)) / t_step
-    return (4.0 * fine - coarse) / 3.0
+    sigma, lam, w = _slope_table(section, grid)
+    sigma_b, lam_b, _ = _slope_table(GraphSection(bump, section.geometry), grid)
+    ts = np.array([t_step, -t_step, 0.5 * t_step, -0.5 * t_step])[:, None, None]
+    a_plus, a_minus, h_plus, h_minus = _area_from_slopes(
+        sigma + ts * sigma_b, lam + ts * lam_b, w, grid
+    )
+    coarse = (a_plus - a_minus) / (2.0 * t_step)
+    fine = (h_plus - h_minus) / t_step
+    return float((4.0 * fine - coarse) / 3.0)
 
 
 def stokes_check(
@@ -448,54 +475,27 @@ def lagrangian_section(
     so ``rho = e^{-2u} d dbar h = e^{-2u} Laplacian(h) / 4`` is real and
     ``lam = 0`` identically; the primitive 1-form pulls back to ``dh``.
     Supported for the flat and round-sphere geometries, where ``e^{-2u}``
-    has polynomial Wirtinger derivatives.
+    is a polynomial in ``xi, xibar``, so F is a polynomial section.
     """
+    if geometry.name == "flat":
+        v = {(0, 0): 1.0}
+    elif geometry.name == "sphere":
+        v = {(0, 0): 0.25, (1, 1): 0.5, (2, 2): 0.25}  # (1 + xi xibar)^2 / 4
+    else:
+        raise NotImplementedError(
+            f"gradient sections need a polynomial e^(-2u); geometry '{geometry.name}'"
+        )
     herm: dict[tuple[int, int], complex] = {}
     for (m, n), c in potential.items():
         herm[(m, n)] = herm.get((m, n), 0.0) + 0.5 * c
         herm[(n, m)] = herm.get((n, m), 0.0) + 0.5 * c.conjugate()
-
-    def dbar_h(xi: complex) -> complex:
-        xb = xi.conjugate()
-        return sum(n * c * xi**m * xb ** (n - 1) for (m, n), c in herm.items() if n > 0)
-
-    def d_dbar_h(xi: complex) -> complex:
-        xb = xi.conjugate()
-        return sum(
-            m * n * c * xi ** (m - 1) * xb ** (n - 1)
-            for (m, n), c in herm.items()
-            if m > 0 and n > 0
-        )
-
-    def dbar2_h(xi: complex) -> complex:
-        xb = xi.conjugate()
-        return sum(
-            n * (n - 1) * c * xi**m * xb ** (n - 2) for (m, n), c in herm.items() if n > 1
-        )
-
-    if geometry.name == "flat":
-        v = lambda xi: 1.0
-        dv = lambda xi: 0.0j
-        dbar_v = lambda xi: 0.0j
-    elif geometry.name == "sphere":
-        v = lambda xi: 0.25 * (1.0 + (xi * xi.conjugate()).real) ** 2
-        dv = lambda xi: 0.5 * xi.conjugate() * (1.0 + (xi * xi.conjugate()).real)
-        dbar_v = lambda xi: 0.5 * xi * (1.0 + (xi * xi.conjugate()).real)
-    else:
-        raise NotImplementedError(
-            f"gradient sections need closed e^(-2u) derivatives; geometry '{geometry.name}'"
-        )
-
-    def ev(xi: complex) -> complex:
-        return v(xi) * dbar_h(xi)
-
-    def d(xi: complex) -> complex:
-        return dv(xi) * dbar_h(xi) + v(xi) * d_dbar_h(xi)
-
-    def dbar(xi: complex) -> complex:
-        return dbar_v(xi) * dbar_h(xi) + v(xi) * dbar2_h(xi)
-
-    return GraphSection(ComplexField(ev, d=d, dbar=dbar), geometry)
+    coeffs: dict[tuple[int, int], complex] = {}
+    for (m, n), c in herm.items():
+        if n > 0:  # dbar h, times e^{-2u}
+            for (p, q), a in v.items():
+                key = (m + p, n - 1 + q)
+                coeffs[key] = coeffs.get(key, 0.0) + a * n * c
+    return polynomial_section(geometry, coeffs)
 
 
 def conjugate_section(section: GraphSection) -> GraphSection:

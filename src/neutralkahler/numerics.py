@@ -94,27 +94,6 @@ class ComplexField:
         fx, fy = self._fd_pair(xi)
         return 0.5 * (fx + 1j * fy)
 
-    @staticmethod
-    def combination(terms: Sequence[tuple[complex, "ComplexField"]]) -> "ComplexField":
-        """Pointwise linear combination ``sum c_k f_k``.
-
-        Closed-form derivatives are combined when every term has them;
-        otherwise the result is a finite-difference field.
-        """
-        terms = [(complex(c), f) for c, f in terms]
-
-        def ev(xi: complex) -> complex:
-            return sum(c * f(xi) for c, f in terms)
-
-        if all(f.analytic for _, f in terms):
-            return ComplexField(
-                ev,
-                d=lambda xi: sum(c * f.d(xi) for c, f in terms),
-                dbar=lambda xi: sum(c * f.dbar(xi) for c, f in terms),
-            )
-        step = min(f.fd_step for _, f in terms)
-        return ComplexField(ev, fd_step=step)
-
 
 @dataclass(frozen=True)
 class RadialFunction:
@@ -298,17 +277,30 @@ class AnnulusGrid:
         return [(float(r), float(t)) for r in rs if not self.excluded(r) for t in self.theta_nodes]
 
 
+def _node_table(f: Callable[[float, float], object], grid: AnnulusGrid) -> np.ndarray:
+    """``f(R, theta)`` at every quadrature node, indexed ``[radial node, angle, ...]``.
+
+    Raises :class:`QuadratureError` naming the first node (in radial-major
+    order) where a value is not finite.
+    """
+    table = np.array([[f(r, t) for t in grid.theta_nodes] for r in grid.radial_nodes])
+    finite = np.isfinite(table).reshape(table.shape[0], table.shape[1], -1).all(axis=-1)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        r, t = grid.radial_nodes[i], grid.theta_nodes[j]
+        raise QuadratureError(f"non-finite integrand at node (R={r:.6g}, theta={t:.6g})")
+    return table
+
+
+def _node_sum(values: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
+    """Quadrature of node values indexed ``[..., radial node, angle]``."""
+    r = grid.radial_nodes[:, None]
+    return np.sum(grid.radial_weights[:, None] * grid.theta_weight * values * r, axis=(-2, -1))
+
+
 def integrate_annulus(integrand: Callable[[float, float], float], grid: AnnulusGrid) -> float:
     """Quadrature of ``∫∫ integrand(R, theta) R dR dtheta`` over the grid."""
-    total = 0.0
-    wt = grid.theta_weight
-    for r, wr in zip(grid.radial_nodes, grid.radial_weights):
-        for t in grid.theta_nodes:
-            v = integrand(r, t)
-            if not np.isfinite(v):
-                raise QuadratureError(f"non-finite integrand at node (R={r:.6g}, theta={t:.6g})")
-            total += wr * wt * v * r
-    return total
+    return float(_node_sum(_node_table(integrand, grid), grid))
 
 
 def integrate_circle(f: Callable[[float], float], n_theta: int = 256) -> float:

@@ -51,8 +51,8 @@ from .errors import (
     EmptyDomainError,
     SingularCoefficientError,
 )
-from .graphs import GraphSection
-from .numerics import ComplexField, CumulativeIntegral, RadialFunction
+from .graphs import GraphSection, _angular_field
+from .numerics import CumulativeIntegral, RadialFunction
 
 __all__ = [
     "FamilyParams",
@@ -320,23 +320,7 @@ def rotsym_section(
     For this ansatz ``d F = (G' + G/R)/2`` (independent of theta) and
     ``dbar F = e^{2 i theta} (G' - G/R)/2``.
     """
-
-    def ev(xi: complex) -> complex:
-        r = abs(xi)
-        if r == 0.0:
-            raise DomainError("rotationally symmetric section undefined at xi = 0")
-        return G(r) * xi / r
-
-    def d(xi: complex) -> complex:
-        r = abs(xi)
-        return 0.5 * (dG(r) + G(r) / r)
-
-    def dbar(xi: complex) -> complex:
-        r = abs(xi)
-        phase = xi / r
-        return 0.5 * phase * phase * (dG(r) - G(r) / r)
-
-    return GraphSection(ComplexField(ev, d=d, dbar=dbar), geom)
+    return GraphSection(_angular_field(G, dG, 1), geom)
 
 
 def _closed_family_profiles(

@@ -69,6 +69,32 @@ class TestConfig:
         cfg = parse(["verify", "--config", str(cfg_file), "--tol", "stokes=1e-5"])
         assert cfg.tol == {"stokes": 1e-5}  # flag wins
 
+    def test_torus_shorthand_implies_sphere(self, capsys):
+        assert parse(["residual", "--B2", "1", "--C2", "0"]).geometry == "sphere"
+        assert parse(["residual", "--A2", "1"]).geometry == "flat"
+        with pytest.raises(ConfigError):
+            parse(["residual", "--geometry", "flat", "--B2", "1", "--C2", "0"])
+        assert main(["residual", "--geometry", "flat", "--B2", "1", "--C2", "0"]) == 2
+        assert "round sphere" in capsys.readouterr().err
+
+    def test_export_needs_sphere(self, capsys):
+        assert main(["export", "--geometry", "flat", "--A2", "1", "--B2", "0.5",
+                     "--out", "x.obj"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, argv", [
+        ("branch = 2", ["residual", "--A2", "1"]),
+        ("fmt = ply", ["export", "--B2", "1", "--C2", "0", "--out", "t.obj"]),
+        ("suite = bogus", ["verify"]),
+    ])
+    def test_config_file_values_checked_like_flags(self, tmp_path, line, argv):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[run]\n{line}\n")
+        argv = argv[:1] + ["--config", str(cfg_file)] + argv[1:]
+        with pytest.raises(ConfigError):
+            parse(argv)
+        assert main(argv) == 2
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse(["verify", "--config", str(tmp_path / "absent.cfg")])
@@ -168,6 +194,14 @@ class TestRun:
         assert report["values"]["skipped_nodes"] == 256
         check = report["checks"][0]
         assert (check["value"], check["evaluated"], check["passed"]) == (0.0, 0, False)
+
+    def test_suite_and_samples_echoed_for_verify_only(self):
+        _, report = run(RunConfig(
+            task="area", a2=1.0, rmin=1.0, rmax=2.0, grid_r=4, grid_theta=4, report="a.json",
+        ))
+        assert "suite" not in report["config"] and "samples" not in report["config"]
+        _, report = run(RunConfig(task="verify", suite="ambient", samples=20, report="v.json"))
+        assert (report["config"]["suite"], report["config"]["samples"]) == ("ambient", 20)
 
     def test_area_value_reported(self):
         _, report = run(RunConfig(

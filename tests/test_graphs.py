@@ -18,6 +18,7 @@ from neutralkahler import (
     holomorphic_at,
     induced_metric,
     lagrangian_at,
+    lagrangian_section,
     polynomial_section,
     pullback_determinant,
     slopes,
@@ -25,9 +26,9 @@ from neutralkahler import (
     torus_section,
 )
 from neutralkahler.ambient import ConformalGeometry
-from neutralkahler.errors import SingularResidualError
+from neutralkahler.errors import QuadratureError, SingularResidualError
 from neutralkahler.graphs import radial_bump
-from neutralkahler.numerics import RadialFunction
+from neutralkahler.numerics import ComplexField, RadialFunction
 from neutralkahler.rotsym import degenerate_family, rotsym_section
 from neutralkahler.sampling import (
     random_lagrangian_section,
@@ -88,6 +89,17 @@ class TestPredicates:
         s = torus_section(TorusFamily(1.0, 0.0))
         assert holomorphic_at(s, complex(1.0))
         assert lagrangian_at(s, complex(1.0))
+
+    def test_gradient_sections_are_lagrangian(self, flat, sphere):
+        rng = rng_from_seed(27)
+        for geom in (flat, sphere):
+            section = random_lagrangian_section(rng, geom)
+            for xi in (0.3 + 0.4j, -1.1 + 0.2j, 0.8 - 1.3j):
+                sl = slopes(section, xi)
+                assert abs(sl.lam) <= 1e-12 * max(1.0, abs(sl.rho))
+        tilted = ConformalGeometry("tilted", u=lambda z: 0.1 * z.real)
+        with pytest.raises(NotImplementedError):
+            lagrangian_section(tilted, {(1, 1): 1.0})
 
 
 class TestInducedMetric:
@@ -176,6 +188,16 @@ class TestArea:
         grid = AnnulusGrid(1.0, 2.0, 8, 8)
         section = polynomial_section(flat, {})
         assert area(section, grid) == pytest.approx(0.0, abs=1e-14)
+
+    def test_non_finite_node_is_named(self, flat):
+        # F = i R^2 e^{i theta} for R < 1.5, undefined (nan) beyond
+        section = rotsym_section(flat, lambda r: 1j * r * r if r < 1.5 else complex("nan"),
+                                 lambda r: 2j * r)
+        grid = AnnulusGrid(1.0, 2.0, 4, 8)
+        bump = bump_basis(1.0, 2.0)[0]
+        for compute in (lambda: area(section, grid), lambda: first_variation(section, bump, grid)):
+            with pytest.raises(QuadratureError, match=r"R=1\.5\d*, theta=0\)"):
+                compute()
 
 
 class TestElResidual:
@@ -266,14 +288,44 @@ class TestFirstVariation:
         grid = AnnulusGrid(1.0, 2.0, 12, 12)
         section = polynomial_section(flat, {(1, 0): 1.3j, (1, 1): 0.1})
         b1, b2 = bump_basis(1.0, 2.0, ks=(0, 1))[:2]
-        from neutralkahler.numerics import ComplexField
-
-        combined = ComplexField.combination([(1.0, b1), (1.0, b2)])
+        combined = ComplexField(
+            lambda xi: b1(xi) + b2(xi),
+            d=lambda xi: b1.d(xi) + b2.d(xi),
+            dbar=lambda xi: b1.dbar(xi) + b2.dbar(xi),
+        )
         fv1 = first_variation(section, b1, grid)
         fv2 = first_variation(section, b2, grid)
         fv12 = first_variation(section, combined, grid)
         scale = max(abs(fv1) + abs(fv2), 1e-9)
         assert abs(fv12 - fv1 - fv2) <= 1e-6 * scale
+
+    def test_matches_area_of_shifted_sections(self, flat):
+        # reference: the areas of the polynomial sections F + t b themselves
+        grid = AnnulusGrid(0.8, 1.9, 12, 12)
+        f = {(1, 0): 1.2j, (0, 2): 0.1, (2, 1): 0.05j}
+        b = {(1, 0): 0.3 + 0.1j, (0, 2): 0.2j}
+
+        def area_at(t):
+            shifted = {k: f.get(k, 0.0) + t * b.get(k, 0.0) for k in f.keys() | b.keys()}
+            return area(polynomial_section(flat, shifted), grid)
+
+        h = 1e-5
+        coarse = (area_at(h) - area_at(-h)) / (2.0 * h)
+        fine = (area_at(0.5 * h) - area_at(-0.5 * h)) / h
+        expect = (4.0 * fine - coarse) / 3.0
+        got = first_variation(polynomial_section(flat, f), polynomial_section(flat, b).F, grid)
+        assert abs(expect) > 1e-2
+        assert got == pytest.approx(expect, rel=1e-8)
+
+    def test_slopes_once_per_node_and_field(self, flat, monkeypatch):
+        import neutralkahler.graphs as graphs
+
+        calls = []
+        real_slopes = graphs.slopes
+        monkeypatch.setattr(graphs, "slopes", lambda s, xi: calls.append(xi) or real_slopes(s, xi))
+        grid = AnnulusGrid(1.0, 2.0, 6, 8)
+        first_variation(i_xi(flat), bump_basis(1.0, 2.0)[0], grid)
+        assert len(calls) == 2 * len(grid.radial_nodes) * grid.n_theta
 
     def test_bump_vanishes_at_support_ends(self):
         phi = radial_bump(1.0, 2.0)

@@ -268,6 +268,20 @@ class TestStationaryFamily:
                     radial_derivative(fn.f, r, 2), rel=1e-5, abs=1e-5
                 )
 
+    def test_section_matches_closed_forms(self, sphere):
+        # F = G e^{i theta}, d F = (G' + G/R)/2, dbar F = e^{2 i theta} (G' - G/R)/2,
+        # evaluated in this order, to the last bit
+        profile = stationary_family(sphere, FamilyParams(0.4, -0.3, 0.9, 1.4), -1, (0.3, 0.95))
+        F = profile.section().F
+        G, dG = profile.G, profile.dG
+        for r in np.linspace(*profile.domain, 7)[1:-1]:
+            xi = r * complex(math.cos(2.1 * r), math.sin(2.1 * r))
+            r = abs(xi)
+            phase = xi / r
+            assert F(xi) == G(r) * xi / r
+            assert F.d(xi) == 0.5 * (dG(r) + G(r) / r)
+            assert F.dbar(xi) == 0.5 * phase * phase * (dG(r) - G(r) / r)
+
 
 class TestDegenerateFamily:
     def test_flat_constant_profile(self, flat):
