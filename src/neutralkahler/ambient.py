@@ -71,44 +71,40 @@ J4_MATRIX.flags.writeable = False
 #: signature selector of the neutral branch of the calibration identity
 EPSILON = -1
 
+_LOG2 = math.log(2.0)
+
 
 @dataclass(frozen=True)
 class ConformalGeometry:
     """The conformal exponent u of the base metric ``e^{2u} dxi dxibar``.
 
     ``u`` maps the complex coordinate to a real value; ``du`` is the closed
-    form of its holomorphic Wirtinger derivative when available. For
-    rotationally symmetric geometries the radial profile ``u_of_R`` and its
-    two derivatives are carried as well (they drive the ODE machinery).
+    form of its holomorphic Wirtinger derivative when available. Both work
+    elementwise on arrays of nodes (a constant may come back as a scalar).
+    For rotationally symmetric geometries the radial profile ``u_of_R`` and
+    its two derivatives are carried as well (they drive the ODE machinery).
     """
 
     name: str
-    u: Callable[[complex], float]
-    du: Optional[Callable[[complex], complex]] = None
+    u: Callable
+    du: Optional[Callable] = None
     rotationally_symmetric: bool = False
     u_of_R: Optional[RadialFunction] = None
     du_of_R: Optional[RadialFunction] = None
     ddu_of_R: Optional[RadialFunction] = None
 
-    def u_at(self, xi: complex) -> float:
-        return float(self.u(xi))
-
-    def du_at(self, xi: complex) -> complex:
+    def du_at(self, xi):
         """Holomorphic derivative of u, by closed form or finite differences."""
         if self.du is not None:
-            return complex(self.du(xi))
-        h = 1e-6 * max(1.0, abs(xi))
+            return self.du(xi)
+        h = 1e-6 * np.maximum(1.0, abs(xi))
         ux = (self.u(xi + h) - self.u(xi - h)) / (2.0 * h)
         uy = (self.u(xi + 1j * h) - self.u(xi - 1j * h)) / (2.0 * h)
         return 0.5 * (ux - 1j * uy)
 
-    def conformal_factor(self, xi: complex) -> float:
+    def conformal_factor(self, xi):
         """The metric density ``w = e^{2u}`` (always positive)."""
-        return math.exp(2.0 * self.u_at(xi))
-
-    def dw_at(self, xi: complex) -> complex:
-        """Holomorphic derivative of ``e^{2u}``."""
-        return 2.0 * self.conformal_factor(xi) * self.du_at(xi)
+        return np.exp(2.0 * self.u(xi))
 
     def require_radial(self) -> None:
         if not self.rotationally_symmetric or self.u_of_R is None:
@@ -116,15 +112,15 @@ class ConformalGeometry:
                 f"geometry '{self.name}' has no rotationally symmetric radial profile"
             )
 
-    def radial_u(self, r: float) -> float:
+    def radial_u(self, r):
         self.require_radial()
         return self.u_of_R(r)
 
-    def radial_du(self, r: float) -> float:
+    def radial_du(self, r):
         self.require_radial()
         return self.du_of_R(r) if self.du_of_R is not None else self.u_of_R.deriv(r, 1)
 
-    def radial_ddu(self, r: float) -> float:
+    def radial_ddu(self, r):
         self.require_radial()
         return self.ddu_of_R(r) if self.ddu_of_R is not None else self.u_of_R.deriv(r, 2)
 
@@ -146,10 +142,10 @@ def flat_geometry() -> ConformalGeometry:
 def sphere_geometry() -> ConformalGeometry:
     """The round 2-sphere, ``e^{2u} = 4 (1 + |xi|^2)^{-2}``."""
 
-    def u(xi: complex) -> float:
-        return math.log(2.0) - math.log1p((xi * xi.conjugate()).real)
+    def u(xi):
+        return _LOG2 - np.log1p((xi * xi.conjugate()).real)
 
-    def du(xi: complex) -> complex:
+    def du(xi):
         return -xi.conjugate() / (1.0 + (xi * xi.conjugate()).real)
 
     return ConformalGeometry(
@@ -158,7 +154,7 @@ def sphere_geometry() -> ConformalGeometry:
         du=du,
         rotationally_symmetric=True,
         u_of_R=RadialFunction(
-            lambda r: math.log(2.0) - math.log1p(r * r),
+            lambda r: _LOG2 - np.log1p(r * r),
             lambda r: -2.0 * r / (1.0 + r * r),
             lambda r: -2.0 * (1.0 - r * r) / (1.0 + r * r) ** 2,
         ),
@@ -186,14 +182,14 @@ def radial_geometry(
     if ddu_of_R is None:
         ddu_of_R = RadialFunction(lambda r: u_of_R.deriv(r, 2))
 
-    def u(xi: complex) -> float:
+    def u(xi):
         return u_of_R(abs(xi))
 
-    def du(xi: complex) -> complex:
+    def du(xi):
         r = abs(xi)
-        if r == 0.0:
-            return 0.0j
-        return du_of_R(r) * xi.conjugate() / (2.0 * r)
+        origin = r == 0.0
+        r = np.where(origin, 1.0, r)  # du vanishes at the centre of symmetry
+        return np.where(origin, 0.0j, du_of_R(r) * xi.conjugate() / (2.0 * r))
 
     return ConformalGeometry(
         name=name,
@@ -248,7 +244,7 @@ def ambient_frame(geom: ConformalGeometry, p: TangentPoint) -> AmbientFrame:
     """Evaluate (G, Omega, J) at ``p`` for the given base geometry."""
     w = geom.conformal_factor(p.xi)
     try:
-        dw = geom.dw_at(p.xi)
+        dw = 2.0 * w * geom.du_at(p.xi)
     except Exception as exc:
         raise DerivativeUnavailableError(
             f"derivative of e^(2u) unavailable at xi={p.xi}: {exc}"

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -35,20 +36,23 @@ from .ambient import (
     calibration_gap,
     theta_form,
 )
-from .errors import ConfigError, NeutralKahlerError, SingularResidualError
+from .errors import ConfigError, NeutralKahlerError
 from .graphs import (
+    _SKIP_REASONS,
     GraphSection,
+    _residual_map,
+    _slopes_on,
     area,
     bump_basis,
-    el_residual,
     export_classification_csv,
     first_variation,
     pullback_determinant,
     slopes,
     stokes_check,
 )
+from .graphs import el_residual  # noqa: F401  (unused; bench/test_bench.py traces this binding)
 from .lines3d import TorusFamily, export_congruence, torus_section
-from .numerics import DEFAULT_BAND_HALF_WIDTH, AnnulusGrid
+from .numerics import DEFAULT_BAND_HALF_WIDTH, AnnulusGrid, _polar
 from .rotsym import (
     FamilyParams,
     comfortable_range,
@@ -131,6 +135,12 @@ class RunConfig:
             raise ConfigError(f"unknown export format '{self.fmt}'")
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
+        if self.grid_r < 2 or self.grid_theta < 4:
+            raise ConfigError(f"grid needs >= 2x4 nodes, got {self.grid_r}x{self.grid_theta}")
+        if not 0.0 < self.rmin < self.rmax:
+            raise ConfigError(f"need 0 < rmin < rmax, got rmin={self.rmin}, rmax={self.rmax}")
+        if self.half_length <= 0.0:
+            raise ConfigError(f"half-length must be positive, got {self.half_length}")
         unknown = set(self.tol) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
@@ -387,13 +397,11 @@ def _suite_families(config: RunConfig, report: Report) -> None:
         section = profile.section()
         lo, hi = comfortable_range(profile)
         grid = AnnulusGrid(lo, hi, 16, 16)
-        for r, t in grid.mesh_nodes()[:: max(1, len(grid.mesh_nodes()) // 40)]:
-            xi = r * complex(math.cos(t), math.sin(t))
-            try:
-                worst_res = max(worst_res, abs(el_residual(section, xi)))
-            except SingularResidualError:
-                continue
-            evaluated += 1
+        xi = _polar(*grid._lattice())
+        values, codes = _residual_map(section, xi[:: max(1, xi.size // 40)])
+        kept = codes == 0
+        worst_res = max(worst_res, float(np.max(np.abs(values[kept]), initial=0.0)))
+        evaluated += int(np.count_nonzero(kept))
         a_val = area(section, grid)
         for bump in bump_basis(grid.r_min, grid.r_max)[:4]:
             fv = first_variation(section, bump, grid)
@@ -425,23 +433,15 @@ def _run_verify(config: RunConfig, report: Report) -> None:
 def _run_residual(config: RunConfig, report: Report) -> None:
     section, r_range = _build_section(config)
     grid = _build_grid(config, r_range)
-    nodes = grid.mesh_nodes()
-    worst = 0.0
-    skipped = 0
-    for r, t in nodes:
-        xi = r * complex(math.cos(t), math.sin(t))
-        try:
-            worst = max(worst, abs(el_residual(section, xi)))
-        except SingularResidualError:
-            skipped += 1
-    report.values["skipped_nodes"] = skipped
-    report.check("residual_max", worst, config.tolerance("residual_max"),
-                 evaluated=len(nodes) - skipped)
-    if config.out:
-        path = _resolve(config.out)
-        rows = export_classification_csv(section, grid, path)
-        report.values["csv_rows"] = rows
-        report.artifacts.append(str(path))
+    values, codes = _residual_map(section, _polar(*grid._lattice()))
+    kept = codes == 0
+    report.values["skipped_nodes"] = int(np.count_nonzero(~kept))
+    report.values["skipped_by_reason"] = {
+        reason: int(np.count_nonzero(codes == k)) for k, reason in enumerate(_SKIP_REASONS, 1)
+    }
+    report.check("residual_max", float(np.max(np.abs(values[kept]), initial=0.0)),
+                 config.tolerance("residual_max"), evaluated=int(np.count_nonzero(kept)))
+    _write_classification(config, report, section, grid)
 
 
 def _run_area(config: RunConfig, report: Report) -> None:
@@ -465,16 +465,16 @@ def _run_variation(config: RunConfig, report: Report) -> None:
 def _run_classify(config: RunConfig, report: Report) -> None:
     section, r_range = _build_section(config)
     grid = _build_grid(config, r_range)
-    counts: dict[str, int] = {}
-    for r, t in grid.mesh_nodes():
-        xi = r * complex(math.cos(t), math.sin(t))
-        cls = str(slopes(section, xi).classify())
-        counts[cls] = counts.get(cls, 0) + 1
-    report.values["class_counts"] = dict(sorted(counts.items()))
+    counts = Counter(_slopes_on(section, _polar(*grid._lattice())).classify().tolist())
+    report.values["class_counts"] = dict(sorted((str(c), n) for c, n in counts.items()))
+    _write_classification(config, report, section, grid)
+
+
+def _write_classification(config: RunConfig, report: Report, section, grid) -> None:
+    """The ``--out`` CSV of ``residual`` and ``classify``."""
     if config.out:
         path = _resolve(config.out)
-        rows = export_classification_csv(section, grid, path)
-        report.values["csv_rows"] = rows
+        report.values["csv_rows"] = export_classification_csv(section, grid, path)
         report.artifacts.append(str(path))
 
 
@@ -625,6 +625,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, raw in _load_config_file(args.config).items():
             key = key.replace("-", "_")
+            if key == "format":  # the file spelling of --format
+                key = "fmt"
             if key == "grid":
                 values["grid"] = raw
             elif key == "exclude":

@@ -34,7 +34,14 @@ class SingularCoefficientError(NeutralKahlerError):
 
 
 class SingularResidualError(NeutralKahlerError):
-    """The stationarity residual is undefined at a point (degenerate or sign-changing stencil)."""
+    """The stationarity residual is undefined at a point (degenerate or sign-changing stencil).
+
+    ``reason`` is ``"degenerate"``, ``"det_sign_change"`` or ``"lam_sign_change"``.
+    """
+
+    def __init__(self, message: str, reason: str):
+        self.reason = reason
+        super().__init__(message)
 
 
 class AdmissibilityError(NeutralKahlerError):

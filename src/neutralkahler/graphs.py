@@ -29,6 +29,9 @@ evaluated here by composing slope fields with Wirtinger derivatives
 along compactly supported bumps (``first_variation``). The absolute value
 under the square root is taken literally, so the residual is only defined
 where ``det_factor`` keeps one sign across the whole stencil.
+
+Slopes, classes and the residual also evaluate elementwise on arrays of
+points, so each grid or lattice sweep is one call on elementwise fields.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from .numerics import (
     ComplexField,
     RadialFunction,
     _node_sum,
-    _node_table,
+    _polar,
+    _require_finite,
     integrate_annulus,
     integrate_circle,
 )
@@ -88,6 +92,12 @@ NULL_ATOL = 1e-6
 #: exact null points (slopes at roundoff level) inside the degenerate class
 DEGENERACY_SCALE_FLOOR = NULL_ATOL**2
 
+#: why the residual map skips a point, in priority order: skip code k
+#: means ``_SKIP_REASONS[k - 1]``, code 0 that the point was evaluated
+_SKIP_REASONS = ("degenerate", "det_sign_change", "lam_sign_change")
+#: the 5-point stencil, in units of the step
+_STENCIL = np.array([0.0, 1.0, -1.0, 1j, -1j])
+
 
 class SurfaceClass(enum.Enum):
     RIEMANNIAN = "riemannian"
@@ -110,40 +120,43 @@ class GraphSection:
         return TangentPoint(xi, self.F(xi))
 
 
-def _abs2(z: complex) -> float:
+def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
 @dataclass(frozen=True)
 class SlopeData:
-    """Slope invariants of a graph at one point."""
+    """Slope invariants of a graph at one point, or elementwise at an array of points."""
 
     sigma: complex
     rho: complex
 
     @property
-    def lam(self) -> float:
+    def lam(self):
         return self.rho.imag
 
     @property
-    def det_factor(self) -> float:
+    def det_factor(self):
         lam = self.lam
         return lam * lam - _abs2(self.sigma)
 
     @property
-    def degenerate(self) -> bool:
+    def degenerate(self):
         """``det_factor`` is zero relative to the slope scale."""
         lam = self.lam
         lam2 = lam * lam
         ss = _abs2(self.sigma)
         return abs(lam2 - ss) < DEGENERACY_RTOL * (lam2 + ss + DEGENERACY_SCALE_FLOOR)
 
-    def classify(self) -> SurfaceClass:
-        if self.degenerate:
-            if abs(self.sigma) < NULL_ATOL and abs(self.lam) < NULL_ATOL:
-                return SurfaceClass.TOTALLY_NULL
-            return SurfaceClass.DEGENERATE
-        return SurfaceClass.RIEMANNIAN if self.det_factor > 0.0 else SurfaceClass.LORENTZ
+    def classify(self):
+        """The causal class at a point; an object array of classes on arrays."""
+        degenerate = self.degenerate
+        null = (abs(self.sigma) < NULL_ATOL) & (abs(self.lam) < NULL_ATOL)
+        return np.select(
+            [degenerate & null, degenerate, self.det_factor > 0.0],
+            [SurfaceClass.TOTALLY_NULL, SurfaceClass.DEGENERATE, SurfaceClass.RIEMANNIAN],
+            SurfaceClass.LORENTZ,
+        )[()]
 
 
 @dataclass(frozen=True)
@@ -155,11 +168,18 @@ class InducedMetric:
     classification: SurfaceClass
 
 
-def slopes(section: GraphSection, xi: complex) -> SlopeData:
-    """Evaluate the slope invariants at ``xi``."""
+def slopes(section: GraphSection, xi) -> SlopeData:
+    """Evaluate the slope invariants at ``xi``, a point or an array of points
+    (a constant field can leave a slope scalar; see :func:`_slopes_on`)."""
     sigma = -section.F.wirtinger_dbar(xi).conjugate()
     rho = section.F.wirtinger_d(xi) + 2.0 * section.F(xi) * section.geometry.du_at(xi)
     return SlopeData(sigma=sigma, rho=rho)
+
+
+def _slopes_on(section: GraphSection, xi: np.ndarray) -> SlopeData:
+    """``slopes`` on an array of points, with both slopes shaped like ``xi``."""
+    sl = slopes(section, xi)
+    return SlopeData(np.broadcast_to(sl.sigma, xi.shape), np.broadcast_to(sl.rho, xi.shape))
 
 
 def _slope_tol(section: GraphSection, tol: Optional[float]) -> float:
@@ -230,15 +250,13 @@ def pullback_determinant(section: GraphSection, xi: complex, h: Optional[float] 
 def _slope_table(
     section: GraphSection, grid: AnnulusGrid
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``sigma``, ``lam`` and ``e^{2u}`` at every Gauss node of the grid."""
-
-    def at(r: float, t: float) -> tuple[complex, float, float]:
-        xi = r * complex(math.cos(t), math.sin(t))
-        sl = slopes(section, xi)
-        return sl.sigma, sl.lam, section.geometry.conformal_factor(xi)
-
-    table = _node_table(at, grid)
-    return table[..., 0], table[..., 1].real, table[..., 2].real
+    """``sigma``, ``lam`` and ``e^{2u}`` at every Gauss node, indexed ``[radial node,
+    angle]``, from one ``slopes`` call; checked by :func:`numerics._require_finite`."""
+    xi = _polar(grid.radial_nodes[:, None], grid.theta_nodes)
+    sl = _slopes_on(section, xi)
+    w = np.broadcast_to(section.geometry.conformal_factor(xi), xi.shape)
+    _require_finite(np.isfinite(sl.sigma) & np.isfinite(sl.lam) & np.isfinite(w), grid)
+    return sl.sigma, sl.lam, w
 
 
 def _area_from_slopes(sigma: np.ndarray, lam: np.ndarray, w: np.ndarray, grid: AnnulusGrid):
@@ -255,49 +273,46 @@ def area(section: GraphSection, grid: AnnulusGrid) -> float:
     return float(_area_from_slopes(*_slope_table(section, grid), grid))
 
 
-def _residual_step(section: GraphSection, xi: complex, h: Optional[float]) -> float:
+def _residual_quotient(section: GraphSection, xi, step) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference value of the stationarity operator at one step and a
+    skip code per point, from one ``slopes`` call on the ``5 x shape(xi)`` stencil."""
+    z = xi + _STENCIL.reshape((5,) + (1,) * np.ndim(xi)) * step
+    sl = _slopes_on(section, z)
+    lam, det = sl.lam, sl.det_factor
+
+    def mixed(v):  # some but not all of the five stencil values are negative
+        neg = np.signbit(v)
+        return neg.any(axis=0) & ~neg.all(axis=0)
+
+    code = np.select([sl.degenerate.any(0), mixed(det), (det[0] > 0.0) & mixed(lam)], [1, 2, 3])
+
+    w = np.broadcast_to(section.geometry.conformal_factor(z), z.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at skipped points only
+        root = np.sqrt(np.abs(det))
+        p = lam / root
+        q = sl.sigma * w / root
+        px = (p[1] - p[2]) / (2.0 * step)
+        py = (p[3] - p[4]) / (2.0 * step)
+        d_p = 0.5 * (px - 1j * py)
+
+        qx = (q[1] - q[2]) / (2.0 * step)
+        qy = (q[3] - q[4]) / (2.0 * step)
+        dbar_q = 0.5 * (qx + 1j * qy)
+        return 1j * d_p - dbar_q / w[0], code
+
+
+def _residual_map(section: GraphSection, xi, h: Optional[float] = None):
+    """``el_residual`` at every point of ``xi`` (``nan`` where skipped) and the
+    skip codes; the coarse step's code takes priority over the fine one's."""
     # slope fields steepen like (R - R0)^{-1/2} near zeros of the squared
     # imaginary part, so analytic sections get a small step (their slope
     # evaluations are exact and the difference noise stays near 1e-10)
-    if h is not None:
-        return h
-    scale = max(1.0, abs(xi))
-    return (1e-6 if section.F.analytic else 5e-4) * scale
-
-
-def _residual_quotient(section: GraphSection, xi: complex, step: float) -> complex:
-    """Central-difference value of the stationarity operator at one step."""
-    stencil = [xi, xi + step, xi - step, xi + 1j * step, xi - 1j * step]
-    data = [slopes(section, z) for z in stencil]
-
-    for z, sl in zip(stencil, data):
-        if sl.degenerate:
-            raise SingularResidualError(f"degenerate induced metric near xi={z}")
-    signs = {math.copysign(1.0, sl.det_factor) for sl in data}
-    if len(signs) > 1:
-        raise SingularResidualError(f"det_factor changes sign on the stencil at xi={xi}")
-    if data[0].det_factor > 0.0:
-        lam_signs = {math.copysign(1.0, sl.lam) for sl in data}
-        if len(lam_signs) > 1:
-            raise SingularResidualError(f"lam changes sign on a definite stencil at xi={xi}")
-
-    def p_val(sl: SlopeData) -> float:
-        return sl.lam / math.sqrt(abs(sl.det_factor))
-
-    def q_val(z: complex, sl: SlopeData) -> complex:
-        w = section.geometry.conformal_factor(z)
-        return sl.sigma * w / math.sqrt(abs(sl.det_factor))
-
-    px = (p_val(data[1]) - p_val(data[2])) / (2.0 * step)
-    py = (p_val(data[3]) - p_val(data[4])) / (2.0 * step)
-    d_p = 0.5 * (px - 1j * py)
-
-    qx = (q_val(stencil[1], data[1]) - q_val(stencil[2], data[2])) / (2.0 * step)
-    qy = (q_val(stencil[3], data[3]) - q_val(stencil[4], data[4])) / (2.0 * step)
-    dbar_q = 0.5 * (qx + 1j * qy)
-
-    w0 = section.geometry.conformal_factor(xi)
-    return 1j * d_p - dbar_q / w0
+    if h is None:
+        h = (1e-6 if section.F.analytic else 5e-4) * np.maximum(1.0, abs(xi))
+    coarse, code = _residual_quotient(section, xi, h)
+    fine, code_fine = _residual_quotient(section, xi, 0.5 * h)
+    code = np.where(code != 0, code, code_fine)
+    return np.where(code == 0, (4.0 * fine - coarse) / 3.0, np.nan), code
 
 
 def el_residual(section: GraphSection, xi: complex, h: Optional[float] = None) -> complex:
@@ -308,12 +323,14 @@ def el_residual(section: GraphSection, xi: complex, h: Optional[float] = None) -
     zeros of the squared imaginary part. Raises
     :class:`SingularResidualError` when ``det_factor`` is degenerate or
     changes sign on the stencil, or when ``lam`` changes sign while the
-    metric is definite (the square-root branch would jump).
+    metric is definite (the square-root branch would jump); its ``reason``
+    names which.
     """
-    step = _residual_step(section, xi, h)
-    coarse = _residual_quotient(section, xi, step)
-    fine = _residual_quotient(section, xi, 0.5 * step)
-    return (4.0 * fine - coarse) / 3.0
+    value, code = _residual_map(section, xi, h)
+    if code:
+        reason = _SKIP_REASONS[int(code) - 1]
+        raise SingularResidualError(f"residual undefined at xi={xi} ({reason} stencil)", reason)
+    return value[()]
 
 
 def radial_bump(r_lo: float, r_hi: float) -> RadialFunction:
@@ -324,24 +341,20 @@ def radial_bump(r_lo: float, r_hi: float) -> RadialFunction:
     """
     width = r_hi - r_lo
 
-    def f(r: float) -> float:
-        s = (r - r_lo) / width
-        if s <= 0.0 or s >= 1.0:
-            return 0.0
+    # both formulas vanish at s = 0 and s = 1, so clipping s to [0, 1]
+    # gives the zero outside the support
+    def f(r):
+        s = np.clip((r - r_lo) / width, 0.0, 1.0)
         return (4.0 * s * (1.0 - s)) ** 3
 
-    def df(r: float) -> float:
-        s = (r - r_lo) / width
-        if s <= 0.0 or s >= 1.0:
-            return 0.0
+    def df(r):
+        s = np.clip((r - r_lo) / width, 0.0, 1.0)
         return 192.0 * (s * (1.0 - s)) ** 2 * (1.0 - 2.0 * s) / width
 
     return RadialFunction(f, df)
 
 
-def _angular_field(
-    g: Callable[[float], complex], dg: Callable[[float], complex], k: int
-) -> ComplexField:
+def _angular_field(g: Callable, dg: Callable, k: int) -> ComplexField:
     """The angular mode ``g(R) e^{i k theta}`` with closed Wirtinger derivatives
 
         d    = e^{i (k-1) theta} (g' + k g / R) / 2,
@@ -351,21 +364,21 @@ def _angular_field(
     beyond the exact ``phase**0`` and ``xi**1``.
     """
 
-    def radius(xi: complex) -> float:
+    def radius(xi):
         r = abs(xi)
-        if r == 0.0:
+        if np.any(r == 0.0):
             raise DomainError("angular mode undefined at xi = 0")
         return r
 
-    def ev(xi: complex) -> complex:
+    def ev(xi):
         r = radius(xi)
         return g(r) * xi**k / r**k
 
-    def d(xi: complex) -> complex:
+    def d(xi):
         r = radius(xi)
         return 0.5 * (xi / r) ** (k - 1) * (dg(r) + k * g(r) / r)
 
-    def dbar(xi: complex) -> complex:
+    def dbar(xi):
         r = radius(xi)
         return 0.5 * (xi / r) ** (k + 1) * (dg(r) - k * g(r) / r)
 
@@ -395,8 +408,8 @@ def first_variation(
 
     Symmetric differences in ``t`` with one Richardson step. The slopes
     are real-linear in the field, ``sigma(F + t b) = sigma(F) + t sigma(b)``
-    and likewise ``lam``, so ``slopes`` runs once per Gauss node for F and
-    once for the bump, and the four shifted areas are sums over the same
+    and likewise ``lam``, so one ``slopes`` call on all Gauss nodes for F
+    and one for the bump give the four shifted areas as sums over the same
     per-node table that ``area`` reads. This is the independent
     stationarity oracle: it shares nothing with ``el_residual`` and does
     no spatial differencing.
@@ -450,17 +463,17 @@ def polynomial_section(
     """Section with ``F = sum c_{mn} xi^m xibar^n`` and exact derivatives."""
     terms = [(m, n, complex(c)) for (m, n), c in coeffs.items()]
 
-    def ev(xi: complex) -> complex:
+    def ev(xi):
         xb = xi.conjugate()
-        return sum(c * xi**m * xb**n for m, n, c in terms)
+        return sum((c * xi**m * xb**n for m, n, c in terms), 0j)
 
-    def d(xi: complex) -> complex:
+    def d(xi):
         xb = xi.conjugate()
-        return sum(m * c * xi ** (m - 1) * xb**n for m, n, c in terms if m > 0)
+        return sum((m * c * xi ** (m - 1) * xb**n for m, n, c in terms if m > 0), 0j)
 
-    def dbar(xi: complex) -> complex:
+    def dbar(xi):
         xb = xi.conjugate()
-        return sum(n * c * xi**m * xb ** (n - 1) for m, n, c in terms if n > 0)
+        return sum((n * c * xi**m * xb ** (n - 1) for m, n, c in terms if n > 0), 0j)
 
     return GraphSection(ComplexField(ev, d=d, dbar=dbar), geometry)
 
@@ -515,7 +528,7 @@ def conjugate_section(section: GraphSection) -> GraphSection:
     )
     refl = ConformalGeometry(
         name=geom.name + "~",
-        u=lambda xi: geom.u_at(xi.conjugate()),
+        u=lambda xi: geom.u(xi.conjugate()),
         du=lambda xi: geom.du_at(xi.conjugate()).conjugate(),
         rotationally_symmetric=geom.rotationally_symmetric,
         u_of_R=geom.u_of_R,
@@ -527,19 +540,16 @@ def conjugate_section(section: GraphSection) -> GraphSection:
 
 def export_classification_csv(section: GraphSection, grid: AnnulusGrid, path) -> int:
     """Write the slope/classification map on the grid lattice; returns row count."""
-    rows = 0
+    rs, ts = grid._lattice()
+    xi = _polar(rs, ts)
+    sl = _slopes_on(section, xi)
+    residual = np.abs(_residual_map(section, xi)[0])
+    columns = (rs, ts, sl.sigma.real, sl.sigma.imag, sl.lam, sl.det_factor, residual)
+    rows = zip(*(c.tolist() for c in columns), sl.classify().tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("R,theta,re_sigma,im_sigma,lambda,det_factor,abs_residual,class\n")
-        for r, t in grid.mesh_nodes():
-            xi = r * complex(math.cos(t), math.sin(t))
-            sl = slopes(section, xi)
-            try:
-                res = abs(el_residual(section, xi))
-            except SingularResidualError:
-                res = float("nan")
-            fh.write(
-                f"{r!r},{t!r},{sl.sigma.real!r},{sl.sigma.imag!r},"
-                f"{sl.lam!r},{sl.det_factor!r},{res!r},{sl.classify()}\n"
-            )
-            rows += 1
-    return rows
+        fh.writelines(
+            f"{r!r},{t!r},{s_re!r},{s_im!r},{lam!r},{det!r},{res!r},{cls}\n"
+            for r, t, s_re, s_im, lam, det, res, cls in rows
+        )
+    return rs.size

@@ -40,7 +40,7 @@ import numpy as np
 
 from .ambient import TangentPoint, sphere_geometry
 from .errors import AdmissibilityError, ChartError, DomainError
-from .graphs import GraphSection, SurfaceClass, slopes
+from .graphs import GraphSection, SurfaceClass, _slopes_on
 from .numerics import AnnulusGrid, RadialFunction
 from .rotsym import RotSymProfile
 
@@ -172,16 +172,13 @@ def signature_profile(fam: TorusFamily, r_samples: Sequence[float]) -> list[Sign
     On the riemannian (definite) stretches the sign of the metric is the
     sign of ``-lam``: both flip across the null meridians at ``R = 1``.
     """
-    section = torus_section(fam)
-    out = []
-    for r in r_samples:
-        sl = slopes(section, complex(r))
-        cls = sl.classify()
-        sign = None
-        if cls is SurfaceClass.RIEMANNIAN:
-            sign = 1 if -sl.lam > 0.0 else -1
-        out.append(SignatureSample(r=float(r), classification=cls, definite_sign=sign))
-    return out
+    rs = np.asarray(r_samples, dtype=float)
+    sl = _slopes_on(torus_section(fam), rs.astype(complex))
+    signs = np.where(-sl.lam > 0.0, 1, -1).tolist()
+    return [
+        SignatureSample(r, cls, sign if cls is SurfaceClass.RIEMANNIAN else None)
+        for r, cls, sign in zip(rs.tolist(), sl.classify().tolist(), signs)
+    ]
 
 
 def _segment_vertices(

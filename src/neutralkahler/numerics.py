@@ -14,6 +14,8 @@ Conventions, fixed once for the whole library:
   The polar Jacobian ``R dR dtheta`` is included by ``integrate_annulus``.
 * Exclusion bands remove neighbourhoods of singular radii (null circles,
   coefficient singularities) from every grid.
+* Fields and radial profiles evaluate elementwise: they take ndarrays of
+  nodes as well as Python scalars, so a grid sweep is one call.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ DEFAULT_FD_STEP = 1e-6
 DEFAULT_BAND_HALF_WIDTH = 1e-3
 
 
-def _fd_scale(xi: complex, h: float) -> float:
-    return h * max(1.0, abs(xi))
-
-
 @dataclass(frozen=True)
 class ComplexField:
     """A complex-valued function of one complex variable (and its conjugate).
@@ -53,24 +51,26 @@ class ComplexField:
     The field carries its own derivative policy: if closed forms for the
     Wirtinger derivatives ``d`` and ``dbar`` are supplied the policy is
     *analytic*, otherwise derivatives fall back to central finite
-    differences with step ``fd_step * max(1, |xi|)``.
+    differences with step ``fd_step * max(1, |xi|)``. The evaluator and the
+    closed forms work elementwise on arrays of nodes; a constant field may
+    return a scalar, which callers broadcast.
     """
 
-    evaluator: Callable[[complex], complex]
-    d: Optional[Callable[[complex], complex]] = None
-    dbar: Optional[Callable[[complex], complex]] = None
+    evaluator: Callable
+    d: Optional[Callable] = None
+    dbar: Optional[Callable] = None
     fd_step: float = DEFAULT_FD_STEP
 
     @property
     def analytic(self) -> bool:
         return self.d is not None and self.dbar is not None
 
-    def __call__(self, xi: complex) -> complex:
-        return complex(self.evaluator(xi))
+    def __call__(self, xi):
+        return self.evaluator(xi)
 
-    def _fd_pair(self, xi: complex) -> tuple[complex, complex]:
+    def _fd_pair(self, xi):
         """Central-difference d/dx and d/dy at ``xi``."""
-        h = _fd_scale(xi, self.fd_step)
+        h = self.fd_step * np.maximum(1.0, abs(xi))
         try:
             fx = (self(xi + h) - self(xi - h)) / (2.0 * h)
             fy = (self(xi + 1j * h) - self(xi - 1j * h)) / (2.0 * h)
@@ -78,39 +78,40 @@ class ComplexField:
             raise DerivativeUnavailableError(
                 f"field evaluation failed on the stencil at xi={xi}: {exc}"
             ) from exc
-        if not (np.isfinite(fx) and np.isfinite(fy)):
+        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
             raise DerivativeUnavailableError(f"non-finite stencil values at xi={xi}")
         return fx, fy
 
-    def wirtinger_d(self, xi: complex) -> complex:
+    def wirtinger_d(self, xi):
         if self.d is not None:
-            return complex(self.d(xi))
+            return self.d(xi)
         fx, fy = self._fd_pair(xi)
         return 0.5 * (fx - 1j * fy)
 
-    def wirtinger_dbar(self, xi: complex) -> complex:
+    def wirtinger_dbar(self, xi):
         if self.dbar is not None:
-            return complex(self.dbar(xi))
+            return self.dbar(xi)
         fx, fy = self._fd_pair(xi)
         return 0.5 * (fx + 1j * fy)
 
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """A real function of the radius with optional closed-form derivatives."""
+    """A real function of the radius with optional closed-form derivatives,
+    elementwise in ``r`` (scalar-only closures serve the 1-D ODE machinery)."""
 
-    f: Callable[[float], float]
-    df: Optional[Callable[[float], float]] = None
-    d2f: Optional[Callable[[float], float]] = None
+    f: Callable
+    df: Optional[Callable] = None
+    d2f: Optional[Callable] = None
 
-    def __call__(self, r: float) -> float:
-        return float(self.f(r))
+    def __call__(self, r):
+        return self.f(r)
 
-    def deriv(self, r: float, order: int = 1) -> float:
+    def deriv(self, r, order: int = 1):
         if order == 1 and self.df is not None:
-            return float(self.df(r))
+            return self.df(r)
         if order == 2 and self.d2f is not None:
-            return float(self.d2f(r))
+            return self.d2f(r)
         return radial_derivative(self.f, r, order)
 
     @staticmethod
@@ -118,24 +119,19 @@ class RadialFunction:
         return RadialFunction(lambda r: value, lambda r: 0.0, lambda r: 0.0)
 
 
-def radial_derivative(
-    g: Callable[[float], float],
-    r: float,
-    order: int = 1,
-    h: Optional[float] = None,
-) -> float:
-    """First or second derivative of ``g`` at radius ``r > 0`` by Richardson-
-    extrapolated central differences."""
-    if r <= 0.0:
+def radial_derivative(g: Callable, r, order: int = 1, h: Optional[float] = None):
+    """First or second derivative of ``g`` at radii ``r > 0`` by Richardson-
+    extrapolated central differences (elementwise when ``g`` is)."""
+    if np.any(r <= 0.0):
         raise DomainError(f"radial derivative requested at non-positive radius {r}")
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
 
     if h is None:
-        h = (1e-5 if order == 1 else 1e-4) * max(1.0, abs(r))
-    h = min(h, 0.49 * r)  # keep the full stencil at positive radii
+        h = (1e-5 if order == 1 else 1e-4) * np.maximum(1.0, abs(r))
+    h = np.minimum(h, 0.49 * r)  # keep the full stencil at positive radii
 
-    def central(step: float) -> float:
+    def central(step):
         if order == 1:
             return (g(r + step) - g(r - step)) / (2.0 * step)
         return (g(r + step) - 2.0 * g(r) + g(r - step)) / step**2
@@ -149,7 +145,8 @@ class CumulativeIntegral:
 
     Prefix sums over composite Gauss-Legendre cells are precomputed once;
     evaluation at an arbitrary radius adds the partial cell by a local
-    Gauss rule. The table is read-only after construction.
+    Gauss rule. The table is read-only after construction. Construction
+    calls ``f`` at single radii, evaluation is elementwise in ``r``.
     """
 
     _NODES, _WEIGHTS = roots_legendre(8)
@@ -164,18 +161,17 @@ class CumulativeIntegral:
         cells = np.array([self._cell(self.edges[i], self.edges[i + 1]) for i in range(n_cells)])
         self.prefix = np.concatenate([[0.0], np.cumsum(cells)])
 
-    def _cell(self, lo: float, hi: float) -> float:
+    def _cell(self, lo, hi):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         return half * sum(w * self.f(mid + half * t) for t, w in zip(self._NODES, self._WEIGHTS))
 
-    def __call__(self, r: float) -> float:
-        if r < self.a - 1e-12 or r > self.b + 1e-12:
+    def __call__(self, r):
+        if np.logical_or(r < self.a - 1e-12, r > self.b + 1e-12).any():
             raise DomainError(f"radius {r} outside integration range [{self.a}, {self.b}]")
-        r = min(max(r, self.a), self.b)
-        k = int(np.searchsorted(self.edges, r, side="right")) - 1
-        k = min(max(k, 0), len(self.edges) - 2)
-        partial = self._cell(self.edges[k], r) if r > self.edges[k] else 0.0
-        return float(self.prefix[k] + partial)
+        r = np.minimum(np.maximum(r, self.a), self.b)
+        k = np.minimum(self.edges.searchsorted(r, side="right"), len(self.edges) - 1) - 1
+        lo = self.edges[k]
+        return self.prefix[k] + np.where(r > lo, self._cell(lo, r), 0.0)
 
 
 def _kept_segments(
@@ -250,12 +246,11 @@ class AnnulusGrid:
                 cells = min(cells, remaining - (len(segments) - 1 - idx))
             remaining -= cells
             edges = np.linspace(a, b, cells + 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                nodes.extend(mid + half * gl_t)
-                weights.extend(half * gl_w)
-        object.__setattr__(self, "radial_nodes", np.asarray(nodes))
-        object.__setattr__(self, "radial_weights", np.asarray(weights))
+            mid, half = 0.5 * (edges[:-1] + edges[1:])[:, None], 0.5 * np.diff(edges)[:, None]
+            nodes.append(mid + half * gl_t)
+            weights.append(half * gl_w)
+        object.__setattr__(self, "radial_nodes", np.concatenate(nodes, axis=None))
+        object.__setattr__(self, "radial_weights", np.concatenate(weights, axis=None))
         object.__setattr__(
             self, "theta_nodes", np.arange(self.n_theta) * (2.0 * np.pi / self.n_theta)
         )
@@ -264,8 +259,11 @@ class AnnulusGrid:
     def theta_weight(self) -> float:
         return 2.0 * np.pi / self.n_theta
 
-    def excluded(self, r: float) -> bool:
-        return any(abs(r - c) < h for c, h in self.exclusion_bands)
+    def _lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """R and theta of every ``mesh_nodes`` node, as flat arrays in the same order."""
+        rs = np.linspace(self.r_min, self.r_max, self.n_r)
+        rs = rs[[not any(abs(r - c) < h for c, h in self.exclusion_bands) for r in rs]]
+        return np.repeat(rs, self.n_theta), np.tile(self.theta_nodes, rs.size)
 
     def mesh_nodes(self) -> list[tuple[float, float]]:
         """Uniform ``n_r x n_theta`` lattice (inclusive in R), bands removed.
@@ -273,23 +271,21 @@ class AnnulusGrid:
         Used for mesh export and classification maps, where evenly spaced
         nodes read better than Gauss points.
         """
-        rs = np.linspace(self.r_min, self.r_max, self.n_r)
-        return [(float(r), float(t)) for r in rs if not self.excluded(r) for t in self.theta_nodes]
+        rs, ts = self._lattice()
+        return list(zip(rs.tolist(), ts.tolist()))
 
 
-def _node_table(f: Callable[[float, float], object], grid: AnnulusGrid) -> np.ndarray:
-    """``f(R, theta)`` at every quadrature node, indexed ``[radial node, angle, ...]``.
+def _polar(r, t):
+    """``r e^{i t}`` elementwise, rounded like ``r * complex(cos t, sin t)``."""
+    return r * (np.cos(t) + 1j * np.sin(t))
 
-    Raises :class:`QuadratureError` naming the first node (in radial-major
-    order) where a value is not finite.
-    """
-    table = np.array([[f(r, t) for t in grid.theta_nodes] for r in grid.radial_nodes])
-    finite = np.isfinite(table).reshape(table.shape[0], table.shape[1], -1).all(axis=-1)
+
+def _require_finite(finite: np.ndarray, grid: AnnulusGrid) -> None:
+    """Raise :class:`QuadratureError` at the first node (radial-major) where ``finite`` fails."""
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         r, t = grid.radial_nodes[i], grid.theta_nodes[j]
         raise QuadratureError(f"non-finite integrand at node (R={r:.6g}, theta={t:.6g})")
-    return table
 
 
 def _node_sum(values: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
@@ -299,8 +295,11 @@ def _node_sum(values: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
 
 
 def integrate_annulus(integrand: Callable[[float, float], float], grid: AnnulusGrid) -> float:
-    """Quadrature of ``∫∫ integrand(R, theta) R dR dtheta`` over the grid."""
-    return float(_node_sum(_node_table(integrand, grid), grid))
+    """Quadrature of ``∫∫ integrand(R, theta) R dR dtheta`` over the grid; the
+    integrand is called at one node at a time."""
+    table = np.array([[integrand(r, t) for t in grid.theta_nodes] for r in grid.radial_nodes])
+    _require_finite(np.isfinite(table), grid)
+    return float(_node_sum(table, grid))
 
 
 def integrate_circle(f: Callable[[float], float], n_theta: int = 256) -> float:

@@ -189,19 +189,19 @@ def reduction_of_order(
     return RadialFunction(f, df)
 
 
-def _radial_v(geom: ConformalGeometry) -> Callable[[float], float]:
-    return lambda r: math.exp(-2.0 * geom.radial_u(r))
+def _radial_v(geom: ConformalGeometry) -> Callable:
+    return lambda r: np.exp(-2.0 * geom.radial_u(r))
 
 
-def _source_J(geom: ConformalGeometry, H: RadialFunction) -> Callable[[float], float]:
+def _source_J(geom: ConformalGeometry, H: RadialFunction) -> Callable:
     """The inhomogeneous integrand ``(R H' - H)^2 e^{2u} / (2 R (1 + R u'))``."""
 
-    def J(r: float) -> float:
+    def J(r):
         d = 1.0 + r * geom.radial_du(r)
-        if abs(d) <= COEFF_SINGULAR_ATOL:
+        if np.any(abs(d) <= COEFF_SINGULAR_ATOL):
             raise SingularCoefficientError(f"1 + R u' vanishes on the integration path at R={r}")
         g = r * H.deriv(r, 1) - H(r)
-        return g * g * math.exp(2.0 * geom.radial_u(r)) / (2.0 * r * d)
+        return g * g * np.exp(2.0 * geom.radial_u(r)) / (2.0 * r * d)
 
     return J
 
@@ -227,27 +227,25 @@ def _psi_with_integral(
     I = CumulativeIntegral(J, a, b, n_quad)
     v = _radial_v(geom)
 
-    def f(r: float) -> float:
+    def f(r):
         return a2 * r * r + v(r) * (b2 + I(r))
 
-    def df(r: float) -> float:
+    def df(r):
         ud = geom.radial_du(r)
         return 2.0 * a2 * r - 2.0 * ud * v(r) * (b2 + I(r)) + v(r) * J(r)
 
-    def d2f(r: float) -> float:
+    def d2f(r):
         ud = geom.radial_du(r)
         udd = geom.radial_ddu(r)
         g = r * H.deriv(r, 1) - H(r)
         jv = J(r)
-        if abs(g) > 0.0:
-            d = 1.0 + r * ud
-            dj = jv * (
-                2.0 * r * H.deriv(r, 2) / g
-                + 2.0 * ud
-                - (1.0 + 2.0 * r * ud + r * r * udd) / (r * d)
-            )
-        else:
-            dj = 0.0
+        d = 1.0 + r * ud
+        # J = 0 where g = 0, so dividing by 1 there makes dJ = 0
+        dj = jv * (
+            2.0 * r * H.deriv(r, 2) / np.where(g != 0.0, g, 1.0)
+            + 2.0 * ud
+            - (1.0 + 2.0 * r * ud + r * r * udd) / (r * d)
+        )
         return (
             2.0 * a2
             + 2.0 * v(r) * (2.0 * ud * ud - udd) * (b2 + I(r))
@@ -292,29 +290,27 @@ class RotSymProfile:
         lo, hi = self.domain
         if not 0.0 < lo < hi:
             raise DomainError(f"invalid radial domain {self.domain}")
-        worst = min(self.psi(r) for r in np.linspace(lo, hi, 101))
+        worst = float(np.min(self.psi(np.linspace(lo, hi, 101))))
         if worst < -1e-12 * max(1.0, abs(worst)):
             raise DomainError(f"Psi < 0 inside the declared domain (min {worst:.3e})")
 
-    def W(self, r: float) -> float:
-        return math.sqrt(max(self.psi(r), 0.0))
+    def W(self, r):
+        return np.sqrt(np.maximum(self.psi(r), 0.0))
 
-    def G(self, r: float) -> complex:
-        return complex(self.H(r), self.branch * self.W(r))
+    def G(self, r):
+        return self.H(r) + 1j * (self.branch * self.W(r))
 
-    def dG(self, r: float) -> complex:
+    def dG(self, r):
         w = self.W(r)
-        if w == 0.0:
+        if np.any(w == 0.0):
             raise DomainError(f"profile derivative undefined where Psi = 0 (R = {r})")
-        return complex(self.H.deriv(r, 1), self.branch * self.psi.deriv(r, 1) / (2.0 * w))
+        return self.H.deriv(r, 1) + 1j * (self.branch * self.psi.deriv(r, 1) / (2.0 * w))
 
     def section(self) -> GraphSection:
         return rotsym_section(self.geometry, self.G, self.dG)
 
 
-def rotsym_section(
-    geom: ConformalGeometry, G: Callable[[float], complex], dG: Callable[[float], complex]
-) -> GraphSection:
+def rotsym_section(geom: ConformalGeometry, G: Callable, dG: Callable) -> GraphSection:
     """Graph section ``F = G(R) e^{i theta}`` with exact Wirtinger derivatives.
 
     For this ansatz ``d F = (G' + G/R)/2`` (independent of theta) and
@@ -330,14 +326,14 @@ def _closed_family_profiles(
     a1, b1, a2, b2 = params.a1, params.b1, params.a2, params.b2
     v = _radial_v(geom)
 
-    def H(r: float) -> float:
+    def H(r):
         return a1 * r + b1 * v(r) / r
 
-    def dH(r: float) -> float:
+    def dH(r):
         ud = geom.radial_du(r)
         return a1 - b1 * v(r) * (1.0 + 2.0 * r * ud) / (r * r)
 
-    def d2H(r: float) -> float:
+    def d2H(r):
         ud = geom.radial_du(r)
         udd = geom.radial_ddu(r)
         return (
@@ -347,11 +343,11 @@ def _closed_family_profiles(
             * ((1.0 + 2.0 * r * ud) / r**3 + (2.0 * ud * ud - udd) / r)
         )
 
-    def psi(r: float) -> float:
+    def psi(r):
         vr = v(r)
         return a2 * r * r + b2 * vr - b1 * b1 * vr * vr / (r * r)
 
-    def dpsi(r: float) -> float:
+    def dpsi(r):
         ud = geom.radial_du(r)
         vr = v(r)
         return (
@@ -360,7 +356,7 @@ def _closed_family_profiles(
             + 2.0 * b1 * b1 * vr * vr * (1.0 + 2.0 * r * ud) / r**3
         )
 
-    def d2psi(r: float) -> float:
+    def d2psi(r):
         ud = geom.radial_du(r)
         udd = geom.radial_ddu(r)
         vr = v(r)
@@ -392,21 +388,14 @@ def _trim_domain(
     if not 0.0 < lo < hi:
         raise DomainError(f"invalid requested range {r_range}")
     rs = np.linspace(lo, hi, n_scan)
-    ok = np.array(
-        [psi(r) >= 0.0 and abs(1.0 + r * geom.radial_du(r)) > COEFF_SINGULAR_ATOL for r in rs]
-    )
-    best_len, best = 0, None
-    start = None
-    for i, good in enumerate(list(ok) + [False]):
-        if good and start is None:
-            start = i
-        elif not good and start is not None:
-            if i - start > best_len:
-                best_len, best = i - start, (start, i - 1)
-            start = None
-    if best is None or best_len < 2:
+    ok = (psi(rs) >= 0.0) & (abs(1.0 + rs * geom.radial_du(rs)) > COEFF_SINGULAR_ATOL)
+    # runs of admissible nodes are [starts[i], stops[i]); take the first longest
+    flips = np.flatnonzero(np.diff(np.concatenate([[False], ok, [False]])))
+    starts, stops = flips[::2], flips[1::2]
+    if starts.size == 0 or np.max(stops - starts) < 2:
         raise EmptyDomainError(f"no admissible subinterval of {r_range}")
-    return float(rs[best[0]]), float(rs[best[1]])
+    best = np.argmax(stops - starts)
+    return float(rs[starts[best]]), float(rs[stops[best] - 1])
 
 
 def stationary_family(
@@ -464,7 +453,7 @@ def comfortable_range(profile: RotSymProfile, rel_floor: float = 0.1) -> tuple[f
     """
     lo, hi = profile.domain
     rs = np.linspace(lo, hi, 513)
-    vals = np.array([profile.psi(float(r)) for r in rs])
+    vals = np.broadcast_to(profile.psi(rs), rs.shape)
     floor = rel_floor * float(np.max(vals))
     good = np.nonzero(vals >= floor)[0]
     if good.size >= 2:

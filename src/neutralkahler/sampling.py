@@ -13,7 +13,7 @@ import numpy as np
 from .ambient import ConformalGeometry, J4_MATRIX, flat_geometry, radial_geometry, sphere_geometry
 from .errors import DomainError, NeutralKahlerError
 from .graphs import GraphSection, lagrangian_section, polynomial_section, slopes
-from .numerics import RadialFunction
+from .numerics import RadialFunction, _polar
 from .rotsym import FamilyParams, RotSymProfile, stationary_family
 
 __all__ = [
@@ -103,13 +103,12 @@ def random_holomorphic_section(
     max_tries: int = 64,
 ) -> GraphSection:
     """Holomorphic section (``F`` a polynomial in ``xi`` only) whose ``lam``
-    keeps one sign over the annulus ``r_range``."""
+    keeps one sign, at least 0.05 away from zero, over the annulus
+    ``r_range`` (probed on 65 radii x 64 angles)."""
     lo, hi = r_range
-    probes = [
-        r * complex(math.cos(t), math.sin(t))
-        for r in np.linspace(lo, hi, 13)
-        for t in np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
-    ]
+    probes = _polar(
+        np.linspace(lo, hi, 65)[:, None], np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    )
     for _ in range(max_tries):
         c0 = 0.5 + rng.uniform(0.0, 1.5)
         perturb = {
@@ -117,9 +116,8 @@ def random_holomorphic_section(
         }
         coeffs = {(1, 0): 1j * c0, **{k: 1j * c0 * v for k, v in perturb.items()}}
         section = polynomial_section(geometry, coeffs)
-        lams = [slopes(section, z).lam for z in probes]
-        bound = min(abs(l) for l in lams)
-        if bound > 0.05 and len({math.copysign(1.0, l) for l in lams}) == 1:
+        lam = slopes(section, probes).lam
+        if np.all(lam > 0.05) or np.all(lam < -0.05):
             return section
     raise DomainError("could not draw a sign-definite holomorphic section")
 
@@ -141,14 +139,14 @@ def random_radial_geometry(rng: np.random.Generator) -> ConformalGeometry:
     a = rng.uniform(-0.4, 0.4)
     s2 = rng.uniform(1.0, 4.0)
 
-    def u(r: float) -> float:
-        return a * math.exp(-r * r / s2)
+    def u(r):
+        return a * np.exp(-r * r / s2)
 
-    def du(r: float) -> float:
-        return -2.0 * a * r / s2 * math.exp(-r * r / s2)
+    def du(r):
+        return -2.0 * a * r / s2 * np.exp(-r * r / s2)
 
-    def d2u(r: float) -> float:
-        return (-2.0 * a / s2 + 4.0 * a * r * r / s2**2) * math.exp(-r * r / s2)
+    def d2u(r):
+        return (-2.0 * a / s2 + 4.0 * a * r * r / s2**2) * np.exp(-r * r / s2)
 
     return radial_geometry(
         f"radial-bump(a={a:.3f},s2={s2:.3f})",

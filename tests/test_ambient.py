@@ -34,7 +34,7 @@ class TestGeometry:
         rng = rng_from_seed(12)
         for _ in range(50):
             xi, _ = random_tangent_coords(rng)
-            assert sphere.u_at(xi) == pytest.approx(sphere.radial_u(abs(xi)), abs=1e-14)
+            assert sphere.u(xi) == pytest.approx(sphere.radial_u(abs(xi)), abs=1e-14)
 
     def test_sphere_du_matches_radial(self, sphere):
         xi = 0.8 - 0.3j

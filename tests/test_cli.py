@@ -68,6 +68,11 @@ class TestConfig:
         assert cfg.tol == {"residual_max": 1e-4, "stokes": 2e-6}
         cfg = parse(["verify", "--config", str(cfg_file), "--tol", "stokes=1e-5"])
         assert cfg.tol == {"stokes": 1e-5}  # flag wins
+        export_file = tmp_path / "export.cfg"
+        export_file.write_text("[run]\nformat = csv\nhalf-length = 2\n")
+        argv = ["export", "--config", str(export_file), "--B2", "1", "--C2", "0", "--out", "t.csv"]
+        assert (parse(argv).fmt, parse(argv).half_length) == ("csv", 2.0)
+        assert parse(argv + ["--format", "obj"]).fmt == "obj"  # flag wins
 
     def test_torus_shorthand_implies_sphere(self, capsys):
         assert parse(["residual", "--B2", "1", "--C2", "0"]).geometry == "sphere"
@@ -94,6 +99,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse(argv)
         assert main(argv) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["area", "--A2", "1", "--B2", "0.5", "--grid", "1x16"],
+        ["area", "--A2", "1", "--B2", "0.5", "--grid", "16x2"],
+        ["area", "--A2", "1", "--B2", "0.5", "--rmin", "2", "--rmax", "1"],
+        ["export", "--B2", "1", "--C2", "0", "--half-length", "-1", "--out", "t.obj"],
+    ], ids=["one-radius", "two-angles", "empty-range", "negative-half-length"])
+    def test_bad_grid_range_and_half_length(self, argv, capsys):
+        with pytest.raises(ConfigError):
+            parse(argv)
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -146,6 +163,8 @@ class TestRun:
         assert check["value"] <= 1e-6
         # 15 rings of 16 nodes: the ring at R = 1.033 lies in the band
         assert check["evaluated"] + report["values"]["skipped_nodes"] == 15 * 16
+        values = report["values"]
+        assert sum(values["skipped_by_reason"].values()) == values["skipped_nodes"]
         assert check["evaluated"] > 0
         assert (outdir / "classes.csv").exists()
 
@@ -192,6 +211,8 @@ class TestRun:
         assert "[FAIL] residual_max" in capsys.readouterr().out
         report = json.loads((outdir / "vacuous.json").read_text())
         assert report["values"]["skipped_nodes"] == 256
+        assert report["values"]["skipped_by_reason"] == {
+            "degenerate": 256, "det_sign_change": 0, "lam_sign_change": 0}
         check = report["checks"][0]
         assert (check["value"], check["evaluated"], check["passed"]) == (0.0, 0, False)
 

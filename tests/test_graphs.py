@@ -7,6 +7,8 @@ import pytest
 
 from neutralkahler import (
     AnnulusGrid,
+    FamilyParams,
+    GraphSection,
     SurfaceClass,
     TorusFamily,
     area,
@@ -22,6 +24,7 @@ from neutralkahler import (
     polynomial_section,
     pullback_determinant,
     slopes,
+    stationary_family,
     stokes_check,
     torus_section,
 )
@@ -29,10 +32,14 @@ from neutralkahler.ambient import ConformalGeometry
 from neutralkahler.errors import QuadratureError, SingularResidualError
 from neutralkahler.graphs import radial_bump
 from neutralkahler.numerics import ComplexField, RadialFunction
-from neutralkahler.rotsym import degenerate_family, rotsym_section
+from neutralkahler.rotsym import comfortable_range, degenerate_family, rotsym_section
 from neutralkahler.sampling import (
+    geometry_by_name,
+    off_family_profile,
+    random_holomorphic_section,
     random_lagrangian_section,
     random_polynomial_section,
+    random_radial_geometry,
     rng_from_seed,
 )
 
@@ -191,7 +198,7 @@ class TestArea:
 
     def test_non_finite_node_is_named(self, flat):
         # F = i R^2 e^{i theta} for R < 1.5, undefined (nan) beyond
-        section = rotsym_section(flat, lambda r: 1j * r * r if r < 1.5 else complex("nan"),
+        section = rotsym_section(flat, lambda r: np.where(r < 1.5, 1j * r * r, complex("nan")),
                                  lambda r: 2j * r)
         grid = AnnulusGrid(1.0, 2.0, 4, 8)
         bump = bump_basis(1.0, 2.0)[0]
@@ -221,6 +228,19 @@ class TestElResidual:
         section = torus_section(TorusFamily(1.0, 0.0))
         with pytest.raises(SingularResidualError):
             el_residual(section, complex(1.0))
+
+    @pytest.mark.parametrize("coeffs, xi, reason", [
+        # i xi + xibar^2 / 2 on the unit circle: det_factor = 1 - |xi|^2 is zero
+        ({(1, 0): 1j, (0, 2): 0.5}, complex(1.0), "degenerate"),
+        # ... and changes sign between the stencil points just outside it
+        ({(1, 0): 1j, (0, 2): 0.5}, complex(1.0 + 5e-7), "det_sign_change"),
+        # xi^2 / 2: sigma = 0, lam = Im xi changes sign on a definite stencil
+        ({(2, 0): 0.5}, complex(1.0, 5e-7), "lam_sign_change"),
+    ])
+    def test_skip_reason(self, flat, coeffs, xi, reason):
+        with pytest.raises(SingularResidualError) as info:
+            el_residual(polynomial_section(flat, coeffs), xi)
+        assert info.value.reason == reason
 
     def test_sign_change_across_stencil_raises(self, flat):
         # F = i xi + xibar^2 / 2 has det_factor = 1 - |xi|^2, changing sign
@@ -318,6 +338,7 @@ class TestFirstVariation:
         assert got == pytest.approx(expect, rel=1e-8)
 
     def test_slopes_once_per_node_and_field(self, flat, monkeypatch):
+        # one slopes call for F and one for the bump, each on every Gauss node
         import neutralkahler.graphs as graphs
 
         calls = []
@@ -325,7 +346,11 @@ class TestFirstVariation:
         monkeypatch.setattr(graphs, "slopes", lambda s, xi: calls.append(xi) or real_slopes(s, xi))
         grid = AnnulusGrid(1.0, 2.0, 6, 8)
         first_variation(i_xi(flat), bump_basis(1.0, 2.0)[0], grid)
-        assert len(calls) == 2 * len(grid.radial_nodes) * grid.n_theta
+        nodes = grid.radial_nodes[:, None] * np.exp(1j * grid.theta_nodes)
+        assert len(calls) == 2
+        for xi in calls:
+            assert np.shape(xi) == nodes.shape
+            assert np.allclose(xi, nodes, rtol=1e-15, atol=0.0)
 
     def test_bump_vanishes_at_support_ends(self):
         phi = radial_bump(1.0, 2.0)
@@ -368,3 +393,78 @@ class TestCsvExport:
         assert rows == len(grid.mesh_nodes())
         assert len(lines) == rows + 1
         assert lines[1].endswith("riemannian")
+
+
+def _annulus_points(lo, hi):
+    """A 5 x 4 array of points on ``lo <= R <= hi``."""
+    return np.linspace(lo, hi, 5)[:, None] * np.exp(1j * np.linspace(0.3, 6.0, 4))
+
+
+def _contract_cases():
+    flat, sphere = geometry_by_name("flat"), geometry_by_name("sphere")
+    bumpy = random_radial_geometry(rng_from_seed(31))
+    tilted = ConformalGeometry(
+        "tilted",
+        u=lambda z: 0.1 * z.real + 0.05 * z.imag**2,
+        du=lambda z: 0.5 * (0.1 - 0.1j * z.imag),
+    )
+    rng = rng_from_seed(41)
+    cases = [(random_polynomial_section(rng, g), (0.4, 1.8)) for g in (flat, sphere, bumpy)]
+    cases += [
+        (random_lagrangian_section(rng, sphere), (0.4, 1.8)),
+        (random_holomorphic_section(rng, flat, (0.5, 2.0)), (0.5, 2.0)),
+        (conjugate_section(polynomial_section(tilted, {(1, 0): 1.5j, (2, 1): 0.1})), (0.4, 1.8)),
+        (torus_section(TorusFamily(1.0, 5.0)), (0.3, 2.5)),
+    ]
+    cases += [(GraphSection(b, sphere), (0.4, 1.6)) for b in bump_basis(0.6, 1.4)]
+    H = RadialFunction(lambda r: 0.3 * r - 0.2 * r * r, lambda r: 0.3 - 0.4 * r, lambda r: -0.4)
+    profiles = [
+        stationary_family(sphere, FamilyParams(0.4, -0.3, 0.9, 1.4), -1, (0.3, 0.95)),
+        stationary_family(bumpy, FamilyParams(0.3, -0.4, 1.1, 0.8), 1, (0.3, 3.5)),
+        degenerate_family(flat, H, 2.0, 1, (0.4, 2.5)),
+        degenerate_family(sphere, H, 1.5, 1, (0.15, 0.9)),
+        off_family_profile(rng, sphere, (0.4, 1.6)),
+    ]
+    cases += [(p.section(), comfortable_range(p)) for p in profiles]
+    return cases
+
+
+class TestArrayContract:
+    """Fields, slopes and geometries give the same values on a 2-D array of
+    points as at each point alone, within 1e-13 of the largest value (numpy
+    and Python scalars may round powers, moduli and exponentials
+    differently in the last bit)."""
+
+    @staticmethod
+    def same(fn, xi):
+        got = np.broadcast_to(fn(xi), xi.shape)
+        want = np.array([fn(complex(z)) for z in xi.ravel()]).reshape(xi.shape)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", range(len(_contract_cases())))
+    def test_field_and_slopes(self, case):
+        section, (lo, hi) = _contract_cases()[case]
+        xi = _annulus_points(lo, hi)
+        for fn in (section.F, section.F.wirtinger_d, section.F.wirtinger_dbar,
+                   lambda z: slopes(section, z).sigma, lambda z: slopes(section, z).rho):
+            self.same(fn, xi)
+
+    def test_geometries(self):
+        xi = _annulus_points(0.2, 2.5)
+        for geom in (geometry_by_name("flat"), geometry_by_name("sphere"),
+                     random_radial_geometry(rng_from_seed(31))):
+            for fn in (geom.u, geom.du_at, geom.conformal_factor):
+                self.same(fn, xi)
+
+
+class TestRandomHolomorphicSection:
+    def test_criterion_4_draws_keep_one_lambda_sign(self):
+        # the draws of acceptance criterion 4, on a lattice independent of the probes
+        rng = rng_from_seed(104)
+        for geometry, (lo, hi) in [("flat", (0.5, 2.0))] * 10 + [("sphere", (0.3, 0.9))] * 10:
+            section = random_holomorphic_section(rng, geometry_by_name(geometry), (lo, hi))
+            xi = np.linspace(lo, hi, 101)[:, None] * np.exp(
+                1j * np.linspace(0.0, 2.0 * math.pi, 97, endpoint=False)
+            )
+            lam = slopes(section, xi).lam
+            assert np.all(lam > 0.0) or np.all(lam < 0.0)
