@@ -40,7 +40,6 @@ from .graphs import (
     lagrangian_section,
     polynomial_section,
     pullback_determinant,
-    pullback_metric,
     slopes,
     stokes_check,
 )

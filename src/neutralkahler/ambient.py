@@ -3,8 +3,9 @@
 The base surface N carries a conformal metric ``e^{2u} dxi dxibar`` in a
 holomorphic coordinate ``xi``; a point of TN is ``(xi, eta)`` with ``eta``
 the fibre coordinate. In real coordinates ``(x, y, p, q)``, where
-``xi = x + iy`` and ``eta = p + iq``, the three ambient structures at a
-point are stored as plain 4x4 matrices:
+``xi = x + iy`` and ``eta = p + iq``, the three ambient structures are
+stacks of real 4x4 matrices, shape ``(..., 4, 4)`` over an array of points
+(a plain 4x4 matrix at one point):
 
 * ``J4`` acts as multiplication by ``i`` on both the base and the fibre,
 * ``O4[a, b] = Omega(e_a, e_b)`` is the symplectic form,
@@ -27,7 +28,6 @@ statement, checked in the test-suite against seeded random data.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -204,19 +204,20 @@ def radial_geometry(
 
 @dataclass(frozen=True)
 class TangentPoint:
-    """A point ``(xi, eta)`` of TN: base coordinate and fibre coordinate."""
+    """A point ``(xi, eta)`` of TN, or elementwise an array of points."""
 
     xi: complex
     eta: complex
 
     def __post_init__(self):
-        if not (cmath.isfinite(self.xi) and cmath.isfinite(self.eta)):
+        if not (np.isfinite(self.xi) & np.isfinite(self.eta)).all():
             raise DomainError(f"non-finite tangent point ({self.xi}, {self.eta})")
 
 
 @dataclass(frozen=True)
 class AmbientFrame:
-    """The triple (G, Omega, J) at one point, as real 4x4 matrices."""
+    """The triple (G, Omega, J) as real 4x4 matrices, stacked ``(..., 4, 4)``
+    over an array of points (``metric``/``symplectic`` take one point)."""
 
     G4: np.ndarray
     O4: np.ndarray
@@ -232,16 +233,18 @@ class AmbientFrame:
 
 @dataclass(frozen=True)
 class ThetaForm:
-    """The primitive 1-form of Omega at a point, as a real 4-covector."""
+    """The primitive 1-form of Omega as real 4-covectors, stacked ``(..., 4)``."""
 
     components: np.ndarray
 
-    def __call__(self, v: np.ndarray) -> float:
-        return float(self.components @ v)
+    def __call__(self, v: np.ndarray):
+        """Theta on tangent vectors ``v`` (last axis 4), elementwise over the stack."""
+        return np.sum(self.components * v, axis=-1)
 
 
 def ambient_frame(geom: ConformalGeometry, p: TangentPoint) -> AmbientFrame:
-    """Evaluate (G, Omega, J) at ``p`` for the given base geometry."""
+    """Evaluate (G, Omega, J) at ``p`` for the given base geometry, elementwise
+    over an array of points (a constant ``e^{2u}`` broadcasts to their shape)."""
     w = geom.conformal_factor(p.xi)
     try:
         dw = 2.0 * w * geom.du_at(p.xi)
@@ -250,25 +253,15 @@ def ambient_frame(geom: ConformalGeometry, p: TangentPoint) -> AmbientFrame:
             f"derivative of e^(2u) unavailable at xi={p.xi}: {exc}"
         ) from exc
     m = -4.0 * (p.eta * dw).imag
-
-    G4 = np.array(
-        [
-            [m, 0.0, 0.0, -2.0 * w],
-            [0.0, m, 2.0 * w, 0.0],
-            [0.0, 2.0 * w, 0.0, 0.0],
-            [-2.0 * w, 0.0, 0.0, 0.0],
-        ]
-    )
-    O4 = np.array(
-        [
-            [0.0, -m, -2.0 * w, 0.0],
-            [m, 0.0, 0.0, -2.0 * w],
-            [2.0 * w, 0.0, 0.0, 0.0],
-            [0.0, 2.0 * w, 0.0, 0.0],
-        ]
-    )
-    G4.flags.writeable = False
-    O4.flags.writeable = False
+    two_w = 2.0 * w
+    # slice assignment, not np.stack, which costs more than a whole frame at one point
+    shape = np.shape(p.xi + p.eta) + (4, 4)
+    G4, O4 = np.zeros(shape), np.zeros(shape)
+    G4[..., 0, 0] = G4[..., 1, 1] = O4[..., 1, 0] = m
+    O4[..., 0, 1] = -m
+    G4[..., 1, 2] = G4[..., 2, 1] = O4[..., 2, 0] = O4[..., 3, 1] = two_w
+    G4[..., 0, 3] = G4[..., 3, 0] = O4[..., 0, 2] = O4[..., 1, 3] = -two_w
+    G4.flags.writeable = O4.flags.writeable = False
     return AmbientFrame(G4=G4, O4=O4, J4=J4_MATRIX)
 
 
@@ -303,8 +296,10 @@ def ambient_signature(frame: AmbientFrame, tol: float = 1e-10) -> tuple[int, int
 
 
 def theta_form(geom: ConformalGeometry, p: TangentPoint) -> ThetaForm:
-    """The primitive of Omega: ``2 e^{2u} (Re(eta) dx + Im(eta) dy)``."""
-    w = geom.conformal_factor(p.xi)
-    comp = np.array([2.0 * w * p.eta.real, 2.0 * w * p.eta.imag, 0.0, 0.0])
+    """The primitive of Omega: ``2 e^{2u} (Re(eta) dx + Im(eta) dy)``, elementwise."""
+    two_w = 2.0 * geom.conformal_factor(p.xi)
+    comp = np.zeros(np.shape(p.xi + p.eta) + (4,))
+    comp[..., 0] = two_w * p.eta.real
+    comp[..., 1] = two_w * p.eta.imag
     comp.flags.writeable = False
     return ThetaForm(components=comp)

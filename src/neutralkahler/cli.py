@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime
+import itertools
 import json
 import math
 import os
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .ambient import (
+    AmbientFrame,
     TangentPoint,
     ambient_frame,
     ambient_signature,
@@ -42,12 +44,11 @@ from .graphs import (
     GraphSection,
     _residual_map,
     _slopes_on,
+    _write_classification_csv,
     area,
     bump_basis,
-    export_classification_csv,
     first_variation,
     pullback_determinant,
-    slopes,
     stokes_check,
 )
 from .graphs import el_residual  # noqa: F401  (unused; bench/test_bench.py traces this binding)
@@ -172,14 +173,18 @@ class Report:
         tolerance: float,
         passed: Optional[bool] = None,
         evaluated: Optional[int] = None,
+        worst_at: Optional[dict] = None,
     ):
-        """Record one check; a sweep that reports ``evaluated == 0`` points fails."""
+        """Record one check; a sweep that reports ``evaluated == 0`` points fails.
+        ``worst_at`` says where a max-type check found its value."""
         if passed is None:
             passed = bool(value <= tolerance)
         entry = {"name": name, "value": float(value), "tolerance": float(tolerance),
                  "passed": passed and evaluated != 0}
         if evaluated is not None:
             entry["evaluated"] = evaluated
+        if worst_at is not None:
+            entry["worst_at"] = worst_at
         self.checks.append(entry)
 
     def all_passed(self) -> bool:
@@ -252,31 +257,29 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
     rng = rng_from_seed(config.seed)
     n = config.samples
 
-    worst_gap = math.inf
-    for _ in range(n):
-        xi, eta = random_tangent_coords(rng)
-        frame = ambient_frame(geom, TangentPoint(xi, eta))
-        v1, v2 = random_plane(rng)
-        worst_gap = min(worst_gap, calibration_gap(frame, v1, v2))
+    def draw_frames(draw, count):
+        """``count`` draws of a tangent point, each followed by ``draw(rng)``. The
+        frames come from one ``ambient_frame`` call on all the points and are then
+        taken one per point, for the kernels that stay per point."""
+        drawn = [(random_tangent_coords(rng), draw(rng)) for _ in range(count)]
+        xi, eta = np.array([point for point, _ in drawn]).T
+        stack = ambient_frame(geom, TangentPoint(xi, eta))
+        return [(AmbientFrame(g, o, stack.J4), extra)
+                for g, o, (_, extra) in zip(stack.G4, stack.O4, drawn)]
+
+    worst_gap = min(calibration_gap(frame, v1, v2)
+                    for frame, (v1, v2) in draw_frames(random_plane, n))
     report.check("calibration_floor", -worst_gap, config.tolerance("calibration_floor"))
 
-    worst_j = 0.0
-    for _ in range(max(n // 10, 10)):
-        xi, eta = random_tangent_coords(rng)
-        frame = ambient_frame(geom, TangentPoint(xi, eta))
-        v1, v2 = j_invariant_plane(rng)
-        worst_j = max(worst_j, abs(calibration_gap(frame, v1, v2)))
+    worst_j = max(abs(calibration_gap(frame, v1, v2))
+                  for frame, (v1, v2) in draw_frames(j_invariant_plane, max(n // 10, 10)))
     report.check("jplane_gap", worst_j, config.tolerance("jplane_gap"))
 
     sig_bad = 0
     worst_compat = 0.0
-    for _ in range(n):
-        xi, eta = random_tangent_coords(rng)
-        frame = ambient_frame(geom, TangentPoint(xi, eta))
+    for frame, (a, b) in draw_frames(lambda rng: (rng.normal(size=4), rng.normal(size=4)), n):
         if ambient_signature(frame) != (2, 2):
             sig_bad += 1
-        a = rng.normal(size=4)
-        b = rng.normal(size=4)
         scale = max(1.0, float(np.max(np.abs(frame.G4))))
         ja, jb = frame.J4 @ a, frame.J4 @ b
         worst_compat = max(
@@ -287,40 +290,21 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
     report.check("signature_defects", float(sig_bad), 0.0, passed=(sig_bad == 0))
     report.check("compatibility", worst_compat, config.tolerance("compatibility"))
 
-    worst_closed = 0.0
-    worst_exact = 0.0
+    # d(Omega) and d(Theta) by central differences: the centre and its 8 shifts
+    # along the coordinates (x, y, p, q), all in one evaluation
     h = 1e-5
-    for _ in range(min(max(n // 20, 5), 50)):
-        xi, eta = random_tangent_coords(rng)
-        c0 = np.array([xi.real, xi.imag, eta.real, eta.imag])
-
-        def omega_at(c):
-            p = TangentPoint(complex(c[0], c[1]), complex(c[2], c[3]))
-            return ambient_frame(geom, p).O4
-
-        def theta_at(c):
-            p = TangentPoint(complex(c[0], c[1]), complex(c[2], c[3]))
-            return theta_form(geom, p).components
-
-        grads_o = []
-        grads_t = []
-        for i in range(4):
-            cp, cm = c0.copy(), c0.copy()
-            cp[i] += h
-            cm[i] -= h
-            grads_o.append((omega_at(cp) - omega_at(cm)) / (2 * h))
-            grads_t.append((theta_at(cp) - theta_at(cm)) / (2 * h))
-        for a_ in range(4):
-            for b_ in range(a_ + 1, 4):
-                for c_ in range(b_ + 1, 4):
-                    cyc = grads_o[a_][b_, c_] + grads_o[b_][c_, a_] + grads_o[c_][a_, b_]
-                    worst_closed = max(worst_closed, abs(cyc))
-        O4 = omega_at(c0)
-        for a_ in range(4):
-            for b_ in range(4):
-                worst_exact = max(worst_exact, abs(grads_t[a_][b_] - grads_t[b_][a_] - O4[a_, b_]))
-    report.check("closedness", worst_closed, config.tolerance("closedness"))
-    report.check("exactness", worst_exact, config.tolerance("exactness"))
+    c0 = np.array([[xi.real, xi.imag, eta.real, eta.imag] for xi, eta in
+                   (random_tangent_coords(rng) for _ in range(min(max(n // 20, 5), 50)))])
+    c = c0[:, None, :] + np.concatenate([np.zeros((1, 4)), h * np.eye(4), -h * np.eye(4)])
+    p = TangentPoint(c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3])
+    omega, theta = ambient_frame(geom, p).O4, theta_form(geom, p).components
+    grads_o = (omega[:, 1:5] - omega[:, 5:]) / (2 * h)  # [draw, coordinate, a, b]
+    grads_t = (theta[:, 1:5] - theta[:, 5:]) / (2 * h)
+    a_, b_, c_ = np.array(list(itertools.combinations(range(4), 3))).T
+    cyc = grads_o[:, a_, b_, c_] + grads_o[:, b_, c_, a_] + grads_o[:, c_, a_, b_]
+    exact = grads_t - grads_t.swapaxes(1, 2) - omega[:, 0]
+    report.check("closedness", np.max(np.abs(cyc)), config.tolerance("closedness"))
+    report.check("exactness", np.max(np.abs(exact)), config.tolerance("exactness"))
 
 
 def _suite_graphs(config: RunConfig, report: Report) -> None:
@@ -328,34 +312,32 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
     rng = rng_from_seed(config.seed + 1)
     n_sections = max(config.samples // 10, 10)
 
-    worst = 0.0
-    evaluated = 0
+    rel, at = [], []
     for _ in range(n_sections):
         section = random_polynomial_section(rng, geom)
-        for _ in range(5):
-            xi = complex(*rng.normal(size=2))
-            sl = slopes(section, xi)
-            scale = sl.lam**2 + abs(sl.sigma) ** 2
-            if abs(sl.det_factor) < 1e-3 * (scale + 1e-6):
-                continue
-            d1 = sl.det_factor * geom.conformal_factor(xi) ** 2
-            d2 = pullback_determinant(section, xi)
-            worst = max(worst, abs(d1 - d2) / max(abs(d1), 1e-12))
-            evaluated += 1
-    report.check("det_oracle", worst, config.tolerance("det_oracle"), evaluated=evaluated)
+        xi = np.array([complex(*rng.normal(size=2)) for _ in range(5)])
+        sl = _slopes_on(section, xi)
+        # a relative comparison means nothing at determinant zeros
+        keep = ~(np.abs(sl.det_factor) < 1e-3 * (sl.lam**2 + np.abs(sl.sigma) ** 2 + 1e-6))
+        d1 = (sl.det_factor * geom.conformal_factor(xi) ** 2)[keep]
+        d2 = pullback_determinant(section, xi[keep])
+        rel.extend(np.abs(d1 - d2) / np.maximum(np.abs(d1), 1e-12))
+        at.extend(xi[keep])
+    value, xi = max(zip(rel, at), key=lambda entry: entry[0], default=(0.0, None))
+    report.check("det_oracle", value, config.tolerance("det_oracle"), evaluated=len(rel),
+                 worst_at=None if xi is None else {"xi": [float(xi.real), float(xi.imag)]})
 
-    worst_stokes = 0.0
+    stokes = []
     for k in range(max(n_sections // 5, 3)):
-        section = random_polynomial_section(rng, geom, scale=0.3)
         grid = AnnulusGrid(0.6 + 0.1 * (k % 3), 1.8 + 0.1 * (k % 4), 24, 32)
-        interior, boundary = stokes_check(section, grid)
-        worst_stokes = max(
-            worst_stokes, abs(interior - boundary) / (1.0 + abs(interior))
-        )
+        poly = random_polynomial_section(rng, geom, scale=0.3)
         lag = random_lagrangian_section(rng, geom)
-        li, lb = stokes_check(lag, grid)
-        worst_stokes = max(worst_stokes, abs(li - lb) / (1.0 + abs(li)))
-    report.check("stokes", worst_stokes, config.tolerance("stokes"))
+        for kind, section in (("polynomial", poly), ("lagrangian", lag)):
+            interior, boundary = stokes_check(section, grid)
+            stokes.append((abs(interior - boundary) / (1.0 + abs(interior)), grid, kind))
+    value, grid, kind = max(stokes, key=lambda entry: entry[0])
+    report.check("stokes", value, config.tolerance("stokes"),
+                 worst_at={"r_range": [grid.r_min, grid.r_max], "section": kind})
 
 
 def _suite_rotsym(config: RunConfig, report: Report) -> None:
@@ -433,7 +415,9 @@ def _run_verify(config: RunConfig, report: Report) -> None:
 def _run_residual(config: RunConfig, report: Report) -> None:
     section, r_range = _build_section(config)
     grid = _build_grid(config, r_range)
-    values, codes = _residual_map(section, _polar(*grid._lattice()))
+    rs, ts = grid._lattice()
+    xi = _polar(rs, ts)
+    values, codes = _residual_map(section, xi)
     kept = codes == 0
     report.values["skipped_nodes"] = int(np.count_nonzero(~kept))
     report.values["skipped_by_reason"] = {
@@ -441,7 +425,8 @@ def _run_residual(config: RunConfig, report: Report) -> None:
     }
     report.check("residual_max", float(np.max(np.abs(values[kept]), initial=0.0)),
                  config.tolerance("residual_max"), evaluated=int(np.count_nonzero(kept)))
-    _write_classification(config, report, section, grid)
+    if config.out:
+        _write_classification(config, report, rs, ts, _slopes_on(section, xi), np.abs(values))
 
 
 def _run_area(config: RunConfig, report: Report) -> None:
@@ -465,17 +450,21 @@ def _run_variation(config: RunConfig, report: Report) -> None:
 def _run_classify(config: RunConfig, report: Report) -> None:
     section, r_range = _build_section(config)
     grid = _build_grid(config, r_range)
-    counts = Counter(_slopes_on(section, _polar(*grid._lattice())).classify().tolist())
+    rs, ts = grid._lattice()
+    xi = _polar(rs, ts)
+    sl = _slopes_on(section, xi)
+    counts = Counter(sl.classify().tolist())
     report.values["class_counts"] = dict(sorted((str(c), n) for c, n in counts.items()))
-    _write_classification(config, report, section, grid)
-
-
-def _write_classification(config: RunConfig, report: Report, section, grid) -> None:
-    """The ``--out`` CSV of ``residual`` and ``classify``."""
     if config.out:
-        path = _resolve(config.out)
-        report.values["csv_rows"] = export_classification_csv(section, grid, path)
-        report.artifacts.append(str(path))
+        residual = np.abs(_residual_map(section, xi)[0])
+        _write_classification(config, report, rs, ts, sl, residual)
+
+
+def _write_classification(config: RunConfig, report: Report, *table) -> None:
+    """The ``--out`` CSV of ``residual`` and ``classify``, from the task's lattice table."""
+    path = _resolve(config.out)
+    report.values["csv_rows"] = _write_classification_csv(path, *table)
+    report.artifacts.append(str(path))
 
 
 def _run_export(config: RunConfig, report: Report) -> None:

@@ -37,7 +37,6 @@ points, so each grid or lattice sweep is one call on elementwise fields.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -52,7 +51,6 @@ from .numerics import (
     _node_sum,
     _polar,
     _require_finite,
-    integrate_annulus,
     integrate_circle,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "holomorphic_at",
     "lagrangian_at",
     "induced_metric",
-    "pullback_metric",
     "pullback_determinant",
     "area",
     "el_residual",
@@ -215,36 +212,30 @@ def induced_metric(section: GraphSection, xi: complex) -> InducedMetric:
     )
 
 
-def _fd_jacobian(section: GraphSection, xi: complex, h: Optional[float] = None) -> np.ndarray:
-    """4x2 Jacobian of ``(x, y) -> (x, y, p, q)`` by central differences.
+def _fd_jacobian(section: GraphSection, xi, h: Optional[float] = None) -> np.ndarray:
+    """Jacobian of ``(x, y) -> (x, y, p, q)`` by central differences, shape
+    ``(..., 4, 2)`` over an array of points (4x2 at one point).
 
     Deliberately ignores any closed-form derivatives of F so the pullback
     stays an independent check on the slope formulas.
     """
     if h is None:
-        h = 1e-6 * max(1.0, abs(xi))
+        h = 1e-6 * np.maximum(1.0, abs(xi))
     fx = (section.F(xi + h) - section.F(xi - h)) / (2.0 * h)
     fy = (section.F(xi + 1j * h) - section.F(xi - 1j * h)) / (2.0 * h)
-    return np.array(
-        [
-            [1.0, 0.0],
-            [0.0, 1.0],
-            [fx.real, fy.real],
-            [fx.imag, fy.imag],
-        ]
-    )
+    jac = np.zeros(np.shape(xi) + (4, 2))
+    jac[..., 0, 0] = jac[..., 1, 1] = 1.0
+    jac[..., 2, 0], jac[..., 2, 1] = fx.real, fy.real
+    jac[..., 3, 0], jac[..., 3, 1] = fx.imag, fy.imag
+    return jac
 
 
-def pullback_metric(section: GraphSection, xi: complex, h: Optional[float] = None) -> np.ndarray:
-    """Pull the ambient metric back through the graph map; real 2x2 in (x, y)."""
+def pullback_determinant(section: GraphSection, xi, h: Optional[float] = None):
+    """Determinant of the ambient metric pulled back through the graph map,
+    converted to the ``(xi, xibar)`` convention; elementwise in ``xi``."""
     frame = ambient_frame(section.geometry, section.point(xi))
     jac = _fd_jacobian(section, xi, h)
-    return jac.T @ frame.G4 @ jac
-
-
-def pullback_determinant(section: GraphSection, xi: complex, h: Optional[float] = None) -> float:
-    """Pullback determinant converted to the ``(xi, xibar)`` convention."""
-    return float(np.linalg.det(pullback_metric(section, xi, h))) / PULLBACK_DET_FACTOR
+    return np.linalg.det(np.swapaxes(jac, -1, -2) @ frame.G4 @ jac) / PULLBACK_DET_FACTOR
 
 
 def _slope_table(
@@ -433,22 +424,24 @@ def stokes_check(
     Returns ``(interior, boundary)`` where ``interior`` integrates the
     pullback of Omega over the annulus graph and ``boundary`` is the
     circulation of the primitive 1-form along the outer circle minus the
-    inner circle. Exactness of Omega makes the two agree.
+    inner circle. Exactness of Omega makes the two agree. Each side is one
+    array evaluation: the FD Jacobian and ``O4`` on all Gauss nodes, and
+    ``theta_form`` on all boundary angles of a circle.
     """
-
-    def interior_integrand(r: float, t: float) -> float:
-        xi = r * complex(math.cos(t), math.sin(t))
-        frame = ambient_frame(section.geometry, section.point(xi))
-        jac = _fd_jacobian(section, xi)
-        return float(jac[:, 0] @ frame.O4 @ jac[:, 1])
-
-    interior = integrate_annulus(interior_integrand, grid)
+    xi = _polar(grid.radial_nodes[:, None], grid.theta_nodes)
+    eta = np.broadcast_to(section.F(xi), xi.shape)
+    _require_finite(np.isfinite(eta), grid)
+    O4 = ambient_frame(section.geometry, TangentPoint(xi, eta)).O4
+    jac = _fd_jacobian(section, xi)
+    density = (jac[..., None, :, 0] @ O4 @ jac[..., :, 1:])[..., 0, 0]
+    _require_finite(np.isfinite(density), grid)
+    interior = float(_node_sum(density, grid))
 
     def circulation(r: float) -> float:
-        def integrand(t: float) -> float:
-            xi = r * complex(math.cos(t), math.sin(t))
-            th = theta_form(section.geometry, section.point(xi))
-            tangent = np.array([-r * math.sin(t), r * math.cos(t), 0.0, 0.0])
+        def integrand(t):
+            th = theta_form(section.geometry, section.point(_polar(r, t)))
+            tangent = np.zeros(t.shape + (4,))
+            tangent[..., 0], tangent[..., 1] = -r * np.sin(t), r * np.cos(t)
             return th(tangent)
 
         return integrate_circle(integrand, n_boundary)
@@ -542,8 +535,12 @@ def export_classification_csv(section: GraphSection, grid: AnnulusGrid, path) ->
     """Write the slope/classification map on the grid lattice; returns row count."""
     rs, ts = grid._lattice()
     xi = _polar(rs, ts)
-    sl = _slopes_on(section, xi)
     residual = np.abs(_residual_map(section, xi)[0])
+    return _write_classification_csv(path, rs, ts, _slopes_on(section, xi), residual)
+
+
+def _write_classification_csv(path, rs, ts, sl: SlopeData, residual) -> int:
+    """Write lattice columns already computed (radii, angles, slopes, |residual|)."""
     columns = (rs, ts, sl.sigma.real, sl.sigma.imag, sl.lam, sl.det_factor, residual)
     rows = zip(*(c.tolist() for c in columns), sl.classify().tolist())
     with open(path, "w", encoding="utf-8") as fh:

@@ -14,8 +14,9 @@ Conventions, fixed once for the whole library:
   The polar Jacobian ``R dR dtheta`` is included by ``integrate_annulus``.
 * Exclusion bands remove neighbourhoods of singular radii (null circles,
   coefficient singularities) from every grid.
-* Fields and radial profiles evaluate elementwise: they take ndarrays of
-  nodes as well as Python scalars, so a grid sweep is one call.
+* Fields, radial profiles and quadrature integrands evaluate elementwise:
+  they take ndarrays of nodes as well as Python scalars, so a grid sweep is
+  one call.
 """
 
 from __future__ import annotations
@@ -294,18 +295,21 @@ def _node_sum(values: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
     return np.sum(grid.radial_weights[:, None] * grid.theta_weight * values * r, axis=(-2, -1))
 
 
-def integrate_annulus(integrand: Callable[[float, float], float], grid: AnnulusGrid) -> float:
-    """Quadrature of ``∫∫ integrand(R, theta) R dR dtheta`` over the grid; the
-    integrand is called at one node at a time."""
-    table = np.array([[integrand(r, t) for t in grid.theta_nodes] for r in grid.radial_nodes])
+def integrate_annulus(integrand: Callable, grid: AnnulusGrid) -> float:
+    """Quadrature of ``∫∫ integrand(R, theta) R dR dtheta`` over the grid. The
+    integrand is called once, elementwise on the radii as a column and the
+    angles as a row; it may return a scalar when constant."""
+    shape = (grid.radial_nodes.size, grid.n_theta)
+    table = np.broadcast_to(integrand(grid.radial_nodes[:, None], grid.theta_nodes), shape)
     _require_finite(np.isfinite(table), grid)
     return float(_node_sum(table, grid))
 
 
-def integrate_circle(f: Callable[[float], float], n_theta: int = 256) -> float:
-    """Trapezoid rule for ``∮ f(theta) dtheta`` over one period."""
+def integrate_circle(f: Callable, n_theta: int = 256) -> float:
+    """Trapezoid rule for ``∮ f(theta) dtheta`` over one period; ``f`` is
+    called once, elementwise on the array of angles."""
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    vals = np.array([f(t) for t in thetas], dtype=float)
+    vals = np.broadcast_to(f(thetas), thetas.shape)
     if not np.all(np.isfinite(vals)):
         bad = thetas[~np.isfinite(vals)][0]
         raise QuadratureError(f"non-finite boundary integrand at theta={bad:.6g}")

@@ -4,6 +4,7 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from neutralkahler.cli import (
@@ -223,6 +224,46 @@ class TestRun:
         assert "suite" not in report["config"] and "samples" not in report["config"]
         _, report = run(RunConfig(task="verify", suite="ambient", samples=20, report="v.json"))
         assert (report["config"]["suite"], report["config"]["samples"]) == ("ambient", 20)
+
+    @pytest.mark.parametrize("task", ["residual", "classify"])
+    def test_one_lattice_evaluation_per_task(self, task, outdir, monkeypatch):
+        # the report and the --out CSV share one residual map and one slope table
+        from neutralkahler import cli, graphs
+
+        calls = []
+        for module, name in ((cli, "_residual_map"), (cli, "_slopes_on"),
+                             (graphs, "_residual_map"), (graphs, "_slopes_on")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda s, xi, *a, name=name, real=real:
+                                calls.append((name, np.shape(xi))) or real(s, xi, *a))
+        assert main([task, "--B2", "1", "--C2", "5", "--rmin", "0.3", "--rmax", "2.5",
+                     "--grid", "12x12", "--out", "c.csv", "--report", "r.json"]) == 0
+        lattice = (144,)
+        assert calls.count(("_residual_map", lattice)) == 1
+        assert calls.count(("_slopes_on", lattice)) == 1
+
+    def test_out_csv_is_the_export_csv(self, outdir):
+        from neutralkahler.graphs import export_classification_csv
+        from neutralkahler.lines3d import TorusFamily, torus_section
+        from neutralkahler.numerics import AnnulusGrid
+
+        grid = AnnulusGrid(0.3, 2.5, 12, 12, ((1.0, 0.05),))
+        export_classification_csv(torus_section(TorusFamily(1.0, 5.0)), grid, outdir / "direct.csv")
+        for task in ("residual", "classify"):
+            assert main([task, "--B2", "1", "--C2", "5", "--rmin", "0.3", "--rmax", "2.5",
+                         "--grid", "12x12", "--exclude", "1.0:0.05", "--out", f"{task}.csv",
+                         "--report", "r.json"]) == 0
+            assert (outdir / f"{task}.csv").read_bytes() == (outdir / "direct.csv").read_bytes()
+
+    def test_worst_cases_are_located(self):
+        _, report = run(RunConfig(task="verify", geometry="sphere", suite="graphs",
+                                  samples=60, seed=5, report="w.json"))
+        checks = {c["name"]: c for c in report["checks"]}
+        r_min, r_max = checks["stokes"]["worst_at"]["r_range"]
+        assert 0.6 <= r_min < r_max <= 2.1
+        assert checks["stokes"]["worst_at"]["section"] in ("polynomial", "lagrangian")
+        x, y = checks["det_oracle"]["worst_at"]["xi"]
+        assert isinstance(x, float) and isinstance(y, float)
 
     def test_area_value_reported(self):
         _, report = run(RunConfig(

@@ -28,9 +28,9 @@ from neutralkahler import (
     stokes_check,
     torus_section,
 )
-from neutralkahler.ambient import ConformalGeometry
-from neutralkahler.errors import QuadratureError, SingularResidualError
-from neutralkahler.graphs import radial_bump
+from neutralkahler.ambient import ConformalGeometry, TangentPoint, ambient_frame, theta_form
+from neutralkahler.errors import DomainError, QuadratureError, SingularResidualError
+from neutralkahler.graphs import _fd_jacobian, radial_bump
 from neutralkahler.numerics import ComplexField, RadialFunction
 from neutralkahler.rotsym import comfortable_range, degenerate_family, rotsym_section
 from neutralkahler.sampling import (
@@ -202,7 +202,8 @@ class TestArea:
                                  lambda r: 2j * r)
         grid = AnnulusGrid(1.0, 2.0, 4, 8)
         bump = bump_basis(1.0, 2.0)[0]
-        for compute in (lambda: area(section, grid), lambda: first_variation(section, bump, grid)):
+        for compute in (lambda: area(section, grid), lambda: first_variation(section, bump, grid),
+                        lambda: stokes_check(section, grid)):
             with pytest.raises(QuadratureError, match=r"R=1\.5\d*, theta=0\)"):
                 compute()
 
@@ -455,6 +456,81 @@ class TestArrayContract:
                      random_radial_geometry(rng_from_seed(31))):
             for fn in (geom.u, geom.du_at, geom.conformal_factor):
                 self.same(fn, xi)
+
+
+class TestAmbientArrayContract:
+    """The ambient layer and the pullback oracle on a 5 x 4 array of points
+    give each point's own values. Frames and Theta are compared with Python
+    scalar points, bit for bit on the flat geometry and otherwise within
+    1e-13 of the largest value. The FD Jacobian divides
+    by a 1e-6 step, which magnifies last-bit differences between scalar and
+    array evaluations of F to about 1e-10, so it and the determinant are
+    compared bit for bit with one-point arrays (the same arithmetic)."""
+
+    GEOMETRIES = ("flat", "sphere", "bumpy")
+
+    @staticmethod
+    def geometry(name):
+        if name == "bumpy":
+            return random_radial_geometry(rng_from_seed(31))
+        return geometry_by_name(name)
+
+    @staticmethod
+    def points():
+        rng = rng_from_seed(43)
+        return _annulus_points(0.2, 2.5), rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_frames_and_theta(self, name):
+        geom = self.geometry(name)
+        xi, eta = self.points()
+        frame = ambient_frame(geom, TangentPoint(xi, eta))
+        theta = theta_form(geom, TangentPoint(xi, eta)).components
+        assert frame.G4.shape == frame.O4.shape == (5, 4, 4, 4)
+        assert theta.shape == (5, 4, 4)
+        rtol = 0.0 if name == "flat" else 1e-13  # e^{2u} = 1 leaves the same arithmetic
+        for i, j in np.ndindex(xi.shape):
+            p = TangentPoint(complex(xi[i, j]), complex(eta[i, j]))
+            one = ambient_frame(geom, p)
+            for got, want in ((frame.G4, one.G4), (frame.O4, one.O4),
+                              (theta, theta_form(geom, p).components)):
+                assert np.max(np.abs(got[i, j] - want)) <= rtol * np.max(np.abs(got))
+
+    @pytest.mark.parametrize("name", GEOMETRIES)
+    def test_jacobian_and_pullback_determinant(self, name):
+        section = random_polynomial_section(rng_from_seed(44), self.geometry(name))
+        xi, _ = self.points()
+        jac = _fd_jacobian(section, xi)
+        det = pullback_determinant(section, xi)
+        assert jac.shape == (5, 4, 4, 2) and det.shape == (5, 4)
+        for i, j in np.ndindex(xi.shape):
+            one = xi[i, j:j + 1]
+            assert np.array_equal(jac[i, j], _fd_jacobian(section, one)[0])
+            assert np.array_equal(det[i, j], pullback_determinant(section, one)[0])
+
+    def test_stacks_are_read_only(self, sphere):
+        xi, eta = self.points()
+        p = TangentPoint(xi, eta)
+        frame, theta = ambient_frame(sphere, p), theta_form(sphere, p)
+        for stack in (frame.G4, frame.O4, theta.components):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+
+    def test_one_point_gives_a_matrix_and_a_covector(self, sphere, flat):
+        section = polynomial_section(flat, {(1, 0): 1j})
+        for geom in (flat, sphere):
+            p = TangentPoint(0.4 - 0.3j, 1.0 + 2.0j)
+            assert ambient_frame(geom, p).G4.shape == ambient_frame(geom, p).O4.shape == (4, 4)
+            assert theta_form(geom, p).components.shape == (4,)
+        assert _fd_jacobian(section, 0.4 - 0.3j).shape == (4, 2)
+        assert isinstance(pullback_determinant(section, 0.4 - 0.3j), float)
+
+    @pytest.mark.parametrize("coordinate, value", [(0, complex("nan")), (1, complex("inf"))])
+    def test_tangent_point_rejects_any_non_finite_entry(self, coordinate, value):
+        xi, eta = self.points()
+        (xi, eta)[coordinate][3, 2] = value
+        with pytest.raises(DomainError):
+            TangentPoint(xi, eta)
 
 
 class TestRandomHolomorphicSection:
