@@ -45,7 +45,7 @@ print("\n=== reduction of order recovers the conformal solution ===")
 a, b = 0.1, 0.9
 psi1 = RadialFunction(lambda r: r * r, lambda r: 2.0 * r)
 psi2 = reduction_of_order(lambda r: ode_coefficients(sphere, H_LIN, r).p1, psi1, (a, b), 512)
-em2u = lambda r: math.exp(-2.0 * sphere.radial_u(r))
+em2u = lambda r: np.exp(-2.0 * sphere.radial_u(r))
 rs = np.linspace(a, b, 25)
 A = np.array([[em2u(r), r * r] for r in rs])
 y = np.array([psi2(float(r)) for r in rs])

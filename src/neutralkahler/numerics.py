@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import legint, legval, legvander
 from scipy.special import roots_legendre
 
 from .errors import DerivativeUnavailableError, DomainError, QuadratureError
@@ -98,8 +99,12 @@ class ComplexField:
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """A real function of the radius with optional closed-form derivatives,
-    elementwise in ``r`` (scalar-only closures serve the 1-D ODE machinery)."""
+    """A real function of the radius with optional closed-form derivatives.
+
+    ``f`` and the derivatives are elementwise in ``r``: they take an ndarray
+    of radii as well as a Python scalar, and may return a scalar only when
+    constant, which callers broadcast.
+    """
 
     f: Callable
     df: Optional[Callable] = None
@@ -144,35 +149,44 @@ def radial_derivative(g: Callable, r, order: int = 1, h: Optional[float] = None)
 class CumulativeIntegral:
     """Cumulative quadrature ``I(r) = int_a^r f`` on ``[a, b]``.
 
-    Prefix sums over composite Gauss-Legendre cells are precomputed once;
-    evaluation at an arbitrary radius adds the partial cell by a local
-    Gauss rule. The table is read-only after construction. Construction
-    calls ``f`` at single radii, evaluation is elementwise in ``r``.
+    ``f`` is called once, elementwise on the ``(n_cells, 8)`` array of the
+    composite Gauss-Legendre nodes (a constant ``f`` may return a scalar).
+    Each cell keeps the exact antiderivative of its degree-7 Legendre
+    interpolant, whose cell total is that cell's 8-point Gauss sum, so the
+    prefix table holds the Gauss sums and evaluation, elementwise in ``r``,
+    calls ``f`` zero times. The tables are read-only after construction.
     """
 
     _NODES, _WEIGHTS = roots_legendre(8)
+    #: node values of a cell -> Legendre coefficients of ``int_{-1}^t`` of their
+    #: interpolant. The Gauss rule is exact on ``P_j`` times the interpolant, so its
+    #: ``P_j`` coefficient is ``(j + 1/2) sum_i w_i P_j(x_i) y_i`` (no linear solve,
+    #: which would load LAPACK at import)
+    _ANTIDERIVATIVE = legint((np.arange(8.0) + 0.5)[:, None] * (legvander(_NODES, 7).T * _WEIGHTS),
+                             lbnd=-1)
 
-    def __init__(self, f: Callable[[float], float], a: float, b: float, n_cells: int = 256):
+    def __init__(self, f: Callable, a: float, b: float, n_cells: int = 256):
         if not b > a:
             raise DomainError(f"empty integration range [{a}, {b}]")
-        self.f = f
         self.a = float(a)
         self.b = float(b)
         self.edges = np.linspace(a, b, n_cells + 1)
-        cells = np.array([self._cell(self.edges[i], self.edges[i + 1]) for i in range(n_cells)])
-        self.prefix = np.concatenate([[0.0], np.cumsum(cells)])
-
-    def _cell(self, lo, hi):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return half * sum(w * self.f(mid + half * t) for t, w in zip(self._NODES, self._WEIGHTS))
+        self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
+        self._half = 0.5 * np.diff(self.edges)
+        nodes = self._mid[:, None] + self._half[:, None] * self._NODES
+        values = np.broadcast_to(f(nodes), nodes.shape)
+        self.prefix = np.concatenate([[0.0], np.cumsum(self._half * (values @ self._WEIGHTS))])
+        self._coeffs = self._half[:, None] * (values @ self._ANTIDERIVATIVE.T)
+        for table in (self.edges, self.prefix, self._coeffs):
+            table.flags.writeable = False
 
     def __call__(self, r):
         if np.logical_or(r < self.a - 1e-12, r > self.b + 1e-12).any():
             raise DomainError(f"radius {r} outside integration range [{self.a}, {self.b}]")
         r = np.minimum(np.maximum(r, self.a), self.b)
         k = np.minimum(self.edges.searchsorted(r, side="right"), len(self.edges) - 1) - 1
-        lo = self.edges[k]
-        return self.prefix[k] + np.where(r > lo, self._cell(lo, r), 0.0)
+        t = (r - self._mid[k]) / self._half[k]
+        return self.prefix[k] + legval(t, np.moveaxis(self._coeffs[k], -1, 0), tensor=False)
 
 
 def _kept_segments(

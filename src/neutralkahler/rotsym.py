@@ -38,7 +38,6 @@ into ``B2`` (or the homogeneous multiple, for reduction of order).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -96,7 +95,8 @@ def sphere_shorthand_params(b2: float, c2: float) -> FamilyParams:
 
 @dataclass(frozen=True)
 class OdeCoefficients:
-    """Values of the six ODE coefficient functions at one radius.
+    """Values of the six ODE coefficient functions, elementwise in the radius:
+    each field has the shape of the radii it was evaluated on.
 
     ``p2`` and ``q2`` are ``nan`` where ``R H' - H = 0`` (the second
     equation degenerates there; both sources still vanish).
@@ -110,47 +110,59 @@ class OdeCoefficients:
     L2: float
 
 
-def _as_radial(h: Union[RadialFunction, Callable[[float], float]]) -> RadialFunction:
+def _as_radial(h: Union[RadialFunction, Callable]) -> RadialFunction:
     return h if isinstance(h, RadialFunction) else RadialFunction(h)
 
 
+def _require_nonsingular(d, r) -> None:
+    """Raise at the first radius (row-major) where ``d = 1 + R u'`` vanishes."""
+    singular = np.abs(d) <= COEFF_SINGULAR_ATOL
+    if np.any(singular):
+        d0, r0 = np.asarray(d)[singular][0], np.asarray(r)[singular][0]
+        raise SingularCoefficientError(f"1 + R u'(R) = {d0:.3e} at R = {r0}")
+
+
 def ode_coefficients(
-    geom: ConformalGeometry, H: Union[RadialFunction, Callable[[float], float]], r: float
+    geom: ConformalGeometry, H: Union[RadialFunction, Callable], r
 ) -> OdeCoefficients:
-    """Evaluate the coefficient functions of both stationarity ODEs at ``r``."""
+    """Evaluate the coefficient functions of both stationarity ODEs,
+    elementwise in the radii ``r``."""
     geom.require_radial()
-    if r <= 0.0:
+    if np.any(r <= 0.0):
         raise DomainError(f"radius must be positive, got {r}")
     H = _as_radial(H)
     ud = geom.radial_du(r)
     udd = geom.radial_ddu(r)
     d = 1.0 + r * ud
-    if abs(d) <= COEFF_SINGULAR_ATOL:
-        raise SingularCoefficientError(f"1 + R u'(R) = {d:.3e} at R = {r}")
+    _require_nonsingular(d, r)
 
     k = udd - 2.0 * ud * ud
     p1 = -(1.0 + r * r * k) / (r * d)
     q1 = -2.0 * (ud - r * k) / (r * d)
 
+    h = H(r)
     hd = H.deriv(r, 1)
     hdd = H.deriv(r, 2)
-    g = r * hd - H(r)
+    g = r * hd - h
     L1 = g / (r * r * d * d) * (r * r * d * hdd - (1.0 + 2.0 * r * ud + r * r * udd) * g)
     L2 = -2.0 * g * g / (r * r)
 
-    if abs(g) <= SOURCE_SINGULAR_ATOL * max(1.0, abs(r * hd), abs(H(r))):
-        p2 = q2 = float("nan")
-    else:
-        p2 = -2.0 * r * hdd / g - (3.0 + 4.0 * r * ud - r * r * k) / (r * d)
-        q2 = -4.0 * r * ud * hdd / g - 2.0 * (
-            3.0 * ud + r * (6.0 * ud * ud - udd) - 2.0 * r * r * k * ud
-        ) / (r * d)
+    undefined = np.abs(g) <= SOURCE_SINGULAR_ATOL * np.maximum(
+        1.0, np.maximum(np.abs(r * hd), np.abs(h)))
+    # [()] turns the 0-d result at a scalar radius back into a scalar, whose
+    # arithmetic costs less than that of a 0-d array
+    g = np.where(undefined, 1.0, g)[()]
+    p2 = -2.0 * r * hdd / g - (3.0 + 4.0 * r * ud - r * r * k) / (r * d)
+    q2 = -4.0 * r * ud * hdd / g - 2.0 * (
+        3.0 * ud + r * (6.0 * ud * ud - udd) - 2.0 * r * r * k * ud
+    ) / (r * d)
+    p2, q2 = np.where(undefined, np.nan, (p2, q2))
     return OdeCoefficients(p1=p1, q1=q1, L1=L1, p2=p2, q2=q2, L2=L2)
 
 
 def reduction_of_order(
-    p: Callable[[float], float],
-    psi1: Union[RadialFunction, Callable[[float], float]],
+    p: Callable,
+    psi1: Union[RadialFunction, Callable],
     r_range: tuple[float, float],
     n_quad: int = 256,
 ) -> RadialFunction:
@@ -163,27 +175,27 @@ def reduction_of_order(
     with both integrals anchored at the left end of ``r_range`` (so the
     answer is normalised by ``e^{-P(a)} = 1`` and defined up to adding a
     multiple of ``psi1``). The Wronskian ``psi1 psi2' - psi2 psi1'``
-    equals ``e^{-P}`` identically.
+    equals ``e^{-P}`` identically. ``p`` and ``psi1`` are elementwise.
     """
     a, b = r_range
     psi1 = _as_radial(psi1)
     samples = np.linspace(a, b, 101)
-    vals = np.array([psi1(r) for r in samples])
+    vals = np.broadcast_to(psi1(samples), samples.shape)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if np.min(np.abs(vals)) < 1e-12 * scale or np.any(np.sign(vals[:-1]) != np.sign(vals[1:])):
         raise DomainError("psi1 vanishes inside the reduction range")
 
     P = CumulativeIntegral(p, a, b, n_quad)
 
-    def integrand(r: float) -> float:
-        return math.exp(-P(r)) / psi1(r) ** 2
+    def integrand(r):
+        return np.exp(-P(r)) / psi1(r) ** 2
 
     Q = CumulativeIntegral(integrand, a, b, n_quad)
 
-    def f(r: float) -> float:
+    def f(r):
         return psi1(r) * Q(r)
 
-    def df(r: float) -> float:
+    def df(r):
         return psi1.deriv(r, 1) * Q(r) + psi1(r) * integrand(r)
 
     return RadialFunction(f, df)
@@ -198,8 +210,7 @@ def _source_J(geom: ConformalGeometry, H: RadialFunction) -> Callable:
 
     def J(r):
         d = 1.0 + r * geom.radial_du(r)
-        if np.any(abs(d) <= COEFF_SINGULAR_ATOL):
-            raise SingularCoefficientError(f"1 + R u' vanishes on the integration path at R={r}")
+        _require_nonsingular(d, r)
         g = r * H.deriv(r, 1) - H(r)
         return g * g * np.exp(2.0 * geom.radial_u(r)) / (2.0 * r * d)
 
@@ -221,9 +232,8 @@ def _psi_with_integral(
     """
     a, b = r_range
     J = _source_J(geom, H)
-    # probe the path now so singular geometry fails at construction
-    for r in np.linspace(a, b, 257):
-        J(r)
+    # probe the path, ends included, so singular geometry fails at construction
+    J(np.linspace(a, b, 257))
     I = CumulativeIntegral(J, a, b, n_quad)
     v = _radial_v(geom)
 
@@ -258,7 +268,7 @@ def _psi_with_integral(
 
 def psi_closed_form(
     geom: ConformalGeometry,
-    H: Union[RadialFunction, Callable[[float], float]],
+    H: Union[RadialFunction, Callable],
     a2: float,
     b2: float,
     r_range: tuple[float, float],
@@ -423,7 +433,7 @@ def stationary_family(
 
 def degenerate_family(
     geom: ConformalGeometry,
-    H: Union[RadialFunction, Callable[[float], float]],
+    H: Union[RadialFunction, Callable],
     b2: float,
     branch: int = 1,
     r_range: tuple[float, float] = (0.1, 10.0),
@@ -466,11 +476,12 @@ def comfortable_range(profile: RotSymProfile, rel_floor: float = 0.1) -> tuple[f
 
 def ode_residuals(
     geom: ConformalGeometry,
-    H: Union[RadialFunction, Callable[[float], float]],
-    psi: Union[RadialFunction, Callable[[float], float]],
-    r: float,
-) -> tuple[float, float]:
-    """Residuals of both stationarity ODEs at ``r`` for given profiles.
+    H: Union[RadialFunction, Callable],
+    psi: Union[RadialFunction, Callable],
+    r,
+) -> tuple:
+    """Residuals of both stationarity ODEs for given profiles, elementwise
+    in the radii ``r``.
 
     The second residual is ``nan`` where its coefficients are undefined
     (``R H' - H = 0``).
@@ -481,8 +492,5 @@ def ode_residuals(
     dval = psi.deriv(r, 1)
     d2val = psi.deriv(r, 2)
     r1 = d2val + co.p1 * dval + co.q1 * val - co.L1
-    if math.isnan(co.p2):
-        r2 = float("nan")
-    else:
-        r2 = d2val + co.p2 * dval + co.q2 * val - co.L2
-    return float(r1), float(r2)
+    r2 = d2val + co.p2 * dval + co.q2 * val - co.L2
+    return r1, r2

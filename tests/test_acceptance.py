@@ -295,7 +295,7 @@ def test_criterion_6_ode_machinery():
             return ode_coefficients(geom, h_lin, r).p1
 
         psi2 = reduction_of_order(p1, psi1, (a, b), n_quad=512)
-        em2u = lambda r: math.exp(-2.0 * geom.radial_u(r))
+        em2u = lambda r: np.exp(-2.0 * geom.radial_u(r))
         rs = np.linspace(a, b, 25)
         A = np.array([[em2u(r), r * r] for r in rs])
         y = np.array([psi2(float(r)) for r in rs])
@@ -312,7 +312,7 @@ def test_criterion_6_ode_machinery():
     for geometry, r_range in (("flat", (0.1, 10.0)), ("sphere", (0.1, 0.9))):
         geom = geometry_by_name(geometry)
         a1, b1, a2, b2 = 0.3, 0.8, 1.1, 0.6
-        em2u = lambda r: math.exp(-2.0 * geom.radial_u(r))
+        em2u = lambda r: np.exp(-2.0 * geom.radial_u(r))
         H = RadialFunction(lambda r: a1 * r + b1 * em2u(r) / r)
         psi = psi_closed_form(geom, H, a2, b2, r_range, n_quad=1024)
         shift = -b1 * b1 * em2u(r_range[0]) / r_range[0] ** 2

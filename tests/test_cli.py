@@ -265,6 +265,18 @@ class TestRun:
         x, y = checks["det_oracle"]["worst_at"]["xi"]
         assert isinstance(x, float) and isinstance(y, float)
 
+    def test_rotsym_worst_cases_are_located(self):
+        _, report = run(RunConfig(task="verify", geometry="sphere", suite="rotsym",
+                                  samples=100, seed=0, report="w.json"))
+        checks = {c["name"]: c for c in report["checks"]}
+        # 5 profiles x 9 radii x 2 equations; 3 profiles x 17 radii
+        assert 45 <= checks["ode_residual"]["evaluated"] <= 90
+        assert checks["psi_quadrature"]["evaluated"] == 51
+        for name in ("ode_residual", "psi_quadrature"):
+            at = checks[name]["worst_at"]
+            assert isinstance(at["R"], float) and 0.0 < at["R"] < 1.0
+            assert len(at["params"]) == 4
+
     def test_area_value_reported(self):
         _, report = run(RunConfig(
             task="area", geometry="flat", a2=1.0, b2=0.0,

@@ -249,11 +249,47 @@ class TestIntegrateAnnulus:
 
 class TestCumulativeIntegral:
     def test_against_antiderivative(self):
-        ci = CumulativeIntegral(math.sin, 0.5, 3.0, 64)
+        ci = CumulativeIntegral(np.sin, 0.5, 3.0, 64)
         for r in np.linspace(0.5, 3.0, 11):
             assert ci(float(r)) == pytest.approx(math.cos(0.5) - math.cos(r), abs=1e-12)
 
+    def test_one_call_at_construction_none_at_evaluation(self):
+        shapes = []
+
+        def f(r):
+            shapes.append(np.shape(r))
+            return np.cos(r)
+
+        ci = CumulativeIntegral(f, 0.2, 1.7, 16)
+        assert shapes == [(16, 8)]
+        ci(np.linspace(0.2, 1.7, 50))
+        ci(1.0)
+        assert shapes == [(16, 8)]
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_partial_cells_exact_up_to_degree_seven(self, degree):
+        # each cell's degree-7 interpolant is the polynomial itself
+        p = np.polynomial.Polynomial(np.random.default_rng(degree).normal(size=degree + 1))
+        a, b = 0.3, 2.1
+        ci = CumulativeIntegral(p, a, b, 3)
+        rs = np.concatenate([np.linspace(a, b, 201), ci.edges])
+        exact = p.integ(lbnd=a)(rs)
+        assert np.max(np.abs(ci(rs) - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+    def test_array_evaluation_is_scalar_evaluation(self):
+        ci = CumulativeIntegral(lambda r: np.exp(-r) * np.sin(3.0 * r), 0.1, 2.0, 32)
+        rs = np.linspace(0.1, 2.0, 37).reshape(37, 1) + np.zeros(2)
+        values = ci(rs)
+        assert values.shape == rs.shape
+        assert values.tolist() == [[ci(float(r)) for r in row] for row in rs]
+
+    def test_constant_integrand_may_return_a_scalar(self):
+        ci = CumulativeIntegral(lambda r: 2.5, 1.0, 3.0, 8)
+        rs = np.linspace(1.0, 3.0, 9)
+        np.testing.assert_allclose(ci(rs), 2.5 * (rs - 1.0), rtol=1e-14, atol=1e-14)
+
     def test_out_of_range(self):
         ci = CumulativeIntegral(lambda r: 1.0, 1.0, 2.0)
-        with pytest.raises(DomainError):
-            ci(0.5)
+        for r in (0.5, 2.5, np.array([1.2, 2.0 + 1e-9])):
+            with pytest.raises(DomainError):
+                ci(r)

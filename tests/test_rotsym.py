@@ -61,7 +61,7 @@ class TestOdeCoefficients:
             r2 = RadialFunction(lambda r: r * r, lambda r: 2.0 * r, lambda r: 2.0)
 
             def em2u(r):
-                return math.exp(-2.0 * geom.radial_u(r))
+                return np.exp(-2.0 * geom.radial_u(r))
 
             psi2 = RadialFunction(
                 em2u,
@@ -94,11 +94,36 @@ class TestOdeResiduals:
 
     def test_homogeneous_combination(self, sphere):
         psi = RadialFunction(
-            lambda r: 2.0 * r * r + 0.5 * math.exp(-2.0 * sphere.radial_u(r)),
-            lambda r: 4.0 * r - 0.5 * 2.0 * sphere.radial_du(r) * math.exp(-2.0 * sphere.radial_u(r)),
+            lambda r: 2.0 * r * r + 0.5 * np.exp(-2.0 * sphere.radial_u(r)),
+            lambda r: 4.0 * r - 0.5 * 2.0 * sphere.radial_du(r) * np.exp(-2.0 * sphere.radial_u(r)),
         )
         r1, _ = ode_residuals(sphere, H_LINEAR, psi, 0.6)
         assert abs(r1) <= 1e-6
+
+    @pytest.mark.parametrize("geometry", ["flat", "sphere"])
+    def test_elementwise_in_the_radius(self, geometry, flat, sphere):
+        # H = R^2 + 0.49: R H' - H = R^2 - 0.49 vanishes at R = 0.7 only, which
+        # makes p2, q2 and the second residual nan there and nowhere else
+        geom = {"flat": flat, "sphere": sphere}[geometry]
+        H = RadialFunction(lambda r: r * r + 0.49, lambda r: 2.0 * r, lambda r: 2.0)
+        psi = stationary_family(geom, FamilyParams(0.2, 0.1, 1.3, 0.9), 1, (0.3, 0.9)).psi
+        rs = np.array([0.35, 0.5, 0.7, 0.8, 0.85])
+        co = ode_coefficients(geom, H, rs)
+        res = ode_residuals(geom, H, psi, rs)
+        for i, r in enumerate(rs):
+            one = ode_coefficients(geom, H, float(r))
+            for name in ("p1", "q1", "L1", "p2", "q2", "L2"):
+                np.testing.assert_array_equal(getattr(co, name)[i], getattr(one, name))
+            np.testing.assert_array_equal([res[0][i], res[1][i]],
+                                          ode_residuals(geom, H, psi, float(r)))
+        nan_at = [False, False, True, False, False]
+        for values in (co.p2, co.q2, res[1]):
+            assert np.isnan(values).tolist() == nan_at
+        assert not np.isnan(res[0]).any()
+
+    def test_singular_radius_named(self, sphere):
+        with pytest.raises(SingularCoefficientError, match="at R = 1.0$"):
+            ode_coefficients(sphere, H_LINEAR, np.array([0.5, 1.0, 1.5]))
 
     def test_detects_non_solutions(self, flat):
         # psi = R with H = R: residual is exactly -1/R
@@ -138,7 +163,7 @@ class TestReductionOfOrder:
 
         psi2 = reduction_of_order(p1, psi1, (a, b), n_quad=512)
         rs = np.linspace(a, b, 25)
-        em2u = lambda r: math.exp(-2.0 * geom.radial_u(r))
+        em2u = lambda r: np.exp(-2.0 * geom.radial_u(r))
         coeffs, resid = lstsq_fit([em2u, lambda r: r * r], psi2, rs)
         assert resid <= 1e-6
         K = a * (1.0 + a * geom.radial_du(a)) * em2u(a)
@@ -170,7 +195,7 @@ class TestPsiClosedForm:
         geom = {"flat": flat, "sphere": sphere}[geometry]
         a1, b1, a2, b2 = 0.3, 0.8, 1.1, 0.6
         r_range = (0.1, 0.9) if geometry == "sphere" else (0.1, 10.0)
-        em2u = lambda r: math.exp(-2.0 * geom.radial_u(r))
+        em2u = lambda r: np.exp(-2.0 * geom.radial_u(r))
         H = RadialFunction(lambda r: a1 * r + b1 * em2u(r) / r)
         psi = psi_closed_form(geom, H, a2, b2, r_range, n_quad=512)
         shift = -b1 * b1 * em2u(r_range[0]) / r_range[0] ** 2
