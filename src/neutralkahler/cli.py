@@ -37,7 +37,7 @@ from .ambient import (
     calibration_gap,
     theta_form,
 )
-from .errors import ConfigError, NeutralKahlerError
+from .errors import AmbiguousSignatureError, ConfigError, NeutralKahlerError
 from .graphs import (
     _SKIP_REASONS,
     GraphSection,
@@ -149,13 +149,11 @@ class RunConfig:
         return float(self.tol.get(name, DEFAULT_TOLERANCES[name]))
 
 
-def _output_dir() -> Path:
-    return Path(os.environ.get("NKLAB_OUTPUT_DIR", "."))
-
-
-def _resolve(path: str) -> Path:
-    p = Path(path)
-    return p if p.is_absolute() else _output_dir() / p
+def _output_path(path: str) -> Path:
+    """``path`` under the output directory unless absolute, its parent directory created."""
+    p = Path(os.environ.get("NKLAB_OUTPUT_DIR", "."), path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    return p
 
 
 class Report:
@@ -214,7 +212,6 @@ class Report:
         }
 
     def write(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.as_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -240,10 +237,10 @@ def _build_section(config: RunConfig) -> tuple[GraphSection, tuple[float, float]
     return profile.section(), comfortable_range(profile)
 
 
-def _build_grid(config: RunConfig, r_range: tuple[float, float]) -> AnnulusGrid:
-    return AnnulusGrid(
-        r_range[0], r_range[1], config.grid_r, config.grid_theta, config.exclude
-    )
+def _section_and_grid(config: RunConfig) -> tuple[GraphSection, AnnulusGrid]:
+    """Family section and the task's lattice grid over its admissible radial range."""
+    section, (lo, hi) = _build_section(config)
+    return section, AnnulusGrid(lo, hi, config.grid_r, config.grid_theta, config.exclude)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +274,9 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
     sig_bad = 0
     worst_compat = 0.0
     for frame, (a, b) in draw_frames(lambda rng: (rng.normal(size=4), rng.normal(size=4)), n):
-        if ambient_signature(frame) != (2, 2):
+        try:
+            sig_bad += ambient_signature(frame) != (2, 2)
+        except AmbiguousSignatureError:  # a singular metric has no signature
             sig_bad += 1
         scale = max(1.0, float(np.max(np.abs(frame.G4))))
         ja, jb = frame.J4 @ a, frame.J4 @ b
@@ -339,13 +338,15 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
                  worst_at={"r_range": [grid.r_min, grid.r_max], "section": kind})
 
 
-def _worst_over_profiles(sweeps: list) -> tuple[float, dict]:
-    """Largest value of equal-length per-profile ``(values, radii, params)``
-    sweeps, and where it lies; a NaN value wins, so it fails the check."""
-    values = np.stack([v for v, _, _ in sweeps])
+def _worst_over_profiles(sweeps: list, *names: str) -> tuple[float, dict]:
+    """Largest value of equal-length per-profile ``(values, params, *coordinates)``
+    sweeps, and where it lies: the coordinates there, keyed by ``names``, and the
+    family parameters; a NaN value wins, so it fails the check."""
+    values = np.stack([v for v, *_ in sweeps])
     k, j = np.unravel_index(np.argmax(values), values.shape)
-    _, rs, p = sweeps[k]
-    return float(values[k, j]), {"R": float(rs[j]), "params": [p.a1, p.b1, p.a2, p.b2]}
+    _, p, *coords = sweeps[k]
+    at = {name: float(c[j]) for name, c in zip(names, coords)}
+    return float(values[k, j]), {**at, "params": [p.a1, p.b1, p.a2, p.b2]}
 
 
 def _suite_rotsym(config: RunConfig, report: Report) -> None:
@@ -360,9 +361,9 @@ def _suite_rotsym(config: RunConfig, report: Report) -> None:
         rs = np.linspace(*comfortable_range(profile), 9)
         r1, r2 = ode_residuals(geom, profile.H, profile.psi, rs)
         defined = ~np.isnan(r2)
-        sweeps.append((np.maximum(np.abs(r1), np.where(defined, np.abs(r2), 0.0)), rs, params))
+        sweeps.append((np.maximum(np.abs(r1), np.where(defined, np.abs(r2), 0.0)), params, rs))
         evaluated += rs.size + int(np.count_nonzero(defined))
-    value, worst_at = _worst_over_profiles(sweeps)
+    value, worst_at = _worst_over_profiles(sweeps, "R")
     report.check("ode_residual", value, config.tolerance("ode_residual"),
                  evaluated=evaluated, worst_at=worst_at)
 
@@ -375,34 +376,34 @@ def _suite_rotsym(config: RunConfig, report: Report) -> None:
         shift = -params.b1**2 * np.exp(-2.0 * geom.radial_u(lo)) / lo**2
         rs = np.linspace(lo, hi, 17)
         expect = profile.psi(rs) - shift * np.exp(-2.0 * geom.radial_u(rs))
-        sweeps.append((np.abs(quad(rs) - expect) / np.maximum(np.abs(expect), 1.0), rs, params))
-    value, worst_at = _worst_over_profiles(sweeps)
+        sweeps.append((np.abs(quad(rs) - expect) / np.maximum(np.abs(expect), 1.0), params, rs))
+    value, worst_at = _worst_over_profiles(sweeps, "R")
     report.check("psi_quadrature", value, config.tolerance("psi_quadrature"),
-                 evaluated=sum(rs.size for _, rs, _ in sweeps), worst_at=worst_at)
+                 evaluated=sum(rs.size for *_, rs in sweeps), worst_at=worst_at)
 
 
 def _suite_families(config: RunConfig, report: Report) -> None:
     rng = rng_from_seed(config.seed + 3)
     tuples = random_family_profiles(rng, config.geometry, max(config.samples // 50, 4))
 
-    worst_res = 0.0
-    evaluated = 0
+    sweeps, evaluated = [], 0
     worst_fv = 0.0
-    for _params, profile in tuples:
+    for params, profile in tuples:
         section = profile.section()
         lo, hi = comfortable_range(profile)
         grid = AnnulusGrid(lo, hi, 16, 16)
-        xi = _polar(*grid._lattice())
-        values, codes = _residual_map(section, xi[:: max(1, xi.size // 40)])
+        rs, ts = (c[:: max(1, c.size // 40)] for c in grid._lattice())
+        values, codes = _residual_map(section, _polar(rs, ts))
         kept = codes == 0
-        worst_res = max(worst_res, float(np.max(np.abs(values[kept]), initial=0.0)))
+        sweeps.append((np.where(kept, np.abs(values), 0.0), params, rs, ts))
         evaluated += int(np.count_nonzero(kept))
         a_val = area(section, grid)
         for bump in bump_basis(grid.r_min, grid.r_max)[:4]:
             fv = first_variation(section, bump, grid)
             worst_fv = max(worst_fv, abs(fv) / max(a_val, 1e-12))
+    worst_res, worst_at = _worst_over_profiles(sweeps, "R", "theta")
     report.check("residual_max", worst_res, config.tolerance("residual_max"),
-                 evaluated=evaluated)
+                 evaluated=evaluated, worst_at=worst_at if evaluated else None)
     report.check("first_variation_rel", worst_fv, config.tolerance("first_variation_rel"))
 
 
@@ -426,8 +427,7 @@ def _run_verify(config: RunConfig, report: Report) -> None:
 
 
 def _run_residual(config: RunConfig, report: Report) -> None:
-    section, r_range = _build_section(config)
-    grid = _build_grid(config, r_range)
+    section, grid = _section_and_grid(config)
     rs, ts = grid._lattice()
     xi = _polar(rs, ts)
     values, codes = _residual_map(section, xi)
@@ -436,21 +436,23 @@ def _run_residual(config: RunConfig, report: Report) -> None:
     report.values["skipped_by_reason"] = {
         reason: int(np.count_nonzero(codes == k)) for k, reason in enumerate(_SKIP_REASONS, 1)
     }
-    report.check("residual_max", float(np.max(np.abs(values[kept]), initial=0.0)),
-                 config.tolerance("residual_max"), evaluated=int(np.count_nonzero(kept)))
+    value, worst_at = 0.0, None
+    if kept.any():
+        k = np.argmax(np.where(kept, np.abs(values), 0.0))
+        value, worst_at = float(np.abs(values[k])), {"R": float(rs[k]), "theta": float(ts[k])}
+    report.check("residual_max", value, config.tolerance("residual_max"),
+                 evaluated=int(np.count_nonzero(kept)), worst_at=worst_at)
     if config.out:
         _write_classification(config, report, rs, ts, _slopes_on(section, xi), np.abs(values))
 
 
 def _run_area(config: RunConfig, report: Report) -> None:
-    section, r_range = _build_section(config)
-    grid = _build_grid(config, r_range)
+    section, grid = _section_and_grid(config)
     report.values["area"] = area(section, grid)
 
 
 def _run_variation(config: RunConfig, report: Report) -> None:
-    section, r_range = _build_section(config)
-    grid = _build_grid(config, r_range)
+    section, grid = _section_and_grid(config)
     a_val = area(section, grid)
     report.values["area"] = a_val
     worst = 0.0
@@ -461,8 +463,7 @@ def _run_variation(config: RunConfig, report: Report) -> None:
 
 
 def _run_classify(config: RunConfig, report: Report) -> None:
-    section, r_range = _build_section(config)
-    grid = _build_grid(config, r_range)
+    section, grid = _section_and_grid(config)
     rs, ts = grid._lattice()
     xi = _polar(rs, ts)
     sl = _slopes_on(section, xi)
@@ -475,22 +476,21 @@ def _run_classify(config: RunConfig, report: Report) -> None:
 
 def _write_classification(config: RunConfig, report: Report, *table) -> None:
     """The ``--out`` CSV of ``residual`` and ``classify``, from the task's lattice table."""
-    path = _resolve(config.out)
+    path = _output_path(config.out)
     report.values["csv_rows"] = _write_classification_csv(path, *table)
     report.artifacts.append(str(path))
 
 
 def _run_export(config: RunConfig, report: Report) -> None:
-    section, r_range = _build_section(config)
-    grid = _build_grid(config, r_range)
+    section, grid = _section_and_grid(config)
     if not config.out:
         raise ConfigError("export needs --out")
-    path = _resolve(config.out)
+    path = _output_path(config.out)
     segments = export_congruence(section, grid, config.half_length, config.fmt, path)
-    expected = len(grid.mesh_nodes())
+    expected = grid._lattice()[0].size
     report.values["segments"] = segments
     report.check("export_segments", float(abs(segments - expected)), 0.0,
-                 passed=(segments == expected))
+                 passed=(segments == expected), evaluated=segments)
     report.artifacts.append(str(path))
 
 
@@ -506,7 +506,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         "export": _run_export,
     }
     runners[config.task](config, report)
-    report_path = _resolve(config.report or f"{config.task}_report.json")
+    report_path = _output_path(config.report or f"{config.task}_report.json")
     report.write(report_path)
     return (0 if report.all_passed() else 1), report.as_dict()
 

@@ -15,8 +15,12 @@ which is automatically orthogonal to the direction. Rotation of the
 plane coordinate, ``(xi, eta) -> (xi e^{iC}, eta e^{iC})``, corresponds
 to rotating the line by C about the z-axis.
 
-A graph section over an annulus is a line congruence; ``export_congruence``
-writes it out as ruled-surface strips (OBJ) or a plain node table (CSV).
+The line maps are elementwise: ``direction_of`` and the foot map take an
+array of base points and return one more axis, the last one xyz (a
+3-vector at one point). A graph section over an annulus is a line
+congruence; ``export_congruence`` evaluates the section once on the whole
+lattice and writes it out as ruled-surface strips (OBJ) or a plain node
+table (CSV).
 
 The closed rotationally symmetric area-stationary congruences form the
 two-parameter torus family
@@ -32,7 +36,6 @@ lorentzian for ``C2 < 2 B2``, and degenerate exactly when ``C2 = 2 B2``.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -41,7 +44,7 @@ import numpy as np
 from .ambient import TangentPoint, sphere_geometry
 from .errors import AdmissibilityError, ChartError, DomainError
 from .graphs import GraphSection, SurfaceClass, _slopes_on
-from .numerics import AnnulusGrid, RadialFunction
+from .numerics import AnnulusGrid, RadialFunction, _polar
 from .rotsym import RotSymProfile
 
 __all__ = [
@@ -67,12 +70,8 @@ class OrientedLine:
     def __post_init__(self):
         d = np.asarray(self.direction, dtype=float)
         f = np.asarray(self.foot, dtype=float)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-12:
-            raise DomainError(f"direction is not unit: |d| = {np.linalg.norm(d)}")
-        if abs(float(d @ f)) > 1e-10:
-            raise DomainError(f"foot is not perpendicular to direction: d.f = {d @ f:.3e}")
-        d.flags.writeable = False
-        f.flags.writeable = False
+        _check_lines(d, f)
+        d.flags.writeable = f.flags.writeable = False
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "foot", f)
 
@@ -80,32 +79,50 @@ class OrientedLine:
         return self.foot + s * self.direction
 
 
-def direction_of(xi: complex) -> np.ndarray:
-    """Inverse stereographic direction of the base coordinate."""
+def _check_lines(d: np.ndarray, f: np.ndarray, rs=None, ts=None) -> None:
+    """Raise :class:`DomainError` at the first of the stacked lines (last axis
+    xyz) whose direction is not unit (1e-12) or whose foot is not perpendicular
+    to it (1e-10); the lattice radii and angles ``rs``, ``ts`` name its node."""
+    d, f = d.reshape(-1, 3), f.reshape(-1, 3)
+    norm, dot = np.linalg.norm(d, axis=-1), np.sum(d * f, axis=-1)
+    # a non-finite entry makes the norm or the dot product nan or infinite
+    ok = (np.abs(norm - 1.0) <= 1e-12) & (np.abs(dot) <= 1e-10)
+    if not ok.all():
+        k = np.flatnonzero(~ok)[0]
+        where = "" if rs is None else f" at node (R={rs[k]:.6g}, theta={ts[k]:.6g})"
+        raise DomainError(f"not a unit direction with a perpendicular foot{where}: "
+                          f"|d| = {norm[k]!r}, d.f = {dot[k]:.3e}")
+
+
+def direction_of(xi) -> np.ndarray:
+    """Inverse stereographic direction of the base coordinate, elementwise:
+    shape ``shape(xi) + (3,)`` with the last axis xyz (a 3-vector at one point)."""
+    xi = np.asarray(xi, dtype=complex)
     r2 = (xi * xi.conjugate()).real
     s = 1.0 + r2
-    return np.array([2.0 * xi.real / s, 2.0 * xi.imag / s, (1.0 - r2) / s])
+    return np.stack([2.0 * xi.real / s, 2.0 * xi.imag / s, (1.0 - r2) / s], axis=-1)
 
 
-def _ddirection(xi: complex) -> np.ndarray:
-    """Componentwise holomorphic derivative of ``direction_of``."""
+def _ddirection(xi) -> np.ndarray:
+    """Componentwise holomorphic derivative of ``direction_of``, elementwise
+    like it (last axis xyz)."""
+    xi = np.asarray(xi, dtype=complex)
     xb = xi.conjugate()
-    s = 1.0 + (xi * xb).real
-    return np.array(
-        [
-            (1.0 - xb * xb) / s**2,
-            -1j * (1.0 + xb * xb) / s**2,
-            -2.0 * xb / s**2,
-        ]
-    )
+    s2 = (1.0 + (xi * xb).real) ** 2
+    return np.stack([(1.0 - xb * xb) / s2, -1j * (1.0 + xb * xb) / s2, -2.0 * xb / s2], axis=-1)
+
+
+def _lines(xi, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Directions and feet of the lines at base points ``xi`` with fibre
+    coordinates ``eta``, elementwise (last axis xyz)."""
+    return direction_of(xi), 2.0 * (np.expand_dims(eta, -1) * _ddirection(xi)).real
 
 
 def to_oriented_line(p: TangentPoint) -> OrientedLine:
     """Read a point of TS^2 as an oriented line of 3-space."""
     if not (cmath.isfinite(p.xi) and cmath.isfinite(p.eta)):
         raise ChartError(f"point ({p.xi}, {p.eta}) is outside the finite chart")
-    direction = direction_of(p.xi)
-    foot = 2.0 * (p.eta * _ddirection(p.xi)).real
+    direction, foot = _lines(p.xi, p.eta)
     return OrientedLine(direction=direction, foot=foot)
 
 
@@ -181,27 +198,18 @@ def signature_profile(fam: TorusFamily, r_samples: Sequence[float]) -> list[Sign
     ]
 
 
-def _segment_vertices(
-    section: GraphSection, grid: AnnulusGrid, half_length: float
-) -> tuple[list[tuple[float, float]], list[np.ndarray], list[np.ndarray]]:
-    nodes = grid.mesh_nodes()
-    starts, ends = [], []
-    for r, t in nodes:
-        xi = r * complex(math.cos(t), math.sin(t))
-        line = to_oriented_line(TangentPoint(xi, section.F(xi)))
-        starts.append(line.point(-half_length))
-        ends.append(line.point(half_length))
-    return nodes, starts, ends
+def _write_rows(fh, row: str, table: np.ndarray) -> None:
+    """Write the ``row`` template filled with each row of the 2-D ``table``."""
+    fh.writelines(map(row.format, *table.T.tolist()))
 
 
-def export_congruence(
-    section: GraphSection,
-    grid: AnnulusGrid,
-    half_length: float,
-    fmt: str,
-    path,
-) -> int:
+def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: float, fmt: str,
+                      path) -> int:
     """Write the line congruence of a section over the grid lattice.
+
+    The section is evaluated once, on the whole lattice, and every line is
+    checked as in :class:`OrientedLine`; a failing line raises
+    :class:`DomainError` naming its node.
 
     OBJ: two vertices per line (the segment ends) and counter-clockwise
     quads joining angular neighbours at each radius, giving ruled-surface
@@ -220,33 +228,22 @@ def export_congruence(
             f"(section geometry is '{section.geometry.name}')"
         )
 
-    nodes, starts, ends = _segment_vertices(section, grid, half_length)
-
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("R,theta,dx,dy,dz,fx,fy,fz\n")
-            for (r, t), s, e in zip(nodes, starts, ends):
-                d = [float(x) for x in (e - s) / (2.0 * half_length)]
-                f = [float(x) for x in 0.5 * (s + e)]
-                fh.write(
-                    f"{r!r},{t!r},{d[0]!r},{d[1]!r},{d[2]!r},{f[0]!r},{f[1]!r},{f[2]!r}\n"
-                )
-        return len(nodes)
-
-    # group nodes by radius ring to build angular strips
-    rings: dict[float, list[int]] = {}
-    for idx, (r, _t) in enumerate(nodes):
-        rings.setdefault(r, []).append(idx)
+    rs, ts = grid._lattice()
+    xi = _polar(rs, ts)
+    d, f = _lines(xi, np.broadcast_to(section.F(xi), xi.shape))
+    _check_lines(d, f, rs, ts)
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# line congruence: {len(nodes)} segments\n")
-        for s, e in zip(starts, ends):
-            fh.write(f"v {float(s[0])!r} {float(s[1])!r} {float(s[2])!r}\n")
-            fh.write(f"v {float(e[0])!r} {float(e[1])!r} {float(e[2])!r}\n")
-        for ring in rings.values():
-            for i, j in zip(ring[:-1], ring[1:]):
-                # vertex ids are 1-based; node k owns vertices 2k+1, 2k+2
-                a, b = 2 * i + 1, 2 * i + 2
-                c, d = 2 * j + 1, 2 * j + 2
-                fh.write(f"f {a} {c} {d} {b}\n")
-    return len(nodes)
+        if fmt == "csv":
+            fh.write("R,theta,dx,dy,dz,fx,fy,fz\n")
+            _write_rows(fh, ",".join(["{!r}"] * 8) + "\n", np.column_stack([rs, ts, d, f]))
+        else:
+            # node k owns the 1-based vertices 2k+1 (start) and 2k+2 (end); ring
+            # r holds nodes r n_theta + j, and angular neighbours j, j+1 make a quad
+            ends = f[:, None] + np.array([-half_length, half_length])[:, None] * d[:, None]
+            first = np.arange(rs.size // grid.n_theta)[:, None] * grid.n_theta
+            k = (first + np.arange(grid.n_theta - 1)).ravel()
+            fh.write(f"# line congruence: {rs.size} segments\n")
+            _write_rows(fh, "v {!r} {!r} {!r}\n", ends.reshape(-1, 3))
+            _write_rows(fh, "f {} {} {} {}\n", 2 * k[:, None] + np.array([1, 3, 4, 2]))
+    return rs.size

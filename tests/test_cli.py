@@ -187,6 +187,30 @@ class TestRun:
         assert report["values"]["segments"] == 256
         assert (outdir / "torus.obj").exists()
 
+    def test_export_of_an_empty_lattice_fails(self, outdir, capsys):
+        # both radii of the 2x4 lattice lie in exclusion bands: nothing is exported
+        assert main(["export", "--B2", "1", "--C2", "5", "--grid", "2x4", "--rmin", "0.5",
+                     "--rmax", "2.5", "--exclude", "0.5:0.1", "--exclude", "2.5:0.1",
+                     "--out", "t.obj", "--report", "empty.json"]) == 1
+        assert "[FAIL] export_segments" in capsys.readouterr().out
+        report = json.loads((outdir / "empty.json").read_text())
+        assert report["values"]["segments"] == 0
+        assert report["checks"][0]["evaluated"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "--B2", "1", "--C2", "0", "--out", "sub/t.obj"],
+        ["classify", "--B2", "1", "--C2", "5", "--out", "sub/t.csv"],
+        ["residual", "--B2", "1", "--C2", "5", "--out", "sub/t.csv"],
+    ], ids=["export", "classify", "residual"])
+    def test_artifact_directories_are_created(self, argv, outdir, monkeypatch):
+        # like the report's: under a missing output directory and in a missing subdirectory
+        monkeypatch.setenv("NKLAB_OUTPUT_DIR", str(outdir / "missing"))
+        argv += ["--rmin", "0.3", "--rmax", "2.5", "--grid", "8x8", "--report", "rep/r.json"]
+        assert main(argv) == 0
+        report = json.loads((outdir / "missing" / "rep" / "r.json").read_text())
+        assert report["artifacts"] == [str(outdir / "missing" / argv[argv.index("--out") + 1])]
+        assert Path(report["artifacts"][0]).stat().st_size > 0
+
     def test_failed_check_exits_one(self):
         code, report = run(RunConfig(
             task="residual", geometry="sphere",
@@ -276,6 +300,21 @@ class TestRun:
             at = checks[name]["worst_at"]
             assert isinstance(at["R"], float) and 0.0 < at["R"] < 1.0
             assert len(at["params"]) == 4
+
+    def test_residual_worst_cases_are_located(self):
+        _, report = run(RunConfig(
+            task="residual", geometry="sphere", b2=1.0, c2=5.0, rmin=0.3, rmax=2.5,
+            grid_r=12, grid_theta=12, exclude=((1.0, 0.05),), report="r.json"))
+        at = report["checks"][0]["worst_at"]
+        assert set(at) == {"R", "theta"}
+        assert 0.3 <= at["R"] <= 2.5 and abs(at["R"] - 1.0) >= 0.05
+        assert 0.0 <= at["theta"] < 2.0 * np.pi
+        _, report = run(RunConfig(task="verify", geometry="sphere", suite="families",
+                                  samples=100, seed=0, report="f.json"))
+        check = next(c for c in report["checks"] if c["name"] == "residual_max")
+        assert set(check["worst_at"]) == {"R", "theta", "params"}
+        assert len(check["worst_at"]["params"]) == 4
+        assert isinstance(check["worst_at"]["theta"], float)
 
     def test_area_value_reported(self):
         _, report = run(RunConfig(

@@ -19,7 +19,8 @@ from neutralkahler import (
     torus_section,
 )
 from neutralkahler.errors import AdmissibilityError, ChartError, DomainError
-from neutralkahler.lines3d import direction_of
+from neutralkahler.lines3d import _ddirection, direction_of
+from neutralkahler.numerics import ComplexField
 
 
 class TestTorusFamily:
@@ -201,3 +202,66 @@ class TestExport:
         section = polynomial_section(flat, {(1, 0): 1j})
         with pytest.raises(DomainError, match="round sphere"):
             export_congruence(section, self.grid16(), 1.0, "obj", tmp_path / "x.obj")
+
+
+class TestLineArrays:
+    """``direction_of`` and ``_ddirection`` are elementwise with the last axis
+    xyz, and the export builds its lines and faces from lattice arrays."""
+
+    def test_maps_on_arrays_match_points(self):
+        xi = np.array([[0.0, 0.3 - 0.2j, 1.0], [-2.5 + 1.5j, 1e-3j, 7.0 - 4.0j]])
+        for fn in (direction_of, _ddirection):
+            stacked = fn(xi)
+            assert stacked.shape == (2, 3, 3)
+            points = np.array([[fn(complex(z)) for z in row] for row in xi])
+            assert points.shape == (2, 3, 3)
+            scale = max(1.0, float(np.max(np.abs(points))))
+            assert np.max(np.abs(stacked - points)) <= 1e-13 * scale
+        assert direction_of(0.5j).shape == _ddirection(0.5j).shape == (3,)
+
+    def test_obj_faces_follow_the_rings(self, tmp_path):
+        # the bands remove two whole rings; quads join angular neighbours within
+        # each kept ring, as in a construction that groups the nodes by radius
+        grid = AnnulusGrid(0.3, 3.0, 10, 6, ((1.2, 0.2), (2.4, 0.1)))
+        path = tmp_path / "banded.obj"
+        segments = export_congruence(torus_section(TorusFamily(1.0, 5.0)), grid, 1.0, "obj", path)
+        nodes = grid.mesh_nodes()
+        rings = {}
+        for k, (r, _t) in enumerate(nodes):
+            rings.setdefault(r, []).append(k)
+        assert segments == len(nodes) == 6 * len(rings) and len(rings) < 10
+        expected = [f"f {2 * i + 1} {2 * j + 1} {2 * j + 2} {2 * i + 2}"
+                    for ring in rings.values() for i, j in zip(ring[:-1], ring[1:])]
+        lines = path.read_text().splitlines()
+        assert [line for line in lines if line.startswith("f ")] == expected
+
+    def test_vertices_are_the_segment_ends(self, tmp_path):
+        grid = AnnulusGrid(0.3, 3.0, 5, 8)
+        section = torus_section(TorusFamily(2.0, 1.0, branch=-1))
+        path = tmp_path / "ends.obj"
+        export_congruence(section, grid, 1.5, "obj", path)
+        vertices = np.array([[float(tok) for tok in line.split()[1:]]
+                             for line in path.read_text().splitlines() if line.startswith("v ")])
+        for k, (r, t) in enumerate(grid.mesh_nodes()):
+            xi = r * complex(math.cos(t), math.sin(t))
+            line = to_oriented_line(TangentPoint(xi, section.F(xi)))
+            assert np.allclose(vertices[2 * k], line.point(-1.5), rtol=0.0, atol=1e-13)
+            assert np.allclose(vertices[2 * k + 1], line.point(1.5), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("fmt", ["obj", "csv"])
+    def test_nan_section_names_the_node(self, tmp_path, sphere, fmt):
+        from neutralkahler import GraphSection
+
+        def F(xi):
+            return np.where(np.abs(xi - 2.0) < 1e-9, np.nan, xi)
+
+        section = GraphSection(ComplexField(F, lambda xi: 1.0, lambda xi: 0.0), sphere)
+        grid = AnnulusGrid(1.0, 2.0, 3, 4)  # the node R = 2, theta = 0 is xi = 2
+        with pytest.raises(DomainError, match=r"R=2, theta=0\b"):
+            export_congruence(section, grid, 1.0, fmt, tmp_path / f"nan.{fmt}")
+
+    def test_oriented_line_rejects_non_finite(self):
+        from neutralkahler import OrientedLine
+
+        with pytest.raises(DomainError):
+            OrientedLine(direction=np.array([0.0, 0.0, 1.0]), foot=np.array([np.nan, 0.0, 0.0]))

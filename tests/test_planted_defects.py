@@ -6,6 +6,8 @@ the check), runs the verify suite that owns the check at its pinned
 """
 
 import dataclasses
+import inspect
+import json
 
 import numpy as np
 import pytest
@@ -42,6 +44,16 @@ def plant_frame_defect(monkeypatch, defect):
 
     monkeypatch.setattr(graphs, "ambient_frame", wrapped)
     monkeypatch.setattr(cli, "ambient_frame", wrapped)
+
+
+def plant_source_defect(monkeypatch, module, name, old, new=""):
+    """Recompile ``module.name`` with the one occurrence of ``old`` in its source
+    replaced by ``new``, and patch it in for the test."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
 
 
 def failed(checks, *names):
@@ -137,3 +149,43 @@ def test_cumulative_weight_perturbed(monkeypatch, geometry):
     monkeypatch.setattr(CumulativeIntegral, "_WEIGHTS", weights)
     checks = verify(geometry, "rotsym")
     assert failed(checks, "ode_residual", "psi_quadrature") == ["psi_quadrature"]
+
+
+def test_singular_metric_counts_as_signature_defect(monkeypatch, tmp_path):
+    # G4's w entries zeroed: the metric diag(m, m, 0, 0) is singular, so it has
+    # no signature; the suite still writes its report and the check fails
+    def zero_w(G4, O4):
+        G4[..., 1, 2] = G4[..., 2, 1] = G4[..., 0, 3] = G4[..., 3, 0] = 0.0
+
+    plant_frame_defect(monkeypatch, zero_w)
+    assert cli.main(["verify", "--geometry", "sphere", "--suite", "ambient", "--samples", "100",
+                     "--seed", "0", "--report", "singular.json"]) == 1
+    checks = {c["name"]: c for c in json.loads((tmp_path / "singular.json").read_text())["checks"]}
+    assert not checks["signature_defects"]["passed"]
+    assert checks["signature_defects"]["value"] == 100
+
+
+def test_rho_without_conformal_term(monkeypatch):
+    # rho = d F + 2 F du with the 2 F du term dropped; du = 0 on the flat geometry
+    plant_source_defect(monkeypatch, graphs, "slopes",
+                        " + 2.0 * section.F(xi) * section.geometry.du_at(xi)")
+    checks = verify("sphere", "graphs")
+    assert failed(checks, "det_oracle", "stokes") == ["det_oracle"]
+    assert checks["det_oracle"]["evaluated"] > 0
+
+
+def test_residual_without_conformal_factor(monkeypatch):
+    # the e^{-2u} = 1 / w[0] factor of the dbar term dropped (w = 1 on the flat
+    # geometry); the area side of the pair is untouched, so first_variation_rel passes
+    plant_source_defect(monkeypatch, graphs, "_residual_quotient", "dbar_q / w[0]", "dbar_q")
+    checks = verify("sphere", "families")
+    assert failed(checks, "residual_max", "first_variation_rel") == ["residual_max"]
+    assert checks["residual_max"]["evaluated"] > 0
+
+
+def test_area_without_conformal_factor(monkeypatch):
+    # the e^{2u} factor of the area density dropped: the families stop being
+    # stationary for the functional the bumps vary, while the residual is untouched
+    plant_source_defect(monkeypatch, graphs, "_area_from_slopes", " * w, grid)", ", grid)")
+    checks = verify("sphere", "families")
+    assert failed(checks, "residual_max", "first_variation_rel") == ["first_variation_rel"]
