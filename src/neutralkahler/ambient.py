@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import (
     DerivativeUnavailableError,
     DomainError,
 )
-from .numerics import RadialFunction
+from .numerics import ComplexField, RadialFunction
 
 __all__ = [
     "ConformalGeometry",
@@ -68,8 +68,8 @@ J4_MATRIX = np.array(
 )
 J4_MATRIX.flags.writeable = False
 
-#: signature selector of the neutral branch of the calibration identity
-EPSILON = -1
+#: eigenvalues of the metric below this fraction of the largest make its signature ambiguous
+SIGNATURE_RTOL = 1e-10
 
 _LOG2 = math.log(2.0)
 
@@ -81,33 +81,28 @@ class ConformalGeometry:
     ``u`` maps the complex coordinate to a real value; ``du`` is the closed
     form of its holomorphic Wirtinger derivative when available. Both work
     elementwise on arrays of nodes (a constant may come back as a scalar).
-    For rotationally symmetric geometries the radial profile ``u_of_R`` and
-    its two derivatives are carried as well (they drive the ODE machinery).
+    A rotationally symmetric geometry also carries its radial profile
+    ``u_of_R``, whose first two derivatives (``u_of_R.deriv``) drive the ODE
+    machinery; ``u_of_R`` is ``None`` for any other geometry.
     """
 
     name: str
     u: Callable
     du: Optional[Callable] = None
-    rotationally_symmetric: bool = False
     u_of_R: Optional[RadialFunction] = None
-    du_of_R: Optional[RadialFunction] = None
-    ddu_of_R: Optional[RadialFunction] = None
 
     def du_at(self, xi):
         """Holomorphic derivative of u, by closed form or finite differences."""
         if self.du is not None:
             return self.du(xi)
-        h = 1e-6 * np.maximum(1.0, abs(xi))
-        ux = (self.u(xi + h) - self.u(xi - h)) / (2.0 * h)
-        uy = (self.u(xi + 1j * h) - self.u(xi - 1j * h)) / (2.0 * h)
-        return 0.5 * (ux - 1j * uy)
+        return ComplexField(self.u).wirtinger_d(xi)
 
     def conformal_factor(self, xi):
         """The metric density ``w = e^{2u}`` (always positive)."""
         return np.exp(2.0 * self.u(xi))
 
     def require_radial(self) -> None:
-        if not self.rotationally_symmetric or self.u_of_R is None:
+        if self.u_of_R is None:
             raise DomainError(
                 f"geometry '{self.name}' has no rotationally symmetric radial profile"
             )
@@ -118,24 +113,17 @@ class ConformalGeometry:
 
     def radial_du(self, r):
         self.require_radial()
-        return self.du_of_R(r) if self.du_of_R is not None else self.u_of_R.deriv(r, 1)
+        return self.u_of_R.deriv(r, 1)
 
     def radial_ddu(self, r):
         self.require_radial()
-        return self.ddu_of_R(r) if self.ddu_of_R is not None else self.u_of_R.deriv(r, 2)
+        return self.u_of_R.deriv(r, 2)
 
 
 def flat_geometry() -> ConformalGeometry:
     """The Euclidean plane, ``u = 0``."""
-    zero = RadialFunction.constant(0.0)
     return ConformalGeometry(
-        name="flat",
-        u=lambda xi: 0.0,
-        du=lambda xi: 0.0j,
-        rotationally_symmetric=True,
-        u_of_R=zero,
-        du_of_R=zero,
-        ddu_of_R=zero,
+        name="flat", u=lambda xi: 0.0, du=lambda xi: 0.0j, u_of_R=RadialFunction.constant(0.0)
     )
 
 
@@ -152,35 +140,18 @@ def sphere_geometry() -> ConformalGeometry:
         name="sphere",
         u=u,
         du=du,
-        rotationally_symmetric=True,
         u_of_R=RadialFunction(
             lambda r: _LOG2 - np.log1p(r * r),
             lambda r: -2.0 * r / (1.0 + r * r),
             lambda r: -2.0 * (1.0 - r * r) / (1.0 + r * r) ** 2,
         ),
-        du_of_R=RadialFunction(
-            lambda r: -2.0 * r / (1.0 + r * r),
-            lambda r: -2.0 * (1.0 - r * r) / (1.0 + r * r) ** 2,
-        ),
-        ddu_of_R=RadialFunction(lambda r: -2.0 * (1.0 - r * r) / (1.0 + r * r) ** 2),
     )
 
 
-def radial_geometry(
-    name: str,
-    u_of_R: RadialFunction,
-    du_of_R: Optional[RadialFunction] = None,
-    ddu_of_R: Optional[RadialFunction] = None,
-) -> ConformalGeometry:
-    """A rotationally symmetric geometry from a radial profile ``u(R)``.
-
-    Closed-form first and second radial derivatives should be supplied for
-    the ODE machinery; they fall back to finite differences otherwise.
-    """
-    if du_of_R is None:
-        du_of_R = RadialFunction(lambda r: u_of_R.deriv(r, 1))
-    if ddu_of_R is None:
-        ddu_of_R = RadialFunction(lambda r: u_of_R.deriv(r, 2))
+def radial_geometry(name: str, u_of_R: RadialFunction) -> ConformalGeometry:
+    """A rotationally symmetric geometry from a radial profile ``u(R)``, which
+    should carry closed-form first and second derivatives for the ODE machinery
+    (``u_of_R.deriv`` falls back to finite differences)."""
 
     def u(xi):
         return u_of_R(abs(xi))
@@ -189,17 +160,9 @@ def radial_geometry(
         r = abs(xi)
         origin = r == 0.0
         r = np.where(origin, 1.0, r)  # du vanishes at the centre of symmetry
-        return np.where(origin, 0.0j, du_of_R(r) * xi.conjugate() / (2.0 * r))
+        return np.where(origin, 0.0j, u_of_R.deriv(r, 1) * xi.conjugate() / (2.0 * r))
 
-    return ConformalGeometry(
-        name=name,
-        u=u,
-        du=du,
-        rotationally_symmetric=True,
-        u_of_R=u_of_R,
-        du_of_R=du_of_R,
-        ddu_of_R=ddu_of_R,
-    )
+    return ConformalGeometry(name=name, u=u, du=du, u_of_R=u_of_R)
 
 
 @dataclass(frozen=True)
@@ -216,13 +179,13 @@ class TangentPoint:
 
 @dataclass(frozen=True)
 class AmbientFrame:
-    """The triple (G, Omega, J) as real 4x4 matrices, stacked ``(..., 4, 4)``
-    over an array of points (``metric``/``symplectic`` take one point)."""
+    """G and Omega as real 4x4 matrices, stacked ``(..., 4, 4)`` over an array of
+    points (``metric``/``symplectic`` take one point); J is the same at every
+    point, the class attribute ``J4`` (:data:`J4_MATRIX`)."""
 
     G4: np.ndarray
     O4: np.ndarray
-    J4: np.ndarray
-    epsilon: int = EPSILON
+    J4: ClassVar[np.ndarray] = J4_MATRIX
 
     def metric(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(a @ self.G4 @ b)
@@ -262,7 +225,7 @@ def ambient_frame(geom: ConformalGeometry, p: TangentPoint) -> AmbientFrame:
     G4[..., 1, 2] = G4[..., 2, 1] = O4[..., 2, 0] = O4[..., 3, 1] = two_w
     G4[..., 0, 3] = G4[..., 3, 0] = O4[..., 0, 2] = O4[..., 1, 3] = -two_w
     G4.flags.writeable = O4.flags.writeable = False
-    return AmbientFrame(G4=G4, O4=O4, J4=J4_MATRIX)
+    return AmbientFrame(G4=G4, O4=O4)
 
 
 def calibration_gap(frame: AmbientFrame, v1: np.ndarray, v2: np.ndarray) -> float:
@@ -284,12 +247,12 @@ def calibration_gap(frame: AmbientFrame, v1: np.ndarray, v2: np.ndarray) -> floa
     return om * om - (g11 * g22 - g12 * g12)
 
 
-def ambient_signature(frame: AmbientFrame, tol: float = 1e-10) -> tuple[int, int]:
+def ambient_signature(frame: AmbientFrame) -> tuple[int, int]:
     """Counts of positive and negative eigenvalues of the metric."""
     eigs = np.linalg.eigvalsh(frame.G4)
     scale = max(float(np.max(np.abs(eigs))), 1e-300)
     for lam in eigs:
-        if abs(lam) < tol * scale:
+        if abs(lam) < SIGNATURE_RTOL * scale:
             raise AmbiguousSignatureError(float(lam))
     pos = int(np.sum(eigs > 0.0))
     return pos, len(eigs) - pos

@@ -137,10 +137,15 @@ class RunConfig:
             raise ConfigError("samples must be positive")
         if self.grid_r < 2 or self.grid_theta < 4:
             raise ConfigError(f"grid needs >= 2x4 nodes, got {self.grid_r}x{self.grid_theta}")
-        if not 0.0 < self.rmin < self.rmax:
-            raise ConfigError(f"need 0 < rmin < rmax, got rmin={self.rmin}, rmax={self.rmax}")
-        if self.half_length <= 0.0:
-            raise ConfigError(f"half-length must be positive, got {self.half_length}")
+        if not 0.0 < self.rmin < self.rmax < np.inf:
+            raise ConfigError(f"need 0 < rmin < rmax < inf, got rmin={self.rmin}, rmax={self.rmax}")
+        if not all(np.isfinite(c) and 0.0 < h < np.inf for c, h in self.exclude):
+            raise ConfigError(f"exclusion bands {list(self.exclude)} need finite centres and "
+                              "positive finite half-widths")
+        if not 0.0 < self.half_length < np.inf:
+            raise ConfigError(f"half-length must be positive and finite, got {self.half_length}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         unknown = set(self.tol) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
@@ -260,7 +265,7 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
         drawn = [(random_tangent_coords(rng), draw(rng)) for _ in range(count)]
         xi, eta = np.array([point for point, _ in drawn]).T
         stack = ambient_frame(geom, TangentPoint(xi, eta))
-        return [(AmbientFrame(g, o, stack.J4), extra)
+        return [(AmbientFrame(g, o), extra)
                 for g, o, (_, extra) in zip(stack.G4, stack.O4, drawn)]
 
     worst_gap = min(calibration_gap(frame, v1, v2)
@@ -341,12 +346,23 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
 def _worst_over_profiles(sweeps: list, *names: str) -> tuple[float, dict]:
     """Largest value of equal-length per-profile ``(values, params, *coordinates)``
     sweeps, and where it lies: the coordinates there, keyed by ``names``, and the
-    family parameters; a NaN value wins, so it fails the check."""
+    family parameters unless ``params`` is None; a NaN value wins, so it fails
+    the check."""
     values = np.stack([v for v, *_ in sweeps])
     k, j = np.unravel_index(np.argmax(values), values.shape)
     _, p, *coords = sweeps[k]
-    at = {name: float(c[j]) for name, c in zip(names, coords)}
-    return float(values[k, j]), {**at, "params": [p.a1, p.b1, p.a2, p.b2]}
+    at = {name: c[j].item() for name, c in zip(names, coords)}
+    if p is not None:
+        at["params"] = [p.a1, p.b1, p.a2, p.b2]
+    return float(values[k, j]), at
+
+
+def _variation_sweep(section: GraphSection, grid: AnnulusGrid, bumps: list) -> tuple:
+    """The section's area and ``|first variation| / area`` along each of ``bumps``,
+    in their order."""
+    a_val = area(section, grid)
+    fv = np.array([abs(first_variation(section, bump, grid)) for bump in bumps])
+    return a_val, fv / max(a_val, 1e-12)
 
 
 def _suite_rotsym(config: RunConfig, report: Report) -> None:
@@ -386,8 +402,7 @@ def _suite_families(config: RunConfig, report: Report) -> None:
     rng = rng_from_seed(config.seed + 3)
     tuples = random_family_profiles(rng, config.geometry, max(config.samples // 50, 4))
 
-    sweeps, evaluated = [], 0
-    worst_fv = 0.0
+    sweeps, variations, evaluated = [], [], 0
     for params, profile in tuples:
         section = profile.section()
         lo, hi = comfortable_range(profile)
@@ -397,14 +412,14 @@ def _suite_families(config: RunConfig, report: Report) -> None:
         kept = codes == 0
         sweeps.append((np.where(kept, np.abs(values), 0.0), params, rs, ts))
         evaluated += int(np.count_nonzero(kept))
-        a_val = area(section, grid)
-        for bump in bump_basis(grid.r_min, grid.r_max)[:4]:
-            fv = first_variation(section, bump, grid)
-            worst_fv = max(worst_fv, abs(fv) / max(a_val, 1e-12))
+        _, rel = _variation_sweep(section, grid, bump_basis(grid.r_min, grid.r_max)[:4])
+        variations.append((rel, params, np.arange(rel.size)))
     worst_res, worst_at = _worst_over_profiles(sweeps, "R", "theta")
     report.check("residual_max", worst_res, config.tolerance("residual_max"),
                  evaluated=evaluated, worst_at=worst_at if evaluated else None)
-    report.check("first_variation_rel", worst_fv, config.tolerance("first_variation_rel"))
+    worst_fv, worst_at = _worst_over_profiles(variations, "bump")
+    report.check("first_variation_rel", worst_fv, config.tolerance("first_variation_rel"),
+                 worst_at=worst_at)
 
 
 _SUITES = {
@@ -453,13 +468,10 @@ def _run_area(config: RunConfig, report: Report) -> None:
 
 def _run_variation(config: RunConfig, report: Report) -> None:
     section, grid = _section_and_grid(config)
-    a_val = area(section, grid)
-    report.values["area"] = a_val
-    worst = 0.0
-    for bump in bump_basis(grid.r_min, grid.r_max):
-        fv = first_variation(section, bump, grid)
-        worst = max(worst, abs(fv) / max(a_val, 1e-12))
-    report.check("first_variation_rel", worst, config.tolerance("first_variation_rel"))
+    report.values["area"], rel = _variation_sweep(section, grid, bump_basis(grid.r_min, grid.r_max))
+    worst, worst_at = _worst_over_profiles([(rel, None, np.arange(rel.size))], "bump")
+    report.check("first_variation_rel", worst, config.tolerance("first_variation_rel"),
+                 worst_at=worst_at)
 
 
 def _run_classify(config: RunConfig, report: Report) -> None:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,6 +92,8 @@ DEGENERACY_SCALE_FLOOR = NULL_ATOL**2
 #: why the residual map skips a point, in priority order: skip code k
 #: means ``_SKIP_REASONS[k - 1]``, code 0 that the point was evaluated
 _SKIP_REASONS = ("degenerate", "det_sign_change", "lam_sign_change")
+#: step in ``t`` of the first variation's symmetric differences
+T_STEP = 1e-5
 #: the 5-point stencil, in units of the step
 _STENCIL = np.array([0.0, 1.0, -1.0, 1j, -1j])
 
@@ -179,20 +181,19 @@ def _slopes_on(section: GraphSection, xi: np.ndarray) -> SlopeData:
     return SlopeData(np.broadcast_to(sl.sigma, xi.shape), np.broadcast_to(sl.rho, xi.shape))
 
 
-def _slope_tol(section: GraphSection, tol: Optional[float]) -> float:
-    if tol is not None:
-        return tol
+def _slope_tol(section: GraphSection) -> float:
+    """Slope tolerance of the section's derivative policy (closed form or FD)."""
     return 1e-9 if section.F.analytic else 1e-6
 
 
-def holomorphic_at(section: GraphSection, xi: complex, tol: Optional[float] = None) -> bool:
-    """True when ``|sigma| < tol`` (the tangent plane is J-invariant)."""
-    return abs(slopes(section, xi).sigma) < _slope_tol(section, tol)
+def holomorphic_at(section: GraphSection, xi: complex) -> bool:
+    """True when ``|sigma| < _slope_tol`` (the tangent plane is J-invariant)."""
+    return abs(slopes(section, xi).sigma) < _slope_tol(section)
 
 
-def lagrangian_at(section: GraphSection, xi: complex, tol: Optional[float] = None) -> bool:
-    """True when ``|lam| < tol`` (the symplectic form pulls back to zero)."""
-    return abs(slopes(section, xi).lam) < _slope_tol(section, tol)
+def lagrangian_at(section: GraphSection, xi: complex) -> bool:
+    """True when ``|lam| < _slope_tol`` (the symplectic form pulls back to zero)."""
+    return abs(slopes(section, xi).lam) < _slope_tol(section)
 
 
 def induced_metric(section: GraphSection, xi: complex) -> InducedMetric:
@@ -212,15 +213,14 @@ def induced_metric(section: GraphSection, xi: complex) -> InducedMetric:
     )
 
 
-def _fd_jacobian(section: GraphSection, xi, h: Optional[float] = None) -> np.ndarray:
+def _fd_jacobian(section: GraphSection, xi) -> np.ndarray:
     """Jacobian of ``(x, y) -> (x, y, p, q)`` by central differences, shape
     ``(..., 4, 2)`` over an array of points (4x2 at one point).
 
     Deliberately ignores any closed-form derivatives of F so the pullback
     stays an independent check on the slope formulas.
     """
-    if h is None:
-        h = 1e-6 * np.maximum(1.0, abs(xi))
+    h = 1e-6 * np.maximum(1.0, abs(xi))
     fx = (section.F(xi + h) - section.F(xi - h)) / (2.0 * h)
     fy = (section.F(xi + 1j * h) - section.F(xi - 1j * h)) / (2.0 * h)
     jac = np.zeros(np.shape(xi) + (4, 2))
@@ -230,11 +230,11 @@ def _fd_jacobian(section: GraphSection, xi, h: Optional[float] = None) -> np.nda
     return jac
 
 
-def pullback_determinant(section: GraphSection, xi, h: Optional[float] = None):
+def pullback_determinant(section: GraphSection, xi):
     """Determinant of the ambient metric pulled back through the graph map,
     converted to the ``(xi, xibar)`` convention; elementwise in ``xi``."""
     frame = ambient_frame(section.geometry, section.point(xi))
-    jac = _fd_jacobian(section, xi, h)
+    jac = _fd_jacobian(section, xi)
     return np.linalg.det(np.swapaxes(jac, -1, -2) @ frame.G4 @ jac) / PULLBACK_DET_FACTOR
 
 
@@ -292,21 +292,20 @@ def _residual_quotient(section: GraphSection, xi, step) -> tuple[np.ndarray, np.
         return 1j * d_p - dbar_q / w[0], code
 
 
-def _residual_map(section: GraphSection, xi, h: Optional[float] = None):
+def _residual_map(section: GraphSection, xi):
     """``el_residual`` at every point of ``xi`` (``nan`` where skipped) and the
     skip codes; the coarse step's code takes priority over the fine one's."""
     # slope fields steepen like (R - R0)^{-1/2} near zeros of the squared
     # imaginary part, so analytic sections get a small step (their slope
     # evaluations are exact and the difference noise stays near 1e-10)
-    if h is None:
-        h = (1e-6 if section.F.analytic else 5e-4) * np.maximum(1.0, abs(xi))
+    h = (1e-6 if section.F.analytic else 5e-4) * np.maximum(1.0, abs(xi))
     coarse, code = _residual_quotient(section, xi, h)
     fine, code_fine = _residual_quotient(section, xi, 0.5 * h)
     code = np.where(code != 0, code, code_fine)
     return np.where(code == 0, (4.0 * fine - coarse) / 3.0, np.nan), code
 
 
-def el_residual(section: GraphSection, xi: complex, h: Optional[float] = None) -> complex:
+def el_residual(section: GraphSection, xi: complex) -> complex:
     """Area-stationarity residual at ``xi``; zero on stationary graphs.
 
     One Richardson step on the central differences removes the leading
@@ -317,7 +316,7 @@ def el_residual(section: GraphSection, xi: complex, h: Optional[float] = None) -
     metric is definite (the square-root branch would jump); its ``reason``
     names which.
     """
-    value, code = _residual_map(section, xi, h)
+    value, code = _residual_map(section, xi)
     if code:
         reason = _SKIP_REASONS[int(code) - 1]
         raise SingularResidualError(f"residual undefined at xi={xi} ({reason} stencil)", reason)
@@ -389,12 +388,7 @@ def bump_basis(
     ]
 
 
-def first_variation(
-    section: GraphSection,
-    bump: ComplexField,
-    grid: AnnulusGrid,
-    t_step: float = 1e-5,
-) -> float:
+def first_variation(section: GraphSection, bump: ComplexField, grid: AnnulusGrid) -> float:
     """Derivative of the area along ``F + t * bump`` at ``t = 0``.
 
     Symmetric differences in ``t`` with one Richardson step. The slopes
@@ -407,12 +401,12 @@ def first_variation(
     """
     sigma, lam, w = _slope_table(section, grid)
     sigma_b, lam_b, _ = _slope_table(GraphSection(bump, section.geometry), grid)
-    ts = np.array([t_step, -t_step, 0.5 * t_step, -0.5 * t_step])[:, None, None]
+    ts = np.array([T_STEP, -T_STEP, 0.5 * T_STEP, -0.5 * T_STEP])[:, None, None]
     a_plus, a_minus, h_plus, h_minus = _area_from_slopes(
         sigma + ts * sigma_b, lam + ts * lam_b, w, grid
     )
-    coarse = (a_plus - a_minus) / (2.0 * t_step)
-    fine = (h_plus - h_minus) / t_step
+    coarse = (a_plus - a_minus) / (2.0 * T_STEP)
+    fine = (h_plus - h_minus) / T_STEP
     return float((4.0 * fine - coarse) / 3.0)
 
 
@@ -523,10 +517,7 @@ def conjugate_section(section: GraphSection) -> GraphSection:
         name=geom.name + "~",
         u=lambda xi: geom.u(xi.conjugate()),
         du=lambda xi: geom.du_at(xi.conjugate()).conjugate(),
-        rotationally_symmetric=geom.rotationally_symmetric,
         u_of_R=geom.u_of_R,
-        du_of_R=geom.du_of_R,
-        ddu_of_R=geom.ddu_of_R,
     )
     return GraphSection(field, refl)
 

@@ -151,14 +151,14 @@ class TorusFamily:
         )
 
 
-def torus_profile(fam: TorusFamily, r_range: tuple[float, float] = (1e-6, 1e6)) -> RotSymProfile:
+def torus_profile(fam: TorusFamily) -> RotSymProfile:
     """The torus congruence as a rotationally symmetric profile (H = 0)."""
     return RotSymProfile(
         geometry=sphere_geometry(),
         H=RadialFunction.constant(0.0),
         psi=fam.psi(),
         branch=fam.branch,
-        domain=r_range,
+        domain=(1e-6, 1e6),
     )
 
 
@@ -217,8 +217,8 @@ def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: flo
     and ``n_r (n_theta - 1)`` quads. CSV: one row per node with direction
     and foot in round-trip decimal form. Returns the number of segments.
     """
-    if half_length <= 0.0:
-        raise DomainError(f"half_length must be positive, got {half_length}")
+    if not 0.0 < half_length < np.inf:
+        raise DomainError(f"half_length must be positive and finite, got {half_length}")
     fmt = fmt.lower()
     if fmt not in ("obj", "csv"):
         raise DomainError(f"unknown export format '{fmt}'")

@@ -125,7 +125,7 @@ class RadialFunction:
         return RadialFunction(lambda r: value, lambda r: 0.0, lambda r: 0.0)
 
 
-def radial_derivative(g: Callable, r, order: int = 1, h: Optional[float] = None):
+def radial_derivative(g: Callable, r, order: int = 1):
     """First or second derivative of ``g`` at radii ``r > 0`` by Richardson-
     extrapolated central differences (elementwise when ``g`` is)."""
     if np.any(r <= 0.0):
@@ -133,8 +133,7 @@ def radial_derivative(g: Callable, r, order: int = 1, h: Optional[float] = None)
     if order not in (1, 2):
         raise DomainError(f"derivative order must be 1 or 2, got {order}")
 
-    if h is None:
-        h = (1e-5 if order == 1 else 1e-4) * np.maximum(1.0, abs(r))
+    h = (1e-5 if order == 1 else 1e-4) * np.maximum(1.0, abs(r))
     h = np.minimum(h, 0.49 * r)  # keep the full stencil at positive radii
 
     def central(step):
@@ -218,7 +217,8 @@ class AnnulusGrid:
 
     ``n_r`` counts radial quadrature cells (4 Gauss points each) and
     ``n_theta`` equally spaced angles. ``exclusion_bands`` is a sequence of
-    ``(center, half_width)`` pairs; no node is placed inside a band.
+    ``(center, half_width)`` pairs, each with a finite centre and a positive
+    finite half-width; no node is placed inside a band.
     """
 
     r_min: float
@@ -233,15 +233,18 @@ class AnnulusGrid:
     theta_nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.r_min <= 0.0:
+        if not self.r_min > 0.0:
             raise DomainError(f"r_min must be positive, got {self.r_min}")
-        if self.r_max <= self.r_min:
-            raise DomainError(f"need r_max > r_min, got [{self.r_min}, {self.r_max}]")
+        if not self.r_min < self.r_max < np.inf:
+            raise DomainError(f"need r_min < r_max < inf, got [{self.r_min}, {self.r_max}]")
         if self.n_r < 2:
             raise DomainError(f"need n_r >= 2, got {self.n_r}")
         if self.n_theta < 4:
             raise DomainError(f"need n_theta >= 4, got {self.n_theta}")
         bands = tuple((float(c), float(h)) for c, h in self.exclusion_bands)
+        if not all(np.isfinite(c) and 0.0 < h < np.inf for c, h in bands):
+            raise DomainError(f"exclusion bands {bands} need finite centres and positive "
+                              "finite half-widths")
         object.__setattr__(self, "exclusion_bands", bands)
 
         segments = _kept_segments(self.r_min, self.r_max, bands)

@@ -127,7 +127,6 @@ def ode_coefficients(
 ) -> OdeCoefficients:
     """Evaluate the coefficient functions of both stationarity ODEs,
     elementwise in the radii ``r``."""
-    geom.require_radial()
     if np.any(r <= 0.0):
         raise DomainError(f"radius must be positive, got {r}")
     H = _as_radial(H)
@@ -280,7 +279,6 @@ def psi_closed_form(
     ``r_range``; the constant ambiguity this introduces is a shift of
     ``b2``. Comparisons with closed forms must be made modulo that shift.
     """
-    geom.require_radial()
     return _psi_with_integral(geom, _as_radial(H), a2, b2, r_range, n_quad)
 
 
@@ -388,16 +386,13 @@ def _closed_family_profiles(
 
 
 def _trim_domain(
-    geom: ConformalGeometry,
-    psi: RadialFunction,
-    r_range: tuple[float, float],
-    n_scan: int = 2001,
+    geom: ConformalGeometry, psi: RadialFunction, r_range: tuple[float, float]
 ) -> tuple[float, float]:
     """Largest subinterval of ``r_range`` with ``Psi >= 0`` and ``1 + R u' != 0``."""
     lo, hi = r_range
     if not 0.0 < lo < hi:
         raise DomainError(f"invalid requested range {r_range}")
-    rs = np.linspace(lo, hi, n_scan)
+    rs = np.linspace(lo, hi, 2001)
     ok = (psi(rs) >= 0.0) & (abs(1.0 + rs * geom.radial_du(rs)) > COEFF_SINGULAR_ATOL)
     # runs of admissible nodes are [starts[i], stops[i]); take the first longest
     flips = np.flatnonzero(np.diff(np.concatenate([[False], ok, [False]])))
@@ -437,34 +432,32 @@ def degenerate_family(
     b2: float,
     branch: int = 1,
     r_range: tuple[float, float] = (0.1, 10.0),
-    n_quad: int = 512,
 ) -> RotSymProfile:
     """Graphs with everywhere-degenerate induced metric, one per profile ``H``.
 
     ``Psi = e^{-2u} (b2 + int (R H' - H)^2 e^{2u} / (2 R (1 + R u')))``;
     the slope determinant then cancels identically, for any differentiable
-    ``H``.
+    ``H``. The integral is a 512-cell cumulative quadrature.
     """
-    geom.require_radial()
     H = _as_radial(H)
-    psi = _psi_with_integral(geom, H, 0.0, b2, r_range, n_quad)
+    psi = _psi_with_integral(geom, H, 0.0, b2, r_range, 512)
     domain = _trim_domain(geom, psi, r_range)
     return RotSymProfile(geometry=geom, H=H, psi=psi, branch=branch, domain=domain)
 
 
-def comfortable_range(profile: RotSymProfile, rel_floor: float = 0.1) -> tuple[float, float]:
+def comfortable_range(profile: RotSymProfile) -> tuple[float, float]:
     """Sub-interval of the profile domain clear of its degenerate edges.
 
     Where ``Psi`` runs into a zero at a domain endpoint the slope fields
     blow up like an inverse square root, which ruins finite-difference
-    residuals; this walks inward to the ``Psi >= rel_floor * max Psi``
+    residuals; this walks inward to the ``Psi >= 0.1 max Psi``
     contour (falling back to a 6 percent trim when that empties the
     interval).
     """
     lo, hi = profile.domain
     rs = np.linspace(lo, hi, 513)
     vals = np.broadcast_to(profile.psi(rs), rs.shape)
-    floor = rel_floor * float(np.max(vals))
+    floor = 0.1 * float(np.max(vals))
     good = np.nonzero(vals >= floor)[0]
     if good.size >= 2:
         new_lo, new_hi = float(rs[good[0]]), float(rs[good[-1]])

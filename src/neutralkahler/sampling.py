@@ -34,6 +34,8 @@ __all__ = [
 MAX_PLANE_DRAWS = 64
 #: bound on the draws behind one profile of ``random_family_profiles``
 MAX_FAMILY_DRAWS = 64
+#: bound on the draws of ``random_holomorphic_section``
+MAX_HOLOMORPHIC_DRAWS = 64
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -82,15 +84,12 @@ def j_invariant_plane(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
 
 
 def random_polynomial_section(
-    rng: np.random.Generator,
-    geometry: ConformalGeometry,
-    degree: int = 3,
-    scale: float = 0.5,
+    rng: np.random.Generator, geometry: ConformalGeometry, scale: float = 0.5
 ) -> GraphSection:
-    """Random smooth section: complex polynomial in ``xi`` and ``xibar``."""
+    """Random smooth section: cubic complex polynomial in ``xi`` and ``xibar``."""
     coeffs = {}
-    for m in range(degree + 1):
-        for n in range(degree + 1 - m):
+    for m in range(4):
+        for n in range(4 - m):
             c = complex(*rng.normal(size=2)) * scale / (1.0 + m + n)
             coeffs[(m, n)] = c
     return polynomial_section(geometry, coeffs)
@@ -100,16 +99,15 @@ def random_holomorphic_section(
     rng: np.random.Generator,
     geometry: ConformalGeometry,
     r_range: tuple[float, float],
-    max_tries: int = 64,
 ) -> GraphSection:
     """Holomorphic section (``F`` a polynomial in ``xi`` only) whose ``lam``
     keeps one sign, at least 0.05 away from zero, over the annulus
-    ``r_range`` (probed on 65 radii x 64 angles)."""
+    ``r_range`` (probed on 65 radii x 64 angles), in ``MAX_HOLOMORPHIC_DRAWS`` draws."""
     lo, hi = r_range
     probes = _polar(
         np.linspace(lo, hi, 65)[:, None], np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     )
-    for _ in range(max_tries):
+    for _ in range(MAX_HOLOMORPHIC_DRAWS):
         c0 = 0.5 + rng.uniform(0.0, 1.5)
         perturb = {
             (k, 0): complex(*rng.normal(size=2)) * 0.05 / k for k in range(2, 5)
@@ -119,17 +117,17 @@ def random_holomorphic_section(
         lam = slopes(section, probes).lam
         if np.all(lam > 0.05) or np.all(lam < -0.05):
             return section
-    raise DomainError("could not draw a sign-definite holomorphic section")
+    raise DomainError(f"no sign-definite holomorphic section in {MAX_HOLOMORPHIC_DRAWS} draws")
 
 
 def random_lagrangian_section(
-    rng: np.random.Generator, geometry: ConformalGeometry, degree: int = 3, scale: float = 0.4
+    rng: np.random.Generator, geometry: ConformalGeometry
 ) -> GraphSection:
-    """Gradient section of a random real potential (``lam = 0`` identically)."""
+    """Gradient section of a random cubic real potential (``lam = 0`` identically)."""
     potential = {}
-    for m in range(1, degree + 1):
+    for m in range(1, 4):
         for n in range(m + 1):
-            c = complex(*rng.normal(size=2)) * scale / (1.0 + m + n)
+            c = complex(*rng.normal(size=2)) * 0.4 / (1.0 + m + n)
             potential[(m, n)] = c
     return lagrangian_section(geometry, potential)
 
@@ -148,12 +146,7 @@ def random_radial_geometry(rng: np.random.Generator) -> ConformalGeometry:
     def d2u(r):
         return (-2.0 * a / s2 + 4.0 * a * r * r / s2**2) * np.exp(-r * r / s2)
 
-    return radial_geometry(
-        f"radial-bump(a={a:.3f},s2={s2:.3f})",
-        RadialFunction(u, du, d2u),
-        RadialFunction(du, d2u),
-        RadialFunction(d2u),
-    )
+    return radial_geometry(f"radial-bump(a={a:.3f},s2={s2:.3f})", RadialFunction(u, du, d2u))
 
 
 def _admissible_family(

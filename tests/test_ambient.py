@@ -126,12 +126,12 @@ class TestSignature:
 
     def test_scaling_preserves_counts(self, sphere):
         fr = ambient_frame(sphere, TangentPoint(0.4 + 0.7j, 2.0 - 1.0j))
-        doubled = AmbientFrame(G4=2.0 * fr.G4, O4=2.0 * fr.O4, J4=fr.J4)
+        doubled = AmbientFrame(G4=2.0 * fr.G4, O4=2.0 * fr.O4)
         assert ambient_signature(doubled) == ambient_signature(fr)
 
     def test_near_zero_eigenvalue_is_an_error(self):
         g = np.diag([1.0, 1.0, -1.0, 0.0])
-        frame = AmbientFrame(G4=g, O4=np.zeros((4, 4)), J4=J4_MATRIX)
+        frame = AmbientFrame(G4=g, O4=np.zeros((4, 4)))
         with pytest.raises(AmbiguousSignatureError) as err:
             ambient_signature(frame)
         assert err.value.eigenvalue == pytest.approx(0.0, abs=1e-12)

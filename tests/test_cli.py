@@ -106,7 +106,23 @@ class TestConfig:
         ["area", "--A2", "1", "--B2", "0.5", "--grid", "16x2"],
         ["area", "--A2", "1", "--B2", "0.5", "--rmin", "2", "--rmax", "1"],
         ["export", "--B2", "1", "--C2", "0", "--half-length", "-1", "--out", "t.obj"],
-    ], ids=["one-radius", "two-angles", "empty-range", "negative-half-length"])
+        ["export", "--B2", "1", "--C2", "5", "--grid", "4x4", "--half-length", "nan",
+         "--out", "t.obj"],
+        ["export", "--B2", "1", "--C2", "5", "--grid", "4x4", "--half-length", "inf",
+         "--out", "t.obj"],
+        ["area", "--A2", "1", "--B2", "0.5", "--rmax", "inf"],
+        ["export", "--B2", "1", "--C2", "5", "--rmax", "inf", "--out", "t.obj"],
+        ["area", "--A2", "1", "--B2", "0.5", "--rmin", "nan"],
+        ["area", "--A2", "1", "--B2", "0.5", "--rmin", "0.5", "--rmax", "2", "--grid", "16x16",
+         "--exclude", "1.0:-0.1"],
+        ["area", "--A2", "1", "--B2", "0.5", "--exclude", "1.0:nan"],
+        ["area", "--A2", "1", "--B2", "0.5", "--exclude", "1.0:0"],
+        ["area", "--A2", "1", "--B2", "0.5", "--exclude", "nan:0.1"],
+        ["verify", "--seed", "-5"],
+    ], ids=["one-radius", "two-angles", "empty-range", "negative-half-length",
+            "nan-half-length", "infinite-half-length", "infinite-rmax", "export-infinite-rmax",
+            "nan-rmin", "negative-band-half-width", "nan-band-half-width",
+            "zero-band-half-width", "nan-band-centre", "negative-seed"])
     def test_bad_grid_range_and_half_length(self, argv, capsys):
         with pytest.raises(ConfigError):
             parse(argv)

@@ -196,6 +196,12 @@ class TestExport:
         with pytest.raises(DomainError):
             export_congruence(section, self.grid16(), 1.0, "stl", tmp_path / "x")
 
+    @pytest.mark.parametrize("half_length", [0.0, np.nan, np.inf])
+    def test_bad_half_length_rejected(self, tmp_path, half_length):
+        section = torus_section(TorusFamily(1.0, 5.0))
+        with pytest.raises(DomainError, match="positive and finite"):
+            export_congruence(section, self.grid16(), half_length, "obj", tmp_path / "x.obj")
+
     def test_non_sphere_section_rejected(self, tmp_path, flat):
         from neutralkahler import polynomial_section
 

@@ -183,10 +183,22 @@ class TestAnnulusGrid:
             AnnulusGrid(0.0, 1.0, 8, 8)
         with pytest.raises(DomainError):
             AnnulusGrid(2.0, 1.0, 8, 8)
+        for r_min, r_max in ((math.nan, 1.0), (0.5, math.nan), (0.5, math.inf)):
+            with pytest.raises(DomainError, match="r_min"):
+                AnnulusGrid(r_min, r_max, 8, 8)
         with pytest.raises(DomainError):
             AnnulusGrid(1.0, 2.0, 1, 8)
         with pytest.raises(DomainError):
             AnnulusGrid(1.0, 2.0, 8, 3)
+
+    @pytest.mark.parametrize("band", [(1.0, -0.1), (1.0, 0.0), (1.0, math.nan),
+                                      (1.0, math.inf), (math.nan, 0.1)])
+    def test_bad_exclusion_band_rejected(self, band):
+        # a negative half-width used to pass and double-count the overlap of
+        # the kept segments (0.5, 1.1) and (0.9, 2.0); a NaN one claimed that
+        # the bands cover the whole range
+        with pytest.raises(DomainError, match="positive finite half-width"):
+            AnnulusGrid(0.5, 2.0, 16, 16, (band,))
 
     def test_every_kept_segment_gets_a_cell(self):
         bands = ((1.0, 0.1), (1.5, 0.1))  # keep [0.5, 0.9], [1.1, 1.4], [1.6, 2.5]

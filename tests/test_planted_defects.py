@@ -2,7 +2,8 @@
 
 Every test patches one plausible defect into the code under test (never into
 the check), runs the verify suite that owns the check at its pinned
-``cli.DEFAULT_TOLERANCES`` value and asserts that the check fails.
+``cli.DEFAULT_TOLERANCES`` value (or the acceptance criterion that owns it, at
+its pinned bound) and asserts that the check fails.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+import test_acceptance
 from neutralkahler import cli, graphs, rotsym
 from neutralkahler.ambient import AmbientFrame, ambient_frame
 from neutralkahler.cli import DEFAULT_TOLERANCES, RunConfig, run
@@ -40,7 +42,7 @@ def plant_frame_defect(monkeypatch, defect):
         frame = ambient_frame(geom, p)
         G4, O4 = frame.G4.copy(), frame.O4.copy()
         defect(G4, O4)
-        return AmbientFrame(G4, O4, frame.J4)
+        return AmbientFrame(G4, O4)
 
     monkeypatch.setattr(graphs, "ambient_frame", wrapped)
     monkeypatch.setattr(cli, "ambient_frame", wrapped)
@@ -189,3 +191,12 @@ def test_area_without_conformal_factor(monkeypatch):
     plant_source_defect(monkeypatch, graphs, "_area_from_slopes", " * w, grid)", ", grid)")
     checks = verify("sphere", "families")
     assert failed(checks, "residual_max", "first_variation_rel") == ["first_variation_rel"]
+
+
+def test_degenerate_family_without_source_term(monkeypatch):
+    # Psi' = 2 a2 R - 2 u' e^{-2u} (b2 + I) + e^{-2u} J with its last term dropped:
+    # Psi's values are untouched, so psi_quadrature cannot see it, but the slope
+    # determinant of the degenerate families no longer cancels (criterion 7)
+    plant_source_defect(monkeypatch, rotsym, "_psi_with_integral", " + v(r) * J(r)")
+    with pytest.raises(AssertionError, match="degenerate defect"):
+        test_acceptance.test_criterion_7_degenerate_families()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from neutralkahler import (
+    ConformalGeometry,
     FamilyParams,
     degenerate_family,
     el_residual,
@@ -375,6 +376,18 @@ class TestCustomGeometry:
     def test_degenerate_family_empty_domain(self, flat):
         with pytest.raises(EmptyDomainError):
             degenerate_family(flat, RadialFunction.constant(0.0), -5.0, 1, (0.5, 2.0))
+
+    def test_geometry_without_radial_profile_rejected(self):
+        tilted = ConformalGeometry("tilted", u=lambda z: 0.1 * z.real)
+        calls = [
+            lambda: ode_coefficients(tilted, H_LINEAR, 1.0),
+            lambda: psi_closed_form(tilted, H_LINEAR, 1.0, 1.0, (0.5, 2.0)),
+            lambda: stationary_family(tilted, FamilyParams(0.0, 0.0, 1.0, 1.0)),
+            lambda: degenerate_family(tilted, H_LINEAR, 1.0, 1, (0.5, 2.0)),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="no rotationally symmetric radial profile"):
+                call()
 
 
 class TestProfileValidation:
