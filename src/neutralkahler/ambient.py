@@ -228,33 +228,76 @@ def ambient_frame(geom: ConformalGeometry, p: TangentPoint) -> AmbientFrame:
     return AmbientFrame(G4=G4, O4=O4)
 
 
+def _plane_extent(v1: np.ndarray, v2: np.ndarray) -> tuple[float, float]:
+    """Largest and smallest singular values ``(s_max, s_min)`` of the 2x4 matrix
+    with rows ``v1`` and ``v2``, in closed form on Python floats.
+
+    Both vectors are first divided by their largest entry, so that neither
+    overflow nor underflow of the squares decides the result. Then
+    ``s_max^2 = (n11 + n22)/2 + hypot((n11 - n22)/2, n12)`` from the Gram
+    entries, and ``s_min = |v1 ^ v2| / s_max`` from the six 2x2 minors; so a
+    small ratio ``s_min / s_max`` keeps its accuracy (the Gram determinant
+    would square it). Raises ``DomainError`` on a non-finite entry.
+    """
+    entries = v1.tolist() + v2.tolist()
+    if not all(map(math.isfinite, entries)):
+        raise DomainError(f"non-finite plane vectors {v1}, {v2}")
+    big = max(map(abs, entries))
+    if big == 0.0:
+        return 0.0, 0.0
+    a0, a1, a2, a3, b0, b1, b2, b3 = (x / big for x in entries)
+    n11 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+    n22 = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
+    n12 = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+    s_max = math.sqrt(0.5 * (n11 + n22) + math.hypot(0.5 * (n11 - n22), n12))
+    wedge = math.hypot(a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+                       a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+    return s_max * big, wedge / s_max * big
+
+
+def _require_one_point(frame: AmbientFrame, caller: str) -> None:
+    if frame.G4.shape != (4, 4) or frame.O4.shape != (4, 4):
+        raise DomainError(f"{caller} takes one point's frame (4x4), "
+                          f"not a stack of shape {frame.G4.shape}")
+
+
 def calibration_gap(frame: AmbientFrame, v1: np.ndarray, v2: np.ndarray) -> float:
-    """The square gap ``Omega(v1,v2)^2 - det G(v_i, v_j)`` of a plane.
+    """The square gap ``Omega(v1,v2)^2 - det G(v_i, v_j)`` of a plane, at one point.
 
     For the neutral metric the gap is non-negative for every plane and
     vanishes exactly on J-invariant (complex) planes, which makes the
-    symplectic area a calibration of the metric area.
+    symplectic area a calibration of the metric area. Raises
+    ``DegeneratePlaneError`` unless ``s_min > 1e-12 s_max`` (see
+    ``_plane_extent``) and ``DomainError`` on a non-finite entry.
     """
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    sv = np.linalg.svd(np.stack([v1, v2]), compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1e-300):
+    _require_one_point(frame, "calibration_gap")
+    V = np.array([v1, v2], dtype=float)
+    if V.shape != (2, 4):
+        raise DomainError(f"calibration_gap takes two 4-vectors, not shape {V.shape}")
+    s_max, s_min = _plane_extent(V[0], V[1])
+    if not (s_min > 1e-12 * s_max):
         raise DegeneratePlaneError("v1, v2 do not span a plane")
-    om = frame.symplectic(v1, v2)
-    g11 = frame.metric(v1, v1)
-    g12 = frame.metric(v1, v2)
-    g22 = frame.metric(v2, v2)
+    (g11, g12), (_, g22) = (V @ frame.G4 @ V.T).tolist()
+    om = (V[0] @ frame.O4 @ V[1]).item()
     return om * om - (g11 * g22 - g12 * g12)
 
 
 def ambient_signature(frame: AmbientFrame) -> tuple[int, int]:
-    """Counts of positive and negative eigenvalues of the metric."""
-    eigs = np.linalg.eigvalsh(frame.G4)
-    scale = max(float(np.max(np.abs(eigs))), 1e-300)
+    """Counts of positive and negative eigenvalues of the metric at one point.
+
+    Raises ``AmbiguousSignatureError`` for an eigenvalue below
+    ``SIGNATURE_RTOL`` of the largest and ``DomainError`` for a non-finite
+    metric entry (``eigvalsh`` reads one triangle and would not see it).
+    """
+    _require_one_point(frame, "ambient_signature")
+    if not all(map(math.isfinite, frame.G4.ravel().tolist())):
+        raise DomainError(f"non-finite metric {frame.G4.tolist()}")
+    eigs = np.linalg.eigvalsh(frame.G4).tolist()
+    floor = SIGNATURE_RTOL * max(max(map(abs, eigs)), 1e-300)
     for lam in eigs:
-        if abs(lam) < SIGNATURE_RTOL * scale:
-            raise AmbiguousSignatureError(float(lam))
-    pos = int(np.sum(eigs > 0.0))
+        if abs(lam) < floor:
+            raise AmbiguousSignatureError(lam)
+    pos = sum(lam > 0.0 for lam in eigs)
     return pos, len(eigs) - pos
 
 

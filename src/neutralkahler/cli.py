@@ -37,7 +37,7 @@ from .ambient import (
     calibration_gap,
     theta_form,
 )
-from .errors import AmbiguousSignatureError, ConfigError, NeutralKahlerError
+from .errors import AmbiguousSignatureError, ConfigError, DomainError, NeutralKahlerError
 from .graphs import (
     _SKIP_REASONS,
     GraphSection,
@@ -259,39 +259,53 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
     n = config.samples
 
     def draw_frames(draw, count):
-        """``count`` draws of a tangent point, each followed by ``draw(rng)``. The
-        frames come from one ``ambient_frame`` call on all the points and are then
-        taken one per point, for the kernels that stay per point."""
+        """``count`` draws of a tangent point, each followed by ``draw(rng)``: the
+        points, and pairs of frame and draw. The frames come from one
+        ``ambient_frame`` call on all the points and are then taken one per
+        point, for the kernels that stay per point."""
         drawn = [(random_tangent_coords(rng), draw(rng)) for _ in range(count)]
         xi, eta = np.array([point for point, _ in drawn]).T
         stack = ambient_frame(geom, TangentPoint(xi, eta))
-        return [(AmbientFrame(g, o), extra)
-                for g, o, (_, extra) in zip(stack.G4, stack.O4, drawn)]
+        return (xi, eta), [(AmbientFrame(g, o), extra)
+                           for g, o, (_, extra) in zip(stack.G4, stack.O4, drawn)]
 
-    worst_gap = min(calibration_gap(frame, v1, v2)
-                    for frame, (v1, v2) in draw_frames(random_plane, n))
-    report.check("calibration_floor", -worst_gap, config.tolerance("calibration_floor"))
+    def worst(values, points):
+        """The largest of ``values`` (a NaN wins, so it fails the check) and the
+        ``xi``, ``eta`` of its point."""
+        k = np.argmax(values)
+        return values[k], {name: [c[k].real.item(), c[k].imag.item()]
+                           for name, c in zip(("xi", "eta"), points)}
 
-    worst_j = max(abs(calibration_gap(frame, v1, v2))
-                  for frame, (v1, v2) in draw_frames(j_invariant_plane, max(n // 10, 10)))
-    report.check("jplane_gap", worst_j, config.tolerance("jplane_gap"))
+    points, frames = draw_frames(random_plane, n)
+    gaps = np.array([calibration_gap(frame, v1, v2) for frame, (v1, v2) in frames])
+    value, at = worst(-gaps, points)
+    report.check("calibration_floor", value, config.tolerance("calibration_floor"),
+                 evaluated=gaps.size, worst_at=at)
+
+    points, frames = draw_frames(j_invariant_plane, max(n // 10, 10))
+    gaps = np.abs([calibration_gap(frame, v1, v2) for frame, (v1, v2) in frames])
+    value, at = worst(gaps, points)
+    report.check("jplane_gap", value, config.tolerance("jplane_gap"),
+                 evaluated=gaps.size, worst_at=at)
 
     sig_bad = 0
-    worst_compat = 0.0
-    for frame, (a, b) in draw_frames(lambda rng: (rng.normal(size=4), rng.normal(size=4)), n):
+    compat = []
+    points, frames = draw_frames(lambda rng: (rng.normal(size=4), rng.normal(size=4)), n)
+    for frame, (a, b) in frames:
+        # a singular or non-finite metric has no signature
         try:
             sig_bad += ambient_signature(frame) != (2, 2)
-        except AmbiguousSignatureError:  # a singular metric has no signature
+        except (AmbiguousSignatureError, DomainError):
             sig_bad += 1
         scale = max(1.0, float(np.max(np.abs(frame.G4))))
         ja, jb = frame.J4 @ a, frame.J4 @ b
-        worst_compat = max(
-            worst_compat,
-            abs(frame.metric(ja, jb) - frame.metric(a, b)) / scale,
-            abs(frame.metric(a, b) - frame.symplectic(ja, b)) / scale,
-        )
-    report.check("signature_defects", float(sig_bad), 0.0, passed=(sig_bad == 0))
-    report.check("compatibility", worst_compat, config.tolerance("compatibility"))
+        compat.append((abs(frame.metric(ja, jb) - frame.metric(a, b)) / scale,
+                       abs(frame.metric(a, b) - frame.symplectic(ja, b)) / scale))
+    report.check("signature_defects", float(sig_bad), 0.0, passed=(sig_bad == 0),
+                 evaluated=len(frames))
+    value, at = worst(np.max(compat, axis=1), points)
+    report.check("compatibility", value, config.tolerance("compatibility"),
+                 evaluated=len(frames), worst_at=at)
 
     # d(Omega) and d(Theta) by central differences: the centre and its 8 shifts
     # along the coordinates (x, y, p, q), all in one evaluation
@@ -306,8 +320,10 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
     a_, b_, c_ = np.array(list(itertools.combinations(range(4), 3))).T
     cyc = grads_o[:, a_, b_, c_] + grads_o[:, b_, c_, a_] + grads_o[:, c_, a_, b_]
     exact = grads_t - grads_t.swapaxes(1, 2) - omega[:, 0]
-    report.check("closedness", np.max(np.abs(cyc)), config.tolerance("closedness"))
-    report.check("exactness", np.max(np.abs(exact)), config.tolerance("exactness"))
+    report.check("closedness", np.max(np.abs(cyc)), config.tolerance("closedness"),
+                 evaluated=len(c0))
+    report.check("exactness", np.max(np.abs(exact)), config.tolerance("exactness"),
+                 evaluated=len(c0))
 
 
 def _suite_graphs(config: RunConfig, report: Report) -> None:

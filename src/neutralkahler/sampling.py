@@ -10,7 +10,14 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .ambient import ConformalGeometry, J4_MATRIX, flat_geometry, radial_geometry, sphere_geometry
+from .ambient import (
+    ConformalGeometry,
+    J4_MATRIX,
+    _plane_extent,
+    flat_geometry,
+    radial_geometry,
+    sphere_geometry,
+)
 from .errors import DomainError, NeutralKahlerError
 from .graphs import GraphSection, lagrangian_section, polynomial_section, slopes
 from .numerics import RadialFunction, _polar
@@ -59,16 +66,17 @@ def random_tangent_coords(
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))  # np.linalg.norm computes the same, with more overhead
 
 
 def random_plane(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent unit 4-vectors."""
+    """Two unit 4-vectors, redrawn until the pair's singular values satisfy
+    ``s_min > 1e-3 s_max``."""
     for _ in range(MAX_PLANE_DRAWS):
         v1 = rng.normal(size=4)
         v2 = rng.normal(size=4)
-        sv = np.linalg.svd(np.stack([v1, v2]), compute_uv=False)
-        if sv[-1] > 1e-3 * sv[0]:
+        s_max, s_min = _plane_extent(v1, v2)
+        if s_min > 1e-3 * s_max:
             return _unit(v1), _unit(v2)
     raise DomainError(f"no independent pair of 4-vectors in {MAX_PLANE_DRAWS} draws")
 

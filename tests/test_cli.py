@@ -317,6 +317,21 @@ class TestRun:
             assert isinstance(at["R"], float) and 0.0 < at["R"] < 1.0
             assert len(at["params"]) == 4
 
+    def test_ambient_checks_show_coverage(self):
+        _, report = run(RunConfig(task="verify", geometry="sphere", suite="ambient",
+                                  samples=100, seed=0, report="amb.json"))
+        checks = {c["name"]: c for c in report["checks"]}
+        # 100 random planes, 10 complex planes, 100 frames, 5 stencil centres
+        expected = {"calibration_floor": 100, "jplane_gap": 10, "compatibility": 100,
+                    "signature_defects": 100, "closedness": 5, "exactness": 5}
+        assert {name: checks[name]["evaluated"] for name in expected} == expected
+        for name in ("calibration_floor", "jplane_gap", "compatibility"):
+            at = checks[name]["worst_at"]
+            assert set(at) == {"xi", "eta"}
+            assert all(isinstance(c, float) for c in at["xi"] + at["eta"])
+        for name in ("signature_defects", "closedness", "exactness"):
+            assert "worst_at" not in checks[name]
+
     def test_residual_worst_cases_are_located(self):
         _, report = run(RunConfig(
             task="residual", geometry="sphere", b2=1.0, c2=5.0, rmin=0.3, rmax=2.5,

@@ -167,6 +167,21 @@ def test_singular_metric_counts_as_signature_defect(monkeypatch, tmp_path):
     assert checks["signature_defects"]["value"] == 100
 
 
+@pytest.mark.parametrize("geometry", ["flat", "sphere"])
+def test_one_nan_frame_entry(monkeypatch, geometry):
+    # G4[0, 0] of the last point of every stack is NaN: the worst value of each
+    # sweep must keep that NaN, not drop it as Python's min and max would
+    def nan_at_last_point(G4, O4):
+        G4[(-1,) * (G4.ndim - 2) + (0, 0)] = np.nan
+
+    plant_frame_defect(monkeypatch, nan_at_last_point)
+    checks = verify(geometry, "ambient")
+    assert failed(checks, *checks) == [
+        "calibration_floor", "jplane_gap", "signature_defects", "compatibility"]
+    assert np.isnan(checks["calibration_floor"]["value"])
+    assert checks["signature_defects"]["value"] == 1
+
+
 def test_rho_without_conformal_term(monkeypatch):
     # rho = d F + 2 F du with the 2 F du term dropped; du = 0 on the flat geometry
     plant_source_defect(monkeypatch, graphs, "slopes",
