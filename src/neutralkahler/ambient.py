@@ -180,17 +180,20 @@ class TangentPoint:
 @dataclass(frozen=True)
 class AmbientFrame:
     """G and Omega as real 4x4 matrices, stacked ``(..., 4, 4)`` over an array of
-    points (``metric``/``symplectic`` take one point); J is the same at every
-    point, the class attribute ``J4`` (:data:`J4_MATRIX`)."""
+    points; J is the same at every point, the class attribute ``J4``
+    (:data:`J4_MATRIX`). ``metric`` and ``symplectic`` take one point's frame
+    and raise ``DomainError`` on a stack."""
 
     G4: np.ndarray
     O4: np.ndarray
     J4: ClassVar[np.ndarray] = J4_MATRIX
 
     def metric(self, a: np.ndarray, b: np.ndarray) -> float:
+        _require_one_point(self, "AmbientFrame.metric")
         return float(a @ self.G4 @ b)
 
     def symplectic(self, a: np.ndarray, b: np.ndarray) -> float:
+        _require_one_point(self, "AmbientFrame.symplectic")
         return float(a @ self.O4 @ b)
 
 

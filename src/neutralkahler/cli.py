@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import datetime
 import itertools
 import json
@@ -24,7 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -71,9 +72,6 @@ from .sampling import (
     rng_from_seed,
 )
 
-TASKS = ("verify", "residual", "area", "variation", "classify", "export")
-_FORMATS = ("obj", "csv")
-
 #: default check tolerances; every report entry cites one of these or an override
 DEFAULT_TOLERANCES = {
     "calibration_floor": 1e-10,
@@ -88,70 +86,6 @@ DEFAULT_TOLERANCES = {
     "ode_residual": 1e-6,
     "psi_quadrature": 1e-6,
 }
-
-
-@dataclass
-class RunConfig:
-    """Resolved options of one CLI invocation."""
-
-    task: str
-    geometry: Optional[str] = None  # "sphere" with the --C2 shorthand, else "flat"
-    suite: str = "all"
-    samples: int = 500
-    seed: int = 0
-    a1: float = 0.0
-    b1: float = 0.0
-    a2: Optional[float] = None
-    b2: Optional[float] = None
-    c2: Optional[float] = None
-    branch: int = 1
-    rmin: float = 0.5
-    rmax: float = 2.5
-    grid_r: int = 32
-    grid_theta: int = 32
-    exclude: tuple[tuple[float, float], ...] = ()
-    half_length: float = 3.0
-    fmt: str = "obj"
-    out: Optional[str] = None
-    report: Optional[str] = None
-    tol: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ConfigError(f"unknown task '{self.task}'")
-        if self.geometry is None:
-            self.geometry = "sphere" if self.c2 is not None else "flat"
-        if self.geometry not in ("flat", "sphere"):
-            raise ConfigError(f"unknown geometry '{self.geometry}'")
-        if self.c2 is not None and self.geometry != "sphere":
-            raise ConfigError("the --B2/--C2 torus shorthand lives over the round sphere")
-        if self.task == "export" and self.geometry != "sphere":
-            raise ConfigError("line congruences exist over the round sphere only")
-        if self.suite not in _SUITES:
-            raise ConfigError(f"unknown verify suite '{self.suite}'")
-        if self.branch not in (1, -1):
-            raise ConfigError(f"branch must be +1 or -1, got {self.branch}")
-        if self.fmt not in _FORMATS:
-            raise ConfigError(f"unknown export format '{self.fmt}'")
-        if self.samples <= 0:
-            raise ConfigError("samples must be positive")
-        if self.grid_r < 2 or self.grid_theta < 4:
-            raise ConfigError(f"grid needs >= 2x4 nodes, got {self.grid_r}x{self.grid_theta}")
-        if not 0.0 < self.rmin < self.rmax < np.inf:
-            raise ConfigError(f"need 0 < rmin < rmax < inf, got rmin={self.rmin}, rmax={self.rmax}")
-        if not all(np.isfinite(c) and 0.0 < h < np.inf for c, h in self.exclude):
-            raise ConfigError(f"exclusion bands {list(self.exclude)} need finite centres and "
-                              "positive finite half-widths")
-        if not 0.0 < self.half_length < np.inf:
-            raise ConfigError(f"half-length must be positive and finite, got {self.half_length}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        unknown = set(self.tol) - set(DEFAULT_TOLERANCES)
-        if unknown:
-            raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
-
-    def tolerance(self, name: str) -> float:
-        return float(self.tol.get(name, DEFAULT_TOLERANCES[name]))
 
 
 def _output_path(path: str) -> Path:
@@ -260,31 +194,24 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
 
     def draw_frames(draw, count):
         """``count`` draws of a tangent point, each followed by ``draw(rng)``: the
-        points, and pairs of frame and draw. The frames come from one
-        ``ambient_frame`` call on all the points and are then taken one per
-        point, for the kernels that stay per point."""
+        points' ``xi`` and ``eta`` as ``[re, im]`` rows, and pairs of frame and
+        draw. The frames come from one ``ambient_frame`` call on all the points
+        and are then taken one per point, for the kernels that stay per point."""
         drawn = [(random_tangent_coords(rng), draw(rng)) for _ in range(count)]
         xi, eta = np.array([point for point, _ in drawn]).T
         stack = ambient_frame(geom, TangentPoint(xi, eta))
-        return (xi, eta), [(AmbientFrame(g, o), extra)
-                           for g, o, (_, extra) in zip(stack.G4, stack.O4, drawn)]
-
-    def worst(values, points):
-        """The largest of ``values`` (a NaN wins, so it fails the check) and the
-        ``xi``, ``eta`` of its point."""
-        k = np.argmax(values)
-        return values[k], {name: [c[k].real.item(), c[k].imag.item()]
-                           for name, c in zip(("xi", "eta"), points)}
+        return (np.c_[xi.real, xi.imag], np.c_[eta.real, eta.imag]), [
+            (AmbientFrame(g, o), extra) for g, o, (_, extra) in zip(stack.G4, stack.O4, drawn)]
 
     points, frames = draw_frames(random_plane, n)
     gaps = np.array([calibration_gap(frame, v1, v2) for frame, (v1, v2) in frames])
-    value, at = worst(-gaps, points)
+    value, at = _worst_over_profiles([(-gaps, None, *points)], "xi", "eta")
     report.check("calibration_floor", value, config.tolerance("calibration_floor"),
                  evaluated=gaps.size, worst_at=at)
 
     points, frames = draw_frames(j_invariant_plane, max(n // 10, 10))
     gaps = np.abs([calibration_gap(frame, v1, v2) for frame, (v1, v2) in frames])
-    value, at = worst(gaps, points)
+    value, at = _worst_over_profiles([(gaps, None, *points)], "xi", "eta")
     report.check("jplane_gap", value, config.tolerance("jplane_gap"),
                  evaluated=gaps.size, worst_at=at)
 
@@ -303,7 +230,7 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
                        abs(frame.metric(a, b) - frame.symplectic(ja, b)) / scale))
     report.check("signature_defects", float(sig_bad), 0.0, passed=(sig_bad == 0),
                  evaluated=len(frames))
-    value, at = worst(np.max(compat, axis=1), points)
+    value, at = _worst_over_profiles([(np.max(compat, axis=1), None, *points)], "xi", "eta")
     report.check("compatibility", value, config.tolerance("compatibility"),
                  evaluated=len(frames), worst_at=at)
 
@@ -340,34 +267,40 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
         keep = ~(np.abs(sl.det_factor) < 1e-3 * (sl.lam**2 + np.abs(sl.sigma) ** 2 + 1e-6))
         d1 = (sl.det_factor * geom.conformal_factor(xi) ** 2)[keep]
         d2 = pullback_determinant(section, xi[keep])
-        rel.extend(np.abs(d1 - d2) / np.maximum(np.abs(d1), 1e-12))
-        at.extend(xi[keep])
-    value, xi = max(zip(rel, at), key=lambda entry: entry[0], default=(0.0, None))
-    report.check("det_oracle", value, config.tolerance("det_oracle"), evaluated=len(rel),
-                 worst_at=None if xi is None else {"xi": [float(xi.real), float(xi.imag)]})
+        rel.append(np.abs(d1 - d2) / np.maximum(np.abs(d1), 1e-12))
+        at.append(xi[keep])
+    rel, at = np.concatenate(rel), np.concatenate(at)
+    value, worst_at = 0.0, None
+    if rel.size:
+        value, worst_at = _worst_over_profiles([(rel, None, np.c_[at.real, at.imag])], "xi")
+    report.check("det_oracle", value, config.tolerance("det_oracle"), evaluated=rel.size,
+                 worst_at=worst_at)
 
-    stokes = []
+    stokes, r_ranges, kinds = [], [], []
     for k in range(max(n_sections // 5, 3)):
         grid = AnnulusGrid(0.6 + 0.1 * (k % 3), 1.8 + 0.1 * (k % 4), 24, 32)
         poly = random_polynomial_section(rng, geom, scale=0.3)
         lag = random_lagrangian_section(rng, geom)
         for kind, section in (("polynomial", poly), ("lagrangian", lag)):
             interior, boundary = stokes_check(section, grid)
-            stokes.append((abs(interior - boundary) / (1.0 + abs(interior)), grid, kind))
-    value, grid, kind = max(stokes, key=lambda entry: entry[0])
-    report.check("stokes", value, config.tolerance("stokes"),
-                 worst_at={"r_range": [grid.r_min, grid.r_max], "section": kind})
+            stokes.append(abs(interior - boundary) / (1.0 + abs(interior)))
+            r_ranges.append([grid.r_min, grid.r_max])
+            kinds.append(kind)
+    value, worst_at = _worst_over_profiles(
+        [(np.array(stokes), None, np.array(r_ranges), np.array(kinds))], "r_range", "section")
+    report.check("stokes", value, config.tolerance("stokes"), evaluated=len(stokes),
+                 worst_at=worst_at)
 
 
 def _worst_over_profiles(sweeps: list, *names: str) -> tuple[float, dict]:
     """Largest value of equal-length per-profile ``(values, params, *coordinates)``
-    sweeps, and where it lies: the coordinates there, keyed by ``names``, and the
-    family parameters unless ``params`` is None; a NaN value wins, so it fails
-    the check."""
+    sweeps, and where it lies: the coordinates there, keyed by ``names`` (a row
+    of a 2-D coordinate array as a list), and the family parameters unless
+    ``params`` is None; a NaN value wins, so it fails the check."""
     values = np.stack([v for v, *_ in sweeps])
     k, j = np.unravel_index(np.argmax(values), values.shape)
     _, p, *coords = sweeps[k]
-    at = {name: c[j].item() for name, c in zip(names, coords)}
+    at = {name: c[j].tolist() for name, c in zip(names, coords)}
     if p is not None:
         at["params"] = [p.a1, p.b1, p.a2, p.b2]
     return float(values[k, j]), at
@@ -435,7 +368,7 @@ def _suite_families(config: RunConfig, report: Report) -> None:
                  evaluated=evaluated, worst_at=worst_at if evaluated else None)
     worst_fv, worst_at = _worst_over_profiles(variations, "bump")
     report.check("first_variation_rel", worst_fv, config.tolerance("first_variation_rel"),
-                 worst_at=worst_at)
+                 evaluated=sum(rel.size for rel, *_ in variations), worst_at=worst_at)
 
 
 _SUITES = {
@@ -487,7 +420,7 @@ def _run_variation(config: RunConfig, report: Report) -> None:
     report.values["area"], rel = _variation_sweep(section, grid, bump_basis(grid.r_min, grid.r_max))
     worst, worst_at = _worst_over_profiles([(rel, None, np.arange(rel.size))], "bump")
     report.check("first_variation_rel", worst, config.tolerance("first_variation_rel"),
-                 worst_at=worst_at)
+                 evaluated=rel.size, worst_at=worst_at)
 
 
 def _run_classify(config: RunConfig, report: Report) -> None:
@@ -522,64 +455,212 @@ def _run_export(config: RunConfig, report: Report) -> None:
     report.artifacts.append(str(path))
 
 
+#: each task's runner and help text, in ``--help`` order
+TASKS = {
+    "verify": (_run_verify, "run a seeded verification suite"),
+    "residual": (_run_residual, "stationarity residual sweep over a family section"),
+    "area": (_run_area, "area of a family section over an annulus"),
+    "variation": (_run_variation, "first-variation sweep over the bump basis"),
+    "classify": (_run_classify, "classification map of a family section"),
+    "export": (_run_export, "export a line congruence mesh"),
+}
+#: the tasks that build a family section
+_FAMILY_TASKS = tuple(task for task in TASKS if task != "verify")
+
+
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one task; returns (exit_code, report_dict) and writes the report."""
     report = Report(config)
-    runners = {
-        "verify": _run_verify,
-        "residual": _run_residual,
-        "area": _run_area,
-        "variation": _run_variation,
-        "classify": _run_classify,
-        "export": _run_export,
-    }
-    runners[config.task](config, report)
+    runner, _ = TASKS[config.task]
+    runner(config, report)
     report_path = _output_path(config.report or f"{config.task}_report.json")
     report.write(report_path)
     return (0 if report.all_passed() else 1), report.as_dict()
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# options
 # ---------------------------------------------------------------------------
 
 
-def _parse_exclude(values: list[str]) -> tuple[tuple[float, float], ...]:
-    bands = []
-    for v in values:
+@dataclass(frozen=True)
+class _Option:
+    """One ``nklab`` option, declared on the ``RunConfig`` field it sets (see
+    ``_option``): its flag; ``parse``, which reads one string value and raises
+    ``ValueError`` on a bad one; the ``choices`` or the ``rule`` (a predicate
+    and what it asks) that the value meets; its help text; and the tasks that
+    take it, every task if None. A repeatable option collects its values with
+    ``repeat`` (``tuple`` or ``dict``); a config file gives them separated by
+    whitespace. ``fields`` names the fields it sets: its own, or the pair of
+    the grid."""
+
+    flag: str
+    parse: Callable[[str], Any] = str
+    tasks: Optional[tuple[str, ...]] = None
+    choices: Optional[tuple] = None
+    rule: Optional[tuple[Callable[[Any], bool], str]] = None
+    help: Optional[str] = None
+    repeat: Optional[type] = None
+    fields: tuple[str, ...] = ()
+
+    @property
+    def dest(self) -> str:
+        """The flag without its dashes, in lower case: the argparse destination."""
+        return self.flag[2:].lower()
+
+    @property
+    def keys(self) -> set[str]:
+        """Its config-file keys: spelled like the flag, or like the field it sets."""
+        return {self.dest, *self.fields} if len(self.fields) == 1 else {self.dest}
+
+    def read(self, raw) -> dict:
+        """The field values of one string, or of a list of strings if repeatable;
+        a bad string raises ``ConfigError`` naming the option."""
+        value = self.repeat(map(self._parse, raw)) if self.repeat else self._parse(raw)
+        return dict(zip(self.fields, value if len(self.fields) > 1 else (value,)))
+
+    def _parse(self, text: str):
         try:
-            center, _, width = v.partition(":")
-            bands.append(
-                (float(center), float(width) if width else DEFAULT_BAND_HALF_WIDTH)
-            )
+            return self.parse(text)
         except ValueError as exc:
-            raise ConfigError(f"bad exclusion band '{v}' (use CENTER:HALFWIDTH)") from exc
-    return tuple(bands)
+            raise ConfigError(f"bad {self.flag} value '{text}': {exc}") from exc
+
+    def check(self, config: RunConfig) -> None:
+        """Raise ``ConfigError`` unless the value in ``config`` is unset (None) or
+        meets the choices and the rule."""
+        value = tuple(getattr(config, name) for name in self.fields)
+        value = value if len(value) > 1 else value[0]
+        if value is None:
+            return
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(f"{self.flag} must be one of {self.choices}, got {value!r}")
+        if self.rule is not None and not self.rule[0](value):
+            raise ConfigError(f"{self.flag} {self.rule[1]}, got {value!r}")
 
 
-def _parse_tols(values: list[str]) -> dict:
-    out = {}
-    for v in values:
-        name, sep, val = v.partition("=")
-        if not sep:
-            raise ConfigError(f"bad tolerance override '{v}' (use NAME=VALUE)")
-        try:
-            out[name] = float(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad tolerance value in '{v}'") from exc
-    return out
+def _option(flag: str, default: Any, parse: Callable[[str], Any] = str, **spec) -> Any:
+    """A ``RunConfig`` field with ``default`` (``dict`` for a fresh empty dict),
+    set by the option ``flag``; ``spec`` as in ``_Option``."""
+    meta = {"option": _Option(flag, parse, **spec)}
+    if default is dict:
+        return field(default_factory=dict, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
-def _load_config_file(path: str) -> dict:
+def _parse_grid(text: str) -> tuple[int, int]:
+    """``NxM``: radial by angular nodes."""
+    radial, sep, angular = text.lower().partition("x")
+    if not sep:
+        raise ValueError("use NxM")
+    return int(radial), int(angular)
+
+
+def _parse_band(text: str) -> tuple[float, float]:
+    """``CENTER[:HALFWIDTH]``, the half-width ``DEFAULT_BAND_HALF_WIDTH`` if omitted."""
+    center, _, width = text.partition(":")
+    return float(center), float(width) if width else DEFAULT_BAND_HALF_WIDTH
+
+
+def _parse_tol(text: str) -> tuple[str, float]:
+    """``NAME=VALUE``."""
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError("use NAME=VALUE")
+    return name, float(value)
+
+
+@dataclass
+class RunConfig:
+    """Resolved options of one CLI invocation. Each field but ``task`` and
+    ``grid_theta`` declares the option that sets it; this is the option table
+    that the subcommands and the config-file reader are built from."""
+
+    task: str
+    # "sphere" with the --C2 shorthand, else "flat"
+    geometry: Optional[str] = _option("--geometry", None, choices=("flat", "sphere"))
+    suite: str = _option("--suite", "all", choices=tuple(_SUITES), tasks=("verify",))
+    samples: int = _option("--samples", 500, int, tasks=("verify",),
+                           rule=(lambda n: n > 0, "must be positive"))
+    seed: int = _option("--seed", 0, int, rule=(lambda s: s >= 0, "must be non-negative"))
+    a1: float = _option("--A1", 0.0, float, tasks=_FAMILY_TASKS)
+    b1: float = _option("--B1", 0.0, float, tasks=_FAMILY_TASKS)
+    a2: Optional[float] = _option("--A2", None, float, tasks=_FAMILY_TASKS)
+    b2: Optional[float] = _option("--B2", None, float, tasks=_FAMILY_TASKS)
+    c2: Optional[float] = _option("--C2", None, float, tasks=_FAMILY_TASKS,
+                                  help="sphere torus shorthand (with --B2)")
+    branch: int = _option("--branch", 1, int, choices=(1, -1), tasks=_FAMILY_TASKS)
+    rmin: float = _option("--rmin", 0.5, float)
+    rmax: float = _option("--rmax", 2.5, float)
+    grid_r: int = _option("--grid", 32, _parse_grid, fields=("grid_r", "grid_theta"),
+                          rule=(lambda g: g[0] >= 2 and g[1] >= 4, "needs >= 2x4 nodes"),
+                          help="radial x angular resolution, e.g. 64x64")
+    grid_theta: int = 32  # set by --grid, with grid_r
+    exclude: tuple[tuple[float, float], ...] = _option(
+        "--exclude", (), _parse_band, repeat=tuple,
+        rule=(lambda bands: all(np.isfinite(c) and 0.0 < h < np.inf for c, h in bands),
+              "needs finite centres and positive finite half-widths"),
+        help="radial exclusion band CENTER:HALFWIDTH (repeatable)")
+    half_length: float = _option("--half-length", 3.0, float, tasks=("export",),
+                                 rule=(lambda h: 0.0 < h < np.inf, "must be positive and finite"))
+    fmt: str = _option("--format", "obj", choices=("obj", "csv"), tasks=("export",))
+    out: Optional[str] = _option("--out", None, help="artifact path (CSV/OBJ)")
+    report: Optional[str] = _option("--report", None, help="JSON report path")
+    tol: dict = _option("--tol", dict, _parse_tol, repeat=dict,
+                        rule=(lambda tol: set(tol) <= set(DEFAULT_TOLERANCES),
+                              f"takes only the checks {sorted(DEFAULT_TOLERANCES)}"),
+                        help="tolerance override NAME=VALUE (repeatable)")
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise ConfigError(f"unknown task '{self.task}'")
+        for option in _OPTIONS:
+            option.check(self)
+        # the rules that join fields
+        if self.geometry is None:
+            self.geometry = "sphere" if self.c2 is not None else "flat"
+        if self.c2 is not None and self.geometry != "sphere":
+            raise ConfigError("the --B2/--C2 torus shorthand lives over the round sphere")
+        if self.task == "export" and self.geometry != "sphere":
+            raise ConfigError("line congruences exist over the round sphere only")
+        if not 0.0 < self.rmin < self.rmax < np.inf:
+            raise ConfigError(f"need 0 < rmin < rmax < inf, got rmin={self.rmin}, rmax={self.rmax}")
+
+    def tolerance(self, name: str) -> float:
+        return float(self.tol.get(name, DEFAULT_TOLERANCES[name]))
+
+
+#: every option, in field order, bound to the field(s) it sets
+_OPTIONS = tuple(
+    dataclasses.replace(f.metadata["option"], fields=f.metadata["option"].fields or (f.name,))
+    for f in dataclasses.fields(RunConfig) if "option" in f.metadata
+)
+
+
+def _task_options(task: str) -> dict[str, _Option]:
+    """The options ``task`` takes, by argparse destination."""
+    return {opt.dest: opt for opt in _OPTIONS if opt.tasks is None or task in opt.tasks}
+
+
+def _load_config_file(path: str, options: dict[str, _Option]) -> dict:
+    """The file's values by option destination: its sections, then its
+    defaults, flattened (later ones win), the value of a repeatable option
+    split at whitespace. A key that no option in ``options`` spells is an error."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file '{path}'")
-    flat: dict[str, str] = {}
-    for section in parser.sections():
-        flat.update(dict(parser[section]))
-    flat.update(dict(parser.defaults()))
-    return flat
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file '{path}'")
+        flat: dict[str, str] = {}
+        for section in parser.sections():
+            flat.update(parser[section])
+        flat.update(parser.defaults())
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file '{path}': {exc}") from exc
+    dest_of = {key: dest for dest, opt in options.items() for key in opt.keys}
+    unknown = sorted(set(flat) - set(dest_of))
+    if unknown:
+        raise ConfigError(f"config file '{path}' sets {unknown}, which the task does not take")
+    return {dest_of[key]: raw.split() if options[dest_of[key]].repeat else raw
+            for key, raw in flat.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -590,121 +671,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nklab {__version__}")
     sub = parser.add_subparsers(dest="task")
-
-    def add_common(p):
+    for task, (_, help_) in TASKS.items():
+        p = sub.add_parser(task, help=help_)
         p.add_argument("--config", help="key=value configuration file; flags override it")
-        p.add_argument("--geometry", choices=("flat", "sphere"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--grid", help="radial x angular resolution, e.g. 64x64")
-        p.add_argument("--rmin", type=float)
-        p.add_argument("--rmax", type=float)
-        p.add_argument("--exclude", action="append", default=None,
-                       help="radial exclusion band CENTER:HALFWIDTH (repeatable)")
-        p.add_argument("--tol", action="append", default=None,
-                       help="tolerance override NAME=VALUE (repeatable)")
-        p.add_argument("--report", help="JSON report path")
-        p.add_argument("--out", help="artifact path (CSV/OBJ)")
-
-    def add_family(p):
-        p.add_argument("--A1", dest="a1", type=float)
-        p.add_argument("--B1", dest="b1", type=float)
-        p.add_argument("--A2", dest="a2", type=float)
-        p.add_argument("--B2", dest="b2", type=float)
-        p.add_argument("--C2", dest="c2", type=float,
-                       help="sphere torus shorthand (with --B2)")
-        p.add_argument("--branch", type=int, choices=(1, -1))
-
-    p_verify = sub.add_parser("verify", help="run a seeded verification suite")
-    add_common(p_verify)
-    p_verify.add_argument("--suite", choices=tuple(_SUITES))
-    p_verify.add_argument("--samples", type=int)
-
-    for name, help_ in (
-        ("residual", "stationarity residual sweep over a family section"),
-        ("area", "area of a family section over an annulus"),
-        ("variation", "first-variation sweep over the bump basis"),
-        ("classify", "classification map of a family section"),
-    ):
-        p = sub.add_parser(name, help=help_)
-        add_common(p)
-        add_family(p)
-
-    p_export = sub.add_parser("export", help="export a line congruence mesh")
-    add_common(p_export)
-    add_family(p_export)
-    p_export.add_argument("--half-length", dest="half_length", type=float)
-    p_export.add_argument("--format", dest="fmt", choices=_FORMATS)
-
+        for dest, opt in _task_options(task).items():
+            # values stay strings here: config_from_args parses them like a file's
+            p.add_argument(opt.flag, dest=dest, action="append" if opt.repeat else None,
+                           metavar=opt.choices and "{" + ",".join(map(str, opt.choices)) + "}",
+                           help=opt.help)
     return parser
 
 
-_CONFIG_CASTS = {
-    "samples": int,
-    "seed": int,
-    "branch": int,
-    "a1": float, "b1": float, "a2": float, "b2": float, "c2": float,
-    "rmin": float, "rmax": float, "half_length": float,
-    "grid_r": int, "grid_theta": int,
-}
-
-
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """The task's options from the config file, overridden by the flags given,
+    every value read by its option's parser."""
     if not args.task:
         raise ConfigError("no task given; see --help")
+    options = _task_options(args.task)
+    raw = _load_config_file(args.config, options) if args.config else {}
+    raw.update((dest, getattr(args, dest)) for dest in options if getattr(args, dest) is not None)
     values: dict = {}
-    if getattr(args, "config", None):
-        for key, raw in _load_config_file(args.config).items():
-            key = key.replace("-", "_")
-            if key == "format":  # the file spelling of --format
-                key = "fmt"
-            if key == "grid":
-                values["grid"] = raw
-            elif key == "exclude":
-                values["exclude"] = _parse_exclude(raw.split())
-            elif key == "tol":
-                values["tol"] = _parse_tols(raw.split())
-            elif key in _CONFIG_CASTS:
-                values[key] = _CONFIG_CASTS[key](raw)
-            else:
-                values[key] = raw
-
-    for key, val in vars(args).items():
-        if key in ("config",) or val is None:
-            continue
-        values[key] = val
-
-    grid_spec = values.pop("grid", None)
-    if isinstance(grid_spec, str):
-        try:
-            gr, _, gt = grid_spec.lower().partition("x")
-            values["grid_r"], values["grid_theta"] = int(gr), int(gt)
-        except ValueError as exc:
-            raise ConfigError(f"bad grid spec '{grid_spec}' (use NxM)") from exc
-    if isinstance(values.get("exclude"), list):
-        values["exclude"] = _parse_exclude(values["exclude"])
-    if isinstance(values.get("tol"), list):
-        values["tol"] = _parse_tols(values["tol"])
-
-    allowed = set(RunConfig.__dataclass_fields__)
-    unknown = set(values) - allowed
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for dest, value in raw.items():
+        values.update(options[dest].read(value))
+    return RunConfig(args.task, **values)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        code, report = run(config)
+        code, report = run(config_from_args(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

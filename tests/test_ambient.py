@@ -229,6 +229,16 @@ class TestCalibration:
         with pytest.raises(DomainError, match="two 4-vectors"):
             calibration_gap(ambient_frame(flat, TangentPoint(0.0, 1.0)), v1[:3], v2[:3])
 
+    def test_metric_and_symplectic_take_one_point(self, flat):
+        stack = ambient_frame(flat, TangentPoint(np.zeros(3), np.ones(3)))
+        a = np.ones(4)
+        for form in (stack.metric, stack.symplectic):
+            with pytest.raises(DomainError, match="one point's frame"):
+                form(a, a)
+        one = ambient_frame(flat, TangentPoint(0.0, 1.0))
+        assert one.metric(a, a) == a @ one.G4 @ a
+        assert one.symplectic(a, a) == 0.0
+
 
 def svd_extent(v1, v2):
     return tuple(np.linalg.svd(np.stack([v1, v2]), compute_uv=False))

@@ -149,6 +149,104 @@ class TestConfig:
             parse(shlex.split(line)[1:])
 
 
+class TestOptionTable:
+    COMMON = {"-h", "--help", "--config", "--geometry", "--seed", "--grid", "--rmin", "--rmax",
+              "--exclude", "--tol", "--report", "--out"}
+    FAMILY = {"--A1", "--B1", "--A2", "--B2", "--C2", "--branch"}
+
+    def test_subcommands_list_the_same_options(self):
+        # the option strings of each subcommand, as recorded before the option table
+        expected = {
+            "verify": self.COMMON | {"--suite", "--samples"},
+            "residual": self.COMMON | self.FAMILY,
+            "area": self.COMMON | self.FAMILY,
+            "variation": self.COMMON | self.FAMILY,
+            "classify": self.COMMON | self.FAMILY,
+            "export": self.COMMON | self.FAMILY | {"--half-length", "--format"},
+        }
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "task")
+        assert list(sub.choices) == list(expected)
+        for task, subparser in sub.choices.items():
+            assert {s for a in subparser._actions for s in a.option_strings} == expected[task]
+        assert {s for a in parser._actions for s in a.option_strings} == {
+            "-h", "--help", "--version"}
+
+    # one bad value per parser: the task, the flag, its file key, the value
+    BAD_VALUES = [
+        (["verify"], "--samples", "samples", "abc"),
+        (["verify"], "--seed", "seed", "1.5"),
+        (["area", "--A2", "1"], "--rmin", "rmin", "abc"),
+        (["area", "--A2", "1"], "--grid", "grid", "64by48"),
+        (["area", "--A2", "1"], "--exclude", "exclude", "1.0:x"),
+        (["verify"], "--tol", "tol", "residual_max"),
+        (["verify"], "--tol", "tol", "residual_max=abc"),
+        (["export", "--B2", "1", "--C2", "0", "--out", "t.obj"], "--format", "format", "ply"),
+    ]
+    BAD_IDS = ["int", "int-from-float", "float", "grid", "exclude", "tol", "tol-value", "format"]
+
+    @pytest.mark.parametrize("argv, flag, key, value", BAD_VALUES, ids=BAD_IDS)
+    def test_bad_flag_value(self, argv, flag, key, value, capsys):
+        argv = argv + [flag, value]
+        with pytest.raises(ConfigError, match=flag):
+            parse(argv)
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, key, value", BAD_VALUES, ids=BAD_IDS)
+    def test_bad_file_value(self, tmp_path, argv, flag, key, value, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[run]\n{key} = {value}\n")
+        argv = argv[:1] + ["--config", str(cfg_file)] + argv[1:]
+        with pytest.raises(ConfigError, match=flag):
+            parse(argv)
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, argv", [
+        ("samples = 5", ["area", "--A2", "1"]), ("half_length = 2", ["area", "--A2", "1"]),
+        ("suite = ambient", ["residual", "--A2", "1"]), ("grid_r = 16", ["verify"]),
+        ("grid_theta = 16", ["verify"]), ("task = area", ["verify"]),
+        ("config = other.cfg", ["verify"]), ("bogus = 1", ["verify"]),
+    ])
+    def test_file_keys_the_task_does_not_take(self, tmp_path, line, argv, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[run]\n{line}\n")
+        argv = argv[:1] + ["--config", str(cfg_file)] + argv[1:]
+        with pytest.raises(ConfigError, match="does not take"):
+            parse(argv)
+        assert main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_file_keys_spelled_like_flag_or_field(self, tmp_path):
+        for text in ("[run]\nformat = csv\nhalf-length = 2\nA2 = 1\ngrid = 8x12\n",
+                     "[run]\nfmt = csv\nhalf_length = 2\na2 = 1\ngrid = 8X12\n"):
+            cfg_file = tmp_path / "run.cfg"
+            cfg_file.write_text(text)
+            cfg = parse(["export", "--config", str(cfg_file), "--B2", "1", "--C2", "0"])
+            assert (cfg.fmt, cfg.half_length, cfg.a2) == ("csv", 2.0, 1.0)
+            assert (cfg.grid_r, cfg.grid_theta) == (8, 12)
+
+    def test_unparsable_file_exits_two(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("samples = 5\n")  # no section header
+        assert main(["verify", "--config", str(cfg_file)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, flag", [
+        ("geometry", "hyperbolic", "--geometry"), ("suite", "bogus", "--suite"),
+        ("samples", 0, "--samples"), ("seed", -1, "--seed"), ("branch", 2, "--branch"),
+        ("grid_r", 1, "--grid"), ("grid_theta", 3, "--grid"),
+        ("exclude", ((1.0, 0.0),), "--exclude"), ("half_length", np.inf, "--half-length"),
+        ("fmt", "ply", "--format"), ("tol", {"bogus": 1.0}, "--tol"),
+    ])
+    def test_rules_guard_direct_construction(self, field, value, flag):
+        base = dict(task="export", geometry="sphere", b2=1.0, c2=0.0)
+        RunConfig(**base)
+        with pytest.raises(ConfigError, match=flag):
+            RunConfig(**{**base, field: value})
+
+
 class TestRun:
     def test_verify_ambient_passes(self, outdir):
         code, report = run(RunConfig(task="verify", geometry="sphere", suite="ambient",

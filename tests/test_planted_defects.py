@@ -182,6 +182,36 @@ def test_one_nan_frame_entry(monkeypatch, geometry):
     assert checks["signature_defects"]["value"] == 1
 
 
+def test_one_nan_pullback_determinant(monkeypatch):
+    # the last determinant of every pullback_determinant call is NaN: det_oracle
+    # must keep it, not drop it as Python's max would
+    def nan_at_last_point(section, xi):
+        det = graphs.pullback_determinant(section, xi)
+        det[-1:] = np.nan
+        return det
+
+    monkeypatch.setattr(cli, "pullback_determinant", nan_at_last_point)
+    checks = verify("flat", "graphs")
+    assert failed(checks, "det_oracle", "stokes") == ["det_oracle"]
+    assert np.isnan(checks["det_oracle"]["value"])
+
+
+def test_one_nan_stokes_interior(monkeypatch):
+    # the interior integral of the second Stokes pair only is NaN
+    calls = []
+
+    def nan_second_interior(section, grid):
+        interior, boundary = graphs.stokes_check(section, grid)
+        calls.append(grid)
+        return (np.nan if len(calls) == 2 else interior), boundary
+
+    monkeypatch.setattr(cli, "stokes_check", nan_second_interior)
+    checks = verify("sphere", "graphs")
+    assert failed(checks, "det_oracle", "stokes") == ["stokes"]
+    assert np.isnan(checks["stokes"]["value"])
+    assert checks["stokes"]["evaluated"] == len(calls) > 2
+
+
 def test_rho_without_conformal_term(monkeypatch):
     # rho = d F + 2 F du with the 2 F du term dropped; du = 0 on the flat geometry
     plant_source_defect(monkeypatch, graphs, "slopes",
