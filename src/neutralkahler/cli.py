@@ -102,26 +102,39 @@ class Report:
         self.values: dict = {}
         self.artifacts: list[str] = []
 
-    def check(
-        self,
-        name: str,
-        value: float,
-        tolerance: float,
-        passed: Optional[bool] = None,
-        evaluated: Optional[int] = None,
-        worst_at: Optional[dict] = None,
-    ):
-        """Record one check; a sweep that reports ``evaluated == 0`` points fails.
-        ``worst_at`` says where a max-type check found its value."""
-        if passed is None:
-            passed = bool(value <= tolerance)
+    def check(self, name: str, value: float, tolerance: Optional[float] = None,
+              evaluated: Optional[int] = None) -> dict:
+        """Record one check and return its entry; it passes if ``value <=
+        tolerance`` (the configured tolerance of ``name`` unless given) and the
+        sweep, if it reports ``evaluated``, measured something."""
+        if tolerance is None:
+            tolerance = self.config.tolerance(name)
         entry = {"name": name, "value": float(value), "tolerance": float(tolerance),
-                 "passed": passed and evaluated != 0}
+                 "passed": bool(value <= tolerance) and evaluated != 0}
         if evaluated is not None:
             entry["evaluated"] = evaluated
-        if worst_at is not None:
-            entry["worst_at"] = worst_at
         self.checks.append(entry)
+        return entry
+
+    def worst(self, name: str, sweeps: list, *names: str, evaluated: Optional[int] = None):
+        """Record the max-type check ``name`` over equal-length per-profile
+        ``(values, params, *coordinates)`` sweeps: the largest value, a NaN
+        winning so that it fails, and where it lies (``worst_at``): the
+        coordinates there, keyed by ``names`` (a row of a 2-D coordinate array
+        as a list), and the family parameters unless ``params`` is None.
+        ``evaluated`` defaults to the number of values; a sweep that evaluated
+        nothing records 0.0 with no ``worst_at``, and fails."""
+        values = np.stack([v for v, *_ in sweeps])
+        evaluated = values.size if evaluated is None else evaluated
+        if not evaluated:
+            self.check(name, 0.0, evaluated=0)
+            return
+        k, j = np.unravel_index(np.argmax(values), values.shape)
+        _, p, *coords = sweeps[k]
+        at = {key: c[j].tolist() for key, c in zip(names, coords)}
+        if p is not None:
+            at["params"] = [p.a1, p.b1, p.a2, p.b2]
+        self.check(name, values[k, j], evaluated=evaluated)["worst_at"] = at
 
     def all_passed(self) -> bool:
         return all(c["passed"] for c in self.checks)
@@ -194,45 +207,41 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
 
     def draw_frames(draw, count):
         """``count`` draws of a tangent point, each followed by ``draw(rng)``: the
-        points' ``xi`` and ``eta`` as ``[re, im]`` rows, and pairs of frame and
-        draw. The frames come from one ``ambient_frame`` call on all the points
-        and are then taken one per point, for the kernels that stay per point."""
+        points' ``xi`` and ``eta`` as ``[re, im]`` rows, their frames from one
+        ``ambient_frame`` call, and pairs of one point's frame and draw, for the
+        kernels that stay per point."""
         drawn = [(random_tangent_coords(rng), draw(rng)) for _ in range(count)]
         xi, eta = np.array([point for point, _ in drawn]).T
         stack = ambient_frame(geom, TangentPoint(xi, eta))
-        return (np.c_[xi.real, xi.imag], np.c_[eta.real, eta.imag]), [
+        return (np.c_[xi.real, xi.imag], np.c_[eta.real, eta.imag]), stack, [
             (AmbientFrame(g, o), extra) for g, o, (_, extra) in zip(stack.G4, stack.O4, drawn)]
 
-    points, frames = draw_frames(random_plane, n)
+    points, _, frames = draw_frames(random_plane, n)
     gaps = np.array([calibration_gap(frame, v1, v2) for frame, (v1, v2) in frames])
-    value, at = _worst_over_profiles([(-gaps, None, *points)], "xi", "eta")
-    report.check("calibration_floor", value, config.tolerance("calibration_floor"),
-                 evaluated=gaps.size, worst_at=at)
+    report.worst("calibration_floor", [(-gaps, None, *points)], "xi", "eta")
 
-    points, frames = draw_frames(j_invariant_plane, max(n // 10, 10))
+    points, _, frames = draw_frames(j_invariant_plane, max(n // 10, 10))
     gaps = np.abs([calibration_gap(frame, v1, v2) for frame, (v1, v2) in frames])
-    value, at = _worst_over_profiles([(gaps, None, *points)], "xi", "eta")
-    report.check("jplane_gap", value, config.tolerance("jplane_gap"),
-                 evaluated=gaps.size, worst_at=at)
+    report.worst("jplane_gap", [(gaps, None, *points)], "xi", "eta")
 
     sig_bad = 0
-    compat = []
-    points, frames = draw_frames(lambda rng: (rng.normal(size=4), rng.normal(size=4)), n)
-    for frame, (a, b) in frames:
+    points, stack, frames = draw_frames(lambda rng: (rng.normal(size=4), rng.normal(size=4)), n)
+    for frame, _ in frames:
         # a singular or non-finite metric has no signature
         try:
             sig_bad += ambient_signature(frame) != (2, 2)
         except (AmbiguousSignatureError, DomainError):
             sig_bad += 1
-        scale = max(1.0, float(np.max(np.abs(frame.G4))))
-        ja, jb = frame.J4 @ a, frame.J4 @ b
-        compat.append((abs(frame.metric(ja, jb) - frame.metric(a, b)) / scale,
-                       abs(frame.metric(a, b) - frame.symplectic(ja, b)) / scale))
-    report.check("signature_defects", float(sig_bad), 0.0, passed=(sig_bad == 0),
-                 evaluated=len(frames))
-    value, at = _worst_over_profiles([(np.max(compat, axis=1), None, *points)], "xi", "eta")
-    report.check("compatibility", value, config.tolerance("compatibility"),
-                 evaluated=len(frames), worst_at=at)
+    report.check("signature_defects", float(sig_bad), 0.0, evaluated=len(frames))
+    # g(Ja, Jb) = g(a, b) and g(a, b) = omega(Ja, b) on the whole stack, each
+    # relative to the frame's scale max(1, |G4|)
+    a, b = np.array([draw for _, draw in frames]).transpose(1, 0, 2)
+    ja, jb = a @ AmbientFrame.J4.T, b @ AmbientFrame.J4.T
+    g_ab, g_jajb = np.einsum("kni,nij,knj->kn", [a, ja], stack.G4, [b, jb])
+    omega_jab = np.einsum("ni,nij,nj->n", ja, stack.O4, b)
+    scale = np.maximum(1.0, np.abs(stack.G4).max(axis=(1, 2)))
+    compat = np.maximum(np.abs(g_jajb - g_ab), np.abs(g_ab - omega_jab)) / scale
+    report.worst("compatibility", [(compat, None, *points)], "xi", "eta")
 
     # d(Omega) and d(Theta) by central differences: the centre and its 8 shifts
     # along the coordinates (x, y, p, q), all in one evaluation
@@ -247,10 +256,10 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
     a_, b_, c_ = np.array(list(itertools.combinations(range(4), 3))).T
     cyc = grads_o[:, a_, b_, c_] + grads_o[:, b_, c_, a_] + grads_o[:, c_, a_, b_]
     exact = grads_t - grads_t.swapaxes(1, 2) - omega[:, 0]
-    report.check("closedness", np.max(np.abs(cyc)), config.tolerance("closedness"),
-                 evaluated=len(c0))
-    report.check("exactness", np.max(np.abs(exact)), config.tolerance("exactness"),
-                 evaluated=len(c0))
+    # each sweep is the largest defect at each stencil centre
+    centres = (c0[:, :2], c0[:, 2:])
+    report.worst("closedness", [(np.abs(cyc).max(axis=1), None, *centres)], "xi", "eta")
+    report.worst("exactness", [(np.abs(exact).max(axis=(1, 2)), None, *centres)], "xi", "eta")
 
 
 def _suite_graphs(config: RunConfig, report: Report) -> None:
@@ -270,11 +279,7 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
         rel.append(np.abs(d1 - d2) / np.maximum(np.abs(d1), 1e-12))
         at.append(xi[keep])
     rel, at = np.concatenate(rel), np.concatenate(at)
-    value, worst_at = 0.0, None
-    if rel.size:
-        value, worst_at = _worst_over_profiles([(rel, None, np.c_[at.real, at.imag])], "xi")
-    report.check("det_oracle", value, config.tolerance("det_oracle"), evaluated=rel.size,
-                 worst_at=worst_at)
+    report.worst("det_oracle", [(rel, None, np.c_[at.real, at.imag])], "xi")
 
     stokes, r_ranges, kinds = [], [], []
     for k in range(max(n_sections // 5, 3)):
@@ -286,24 +291,8 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
             stokes.append(abs(interior - boundary) / (1.0 + abs(interior)))
             r_ranges.append([grid.r_min, grid.r_max])
             kinds.append(kind)
-    value, worst_at = _worst_over_profiles(
-        [(np.array(stokes), None, np.array(r_ranges), np.array(kinds))], "r_range", "section")
-    report.check("stokes", value, config.tolerance("stokes"), evaluated=len(stokes),
-                 worst_at=worst_at)
-
-
-def _worst_over_profiles(sweeps: list, *names: str) -> tuple[float, dict]:
-    """Largest value of equal-length per-profile ``(values, params, *coordinates)``
-    sweeps, and where it lies: the coordinates there, keyed by ``names`` (a row
-    of a 2-D coordinate array as a list), and the family parameters unless
-    ``params`` is None; a NaN value wins, so it fails the check."""
-    values = np.stack([v for v, *_ in sweeps])
-    k, j = np.unravel_index(np.argmax(values), values.shape)
-    _, p, *coords = sweeps[k]
-    at = {name: c[j].tolist() for name, c in zip(names, coords)}
-    if p is not None:
-        at["params"] = [p.a1, p.b1, p.a2, p.b2]
-    return float(values[k, j]), at
+    report.worst("stokes", [(np.array(stokes), None, np.array(r_ranges), np.array(kinds))],
+                 "r_range", "section")
 
 
 def _variation_sweep(section: GraphSection, grid: AnnulusGrid, bumps: list) -> tuple:
@@ -328,9 +317,7 @@ def _suite_rotsym(config: RunConfig, report: Report) -> None:
         defined = ~np.isnan(r2)
         sweeps.append((np.maximum(np.abs(r1), np.where(defined, np.abs(r2), 0.0)), params, rs))
         evaluated += rs.size + int(np.count_nonzero(defined))
-    value, worst_at = _worst_over_profiles(sweeps, "R")
-    report.check("ode_residual", value, config.tolerance("ode_residual"),
-                 evaluated=evaluated, worst_at=worst_at)
+    report.worst("ode_residual", sweeps, "R", evaluated=evaluated)
 
     # quadrature solution vs. closed form, modulo the anchored-integral
     # constant (a shift of b2 by the antiderivative value at the left end)
@@ -342,9 +329,7 @@ def _suite_rotsym(config: RunConfig, report: Report) -> None:
         rs = np.linspace(lo, hi, 17)
         expect = profile.psi(rs) - shift * np.exp(-2.0 * geom.radial_u(rs))
         sweeps.append((np.abs(quad(rs) - expect) / np.maximum(np.abs(expect), 1.0), params, rs))
-    value, worst_at = _worst_over_profiles(sweeps, "R")
-    report.check("psi_quadrature", value, config.tolerance("psi_quadrature"),
-                 evaluated=sum(rs.size for *_, rs in sweeps), worst_at=worst_at)
+    report.worst("psi_quadrature", sweeps, "R")
 
 
 def _suite_families(config: RunConfig, report: Report) -> None:
@@ -363,12 +348,8 @@ def _suite_families(config: RunConfig, report: Report) -> None:
         evaluated += int(np.count_nonzero(kept))
         _, rel = _variation_sweep(section, grid, bump_basis(grid.r_min, grid.r_max)[:4])
         variations.append((rel, params, np.arange(rel.size)))
-    worst_res, worst_at = _worst_over_profiles(sweeps, "R", "theta")
-    report.check("residual_max", worst_res, config.tolerance("residual_max"),
-                 evaluated=evaluated, worst_at=worst_at if evaluated else None)
-    worst_fv, worst_at = _worst_over_profiles(variations, "bump")
-    report.check("first_variation_rel", worst_fv, config.tolerance("first_variation_rel"),
-                 evaluated=sum(rel.size for rel, *_ in variations), worst_at=worst_at)
+    report.worst("residual_max", sweeps, "R", "theta", evaluated=evaluated)
+    report.worst("first_variation_rel", variations, "bump")
 
 
 _SUITES = {
@@ -400,12 +381,8 @@ def _run_residual(config: RunConfig, report: Report) -> None:
     report.values["skipped_by_reason"] = {
         reason: int(np.count_nonzero(codes == k)) for k, reason in enumerate(_SKIP_REASONS, 1)
     }
-    value, worst_at = 0.0, None
-    if kept.any():
-        k = np.argmax(np.where(kept, np.abs(values), 0.0))
-        value, worst_at = float(np.abs(values[k])), {"R": float(rs[k]), "theta": float(ts[k])}
-    report.check("residual_max", value, config.tolerance("residual_max"),
-                 evaluated=int(np.count_nonzero(kept)), worst_at=worst_at)
+    report.worst("residual_max", [(np.where(kept, np.abs(values), 0.0), None, rs, ts)],
+                 "R", "theta", evaluated=int(np.count_nonzero(kept)))
     if config.out:
         _write_classification(config, report, rs, ts, _slopes_on(section, xi), np.abs(values))
 
@@ -418,9 +395,7 @@ def _run_area(config: RunConfig, report: Report) -> None:
 def _run_variation(config: RunConfig, report: Report) -> None:
     section, grid = _section_and_grid(config)
     report.values["area"], rel = _variation_sweep(section, grid, bump_basis(grid.r_min, grid.r_max))
-    worst, worst_at = _worst_over_profiles([(rel, None, np.arange(rel.size))], "bump")
-    report.check("first_variation_rel", worst, config.tolerance("first_variation_rel"),
-                 evaluated=rel.size, worst_at=worst_at)
+    report.worst("first_variation_rel", [(rel, None, np.arange(rel.size))], "bump")
 
 
 def _run_classify(config: RunConfig, report: Report) -> None:
@@ -450,8 +425,7 @@ def _run_export(config: RunConfig, report: Report) -> None:
     segments = export_congruence(section, grid, config.half_length, config.fmt, path)
     expected = grid._lattice()[0].size
     report.values["segments"] = segments
-    report.check("export_segments", float(abs(segments - expected)), 0.0,
-                 passed=(segments == expected), evaluated=segments)
+    report.check("export_segments", float(abs(segments - expected)), 0.0, evaluated=segments)
     report.artifacts.append(str(path))
 
 
@@ -488,11 +462,11 @@ class _Option:
     """One ``nklab`` option, declared on the ``RunConfig`` field it sets (see
     ``_option``): its flag; ``parse``, which reads one string value and raises
     ``ValueError`` on a bad one; the ``choices`` or the ``rule`` (a predicate
-    and what it asks) that the value meets; its help text; and the tasks that
-    take it, every task if None. A repeatable option collects its values with
-    ``repeat`` (``tuple`` or ``dict``); a config file gives them separated by
-    whitespace. ``fields`` names the fields it sets: its own, or the pair of
-    the grid."""
+    and what it asks) that the value meets; its help text; the tasks that
+    take it, every task if None; and its default. A repeatable option
+    collects its values with ``repeat`` (``tuple`` or ``dict``); a config
+    file gives them separated by whitespace. ``fields`` names the fields it
+    sets: its own, or the pair of the grid."""
 
     flag: str
     parse: Callable[[str], Any] = str
@@ -502,6 +476,7 @@ class _Option:
     help: Optional[str] = None
     repeat: Optional[type] = None
     fields: tuple[str, ...] = ()
+    default: Any = None
 
     @property
     def dest(self) -> str:
@@ -526,10 +501,15 @@ class _Option:
             raise ConfigError(f"bad {self.flag} value '{text}': {exc}") from exc
 
     def check(self, config: RunConfig) -> None:
-        """Raise ``ConfigError`` unless the value in ``config`` is unset (None) or
-        meets the choices and the rule."""
+        """Raise ``ConfigError`` if the task of ``config`` does not take the
+        option but its value there is not the default, or if the value is set
+        (not None) and misses the choices or the rule."""
         value = tuple(getattr(config, name) for name in self.fields)
         value = value if len(value) > 1 else value[0]
+        if self.tasks is not None and config.task not in self.tasks:
+            if value != self.default:
+                raise ConfigError(f"task '{config.task}' does not take {self.flag}, got {value!r}")
+            return
         if value is None:
             return
         if self.choices is not None and value not in self.choices:
@@ -541,7 +521,7 @@ class _Option:
 def _option(flag: str, default: Any, parse: Callable[[str], Any] = str, **spec) -> Any:
     """A ``RunConfig`` field with ``default`` (``dict`` for a fresh empty dict),
     set by the option ``flag``; ``spec`` as in ``_Option``."""
-    meta = {"option": _Option(flag, parse, **spec)}
+    meta = {"option": _Option(flag, parse, default={} if default is dict else default, **spec)}
     if default is dict:
         return field(default_factory=dict, metadata=meta)
     return field(default=default, metadata=meta)

@@ -246,6 +246,20 @@ class TestOptionTable:
         with pytest.raises(ConfigError, match=flag):
             RunConfig(**{**base, field: value})
 
+    @pytest.mark.parametrize("task, field, value, flag", [
+        ("area", "samples", 5, "--samples"), ("export", "suite", "graphs", "--suite"),
+        ("verify", "a2", 1.0, "--A2"), ("verify", "branch", -1, "--branch"),
+        ("residual", "fmt", "csv", "--format"), ("classify", "half_length", 2.0, "--half-length"),
+    ])
+    def test_direct_construction_takes_only_the_tasks_options(self, task, field, value, flag):
+        base = {"task": task}
+        if task == "export":
+            base.update(geometry="sphere", b2=1.0, c2=0.0)
+        # an option the task does not take may hold its default only
+        RunConfig(**base, **{field: getattr(RunConfig(**base), field)})
+        with pytest.raises(ConfigError, match=f"does not take {flag}"):
+            RunConfig(**base, **{field: value})
+
 
 class TestRun:
     def test_verify_ambient_passes(self, outdir):
@@ -423,12 +437,27 @@ class TestRun:
         expected = {"calibration_floor": 100, "jplane_gap": 10, "compatibility": 100,
                     "signature_defects": 100, "closedness": 5, "exactness": 5}
         assert {name: checks[name]["evaluated"] for name in expected} == expected
-        for name in ("calibration_floor", "jplane_gap", "compatibility"):
+        # closedness and exactness: the centre of the worst stencil
+        for name in ("calibration_floor", "jplane_gap", "compatibility", "closedness",
+                     "exactness"):
             at = checks[name]["worst_at"]
             assert set(at) == {"xi", "eta"}
             assert all(isinstance(c, float) for c in at["xi"] + at["eta"])
-        for name in ("signature_defects", "closedness", "exactness"):
-            assert "worst_at" not in checks[name]
+        assert "worst_at" not in checks["signature_defects"]
+
+    def test_every_max_type_check_shows_coverage_and_worst_case(self):
+        reports = [run(RunConfig(task="verify", geometry=geometry, suite="all", samples=100,
+                                 report=f"{geometry}.json"))[1] for geometry in ("flat", "sphere")]
+        family = dict(geometry="sphere", b2=1.0, c2=5.0, rmin=0.3, rmax=2.5, grid_r=12,
+                      grid_theta=12, exclude=((1.0, 0.05),))
+        reports += [run(RunConfig(task=task, report=f"{task}.json", **family))[1]
+                    for task in ("residual", "variation")]
+        checks = [c for report in reports for c in report["checks"]]
+        assert {c["name"] for c in checks} >= set(DEFAULT_TOLERANCES)
+        for check in checks:
+            if check["name"] in DEFAULT_TOLERANCES:
+                assert check["evaluated"] > 0, check
+                assert "worst_at" in check, check
 
     def test_residual_worst_cases_are_located(self):
         _, report = run(RunConfig(

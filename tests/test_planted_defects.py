@@ -15,7 +15,7 @@ import pytest
 
 import test_acceptance
 from neutralkahler import cli, graphs, rotsym
-from neutralkahler.ambient import AmbientFrame, ambient_frame
+from neutralkahler.ambient import AmbientFrame, ThetaForm, ambient_frame, theta_form
 from neutralkahler.cli import DEFAULT_TOLERANCES, RunConfig, run
 from neutralkahler.numerics import CumulativeIntegral
 
@@ -77,7 +77,41 @@ def test_scaled_m_entries_of_omega(monkeypatch):
 
     plant_frame_defect(monkeypatch, scale_m)
     assert failed(verify("sphere", "graphs"), "stokes") == ["stokes"]
-    assert failed(verify("sphere", "ambient"), "compatibility") == ["compatibility"]
+    # Omega's m entries vary along the base, so d(Omega) and d(Theta) - Omega break too
+    checks = verify("sphere", "ambient")
+    assert failed(checks, "compatibility", "closedness", "exactness") == [
+        "compatibility", "closedness", "exactness"]
+
+
+@pytest.mark.parametrize("geometry", ["flat", "sphere"])
+def test_theta_y_component_scaled(monkeypatch, geometry):
+    # d(Theta) = Omega breaks; Omega is untouched, so d(Omega) = 0 still holds
+    def scaled(geom, p):
+        components = theta_form(geom, p).components.copy()
+        components[..., 1] *= 1.0 + 1e-3
+        return ThetaForm(components)
+
+    monkeypatch.setattr(cli, "theta_form", scaled)
+    checks = verify(geometry, "ambient")
+    assert failed(checks, *checks) == ["exactness"]
+
+
+def test_one_nan_theta_in_one_stencil(monkeypatch):
+    # Theta at one shifted point of the last stencil is NaN: exactness must keep
+    # that NaN and locate the stencil's centre
+    centres = []
+
+    def nan_in_last_stencil(geom, p):
+        components = theta_form(geom, p).components.copy()
+        components[-1, -1, 0] = np.nan
+        centres.append(p.xi[-1, 0])
+        return ThetaForm(components)
+
+    monkeypatch.setattr(cli, "theta_form", nan_in_last_stencil)
+    checks = verify("sphere", "ambient")
+    assert failed(checks, *checks) == ["exactness"]
+    assert np.isnan(checks["exactness"]["value"])
+    assert checks["exactness"]["worst_at"]["xi"] == [centres[0].real, centres[0].imag]
 
 
 def test_pullback_factor_off_by_one(monkeypatch):
