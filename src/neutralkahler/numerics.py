@@ -12,6 +12,10 @@ Conventions, fixed once for the whole library:
   Gauss-Legendre in the radius (4 points per cell) and a uniform trapezoid
   rule in the angle, which is spectrally accurate for periodic integrands.
   The polar Jacobian ``R dR dtheta`` is included by ``integrate_annulus``.
+* The radial rules (4 points for ``AnnulusGrid``, 8 for
+  ``CumulativeIntegral``) are pinned Gauss-Legendre constants, written out
+  to the last bit; ``tests/test_numerics.py::TestGaussRules`` checks their
+  exactness on polynomials of degree ``2n - 1``.
 * Exclusion bands remove neighbourhoods of singular radii (null circles,
   coefficient singularities) from every grid.
 * Fields, radial profiles and quadrature integrands evaluate elementwise:
@@ -26,7 +30,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import legint, legval, legvander
-from scipy.special import roots_legendre
 
 from .errors import DerivativeUnavailableError, DomainError, QuadratureError
 
@@ -44,6 +47,21 @@ __all__ = [
 DEFAULT_FD_STEP = 1e-6
 #: default half-width of an exclusion band when none is given
 DEFAULT_BAND_HALF_WIDTH = 1e-3
+
+#: ``(nodes, weights)`` of the n-point Gauss-Legendre rule on [-1, 1], nodes
+#: ascending; each literal is the shortest repr of the classical float64 value
+GAUSS_LEGENDRE_4 = (
+    np.array([-0.8611363115940526, -0.3399810435848563, 0.3399810435848563, 0.8611363115940526]),
+    np.array([0.3478548451374538, 0.6521451548625462, 0.6521451548625462, 0.3478548451374538]),
+)
+GAUSS_LEGENDRE_8 = (
+    np.array([-0.9602898564975363, -0.7966664774136267, -0.525532409916329, -0.18343464249564984,
+              0.18343464249564984, 0.525532409916329, 0.7966664774136267, 0.9602898564975363]),
+    np.array([0.10122853629037562, 0.22238103445337473, 0.3137066458778876, 0.36268378337836205,
+              0.36268378337836205, 0.3137066458778876, 0.22238103445337473, 0.10122853629037562]),
+)
+for _table in (*GAUSS_LEGENDRE_4, *GAUSS_LEGENDRE_8):
+    _table.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -156,7 +174,7 @@ class CumulativeIntegral:
     calls ``f`` zero times. The tables are read-only after construction.
     """
 
-    _NODES, _WEIGHTS = roots_legendre(8)
+    _NODES, _WEIGHTS = GAUSS_LEGENDRE_8
     #: node values of a cell -> Legendre coefficients of ``int_{-1}^t`` of their
     #: interpolant. The Gauss rule is exact on ``P_j`` times the interpolant, so its
     #: ``P_j`` coefficient is ``(j + 1/2) sum_i w_i P_j(x_i) y_i`` (no linear solve,
@@ -254,7 +272,7 @@ class AnnulusGrid:
             )
         total = sum(b - a for a, b in segments)
         nodes, weights = [], []
-        gl_t, gl_w = roots_legendre(4)
+        gl_t, gl_w = GAUSS_LEGENDRE_4
         remaining = self.n_r
         for idx, (a, b) in enumerate(segments):
             if idx == len(segments) - 1:

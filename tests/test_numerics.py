@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from neutralkahler.errors import DomainError, QuadratureError
 from neutralkahler.numerics import (
+    GAUSS_LEGENDRE_4,
+    GAUSS_LEGENDRE_8,
     AnnulusGrid,
     ComplexField,
     CumulativeIntegral,
@@ -257,6 +259,40 @@ class TestIntegrateAnnulus:
 
     def test_circle_rule(self):
         assert integrate_circle(lambda t: np.cos(t) ** 2) == pytest.approx(np.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, rule", [(4, GAUSS_LEGENDRE_4), (8, GAUSS_LEGENDRE_8)])
+class TestGaussRules:
+    """The pinned n-point rules are Gauss-Legendre rules (Golub & Welsch,
+    "Calculation of Gauss quadrature rules", Math. Comp. 23, 1969)."""
+
+    def test_exact_up_to_degree_2n_minus_1(self, n, rule):
+        nodes, weights = rule
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert weights @ nodes**k == pytest.approx(exact, abs=1e-15), k
+
+    def test_agrees_with_leggauss(self, n, rule):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(rule[0] - nodes)) <= 2e-15
+        assert np.max(np.abs(rule[1] - weights)) <= 2e-15
+
+    def test_shape_of_the_rule(self, n, rule):
+        nodes, weights = rule
+        assert nodes.shape == weights.shape == (n,)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert np.all(weights > 0.0)
+        assert weights.sum() == pytest.approx(2.0, abs=1e-15)
+
+    def test_bit_for_bit_the_classical_values(self, n, rule):
+        # the literals were written from scipy's rule, so every quadrature sum
+        # and every report is unchanged; scipy is not a runtime dependency
+        special = pytest.importorskip("scipy.special")
+        nodes, weights = special.roots_legendre(n)
+        assert rule[0].tobytes() == nodes.tobytes()
+        assert rule[1].tobytes() == weights.tobytes()
 
 
 class TestCumulativeIntegral:

@@ -1,0 +1,48 @@
+"""Packaging: the runtime imports match the declared dependencies, and
+importing the CLI loads no scipy."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "neutralkahler"
+
+
+def third_party_imports():
+    """Top-level names of the modules ``src/neutralkahler`` imports from
+    outside the standard library and outside the package itself."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {PACKAGE.name}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is in the standard library "
+                                                       "from Python 3.11 on")
+def test_dependencies_are_the_third_party_imports():
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower()
+                for req in project["dependencies"]}
+    assert third_party_imports() == declared
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, neutralkahler.cli; "
+         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import test_acceptance
-from neutralkahler import cli, graphs, rotsym
+from neutralkahler import cli, graphs, numerics, rotsym
 from neutralkahler.ambient import AmbientFrame, ThetaForm, ambient_frame, theta_form
 from neutralkahler.cli import DEFAULT_TOLERANCES, RunConfig, run
 from neutralkahler.numerics import CumulativeIntegral
@@ -185,6 +185,19 @@ def test_cumulative_weight_perturbed(monkeypatch, geometry):
     monkeypatch.setattr(CumulativeIntegral, "_WEIGHTS", weights)
     checks = verify(geometry, "rotsym")
     assert failed(checks, "ode_residual", "psi_quadrature") == ["psi_quadrature"]
+
+
+@pytest.mark.parametrize("geometry", ["flat", "sphere"])
+def test_annulus_weight_perturbed(monkeypatch, geometry):
+    # one Gauss weight of every radial cell off by 1e-3 relative: the interior
+    # side of Stokes sums over the annulus, its boundary side uses the angular
+    # trapezoid rule only, so the two sides part
+    nodes, weights = numerics.GAUSS_LEGENDRE_4
+    monkeypatch.setattr(numerics, "GAUSS_LEGENDRE_4",
+                        (nodes, weights * np.r_[1.0 + 1e-3, np.ones(3)]))
+    checks = verify(geometry, "graphs")
+    assert failed(checks, *checks) == ["stokes"]
+    assert checks["stokes"]["evaluated"] > 0
 
 
 def test_singular_metric_counts_as_signature_defect(monkeypatch, tmp_path):
