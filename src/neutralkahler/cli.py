@@ -174,24 +174,20 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _build_section(config: RunConfig) -> tuple[GraphSection, tuple[float, float]]:
-    """Family section plus the admissible radial range for grids."""
+def _section_and_grid(config: RunConfig) -> tuple[GraphSection, AnnulusGrid]:
+    """Family section and the task's lattice grid over its admissible radial range."""
     if config.c2 is not None:
         if config.b2 is None:
             raise ConfigError("torus shorthand needs both --B2 and --C2")
-        fam = TorusFamily(config.b2, config.c2, config.branch)
-        return torus_section(fam), (config.rmin, config.rmax)
-    if config.a2 is None:
+        section = torus_section(TorusFamily(config.b2, config.c2, config.branch))
+        lo, hi = config.rmin, config.rmax
+    elif config.a2 is None:
         raise ConfigError("family tasks need --A2/--B2 (or the sphere --B2/--C2 shorthand)")
-    params = FamilyParams(config.a1, config.b1, config.a2, config.b2 or 0.0)
-    geom = geometry_by_name(config.geometry)
-    profile = stationary_family(geom, params, config.branch, (config.rmin, config.rmax))
-    return profile.section(), comfortable_range(profile)
-
-
-def _section_and_grid(config: RunConfig) -> tuple[GraphSection, AnnulusGrid]:
-    """Family section and the task's lattice grid over its admissible radial range."""
-    section, (lo, hi) = _build_section(config)
+    else:
+        params = FamilyParams(config.a1, config.b1, config.a2, config.b2 or 0.0)
+        geom = geometry_by_name(config.geometry)
+        profile = stationary_family(geom, params, config.branch, (config.rmin, config.rmax))
+        section, (lo, hi) = profile.section(), comfortable_range(profile)
     return section, AnnulusGrid(lo, hi, config.grid_r, config.grid_theta, config.exclude)
 
 

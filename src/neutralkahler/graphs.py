@@ -444,25 +444,56 @@ def stokes_check(
     return interior, boundary
 
 
+def _coefficient_matrix(coeffs: dict[tuple[int, int], complex]) -> np.ndarray:
+    """``C[m, n] = coeffs[(m, n)]``, zero elsewhere (``[[0]]`` for ``{}``); a negative
+    exponent would wrap to the last row or column, so it raises ``DomainError``."""
+    ms, ns = zip(*coeffs) if coeffs else ((0,), (0,))
+    if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in ms + ns):
+        raise DomainError(f"exponents must be non-negative integers, got {list(coeffs)}")
+    C = np.zeros((max(ms) + 1, max(ns) + 1), dtype=complex)
+    for key, c in coeffs.items():
+        C[key] = c
+    return C
+
+
+def _evaluator(C: np.ndarray) -> Callable:
+    """``xi -> sum C[m, n] xi^m xibar^n`` by Horner's rule: each row of ``C`` in
+    ``xibar``, then the row values in ``xi``."""
+    rows = [row[::-1] for row in C.tolist()[::-1]]  # highest powers first
+
+    def evaluate(xi):
+        xb = xi.conjugate()
+        value = 0j
+        for row in rows:
+            row_value = row[0]
+            for c in row[1:]:
+                row_value = row_value * xb + c
+            value = value * xi + row_value
+        return value
+
+    return evaluate
+
+
+def _wirtinger(C: np.ndarray, axis: int) -> np.ndarray:
+    """``d`` (axis 0) or ``dbar`` (axis 1) of ``sum C[m, n] xi^m xibar^n``: the exponent
+    times ``C``, shifted down one place along its axis (``[[0]]`` if nothing is left)."""
+    m, n = np.indices(C.shape, sparse=True)
+    lowered = ((m, n)[axis] * C).swapaxes(0, axis)[1:].swapaxes(0, axis)
+    return lowered if lowered.size else np.zeros((1, 1), dtype=complex)
+
+
+def _matrix_section(geometry: ConformalGeometry, C: np.ndarray) -> GraphSection:
+    """The section ``F = sum C[m, n] xi^m xibar^n`` with its exact derivatives."""
+    d, dbar = _evaluator(_wirtinger(C, 0)), _evaluator(_wirtinger(C, 1))
+    return GraphSection(ComplexField(_evaluator(C), d=d, dbar=dbar), geometry)
+
+
 def polynomial_section(
     geometry: ConformalGeometry, coeffs: dict[tuple[int, int], complex]
 ) -> GraphSection:
-    """Section with ``F = sum c_{mn} xi^m xibar^n`` and exact derivatives."""
-    terms = [(m, n, complex(c)) for (m, n), c in coeffs.items()]
-
-    def ev(xi):
-        xb = xi.conjugate()
-        return sum((c * xi**m * xb**n for m, n, c in terms), 0j)
-
-    def d(xi):
-        xb = xi.conjugate()
-        return sum((m * c * xi ** (m - 1) * xb**n for m, n, c in terms if m > 0), 0j)
-
-    def dbar(xi):
-        xb = xi.conjugate()
-        return sum((n * c * xi**m * xb ** (n - 1) for m, n, c in terms if n > 0), 0j)
-
-    return GraphSection(ComplexField(ev, d=d, dbar=dbar), geometry)
+    """Section with ``F = sum c_{mn} xi^m xibar^n`` (exponents ``m, n >= 0``
+    integers) and exact derivatives."""
+    return _matrix_section(geometry, _coefficient_matrix(coeffs))
 
 
 def lagrangian_section(
@@ -470,32 +501,26 @@ def lagrangian_section(
 ) -> GraphSection:
     """The gradient-type section ``F = e^{-2u} dbar(h)`` of a real potential h.
 
-    ``potential`` holds monomial coefficients of h, symmetrised so that
-    ``c_{nm} = conj(c_{mn})`` and h is real. Then ``F e^{2u} = dbar h``,
-    so ``rho = e^{-2u} d dbar h = e^{-2u} Laplacian(h) / 4`` is real and
+    ``potential`` holds monomial coefficients of h, symmetrised as
+    ``(H + H^H) / 2`` so that h is real. Then ``F e^{2u} = dbar h``, so
+    ``rho = e^{-2u} d dbar h = e^{-2u} Laplacian(h) / 4`` is real and
     ``lam = 0`` identically; the primitive 1-form pulls back to ``dh``.
-    Supported for the flat and round-sphere geometries, where ``e^{-2u}``
-    is a polynomial in ``xi, xibar``, so F is a polynomial section.
+    Supported for the flat and round-sphere geometries, where ``e^{-2u}`` is
+    a polynomial in ``xi, xibar`` (``V``; ``(1 + xi xibar)^2 / 4`` on the
+    sphere), so F is a polynomial section.
     """
-    if geometry.name == "flat":
-        v = {(0, 0): 1.0}
-    elif geometry.name == "sphere":
-        v = {(0, 0): 0.25, (1, 1): 0.5, (2, 2): 0.25}  # (1 + xi xibar)^2 / 4
-    else:
+    V = {"flat": np.ones((1, 1)), "sphere": np.diag([0.25, 0.5, 0.25])}.get(geometry.name)
+    if V is None:
         raise NotImplementedError(
             f"gradient sections need a polynomial e^(-2u); geometry '{geometry.name}'"
         )
-    herm: dict[tuple[int, int], complex] = {}
-    for (m, n), c in potential.items():
-        herm[(m, n)] = herm.get((m, n), 0.0) + 0.5 * c
-        herm[(n, m)] = herm.get((n, m), 0.0) + 0.5 * c.conjugate()
-    coeffs: dict[tuple[int, int], complex] = {}
-    for (m, n), c in herm.items():
-        if n > 0:  # dbar h, times e^{-2u}
-            for (p, q), a in v.items():
-                key = (m + p, n - 1 + q)
-                coeffs[key] = coeffs.get(key, 0.0) + a * n * c
-    return polynomial_section(geometry, coeffs)
+    H = _coefficient_matrix(potential)
+    H = np.pad(H, [(0, max(H.shape) - size) for size in H.shape])
+    G = _wirtinger(0.5 * (H + H.conj().T), 1)  # dbar h
+    C = np.zeros(np.add(G.shape, V.shape) - 1, dtype=complex)
+    for p, q in zip(*np.nonzero(V)):  # C = G V, a product of polynomials
+        C[p:p + G.shape[0], q:q + G.shape[1]] += V[p, q] * G
+    return _matrix_section(geometry, C)
 
 
 def conjugate_section(section: GraphSection) -> GraphSection:

@@ -45,7 +45,7 @@ from .ambient import TangentPoint, sphere_geometry
 from .errors import AdmissibilityError, ChartError, DomainError
 from .graphs import GraphSection, SurfaceClass, _slopes_on
 from .numerics import AnnulusGrid, RadialFunction, _polar
-from .rotsym import RotSymProfile
+from .rotsym import RotSymProfile, _even_quartic
 
 __all__ = [
     "OrientedLine",
@@ -143,12 +143,7 @@ class TorusFamily:
             raise AdmissibilityError(f"branch must be +1 or -1, got {self.branch}")
 
     def psi(self) -> RadialFunction:
-        b2, c2 = self.b2, self.c2
-        return RadialFunction(
-            lambda r: b2 + c2 * r * r + b2 * r**4,
-            lambda r: 2.0 * c2 * r + 4.0 * b2 * r**3,
-            lambda r: 2.0 * c2 + 12.0 * b2 * r * r,
-        )
+        return _even_quartic(self.b2, self.c2, self.b2)
 
 
 def torus_profile(fam: TorusFamily) -> RotSymProfile:

@@ -110,6 +110,15 @@ class OdeCoefficients:
     L2: float
 
 
+def _even_quartic(c0: float, c1: float, c2: float) -> RadialFunction:
+    """``Psi = c0 + c1 R^2 + c2 R^4`` with both derivatives."""
+    return RadialFunction(
+        lambda r: c0 + c1 * r * r + c2 * r**4,
+        lambda r: 2.0 * c1 * r + 4.0 * c2 * r**3,
+        lambda r: 2.0 * c1 + 12.0 * c2 * r * r,
+    )
+
+
 def _as_radial(h: Union[RadialFunction, Callable]) -> RadialFunction:
     return h if isinstance(h, RadialFunction) else RadialFunction(h)
 
@@ -216,19 +225,20 @@ def _source_J(geom: ConformalGeometry, H: RadialFunction) -> Callable:
     return J
 
 
-def _psi_with_integral(
+def psi_closed_form(
     geom: ConformalGeometry,
-    H: RadialFunction,
+    H: Union[RadialFunction, Callable],
     a2: float,
     b2: float,
     r_range: tuple[float, float],
-    n_quad: int,
+    n_quad: int = 256,
 ) -> RadialFunction:
-    """``Psi = a2 R^2 + e^{-2u} (b2 + I)`` with cumulative ``I' = J``.
-
-    First and second derivatives are assembled from the analytic pieces,
-    so they are exact functions of the (quadrature-valued) integral.
-    """
+    """The squared imaginary part ``Psi = a2 R^2 + e^{-2u} (b2 + I)`` solving the
+    first stationarity ODE, with ``I' = J`` a cumulative quadrature from the
+    left end of ``r_range``: the constant this leaves is a shift of ``b2``, so
+    compare with closed forms modulo that shift. ``Psi'`` and ``Psi''`` are
+    assembled from the analytic pieces, exact functions of the integral."""
+    H = _as_radial(H)
     a, b = r_range
     J = _source_J(geom, H)
     # probe the path, ends included, so singular geometry fails at construction
@@ -263,23 +273,6 @@ def _psi_with_integral(
         )
 
     return RadialFunction(f, df, d2f)
-
-
-def psi_closed_form(
-    geom: ConformalGeometry,
-    H: Union[RadialFunction, Callable],
-    a2: float,
-    b2: float,
-    r_range: tuple[float, float],
-    n_quad: int = 256,
-) -> RadialFunction:
-    """The squared imaginary part solving the first stationarity ODE.
-
-    The integral term is a cumulative quadrature from the left end of
-    ``r_range``; the constant ambiguity this introduces is a shift of
-    ``b2``. Comparisons with closed forms must be made modulo that shift.
-    """
-    return _psi_with_integral(geom, _as_radial(H), a2, b2, r_range, n_quad)
 
 
 @dataclass(frozen=True)
@@ -440,7 +433,7 @@ def degenerate_family(
     ``H``. The integral is a 512-cell cumulative quadrature.
     """
     H = _as_radial(H)
-    psi = _psi_with_integral(geom, H, 0.0, b2, r_range, 512)
+    psi = psi_closed_form(geom, H, 0.0, b2, r_range, 512)
     domain = _trim_domain(geom, psi, r_range)
     return RotSymProfile(geometry=geom, H=H, psi=psi, branch=branch, domain=domain)
 

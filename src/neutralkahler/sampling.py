@@ -21,7 +21,7 @@ from .ambient import (
 from .errors import DomainError, NeutralKahlerError
 from .graphs import GraphSection, lagrangian_section, polynomial_section, slopes
 from .numerics import RadialFunction, _polar
-from .rotsym import FamilyParams, RotSymProfile, stationary_family
+from .rotsym import FamilyParams, RotSymProfile, _even_quartic, stationary_family
 
 __all__ = [
     "rng_from_seed",
@@ -95,11 +95,8 @@ def random_polynomial_section(
     rng: np.random.Generator, geometry: ConformalGeometry, scale: float = 0.5
 ) -> GraphSection:
     """Random smooth section: cubic complex polynomial in ``xi`` and ``xibar``."""
-    coeffs = {}
-    for m in range(4):
-        for n in range(4 - m):
-            c = complex(*rng.normal(size=2)) * scale / (1.0 + m + n)
-            coeffs[(m, n)] = c
+    coeffs = {(m, n): complex(*rng.normal(size=2)) * scale / (1.0 + m + n)
+              for m in range(4) for n in range(4 - m)}
     return polynomial_section(geometry, coeffs)
 
 
@@ -117,9 +114,7 @@ def random_holomorphic_section(
     )
     for _ in range(MAX_HOLOMORPHIC_DRAWS):
         c0 = 0.5 + rng.uniform(0.0, 1.5)
-        perturb = {
-            (k, 0): complex(*rng.normal(size=2)) * 0.05 / k for k in range(2, 5)
-        }
+        perturb = {(k, 0): complex(*rng.normal(size=2)) * 0.05 / k for k in range(2, 5)}
         coeffs = {(1, 0): 1j * c0, **{k: 1j * c0 * v for k, v in perturb.items()}}
         section = polynomial_section(geometry, coeffs)
         lam = slopes(section, probes).lam
@@ -132,11 +127,8 @@ def random_lagrangian_section(
     rng: np.random.Generator, geometry: ConformalGeometry
 ) -> GraphSection:
     """Gradient section of a random cubic real potential (``lam = 0`` identically)."""
-    potential = {}
-    for m in range(1, 4):
-        for n in range(m + 1):
-            c = complex(*rng.normal(size=2)) * 0.4 / (1.0 + m + n)
-            potential[(m, n)] = c
+    potential = {(m, n): complex(*rng.normal(size=2)) * 0.4 / (1.0 + m + n)
+                 for m in range(1, 4) for n in range(m + 1)}
     return lagrangian_section(geometry, potential)
 
 
@@ -208,15 +200,10 @@ def off_family_profile(
     c2 = rng.uniform(0.5, 1.5)
     if geometry.name == "sphere" and abs(c2 - c0) < 0.3 * c0:
         c2 = c0 * 1.8  # keep clear of the symmetric torus pattern
-    psi = RadialFunction(
-        lambda r: c0 + c1 * r * r + c2 * r**4,
-        lambda r: 2.0 * c1 * r + 4.0 * c2 * r**3,
-        lambda r: 2.0 * c1 + 12.0 * c2 * r * r,
-    )
     return RotSymProfile(
         geometry=geometry,
         H=RadialFunction.constant(0.0),
-        psi=psi,
+        psi=_even_quartic(c0, c1, c2),
         branch=1,
         domain=r_range,
     )

@@ -30,8 +30,8 @@ from neutralkahler import (
 )
 from neutralkahler.ambient import ConformalGeometry, TangentPoint, ambient_frame, theta_form
 from neutralkahler.errors import DomainError, QuadratureError, SingularResidualError
-from neutralkahler.graphs import _fd_jacobian, radial_bump
-from neutralkahler.numerics import ComplexField, RadialFunction
+from neutralkahler.graphs import _STENCIL, _fd_jacobian, radial_bump
+from neutralkahler.numerics import ComplexField, RadialFunction, _polar
 from neutralkahler.rotsym import comfortable_range, degenerate_family, rotsym_section
 from neutralkahler.sampling import (
     geometry_by_name,
@@ -544,3 +544,107 @@ class TestRandomHolomorphicSection:
             )
             lam = slopes(section, xi).lam
             assert np.all(lam > 0.0) or np.all(lam < 0.0)
+
+
+def _term_sums(coeffs):
+    """``F``, ``d F`` and ``dbar F`` summed term by term with complex powers, as
+    polynomial sections were evaluated before they became one coefficient
+    matrix: the reference for the matrix evaluation."""
+    terms = [(m, n, complex(c)) for (m, n), c in coeffs.items()]
+
+    def ev(xi):
+        xb = xi.conjugate()
+        return sum((c * xi**m * xb**n for m, n, c in terms), 0j)
+
+    def d(xi):
+        xb = xi.conjugate()
+        return sum((m * c * xi ** (m - 1) * xb**n for m, n, c in terms if m > 0), 0j)
+
+    def dbar(xi):
+        xb = xi.conjugate()
+        return sum((n * c * xi**m * xb ** (n - 1) for m, n, c in terms if n > 0), 0j)
+
+    return ev, d, dbar
+
+
+def _gradient_coeffs(geometry, potential):
+    """Coefficients of ``e^{-2u} dbar h`` built term by term in dicts, as
+    ``lagrangian_section`` built them before: the reference for its matrix algebra."""
+    if geometry == "flat":
+        v = {(0, 0): 1.0}
+    else:
+        v = {(0, 0): 0.25, (1, 1): 0.5, (2, 2): 0.25}
+    herm = {}
+    for (m, n), c in potential.items():
+        herm[(m, n)] = herm.get((m, n), 0.0) + 0.5 * c
+        herm[(n, m)] = herm.get((n, m), 0.0) + 0.5 * c.conjugate()
+    coeffs = {}
+    for (m, n), c in herm.items():
+        if n > 0:
+            for (p, q), a in v.items():
+                key = (m + p, n - 1 + q)
+                coeffs[key] = coeffs.get(key, 0.0) + a * n * c
+    return coeffs
+
+
+def _random_coeffs(rng, kind):
+    """Random coefficients shaped like those of ``sampling``'s sections."""
+    def draw():
+        return complex(*rng.normal(size=2))
+
+    if kind == "polynomial":
+        return {(m, n): draw() / (1.0 + m + n) for m in range(4) for n in range(4 - m)}
+    if kind == "holomorphic":
+        return {(k, 0): draw() for k in range(1, 5)}
+    return {(m, n): draw() * 0.4 / (1.0 + m + n) for m in range(1, 4) for n in range(m + 1)}
+
+
+class TestCoefficientMatrix:
+    """Polynomial sections are one coefficient matrix evaluated by Horner's rule;
+    ``F``, ``d F`` and ``dbar F`` agree with the term sums within 1e-13 of the
+    largest value, at a point, on an ``el_residual`` stencil and on grid nodes."""
+
+    @staticmethod
+    def points():
+        grid = AnnulusGrid(0.4, 1.8, 8, 16)
+        return [0.7 - 0.4j, 0.9 + 0.3j + _STENCIL * 5e-4,
+                _polar(grid.radial_nodes[:, None], grid.theta_nodes)]
+
+    @pytest.mark.parametrize("geometry", ["flat", "sphere"])
+    @pytest.mark.parametrize("kind", ["polynomial", "holomorphic", "lagrangian"])
+    def test_matches_term_sums(self, geometry, kind):
+        geom = geometry_by_name(geometry)
+        rng = rng_from_seed(61)
+        for _ in range(5):
+            coeffs = _random_coeffs(rng, kind)
+            if kind == "lagrangian":
+                section = lagrangian_section(geom, coeffs)
+                coeffs = _gradient_coeffs(geometry, coeffs)
+            else:
+                section = polynomial_section(geom, coeffs)
+            F = section.F
+            for xi in self.points():
+                for got_fn, want_fn in zip((F, F.d, F.dbar), _term_sums(coeffs)):
+                    got = np.broadcast_to(got_fn(xi), np.shape(xi))
+                    want = np.broadcast_to(want_fn(xi), np.shape(xi))
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_empty_coefficients_give_the_zero_field(self, flat, sphere):
+        for section in (polynomial_section(flat, {}), lagrangian_section(sphere, {})):
+            for xi in self.points():
+                for fn in (section.F, section.F.d, section.F.dbar):
+                    assert np.all(np.broadcast_to(fn(xi), np.shape(xi)) == 0.0)
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -2), (1.5, 0), (2, 1.0)])
+    def test_exponents_must_be_non_negative_integers(self, flat, sphere, key):
+        # a negative exponent would index the last row or column of the matrix
+        with pytest.raises(DomainError, match="non-negative integers"):
+            polynomial_section(flat, {(1, 0): 1j, key: 0.5})
+        with pytest.raises(DomainError, match="non-negative integers"):
+            lagrangian_section(sphere, {(1, 1): 1.0, key: 0.5})
+
+    def test_numpy_integer_exponents(self, flat):
+        xi = 0.3 - 1.2j
+        plain = polynomial_section(flat, {(2, 1): 0.5j})
+        numpy_keys = polynomial_section(flat, {(np.int64(2), np.int64(1)): 0.5j})
+        assert numpy_keys.F(xi) == plain.F(xi)

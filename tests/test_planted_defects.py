@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import test_acceptance
-from neutralkahler import cli, graphs, numerics, rotsym
+from neutralkahler import cli, graphs, numerics, rotsym, sampling
 from neutralkahler.ambient import AmbientFrame, ThetaForm, ambient_frame, theta_form
 from neutralkahler.cli import DEFAULT_TOLERANCES, RunConfig, run
 from neutralkahler.numerics import CumulativeIntegral
@@ -289,6 +289,25 @@ def test_degenerate_family_without_source_term(monkeypatch):
     # Psi' = 2 a2 R - 2 u' e^{-2u} (b2 + I) + e^{-2u} J with its last term dropped:
     # Psi's values are untouched, so psi_quadrature cannot see it, but the slope
     # determinant of the degenerate families no longer cancels (criterion 7)
-    plant_source_defect(monkeypatch, rotsym, "_psi_with_integral", " + v(r) * J(r)")
+    plant_source_defect(monkeypatch, rotsym, "psi_closed_form", " + v(r) * J(r)")
     with pytest.raises(AssertionError, match="degenerate defect"):
         test_acceptance.test_criterion_7_degenerate_families()
+
+
+@pytest.mark.parametrize("geometry", ["flat", "sphere"])
+def test_dbar_exponent_off_by_one(monkeypatch, geometry):
+    # dbar of a coefficient matrix takes (n + 1) C, not n C; F itself is untouched,
+    # so its FD Jacobian and both Stokes sides are too
+    plant_source_defect(monkeypatch, graphs, "_wirtinger", "(m, n)[axis]", "(m, n + 1)[axis]")
+    checks = verify(geometry, "graphs")
+    assert failed(checks, *checks) == ["det_oracle"]
+    assert checks["det_oracle"]["evaluated"] > 0
+
+
+def test_potential_not_symmetrised(monkeypatch):
+    # (H + H^H) / 2 without its H^H term: h is no longer real, so the gradient
+    # sections stop being lagrangian and their Stokes sides stop vanishing
+    plant_source_defect(monkeypatch, graphs, "lagrangian_section", " + H.conj().T")
+    monkeypatch.setattr(sampling, "lagrangian_section", graphs.lagrangian_section)
+    with pytest.raises(AssertionError, match="lagrangian sides"):
+        test_acceptance.test_criterion_9_exactness_stokes()
