@@ -95,7 +95,7 @@ class ConformalGeometry:
         """Holomorphic derivative of u, by closed form or finite differences."""
         if self.du is not None:
             return self.du(xi)
-        return ComplexField(self.u).wirtinger_d(xi)
+        return ComplexField(self.u).jet_at(xi)[1]
 
     def conformal_factor(self, xi):
         """The metric density ``w = e^{2u}`` (always positive)."""

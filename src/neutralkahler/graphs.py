@@ -31,7 +31,8 @@ under the square root is taken literally, so the residual is only defined
 where ``det_factor`` keeps one sign across the whole stencil.
 
 Slopes, classes and the residual also evaluate elementwise on arrays of
-points, so each grid or lattice sweep is one call on elementwise fields.
+points, so each grid or lattice sweep is one call on elementwise fields
+(one per block of ``_RESIDUAL_BLOCK`` points for the residual).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .errors import DomainError, SingularResidualError
 from .numerics import (
     AnnulusGrid,
     ComplexField,
-    RadialFunction,
     _node_sum,
     _polar,
     _require_finite,
@@ -94,8 +94,14 @@ DEGENERACY_SCALE_FLOOR = NULL_ATOL**2
 _SKIP_REASONS = ("degenerate", "det_sign_change", "lam_sign_change")
 #: step in ``t`` of the first variation's symmetric differences
 T_STEP = 1e-5
-#: the 5-point stencil, in units of the step
-_STENCIL = np.array([0.0, 1.0, -1.0, 1j, -1j])
+#: points per block of a residual sweep, which bounds its peak memory: a block's
+#: 9-point stencil holds under half the points of one 5-point stencil on 64 x 64 nodes
+_RESIDUAL_BLOCK = 1024
+#: the residual's stencil in units of its step h: the centre, the arms +-h, +-ih of
+#: the coarse step and the arms +-h/2, +-ih/2 of the fine one; each row of
+#: ``_STEPS`` picks one step's 5-point stencil (centre, +1, -1, +i, -i) out of it
+_STENCIL = np.array([0.0, 1.0, -1.0, 1j, -1j, 0.5, -0.5, 0.5j, -0.5j])
+_STEPS = np.array([[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]])
 
 
 class SurfaceClass(enum.Enum):
@@ -170,9 +176,8 @@ class InducedMetric:
 def slopes(section: GraphSection, xi) -> SlopeData:
     """Evaluate the slope invariants at ``xi``, a point or an array of points
     (a constant field can leave a slope scalar; see :func:`_slopes_on`)."""
-    sigma = -section.F.wirtinger_dbar(xi).conjugate()
-    rho = section.F.wirtinger_d(xi) + 2.0 * section.F(xi) * section.geometry.du_at(xi)
-    return SlopeData(sigma=sigma, rho=rho)
+    f, d, dbar = section.F.jet_at(xi)
+    return SlopeData(sigma=-dbar.conjugate(), rho=d + 2.0 * f * section.geometry.du_at(xi))
 
 
 def _slopes_on(section: GraphSection, xi: np.ndarray) -> SlopeData:
@@ -264,45 +269,50 @@ def area(section: GraphSection, grid: AnnulusGrid) -> float:
     return float(_area_from_slopes(*_slope_table(section, grid), grid))
 
 
-def _residual_quotient(section: GraphSection, xi, step) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference value of the stationarity operator at one step and a
-    skip code per point, from one ``slopes`` call on the ``5 x shape(xi)`` stencil."""
-    z = xi + _STENCIL.reshape((5,) + (1,) * np.ndim(xi)) * step
-    sl = _slopes_on(section, z)
-    lam, det = sl.lam, sl.det_factor
-
-    def mixed(v):  # some but not all of the five stencil values are negative
-        neg = np.signbit(v)
-        return neg.any(axis=0) & ~neg.all(axis=0)
-
-    code = np.select([sl.degenerate.any(0), mixed(det), (det[0] > 0.0) & mixed(lam)], [1, 2, 3])
-
-    w = np.broadcast_to(section.geometry.conformal_factor(z), z.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):  # at skipped points only
-        root = np.sqrt(np.abs(det))
-        p = lam / root
-        q = sl.sigma * w / root
-        px = (p[1] - p[2]) / (2.0 * step)
-        py = (p[3] - p[4]) / (2.0 * step)
-        d_p = 0.5 * (px - 1j * py)
-
-        qx = (q[1] - q[2]) / (2.0 * step)
-        qy = (q[3] - q[4]) / (2.0 * step)
-        dbar_q = 0.5 * (qx + 1j * qy)
-        return 1j * d_p - dbar_q / w[0], code
-
-
 def _residual_map(section: GraphSection, xi):
     """``el_residual`` at every point of ``xi`` (``nan`` where skipped) and the
-    skip codes; the coarse step's code takes priority over the fine one's."""
+    skip codes; more than ``_RESIDUAL_BLOCK`` points go through in blocks."""
+    if np.size(xi) <= _RESIDUAL_BLOCK:
+        return _residual_block(section, xi)
+    blocks = np.array_split(np.ravel(xi), -(-np.size(xi) // _RESIDUAL_BLOCK))
+    parts = zip(*(_residual_block(section, block) for block in blocks))
+    return tuple(np.concatenate(part).reshape(np.shape(xi)) for part in parts)
+
+
+def _residual_block(section: GraphSection, xi):
+    """:func:`_residual_map` from one ``slopes`` call on the ``9 x shape(xi)`` stencil."""
     # slope fields steepen like (R - R0)^{-1/2} near zeros of the squared
     # imaginary part, so analytic sections get a small step (their slope
     # evaluations are exact and the difference noise stays near 1e-10)
     h = (1e-6 if section.F.analytic else 5e-4) * np.maximum(1.0, abs(xi))
-    coarse, code = _residual_quotient(section, xi, h)
-    fine, code_fine = _residual_quotient(section, xi, 0.5 * h)
-    code = np.where(code != 0, code, code_fine)
-    return np.where(code == 0, (4.0 * fine - coarse) / 3.0, np.nan), code
+    pad = (1,) * np.ndim(xi)
+    z = xi + _STENCIL.reshape((9,) + pad) * h
+    sl = _slopes_on(section, z)
+    lam, det = sl.lam, sl.det_factor
+
+    def mixed(v):  # per step, some but not all of its five stencil values are negative
+        neg = np.signbit(v)[_STEPS]
+        return neg.any(axis=1) & ~neg.all(axis=1)
+
+    code = np.select([sl.degenerate[_STEPS].any(axis=1), mixed(det), (det[0] > 0.0) & mixed(lam)],
+                     [1, 2, 3])
+    code = np.where(code[0] != 0, code[0], code[1])  # the coarse step's code comes first
+
+    w = np.broadcast_to(section.geometry.conformal_factor(z), z.shape)
+    step = np.array([1.0, 0.5]).reshape((2,) + pad) * h
+    with np.errstate(divide="ignore", invalid="ignore"):  # at skipped points only
+        root = np.sqrt(np.abs(det))
+        p = (lam / root)[_STEPS]
+        q = (sl.sigma * w / root)[_STEPS]
+        px = (p[:, 1] - p[:, 2]) / (2.0 * step)
+        py = (p[:, 3] - p[:, 4]) / (2.0 * step)
+        d_p = 0.5 * (px - 1j * py)
+
+        qx = (q[:, 1] - q[:, 2]) / (2.0 * step)
+        qy = (q[:, 3] - q[:, 4]) / (2.0 * step)
+        dbar_q = 0.5 * (qx + 1j * qy)
+        coarse, fine = 1j * d_p - dbar_q / w[0]
+        return np.where(code == 0, (4.0 * fine - coarse) / 3.0, np.nan), code
 
 
 def el_residual(section: GraphSection, xi: complex) -> complex:
@@ -323,34 +333,31 @@ def el_residual(section: GraphSection, xi: complex) -> complex:
     return value[()]
 
 
-def radial_bump(r_lo: float, r_hi: float) -> RadialFunction:
-    """A C^2 hat supported on ``[r_lo, r_hi]``, peak value 1.
+def radial_bump(r_lo: float, r_hi: float) -> Callable:
+    """A C^2 hat supported on ``[r_lo, r_hi]``, peak value 1, as its jet
+    ``r -> (phi, phi')``, both computed from one ``s`` clipped to ``[0, 1]``.
 
     The profile ``(4 s (1-s))^3`` vanishes with its first two derivatives
-    at both endpoints, so bumps qualify as admissible variations.
+    at ``s = 0`` and ``s = 1``, so the clipping gives the zero outside the
+    support, and bumps qualify as admissible variations.
     """
     width = r_hi - r_lo
 
-    # both formulas vanish at s = 0 and s = 1, so clipping s to [0, 1]
-    # gives the zero outside the support
-    def f(r):
+    def jet(r):
         s = np.clip((r - r_lo) / width, 0.0, 1.0)
-        return (4.0 * s * (1.0 - s)) ** 3
+        return (4.0 * s * (1.0 - s)) ** 3, 192.0 * (s * (1.0 - s)) ** 2 * (1.0 - 2.0 * s) / width
 
-    def df(r):
-        s = np.clip((r - r_lo) / width, 0.0, 1.0)
-        return 192.0 * (s * (1.0 - s)) ** 2 * (1.0 - 2.0 * s) / width
-
-    return RadialFunction(f, df)
+    return jet
 
 
-def _angular_field(g: Callable, dg: Callable, k: int) -> ComplexField:
-    """The angular mode ``g(R) e^{i k theta}`` with closed Wirtinger derivatives
+def _angular_field(g: Callable, g_jet: Callable, k: int) -> ComplexField:
+    """The angular mode ``g(R) e^{i k theta}``; ``g_jet(R)`` returns ``(g, g')``, so
+    its jet evaluates the radial profile once. The closed Wirtinger derivatives
 
         d    = e^{i (k-1) theta} (g' + k g / R) / 2,
         dbar = e^{i (k+1) theta} (g' - k g / R) / 2,
 
-    written with the phase ``xi / R`` so that ``k = 1`` needs no power
+    are written with the phase ``xi / R`` so that ``k = 1`` needs no power
     beyond the exact ``phase**0`` and ``xi**1``.
     """
 
@@ -360,19 +367,24 @@ def _angular_field(g: Callable, dg: Callable, k: int) -> ComplexField:
             raise DomainError("angular mode undefined at xi = 0")
         return r
 
+    def value(g_r, xi, r):
+        # a named power: numpy computes ``g * <temporary>`` on large arrays in place with
+        # the operands swapped, and its complex product is not commutative to the last bit
+        power = xi**k
+        return g_r * power / r**k
+
     def ev(xi):
         r = radius(xi)
-        return g(r) * xi**k / r**k
+        return value(g(r), xi, r)
 
-    def d(xi):
+    def jet(xi):
         r = radius(xi)
-        return 0.5 * (xi / r) ** (k - 1) * (dg(r) + k * g(r) / r)
+        g_r, dg = g_jet(r)
+        phase, kg = xi / r, k * g_r / r
+        return (value(g_r, xi, r), 0.5 * phase ** (k - 1) * (dg + kg),
+                0.5 * phase ** (k + 1) * (dg - kg))
 
-    def dbar(xi):
-        r = radius(xi)
-        return 0.5 * (xi / r) ** (k + 1) * (dg(r) - k * g(r) / r)
-
-    return ComplexField(ev, d=d, dbar=dbar)
+    return ComplexField(ev, jet)
 
 
 def bump_basis(
@@ -381,11 +393,8 @@ def bump_basis(
     """Compactly supported variation bumps: radial hat times ``e^{i k theta}``,
     applied separately to the real and imaginary parts of the perturbation."""
     phi = radial_bump(r_lo, r_hi)
-    return [
-        _angular_field(lambda r, c=c: c * phi(r), lambda r, c=c: c * phi.deriv(r), k)
-        for k in ks
-        for c in (1.0, 1.0j)
-    ]
+    jets = [lambda r, c=c: tuple(c * v for v in phi(r)) for c in (1.0, 1.0j)]
+    return [_angular_field(lambda r, j=j: j(r)[0], j, k) for k in ks for j in jets]
 
 
 def first_variation(section: GraphSection, bump: ComplexField, grid: AnnulusGrid) -> float:
@@ -483,9 +492,9 @@ def _wirtinger(C: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _matrix_section(geometry: ConformalGeometry, C: np.ndarray) -> GraphSection:
-    """The section ``F = sum C[m, n] xi^m xibar^n`` with its exact derivatives."""
-    d, dbar = _evaluator(_wirtinger(C, 0)), _evaluator(_wirtinger(C, 1))
-    return GraphSection(ComplexField(_evaluator(C), d=d, dbar=dbar), geometry)
+    """The section ``F = sum C[m, n] xi^m xibar^n``; its jet is three Horner evaluations."""
+    F, d, dbar = _evaluator(C), _evaluator(_wirtinger(C, 0)), _evaluator(_wirtinger(C, 1))
+    return GraphSection(ComplexField(F, lambda xi: (F(xi), d(xi), dbar(xi))), geometry)
 
 
 def polynomial_section(
@@ -534,9 +543,8 @@ def conjugate_section(section: GraphSection) -> GraphSection:
 
     field = ComplexField(
         lambda xi: F(xi.conjugate()).conjugate(),
-        d=(lambda xi: F.d(xi.conjugate()).conjugate()) if F.d is not None else None,
-        dbar=(lambda xi: F.dbar(xi.conjugate()).conjugate()) if F.dbar is not None else None,
-        fd_step=F.fd_step,
+        (lambda xi: tuple(v.conjugate() for v in F.jet(xi.conjugate()))) if F.analytic else None,
+        F.fd_step,
     )
     refl = ConformalGeometry(
         name=geom.name + "~",

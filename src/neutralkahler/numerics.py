@@ -68,28 +68,29 @@ for _table in (*GAUSS_LEGENDRE_4, *GAUSS_LEGENDRE_8):
 class ComplexField:
     """A complex-valued function of one complex variable (and its conjugate).
 
-    The field carries its own derivative policy: if closed forms for the
-    Wirtinger derivatives ``d`` and ``dbar`` are supplied the policy is
-    *analytic*, otherwise derivatives fall back to central finite
-    differences with step ``fd_step * max(1, |xi|)``. The evaluator and the
-    closed forms work elementwise on arrays of nodes; a constant field may
-    return a scalar, which callers broadcast.
+    ``F(xi)`` is the value alone; ``jet_at(xi)`` is ``(F, dF, dbarF)``. A closed-form
+    ``jet`` makes the derivative policy *analytic*; without one, the derivatives
+    come from central differences with step ``fd_step * max(1, |xi|)``. Evaluator
+    and jet are elementwise on arrays of nodes; a constant field may return
+    scalars, which callers broadcast.
     """
 
     evaluator: Callable
-    d: Optional[Callable] = None
-    dbar: Optional[Callable] = None
+    jet: Optional[Callable] = None
     fd_step: float = DEFAULT_FD_STEP
 
     @property
     def analytic(self) -> bool:
-        return self.d is not None and self.dbar is not None
+        return self.jet is not None
 
     def __call__(self, xi):
         return self.evaluator(xi)
 
-    def _fd_pair(self, xi):
-        """Central-difference d/dx and d/dy at ``xi``."""
+    def jet_at(self, xi):
+        """``(F, dF, dbarF)`` at ``xi``: the closed-form jet, or else the evaluator
+        at ``xi`` and at the four stencil points ``xi +- h``, ``xi +- i h``."""
+        if self.jet is not None:
+            return self.jet(xi)
         h = self.fd_step * np.maximum(1.0, abs(xi))
         try:
             fx = (self(xi + h) - self(xi - h)) / (2.0 * h)
@@ -100,19 +101,7 @@ class ComplexField:
             ) from exc
         if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
             raise DerivativeUnavailableError(f"non-finite stencil values at xi={xi}")
-        return fx, fy
-
-    def wirtinger_d(self, xi):
-        if self.d is not None:
-            return self.d(xi)
-        fx, fy = self._fd_pair(xi)
-        return 0.5 * (fx - 1j * fy)
-
-    def wirtinger_dbar(self, xi):
-        if self.dbar is not None:
-            return self.dbar(xi)
-        fx, fy = self._fd_pair(xi)
-        return 0.5 * (fx + 1j * fy)
+        return self(xi), 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 @dataclass(frozen=True)

@@ -298,17 +298,20 @@ class RotSymProfile:
     def W(self, r):
         return np.sqrt(np.maximum(self.psi(r), 0.0))
 
-    def G(self, r):
-        return self.H(r) + 1j * (self.branch * self.W(r))
+    def G(self, r, w=None):
+        """``H + i branch W`` at ``r``, given ``w = W(r)`` if it is known."""
+        return self.H(r) + 1j * (self.branch * (self.W(r) if w is None else w))
 
-    def dG(self, r):
+    def G_jet(self, r):
+        """``(G, G')`` at ``r``, from one evaluation each of ``Psi``, ``Psi'``, ``H`` and ``H'``."""
         w = self.W(r)
         if np.any(w == 0.0):
             raise DomainError(f"profile derivative undefined where Psi = 0 (R = {r})")
-        return self.H.deriv(r, 1) + 1j * (self.branch * self.psi.deriv(r, 1) / (2.0 * w))
+        dG = self.H.deriv(r, 1) + 1j * (self.branch * self.psi.deriv(r, 1) / (2.0 * w))
+        return self.G(r, w), dG
 
     def section(self) -> GraphSection:
-        return rotsym_section(self.geometry, self.G, self.dG)
+        return GraphSection(_angular_field(self.G, self.G_jet, 1), self.geometry)
 
 
 def rotsym_section(geom: ConformalGeometry, G: Callable, dG: Callable) -> GraphSection:
@@ -317,7 +320,7 @@ def rotsym_section(geom: ConformalGeometry, G: Callable, dG: Callable) -> GraphS
     For this ansatz ``d F = (G' + G/R)/2`` (independent of theta) and
     ``dbar F = e^{2 i theta} (G' - G/R)/2``.
     """
-    return GraphSection(_angular_field(G, dG, 1), geom)
+    return GraphSection(_angular_field(G, lambda r: (G(r), dG(r)), 1), geom)
 
 
 def _closed_family_profiles(

@@ -30,7 +30,13 @@ from neutralkahler import (
 )
 from neutralkahler.ambient import ConformalGeometry, TangentPoint, ambient_frame, theta_form
 from neutralkahler.errors import DomainError, QuadratureError, SingularResidualError
-from neutralkahler.graphs import _STENCIL, _fd_jacobian, radial_bump
+from neutralkahler.graphs import (
+    _RESIDUAL_BLOCK,
+    _STENCIL,
+    _fd_jacobian,
+    _residual_map,
+    radial_bump,
+)
 from neutralkahler.numerics import ComplexField, RadialFunction, _polar
 from neutralkahler.rotsym import comfortable_range, degenerate_family, rotsym_section
 from neutralkahler.sampling import (
@@ -279,6 +285,66 @@ class TestElResidual:
         res_m = el_residual(mirrored, xi)
         assert res_m == pytest.approx(res.conjugate(), rel=1e-6, abs=1e-9)
 
+    def test_one_slopes_call_on_one_nine_point_stencil(self, flat, monkeypatch):
+        import neutralkahler.graphs as graphs
+
+        calls = []
+        real_slopes = graphs.slopes
+        monkeypatch.setattr(graphs, "slopes", lambda s, z: calls.append(z) or real_slopes(s, z))
+        xi = 0.8 - 0.3j
+        el_residual(i_xi(flat), xi)
+        h = 1e-6
+        assert len(calls) == 1 and np.shape(calls[0]) == (9,)
+        assert set(calls[0].tolist()) == {xi + a * s for s in (h, 0.5 * h)
+                                         for a in (0.0, 1.0, -1.0, 1j, -1j)}
+
+    @pytest.mark.parametrize("case", ["sphere_family", "torus", "fd_torus", "conjugate_polynomial"])
+    def test_bit_identical_to_two_five_point_stencils(self, sphere, case):
+        # at single points and on a lattice of more than one block
+        torus = torus_section(TorusFamily(2.0, 1.0))
+        lo, hi = 1.2, 2.4
+        if case == "sphere_family":
+            profile = stationary_family(sphere, FamilyParams(0.4, -0.3, 0.9, 1.4), -1, (0.3, 0.95))
+            section, (lo, hi) = profile.section(), comfortable_range(profile)
+        elif case == "torus":
+            section = torus
+        elif case == "fd_torus":
+            section = GraphSection(ComplexField(torus.F.evaluator), sphere)
+        else:
+            section = conjugate_section(polynomial_section(sphere, {(1, 0): 1.5j, (2, 1): 0.1}))
+        for xi in (lo * np.exp(0.4j), complex(hi * np.exp(2.9j)), 0.5 * (lo + hi) * np.exp(-1.1j)):
+            assert el_residual(section, xi) == _two_step_residual(section, xi)
+        lattice = np.linspace(lo, hi, 40)[:, None] * np.exp(1j * np.linspace(0.0, 6.2, 40))
+        values, codes = _residual_map(section, lattice)
+        assert lattice.size > _RESIDUAL_BLOCK and values.shape == lattice.shape
+        assert np.all(codes == 0)
+        assert np.array_equal(values, _two_step_residual(section, lattice))
+
+
+def _two_step_residual(section, xi):
+    """The residual as it was computed before its two steps shared one stencil:
+    one 5-point stencil and one ``slopes`` call per step (the reference)."""
+    five = np.array([0.0, 1.0, -1.0, 1j, -1j])
+    h = (1e-6 if section.F.analytic else 5e-4) * np.maximum(1.0, abs(xi))
+
+    def quotient(step):
+        z = xi + five.reshape((5,) + (1,) * np.ndim(xi)) * step
+        sl = slopes(section, z)
+        sigma, lam = np.broadcast_to(sl.sigma, z.shape), np.broadcast_to(sl.lam, z.shape)
+        w = np.broadcast_to(section.geometry.conformal_factor(z), z.shape)
+        root = np.sqrt(np.abs(lam * lam - (sigma.real * sigma.real + sigma.imag * sigma.imag)))
+        p, q = lam / root, sigma * w / root
+        px = (p[1] - p[2]) / (2.0 * step)
+        py = (p[3] - p[4]) / (2.0 * step)
+        d_p = 0.5 * (px - 1j * py)
+        qx = (q[1] - q[2]) / (2.0 * step)
+        qy = (q[3] - q[4]) / (2.0 * step)
+        dbar_q = 0.5 * (qx + 1j * qy)
+        return 1j * d_p - dbar_q / w[0]
+
+    coarse, fine = quotient(h), quotient(0.5 * h)
+    return (4.0 * fine - coarse) / 3.0
+
 
 class TestFirstVariation:
     def test_holomorphic_sections_stationary_under_bumps(self, flat):
@@ -311,8 +377,7 @@ class TestFirstVariation:
         b1, b2 = bump_basis(1.0, 2.0, ks=(0, 1))[:2]
         combined = ComplexField(
             lambda xi: b1(xi) + b2(xi),
-            d=lambda xi: b1.d(xi) + b2.d(xi),
-            dbar=lambda xi: b1.dbar(xi) + b2.dbar(xi),
+            lambda xi: tuple(u + v for u, v in zip(b1.jet(xi), b2.jet(xi))),
         )
         fv1 = first_variation(section, b1, grid)
         fv2 = first_variation(section, b2, grid)
@@ -356,9 +421,8 @@ class TestFirstVariation:
     def test_bump_vanishes_at_support_ends(self):
         phi = radial_bump(1.0, 2.0)
         for r in (1.0, 2.0, 0.5, 2.5):
-            assert phi(r) == 0.0
-            assert phi.deriv(r) == 0.0
-        assert phi(1.5) == pytest.approx(1.0)
+            assert phi(r) == (0.0, 0.0)
+        assert phi(1.5) == (pytest.approx(1.0), 0.0)
 
 
 class TestStokes:
@@ -446,7 +510,8 @@ class TestArrayContract:
     def test_field_and_slopes(self, case):
         section, (lo, hi) = _contract_cases()[case]
         xi = _annulus_points(lo, hi)
-        for fn in (section.F, section.F.wirtinger_d, section.F.wirtinger_dbar,
+        jet = section.F.jet_at
+        for fn in (section.F, lambda z: jet(z)[0], lambda z: jet(z)[1], lambda z: jet(z)[2],
                    lambda z: slopes(section, z).sigma, lambda z: slopes(section, z).rho):
             self.same(fn, xi)
 
@@ -624,16 +689,16 @@ class TestCoefficientMatrix:
                 section = polynomial_section(geom, coeffs)
             F = section.F
             for xi in self.points():
-                for got_fn, want_fn in zip((F, F.d, F.dbar), _term_sums(coeffs)):
-                    got = np.broadcast_to(got_fn(xi), np.shape(xi))
+                for got, want_fn in zip(F.jet(xi), _term_sums(coeffs)):
+                    got = np.broadcast_to(got, np.shape(xi))
                     want = np.broadcast_to(want_fn(xi), np.shape(xi))
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_empty_coefficients_give_the_zero_field(self, flat, sphere):
         for section in (polynomial_section(flat, {}), lagrangian_section(sphere, {})):
             for xi in self.points():
-                for fn in (section.F, section.F.d, section.F.dbar):
-                    assert np.all(np.broadcast_to(fn(xi), np.shape(xi)) == 0.0)
+                for value in (section.F(xi), *section.F.jet(xi)):
+                    assert np.all(np.broadcast_to(value, np.shape(xi)) == 0.0)
 
     @pytest.mark.parametrize("key", [(-1, 0), (0, -2), (1.5, 0), (2, 1.0)])
     def test_exponents_must_be_non_negative_integers(self, flat, sphere, key):
@@ -648,3 +713,156 @@ class TestCoefficientMatrix:
         plain = polynomial_section(flat, {(2, 1): 0.5j})
         numpy_keys = polynomial_section(flat, {(np.int64(2), np.int64(1)): 0.5j})
         assert numpy_keys.F(xi) == plain.F(xi)
+
+
+def _separate_closures(g, dg, k):
+    """``g(R) e^{i k theta}`` as the three closures every angular field was before it
+    had one jet: value, ``d`` and ``dbar``, each evaluating ``R`` and the profile."""
+
+    def ev(xi):
+        r = abs(xi)
+        return g(r) * xi**k / r**k
+
+    def d(xi):
+        r = abs(xi)
+        return 0.5 * (xi / r) ** (k - 1) * (dg(r) + k * g(r) / r)
+
+    def dbar(xi):
+        r = abs(xi)
+        return 0.5 * (xi / r) ** (k + 1) * (dg(r) - k * g(r) / r)
+
+    return ev, d, dbar
+
+
+def _profile_closures(profile):
+    """The reference closures of a ``RotSymProfile`` section, ``G`` and ``G'`` each
+    taking its own ``W = sqrt(Psi)``."""
+    def W(r):
+        return np.sqrt(np.maximum(profile.psi(r), 0.0))
+
+    def G(r):
+        return profile.H(r) + 1j * (profile.branch * W(r))
+
+    def dG(r):
+        return profile.H.deriv(r, 1) + 1j * (profile.branch * profile.psi.deriv(r, 1) / (2.0 * W(r)))
+
+    return _separate_closures(G, dG, 1)
+
+
+def _bump_closures(r_lo, r_hi, c, k):
+    """The reference closures of a ``bump_basis`` field, ``phi`` and ``phi'`` each
+    clipping its own ``s``."""
+    width = r_hi - r_lo
+
+    def phi(r):
+        s = np.clip((r - r_lo) / width, 0.0, 1.0)
+        return c * (4.0 * s * (1.0 - s)) ** 3
+
+    def dphi(r):
+        s = np.clip((r - r_lo) / width, 0.0, 1.0)
+        return c * (192.0 * (s * (1.0 - s)) ** 2 * (1.0 - 2.0 * s) / width)
+
+    return _separate_closures(phi, dphi, k)
+
+
+def _jet_cases():
+    """``(name, field, reference closures, radial range)`` of every jet the package builds."""
+    from neutralkahler.graphs import _coefficient_matrix, _evaluator, _wirtinger
+    from neutralkahler.lines3d import torus_profile
+
+    flat, sphere = geometry_by_name("flat"), geometry_by_name("sphere")
+    H = RadialFunction(lambda r: 0.3 * r - 0.2 * r * r, lambda r: 0.3 - 0.4 * r, lambda r: -0.4)
+    profiles = {
+        "flat family": stationary_family(flat, FamilyParams(0.2, 0.1, 1.0, 0.4), 1, (0.5, 2.5)),
+        "sphere family": stationary_family(sphere, FamilyParams(0.4, -0.3, 0.9, 1.4), -1,
+                                           (0.3, 0.95)),
+        "torus": torus_profile(TorusFamily(2.0, 1.0, branch=-1)),
+        "degenerate family": degenerate_family(sphere, H, 1.5, 1, (0.15, 0.9)),
+        "off-family control": off_family_profile(rng_from_seed(43), sphere, (0.4, 1.6)),
+    }
+    cases = [(name, p.section().F, _profile_closures(p),
+              (1.2, 2.4) if name == "torus" else comfortable_range(p))
+             for name, p in profiles.items()]
+    ks = (0, 1, -1, 2, -2)
+    kcs = [(k, c) for k in ks for c in (1.0, 1.0j)]  # the order of bump_basis
+    cases += [(f"bump k={k} c={c}", bump, _bump_closures(0.6, 1.4, c, k), (0.5, 1.5))
+              for bump, (k, c) in zip(bump_basis(0.6, 1.4, ks), kcs)]
+    coeffs = {(1, 0): 1.5j, (2, 1): 0.1 - 0.2j, (0, 3): 0.05}
+    C = _coefficient_matrix(coeffs)
+    polynomial = (_evaluator(C), _evaluator(_wirtinger(C, 0)), _evaluator(_wirtinger(C, 1)))
+    cases.append(("polynomial", polynomial_section(sphere, coeffs).F, polynomial, (0.3, 1.8)))
+    for name, field, reference, r_range in cases[:3] + cases[-1:]:
+        mirrored = tuple(lambda xi, f=f: f(xi.conjugate()).conjugate() for f in reference)
+        cases.append((f"conjugate {name}", conjugate_section(GraphSection(field, sphere)).F,
+                      mirrored, r_range))
+    return cases
+
+
+class TestJet:
+    """Every closed-form jet equals, bit for bit, the value and the two derivatives
+    computed separately as before, at a point, on a 9-point stencil and on a 2-D array
+    of Gauss nodes; lagrangian sections are checked against their term sums in
+    ``TestCoefficientMatrix``."""
+
+    @staticmethod
+    def points(lo, hi):
+        mid = 0.5 * (lo + hi) * np.exp(0.7j)
+        grid = AnnulusGrid(lo, hi, 4, 8)
+        return [complex(mid), mid + _STENCIL * 1e-3,
+                _polar(grid.radial_nodes[:, None], grid.theta_nodes)]
+
+    @pytest.mark.parametrize("case", range(len(_jet_cases())))
+    def test_jet_is_the_separate_formulas(self, case):
+        name, field, reference, (lo, hi) = _jet_cases()[case]
+        assert field.analytic
+        for xi in self.points(lo, hi):
+            jet = field.jet_at(xi)
+            assert np.array_equal(field(xi), jet[0]), name
+            for got, want_fn in zip(jet, reference):
+                want = want_fn(xi)
+                assert np.shape(got) == np.shape(want), name
+                assert np.array_equal(got, want), name
+
+    def test_one_slopes_call_evaluates_each_profile_once(self, sphere):
+        import collections
+        import dataclasses
+
+        profile = stationary_family(sphere, FamilyParams(0.4, -0.3, 0.9, 1.4), -1, (0.3, 0.95))
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapped(r):
+                calls[name] += 1
+                return fn(r)
+            return wrapped
+
+        H = RadialFunction(counted("H", profile.H.f), counted("H'", profile.H.df), profile.H.d2f)
+        psi = RadialFunction(counted("Psi", profile.psi.f), counted("Psi'", profile.psi.df),
+                             profile.psi.d2f)
+        section = dataclasses.replace(profile, H=H, psi=psi).section()
+        for xi in self.points(*comfortable_range(profile)):
+            calls.clear()
+            slopes(section, xi)
+            assert calls == {"H": 1, "H'": 1, "Psi": 1, "Psi'": 1}
+
+    def test_finite_difference_jet_is_the_value_and_one_stencil(self, sphere):
+        calls = []
+
+        def ev(z):
+            calls.append(z)
+            return z * z * z.conjugate() + 0.3j * z.conjugate() ** 2
+
+        field = ComplexField(ev)
+        assert not field.analytic
+        for xi in (0.8 - 0.3j, 2.5 + 1.5j):
+            calls.clear()
+            sl = slopes(GraphSection(field, sphere), xi)
+            assert len(calls) == 5
+            # the central differences the former separate d and dbar each took
+            h = 1e-6 * max(1.0, abs(xi))
+            fx = (ev(xi + h) - ev(xi - h)) / (2.0 * h)
+            fy = (ev(xi + 1j * h) - ev(xi - 1j * h)) / (2.0 * h)
+            d, dbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+            assert field.jet_at(xi) == (ev(xi), d, dbar)
+            assert sl.sigma == -dbar.conjugate()
+            assert sl.rho == d + 2.0 * ev(xi) * sphere.du_at(xi)

@@ -28,37 +28,34 @@ class TestWirtinger:
     def test_identity_function(self):
         f = fd_field(lambda z: z)
         for xi in (0.3 + 0.4j, -2.0 + 1.0j, 5.0j):
-            assert f.wirtinger_d(xi) == pytest.approx(1.0, abs=1e-9)
-            assert f.wirtinger_dbar(xi) == pytest.approx(0.0, abs=1e-9)
+            assert f.jet_at(xi) == pytest.approx((xi, 1.0, 0.0), abs=1e-9)
 
     def test_antiholomorphic_function(self):
         f = fd_field(lambda z: z.conjugate())
-        assert f.wirtinger_d(1.0 + 2.0j) == pytest.approx(0.0, abs=1e-9)
-        assert f.wirtinger_dbar(1.0 + 2.0j) == pytest.approx(1.0, abs=1e-9)
+        assert f.jet_at(1.0 + 2.0j)[1:] == pytest.approx((0.0, 1.0), abs=1e-9)
 
     def test_modulus_squared(self):
         # d(xi xibar) = xibar by the product rule
         f = fd_field(lambda z: (z * z.conjugate()).real)
         xi = 1.0 + 1.0j
-        assert f.wirtinger_d(xi) == pytest.approx(1.0 - 1.0j, abs=1e-8)
+        assert f.jet_at(xi)[1] == pytest.approx(1.0 - 1.0j, abs=1e-8)
 
     def test_mixed_monomial_dbar(self):
         # dbar(xi^2 xibar) = xi^2; closed form against finite differences
         fd = fd_field(lambda z: z * z * z.conjugate())
         an = ComplexField(
             lambda z: z * z * z.conjugate(),
-            d=lambda z: 2.0 * z * z.conjugate(),
-            dbar=lambda z: z * z,
+            lambda z: (z * z * z.conjugate(), 2.0 * z * z.conjugate(), z * z),
         )
         xi = 2.0 + 0.0j
-        assert an.wirtinger_dbar(xi) == pytest.approx(4.0)
-        assert fd.wirtinger_dbar(xi) == pytest.approx(4.0, abs=1e-8)
+        assert an.jet_at(xi)[2] == pytest.approx(4.0)
+        assert fd.jet_at(xi)[2] == pytest.approx(4.0, abs=1e-8)
 
     def test_deterministic_evaluation(self):
         f = fd_field(lambda z: math.sin(z.real) + 1j * math.cos(z.imag))
         xi = 0.7 - 0.2j
         assert f(xi) == f(xi)
-        assert f.wirtinger_d(xi) == f.wirtinger_d(xi)
+        assert f.jet_at(xi) == f.jet_at(xi)
 
     @given(
         coeffs=st.lists(
@@ -87,7 +84,7 @@ class TestWirtinger:
 
         fd = ComplexField(ev)
         exact = d(xi)
-        got = fd.wirtinger_d(xi)
+        got = fd.jet_at(xi)[1]
         scale = max(1.0, abs(exact))
         assert abs(got - exact) <= 1e-6 * scale
 
@@ -96,19 +93,16 @@ class TestWirtinger:
     def test_conjugation_intertwines_d_and_dbar(self, x, y):
         # conj(d f) = dbar(conj f), with closed forms on both sides
         xi = complex(x, y)
-        f = ComplexField(
-            lambda z: z * z + 0.5j * z * z.conjugate(),
-            d=lambda z: 2.0 * z + 0.5j * z.conjugate(),
-            dbar=lambda z: 0.5j * z,
-        )
-        fbar = ComplexField(
-            lambda z: (z * z + 0.5j * z * z.conjugate()).conjugate(),
-            d=lambda z: f.dbar(z).conjugate(),
-            dbar=lambda z: f.d(z).conjugate(),
-        )
-        assert f.wirtinger_d(xi).conjugate() == pytest.approx(
-            fbar.wirtinger_dbar(xi), abs=1e-12
-        )
+        def jet(z):
+            return z * z + 0.5j * z * z.conjugate(), 2.0 * z + 0.5j * z.conjugate(), 0.5j * z
+
+        def jet_bar(z):
+            value, d, dbar = jet(z)
+            return value.conjugate(), dbar.conjugate(), d.conjugate()
+
+        f = ComplexField(lambda z: jet(z)[0], jet)
+        fbar = ComplexField(lambda z: jet_bar(z)[0], jet_bar)
+        assert f.jet_at(xi)[1].conjugate() == pytest.approx(fbar.jet_at(xi)[2], abs=1e-12)
 
     def test_stencil_failure_raises(self):
         from neutralkahler.errors import DerivativeUnavailableError
@@ -120,14 +114,14 @@ class TestWirtinger:
 
         f = fd_field(spiky)
         with pytest.raises(DerivativeUnavailableError):
-            f.wirtinger_d(1.0 + 0.0j)
+            f.jet_at(1.0 + 0.0j)
 
     def test_nonfinite_stencil_raises(self):
         from neutralkahler.errors import DerivativeUnavailableError
 
         f = fd_field(lambda z: float("inf") if z.real > 1.0 else 1.0)
         with pytest.raises(DerivativeUnavailableError):
-            f.wirtinger_d(1.0 + 0.0j)
+            f.jet_at(1.0 + 0.0j)
 
     def test_fd_error_scales_quadratically(self):
         # f = sin(x) + i e^{0.3 y}:  d f = (cos x + 0.3 e^{0.3 y}) / 2
@@ -136,7 +130,7 @@ class TestWirtinger:
         errs = []
         for h in (1e-2, 1e-3):
             field = ComplexField(f, fd_step=h)
-            errs.append(abs(field.wirtinger_d(1.0 + 0.5j) - exact))
+            errs.append(abs(field.jet_at(1.0 + 0.5j)[1] - exact))
         ratio = errs[0] / errs[1]
         assert 50.0 < ratio < 200.0
 

@@ -262,7 +262,7 @@ def test_one_nan_stokes_interior(monkeypatch):
 def test_rho_without_conformal_term(monkeypatch):
     # rho = d F + 2 F du with the 2 F du term dropped; du = 0 on the flat geometry
     plant_source_defect(monkeypatch, graphs, "slopes",
-                        " + 2.0 * section.F(xi) * section.geometry.du_at(xi)")
+                        " + 2.0 * f * section.geometry.du_at(xi)")
     checks = verify("sphere", "graphs")
     assert failed(checks, "det_oracle", "stokes") == ["det_oracle"]
     assert checks["det_oracle"]["evaluated"] > 0
@@ -271,7 +271,7 @@ def test_rho_without_conformal_term(monkeypatch):
 def test_residual_without_conformal_factor(monkeypatch):
     # the e^{-2u} = 1 / w[0] factor of the dbar term dropped (w = 1 on the flat
     # geometry); the area side of the pair is untouched, so first_variation_rel passes
-    plant_source_defect(monkeypatch, graphs, "_residual_quotient", "dbar_q / w[0]", "dbar_q")
+    plant_source_defect(monkeypatch, graphs, "_residual_block", "dbar_q / w[0]", "dbar_q")
     checks = verify("sphere", "families")
     assert failed(checks, "residual_max", "first_variation_rel") == ["residual_max"]
     assert checks["residual_max"]["evaluated"] > 0
@@ -311,3 +311,17 @@ def test_potential_not_symmetrised(monkeypatch):
     monkeypatch.setattr(sampling, "lagrangian_section", graphs.lagrangian_section)
     with pytest.raises(AssertionError, match="lagrangian sides"):
         test_acceptance.test_criterion_9_exactness_stokes()
+
+
+def test_angular_jet_dbar_sign_flipped(monkeypatch):
+    # dbar of g(R) e^{i k theta} with +k g/R in place of -k g/R, in the one jet that
+    # every family section, torus and variation bump shares; F and d are untouched.
+    # The graphs suite draws polynomial sections only, so it cannot see it
+    plant_source_defect(monkeypatch, graphs, "_angular_field", "(dg - kg)", "(dg + kg)")
+    monkeypatch.setattr(rotsym, "_angular_field", graphs._angular_field)
+    assert failed(verify("flat", "graphs"), "det_oracle", "stokes") == []
+    checks = verify("flat", "families")
+    assert failed(checks, "residual_max", "first_variation_rel") == ["residual_max"]
+    checks = verify("sphere", "families")
+    assert failed(checks, "residual_max", "first_variation_rel") == ["residual_max",
+                                                                      "first_variation_rel"]

@@ -299,14 +299,14 @@ class TestStationaryFamily:
         # evaluated in this order, to the last bit
         profile = stationary_family(sphere, FamilyParams(0.4, -0.3, 0.9, 1.4), -1, (0.3, 0.95))
         F = profile.section().F
-        G, dG = profile.G, profile.dG
         for r in np.linspace(*profile.domain, 7)[1:-1]:
             xi = r * complex(math.cos(2.1 * r), math.sin(2.1 * r))
             r = abs(xi)
             phase = xi / r
-            assert F(xi) == G(r) * xi / r
-            assert F.d(xi) == 0.5 * (dG(r) + G(r) / r)
-            assert F.dbar(xi) == 0.5 * phase * phase * (dG(r) - G(r) / r)
+            G, dG = profile.G_jet(r)
+            assert G == profile.G(r)
+            assert F(xi) == G * xi / r
+            assert F.jet(xi) == (G * xi / r, 0.5 * (dG + G / r), 0.5 * phase * phase * (dG - G / r))
 
 
 class TestDegenerateFamily:
@@ -418,5 +418,4 @@ class TestProfileValidation:
 
         fd = ComplexField(section.F.evaluator)
         for xi in (0.9 + 0.4j, 1.5 - 0.8j):
-            assert section.F.wirtinger_d(xi) == pytest.approx(fd.wirtinger_d(xi), abs=1e-7)
-            assert section.F.wirtinger_dbar(xi) == pytest.approx(fd.wirtinger_dbar(xi), abs=1e-7)
+            assert section.F.jet_at(xi) == pytest.approx(fd.jet_at(xi), abs=1e-7)
