@@ -15,9 +15,9 @@ error, 3 I/O error. The output directory may be overridden with the
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import datetime
+import functools
 import itertools
 import json
 import os
@@ -380,7 +380,8 @@ def _run_residual(config: RunConfig, report: Report) -> None:
     report.worst("residual_max", [(np.where(kept, np.abs(values), 0.0), None, rs, ts)],
                  "R", "theta", evaluated=int(np.count_nonzero(kept)))
     if config.out:
-        _write_classification(config, report, rs, ts, _slopes_on(section, xi), np.abs(values))
+        sl = _slopes_on(section, xi)
+        _write_classification(config, report, rs, ts, sl, np.abs(values), sl.classify())
 
 
 def _run_area(config: RunConfig, report: Report) -> None:
@@ -399,11 +400,12 @@ def _run_classify(config: RunConfig, report: Report) -> None:
     rs, ts = grid._lattice()
     xi = _polar(rs, ts)
     sl = _slopes_on(section, xi)
-    counts = Counter(sl.classify().tolist())
+    classes = sl.classify()
+    counts = Counter(classes.tolist())
     report.values["class_counts"] = dict(sorted((str(c), n) for c, n in counts.items()))
     if config.out:
         residual = np.abs(_residual_map(section, xi)[0])
-        _write_classification(config, report, rs, ts, sl, residual)
+        _write_classification(config, report, rs, ts, sl, residual, classes)
 
 
 def _write_classification(config: RunConfig, report: Report, *table) -> None:
@@ -621,6 +623,7 @@ def _load_config_file(path: str, options: dict[str, _Option]) -> dict:
     """The file's values by option destination: its sections, then its
     defaults, flattened (later ones win), the value of a repeatable option
     split at whitespace. A key that no option in ``options`` spells is an error."""
+    import configparser  # here, so runs without --config never import it
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path):
@@ -639,7 +642,9 @@ def _load_config_file(path: str, options: dict[str, _Option]) -> dict:
             for key, raw in flat.items()}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nklab`` parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="nklab",
         description="Neutral Kahler laboratory: verification suites, residual and "

@@ -51,6 +51,7 @@ from .numerics import (
     _node_sum,
     _polar,
     _require_finite,
+    _write_rows,
     integrate_circle,
 )
 
@@ -560,17 +561,16 @@ def export_classification_csv(section: GraphSection, grid: AnnulusGrid, path) ->
     rs, ts = grid._lattice()
     xi = _polar(rs, ts)
     residual = np.abs(_residual_map(section, xi)[0])
-    return _write_classification_csv(path, rs, ts, _slopes_on(section, xi), residual)
+    sl = _slopes_on(section, xi)
+    return _write_classification_csv(path, rs, ts, sl, residual, sl.classify())
 
 
-def _write_classification_csv(path, rs, ts, sl: SlopeData, residual) -> int:
-    """Write lattice columns already computed (radii, angles, slopes, |residual|)."""
-    columns = (rs, ts, sl.sigma.real, sl.sigma.imag, sl.lam, sl.det_factor, residual)
-    rows = zip(*(c.tolist() for c in columns), sl.classify().tolist())
+def _write_classification_csv(path, rs, ts, sl: SlopeData, residual, classes) -> int:
+    """Write lattice columns already computed (radii, angles, slopes, |residual|, classes)."""
+    names = {c: str(c) for c in SurfaceClass}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("R,theta,re_sigma,im_sigma,lambda,det_factor,abs_residual,class\n")
-        fh.writelines(
-            f"{r!r},{t!r},{s_re!r},{s_im!r},{lam!r},{det!r},{res!r},{cls}\n"
-            for r, t, s_re, s_im, lam, det, res, cls in rows
-        )
+        _write_rows(fh, "", ",", (rs, ts),
+                    (sl.sigma.real, sl.sigma.imag, sl.lam, sl.det_factor, residual),
+                    [map(names.__getitem__, classes.tolist())])
     return rs.size

@@ -44,7 +44,7 @@ import numpy as np
 from .ambient import TangentPoint, sphere_geometry
 from .errors import AdmissibilityError, ChartError, DomainError
 from .graphs import GraphSection, SurfaceClass, _slopes_on
-from .numerics import AnnulusGrid, RadialFunction, _polar
+from .numerics import AnnulusGrid, RadialFunction, _polar, _write_rows
 from .rotsym import RotSymProfile, _even_quartic
 
 __all__ = [
@@ -193,11 +193,6 @@ def signature_profile(fam: TorusFamily, r_samples: Sequence[float]) -> list[Sign
     ]
 
 
-def _write_rows(fh, row: str, table: np.ndarray) -> None:
-    """Write the ``row`` template filled with each row of the 2-D ``table``."""
-    fh.writelines(map(row.format, *table.T.tolist()))
-
-
 def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: float, fmt: str,
                       path) -> int:
     """Write the line congruence of a section over the grid lattice.
@@ -231,7 +226,7 @@ def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: flo
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "csv":
             fh.write("R,theta,dx,dy,dz,fx,fy,fz\n")
-            _write_rows(fh, ",".join(["{!r}"] * 8) + "\n", np.column_stack([rs, ts, d, f]))
+            _write_rows(fh, "", ",", (rs, ts), (*d.T, *f.T))
         else:
             # node k owns the 1-based vertices 2k+1 (start) and 2k+2 (end); ring
             # r holds nodes r n_theta + j, and angular neighbours j, j+1 make a quad
@@ -239,6 +234,6 @@ def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: flo
             first = np.arange(rs.size // grid.n_theta)[:, None] * grid.n_theta
             k = (first + np.arange(grid.n_theta - 1)).ravel()
             fh.write(f"# line congruence: {rs.size} segments\n")
-            _write_rows(fh, "v {!r} {!r} {!r}\n", ends.reshape(-1, 3))
-            _write_rows(fh, "f {} {} {} {}\n", 2 * k[:, None] + np.array([1, 3, 4, 2]))
+            _write_rows(fh, "v ", " ", values=ends.reshape(-1, 3).T)
+            _write_rows(fh, "f ", " ", values=(2 * k[:, None] + np.array([1, 3, 4, 2])).T)
     return rs.size

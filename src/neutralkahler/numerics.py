@@ -305,6 +305,22 @@ def _polar(r, t):
     return r * (np.cos(t) + 1j * np.sin(t))
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """``[repr(x) for x in column.tolist()]`` of a float64 column, one ``repr`` per
+    distinct bit pattern (``0.0``/``-0.0`` and ``nan`` keep their own strings)."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array([repr(x) for x in bits.view(float).tolist()], object)[inverse].tolist()
+
+
+def _write_rows(fh, prefix: str, sep: str, lattice=(), values=(), labels=()) -> None:
+    """Write one line per row, ``prefix`` then the columns joined by ``sep``. Numbers are
+    their ``repr`` (shortest round trip): once per distinct value in a ``lattice`` column
+    (a grid's R or theta), once per entry in a ``values`` column; ``labels`` are strings."""
+    fields = ["{}"] * len(lattice) + ["{!r}"] * len(values) + ["{}"] * len(labels)
+    columns = [_reprs(c) for c in lattice] + [c.tolist() for c in values] + list(labels)
+    fh.writelines(map((prefix + sep.join(fields) + "\n").format, *columns))
+
+
 def _require_finite(finite: np.ndarray, grid: AnnulusGrid) -> None:
     """Raise :class:`QuadratureError` at the first node (radial-major) where ``finite`` fails."""
     if not finite.all():

@@ -172,6 +172,20 @@ class TestOptionTable:
         assert {s for a in parser._actions for s in a.option_strings} == {
             "-h", "--help", "--version"}
 
+    def test_parser_is_shared_and_keeps_no_state(self, outdir):
+        assert build_parser() is build_parser()
+        # repeatable options append: a value of the first call must not reach the second
+        argv = ["residual", "--B2", "1", "--C2", "5", "--rmin", "0.3", "--rmax", "2.5",
+                "--grid", "8x8"]
+        assert main(argv + ["--exclude", "1.0:0.05", "--tol", "residual_max=1e-3",
+                            "--report", "first.json"]) == 0
+        assert main(argv + ["--report", "second.json"]) == 0
+        first, second = (json.loads((outdir / f"{name}.json").read_text())["config"]
+                         for name in ("first", "second"))
+        assert (first["exclude"], first["tolerance_overrides"]) == (
+            [[1.0, 0.05]], {"residual_max": 1e-3})
+        assert (second["exclude"], second["tolerance_overrides"]) == ([], {})
+
     # one bad value per parser: the task, the flag, its file key, the value
     BAD_VALUES = [
         (["verify"], "--samples", "samples", "abc"),

@@ -1,5 +1,5 @@
 """Packaging: the runtime imports match the declared dependencies, and
-importing the CLI loads no scipy."""
+importing the CLI loads no scipy and no configparser."""
 
 import ast
 import os
@@ -38,11 +38,21 @@ def test_dependencies_are_the_third_party_imports():
     assert third_party_imports() == declared
 
 
-def test_cli_import_loads_no_scipy():
+def cli_import_loads(package: str) -> list[str]:
+    """The modules of ``package`` that a fresh ``import neutralkahler.cli`` loads."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, neutralkahler.cli; "
-         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+         f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    assert cli_import_loads("scipy") == []
+
+
+def test_cli_import_loads_no_configparser():
+    # only --config reads a file; runs without it skip the import
+    assert cli_import_loads("configparser") == []
