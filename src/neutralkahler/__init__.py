@@ -34,9 +34,7 @@ from .graphs import (
     el_residual,
     export_classification_csv,
     first_variation,
-    holomorphic_at,
     induced_metric,
-    lagrangian_at,
     lagrangian_section,
     polynomial_section,
     pullback_determinant,

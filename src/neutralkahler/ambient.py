@@ -173,8 +173,17 @@ class TangentPoint:
     eta: complex
 
     def __post_init__(self):
-        if not (np.isfinite(self.xi) & np.isfinite(self.eta)).all():
+        # a count of the finite entries, not .all(), which costs twice as much on
+        # numpy's boolean scalar; no sum or product of coordinates, which could overflow
+        finite = np.isfinite(self.xi) & np.isfinite(self.eta)
+        if np.count_nonzero(finite) != finite.size:
             raise DomainError(f"non-finite tangent point ({self.xi}, {self.eta})")
+
+    @property
+    def shape(self) -> tuple:
+        """The broadcast shape of the coordinates, ``()`` at one point."""
+        # np.shape would first build a 0-d array from a Python complex
+        return getattr(self.xi + self.eta, "shape", ())
 
 
 @dataclass(frozen=True)
@@ -211,29 +220,31 @@ class ThetaForm:
 def ambient_frame(geom: ConformalGeometry, p: TangentPoint) -> AmbientFrame:
     """Evaluate (G, Omega, J) at ``p`` for the given base geometry, elementwise
     over an array of points (a constant ``e^{2u}`` broadcasts to their shape)."""
-    w = geom.conformal_factor(p.xi)
+    two_w = 2.0 * geom.conformal_factor(p.xi)
     try:
-        dw = 2.0 * w * geom.du_at(p.xi)
+        # the complex factor on the left: at one point, complex * np.float64 stays
+        # Python arithmetic, where np.float64 * complex makes a numpy complex scalar
+        dw = geom.du_at(p.xi) * two_w
     except Exception as exc:
         raise DerivativeUnavailableError(
             f"derivative of e^(2u) unavailable at xi={p.xi}: {exc}"
         ) from exc
     m = -4.0 * (p.eta * dw).imag
-    two_w = 2.0 * w
-    # slice assignment, not np.stack, which costs more than a whole frame at one point
-    shape = np.shape(p.xi + p.eta) + (4, 4)
-    G4, O4 = np.zeros(shape), np.zeros(shape)
-    G4[..., 0, 0] = G4[..., 1, 1] = O4[..., 1, 0] = m
-    O4[..., 0, 1] = -m
-    G4[..., 1, 2] = G4[..., 2, 1] = O4[..., 2, 0] = O4[..., 3, 1] = two_w
-    G4[..., 0, 3] = G4[..., 3, 0] = O4[..., 0, 2] = O4[..., 1, 3] = -two_w
-    G4.flags.writeable = O4.flags.writeable = False
+    # slice assignment, not np.stack, which costs more than a whole frame at one
+    # point; G4 and O4 share one buffer, made read-only once
+    GO = np.zeros((2,) + p.shape + (4, 4))
+    GO[0, ..., 0, 0] = GO[0, ..., 1, 1] = GO[1, ..., 1, 0] = m
+    GO[1, ..., 0, 1] = -m
+    GO[0, ..., 1, 2] = GO[0, ..., 2, 1] = GO[1, ..., 2, 0] = GO[1, ..., 3, 1] = two_w
+    GO[0, ..., 0, 3] = GO[0, ..., 3, 0] = GO[1, ..., 0, 2] = GO[1, ..., 1, 3] = -two_w
+    GO.flags.writeable = False
+    G4, O4 = GO[0], GO[1]
     return AmbientFrame(G4=G4, O4=O4)
 
 
-def _plane_extent(v1: np.ndarray, v2: np.ndarray) -> tuple[float, float]:
+def _plane_extent(V: np.ndarray) -> tuple[float, float]:
     """Largest and smallest singular values ``(s_max, s_min)`` of the 2x4 matrix
-    with rows ``v1`` and ``v2``, in closed form on Python floats.
+    ``V`` (rows ``v1`` and ``v2``), in closed form on Python floats.
 
     Both vectors are first divided by their largest entry, so that neither
     overflow nor underflow of the squares decides the result. Then
@@ -242,13 +253,13 @@ def _plane_extent(v1: np.ndarray, v2: np.ndarray) -> tuple[float, float]:
     small ratio ``s_min / s_max`` keeps its accuracy (the Gram determinant
     would square it). Raises ``DomainError`` on a non-finite entry.
     """
-    entries = v1.tolist() + v2.tolist()
+    entries = V.ravel().tolist()
     if not all(map(math.isfinite, entries)):
-        raise DomainError(f"non-finite plane vectors {v1}, {v2}")
+        raise DomainError(f"non-finite plane vectors {V[0]}, {V[1]}")
     big = max(map(abs, entries))
     if big == 0.0:
         return 0.0, 0.0
-    a0, a1, a2, a3, b0, b1, b2, b3 = (x / big for x in entries)
+    a0, a1, a2, a3, b0, b1, b2, b3 = [x / big for x in entries]
     n11 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
     n22 = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
     n12 = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
@@ -277,7 +288,7 @@ def calibration_gap(frame: AmbientFrame, v1: np.ndarray, v2: np.ndarray) -> floa
     V = np.array([v1, v2], dtype=float)
     if V.shape != (2, 4):
         raise DomainError(f"calibration_gap takes two 4-vectors, not shape {V.shape}")
-    s_max, s_min = _plane_extent(V[0], V[1])
+    s_max, s_min = _plane_extent(V)
     if not (s_min > 1e-12 * s_max):
         raise DegeneratePlaneError("v1, v2 do not span a plane")
     (g11, g12), (_, g22) = (V @ frame.G4 @ V.T).tolist()
@@ -297,17 +308,18 @@ def ambient_signature(frame: AmbientFrame) -> tuple[int, int]:
         raise DomainError(f"non-finite metric {frame.G4.tolist()}")
     eigs = np.linalg.eigvalsh(frame.G4).tolist()
     floor = SIGNATURE_RTOL * max(max(map(abs, eigs)), 1e-300)
+    pos = 0
     for lam in eigs:
         if abs(lam) < floor:
             raise AmbiguousSignatureError(lam)
-    pos = sum(lam > 0.0 for lam in eigs)
+        pos += lam > 0.0
     return pos, len(eigs) - pos
 
 
 def theta_form(geom: ConformalGeometry, p: TangentPoint) -> ThetaForm:
     """The primitive of Omega: ``2 e^{2u} (Re(eta) dx + Im(eta) dy)``, elementwise."""
     two_w = 2.0 * geom.conformal_factor(p.xi)
-    comp = np.zeros(np.shape(p.xi + p.eta) + (4,))
+    comp = np.zeros(p.shape + (4,))
     comp[..., 0] = two_w * p.eta.real
     comp[..., 1] = two_w * p.eta.imag
     comp.flags.writeable = False

@@ -338,7 +338,7 @@ def _suite_families(config: RunConfig, report: Report) -> None:
         lo, hi = comfortable_range(profile)
         grid = AnnulusGrid(lo, hi, 16, 16)
         rs, ts = (c[:: max(1, c.size // 40)] for c in grid._lattice())
-        values, codes = _residual_map(section, _polar(rs, ts))
+        values, codes, _ = _residual_map(section, _polar(rs, ts))
         kept = codes == 0
         sweeps.append((np.where(kept, np.abs(values), 0.0), params, rs, ts))
         evaluated += int(np.count_nonzero(kept))
@@ -371,7 +371,7 @@ def _run_residual(config: RunConfig, report: Report) -> None:
     section, grid = _section_and_grid(config)
     rs, ts = grid._lattice()
     xi = _polar(rs, ts)
-    values, codes = _residual_map(section, xi)
+    values, codes, sl = _residual_map(section, xi)
     kept = codes == 0
     report.values["skipped_nodes"] = int(np.count_nonzero(~kept))
     report.values["skipped_by_reason"] = {
@@ -380,7 +380,6 @@ def _run_residual(config: RunConfig, report: Report) -> None:
     report.worst("residual_max", [(np.where(kept, np.abs(values), 0.0), None, rs, ts)],
                  "R", "theta", evaluated=int(np.count_nonzero(kept)))
     if config.out:
-        sl = _slopes_on(section, xi)
         _write_classification(config, report, rs, ts, sl, np.abs(values), sl.classify())
 
 
@@ -399,13 +398,15 @@ def _run_classify(config: RunConfig, report: Report) -> None:
     section, grid = _section_and_grid(config)
     rs, ts = grid._lattice()
     xi = _polar(rs, ts)
-    sl = _slopes_on(section, xi)
+    if config.out:  # the residual map's stencil centres are the lattice's slopes
+        values, _, sl = _residual_map(section, xi)
+    else:
+        sl = _slopes_on(section, xi)
     classes = sl.classify()
     counts = Counter(classes.tolist())
     report.values["class_counts"] = dict(sorted((str(c), n) for c, n in counts.items()))
     if config.out:
-        residual = np.abs(_residual_map(section, xi)[0])
-        _write_classification(config, report, rs, ts, sl, residual, classes)
+        _write_classification(config, report, rs, ts, sl, np.abs(values), classes)
 
 
 def _write_classification(config: RunConfig, report: Report, *table) -> None:

@@ -61,8 +61,6 @@ __all__ = [
     "SlopeData",
     "InducedMetric",
     "slopes",
-    "holomorphic_at",
-    "lagrangian_at",
     "induced_metric",
     "pullback_determinant",
     "area",
@@ -187,21 +185,6 @@ def _slopes_on(section: GraphSection, xi: np.ndarray) -> SlopeData:
     return SlopeData(np.broadcast_to(sl.sigma, xi.shape), np.broadcast_to(sl.rho, xi.shape))
 
 
-def _slope_tol(section: GraphSection) -> float:
-    """Slope tolerance of the section's derivative policy (closed form or FD)."""
-    return 1e-9 if section.F.analytic else 1e-6
-
-
-def holomorphic_at(section: GraphSection, xi: complex) -> bool:
-    """True when ``|sigma| < _slope_tol`` (the tangent plane is J-invariant)."""
-    return abs(slopes(section, xi).sigma) < _slope_tol(section)
-
-
-def lagrangian_at(section: GraphSection, xi: complex) -> bool:
-    """True when ``|lam| < _slope_tol`` (the symplectic form pulls back to zero)."""
-    return abs(slopes(section, xi).lam) < _slope_tol(section)
-
-
 def induced_metric(section: GraphSection, xi: complex) -> InducedMetric:
     sl = slopes(section, xi)
     w = section.geometry.conformal_factor(xi)
@@ -229,7 +212,7 @@ def _fd_jacobian(section: GraphSection, xi) -> np.ndarray:
     h = 1e-6 * np.maximum(1.0, abs(xi))
     fx = (section.F(xi + h) - section.F(xi - h)) / (2.0 * h)
     fy = (section.F(xi + 1j * h) - section.F(xi - 1j * h)) / (2.0 * h)
-    jac = np.zeros(np.shape(xi) + (4, 2))
+    jac = np.zeros(h.shape + (4, 2))  # h is a numpy scalar or array, shaped like xi
     jac[..., 0, 0] = jac[..., 1, 1] = 1.0
     jac[..., 2, 0], jac[..., 2, 1] = fx.real, fy.real
     jac[..., 3, 0], jac[..., 3, 1] = fx.imag, fy.imag
@@ -271,17 +254,21 @@ def area(section: GraphSection, grid: AnnulusGrid) -> float:
 
 
 def _residual_map(section: GraphSection, xi):
-    """``el_residual`` at every point of ``xi`` (``nan`` where skipped) and the
-    skip codes; more than ``_RESIDUAL_BLOCK`` points go through in blocks."""
+    """``el_residual`` at every point of ``xi`` (``nan`` where skipped), the skip
+    codes and the slopes at ``xi``, shaped like ``xi``; more than
+    ``_RESIDUAL_BLOCK`` points go through in blocks."""
     if np.size(xi) <= _RESIDUAL_BLOCK:
-        return _residual_block(section, xi)
-    blocks = np.array_split(np.ravel(xi), -(-np.size(xi) // _RESIDUAL_BLOCK))
-    parts = zip(*(_residual_block(section, block) for block in blocks))
-    return tuple(np.concatenate(part).reshape(np.shape(xi)) for part in parts)
+        value, code, sigma, rho = _residual_block(section, xi)
+    else:
+        blocks = np.array_split(np.ravel(xi), -(-np.size(xi) // _RESIDUAL_BLOCK))
+        parts = zip(*(_residual_block(section, block) for block in blocks))
+        value, code, sigma, rho = (np.concatenate(part).reshape(np.shape(xi)) for part in parts)
+    return value, code, SlopeData(sigma, rho)
 
 
 def _residual_block(section: GraphSection, xi):
-    """:func:`_residual_map` from one ``slopes`` call on the ``9 x shape(xi)`` stencil."""
+    """:func:`_residual_map` from one ``slopes`` call on the ``9 x shape(xi)`` stencil,
+    whose centre row (offset 0) gives the slopes at ``xi``."""
     # slope fields steepen like (R - R0)^{-1/2} near zeros of the squared
     # imaginary part, so analytic sections get a small step (their slope
     # evaluations are exact and the difference noise stays near 1e-10)
@@ -313,7 +300,9 @@ def _residual_block(section: GraphSection, xi):
         qy = (q[:, 3] - q[:, 4]) / (2.0 * step)
         dbar_q = 0.5 * (qx + 1j * qy)
         coarse, fine = 1j * d_p - dbar_q / w[0]
-        return np.where(code == 0, (4.0 * fine - coarse) / 3.0, np.nan), code
+        value = np.where(code == 0, (4.0 * fine - coarse) / 3.0, np.nan)
+    # copies, so that a block's stencil arrays are freed before the next block
+    return value, code, sl.sigma[0].copy(), sl.rho[0].copy()
 
 
 def el_residual(section: GraphSection, xi: complex) -> complex:
@@ -327,7 +316,7 @@ def el_residual(section: GraphSection, xi: complex) -> complex:
     metric is definite (the square-root branch would jump); its ``reason``
     names which.
     """
-    value, code = _residual_map(section, xi)
+    value, code, _ = _residual_map(section, xi)
     if code:
         reason = _SKIP_REASONS[int(code) - 1]
         raise SingularResidualError(f"residual undefined at xi={xi} ({reason} stencil)", reason)
@@ -560,9 +549,8 @@ def export_classification_csv(section: GraphSection, grid: AnnulusGrid, path) ->
     """Write the slope/classification map on the grid lattice; returns row count."""
     rs, ts = grid._lattice()
     xi = _polar(rs, ts)
-    residual = np.abs(_residual_map(section, xi)[0])
-    sl = _slopes_on(section, xi)
-    return _write_classification_csv(path, rs, ts, sl, residual, sl.classify())
+    values, _, sl = _residual_map(section, xi)
+    return _write_classification_csv(path, rs, ts, sl, np.abs(values), sl.classify())
 
 
 def _write_classification_csv(path, rs, ts, sl: SlopeData, residual, classes) -> int:

@@ -17,6 +17,7 @@ from neutralkahler import (
 from neutralkahler.ambient import J4_MATRIX, _plane_extent
 from neutralkahler.errors import AmbiguousSignatureError, DegeneratePlaneError, DomainError
 from neutralkahler.sampling import (
+    geometry_by_name,
     j_invariant_plane,
     random_plane,
     random_tangent_coords,
@@ -52,6 +53,33 @@ class TestGeometry:
     def test_tangent_point_finiteness(self):
         with pytest.raises(DomainError):
             TangentPoint(complex("inf"), 0.0)
+
+    # one value of each input kind, and a scalar paired with an array either way
+    KINDS = {
+        "complex": lambda z: z,
+        "complex128": np.complex128,
+        "0-d": np.asarray,
+        "array": lambda z: np.array([0.5 + 0.5j, z, -1.0j]),
+    }
+
+    @pytest.mark.parametrize("xi_kind", sorted(KINDS))
+    @pytest.mark.parametrize("eta_kind", sorted(KINDS))
+    def test_tangent_point_finiteness_contract(self, xi_kind, eta_kind):
+        as_xi, as_eta = self.KINDS[xi_kind], self.KINDS[eta_kind]
+        p = TangentPoint(as_xi(0.3 - 0.2j), as_eta(1.5 + 2.0j))
+        assert p.shape == np.shape(np.asarray(p.xi) + p.eta)
+        # NaN in an imaginary part only, inf in eta only, on either side
+        for bad in (complex(0.3, float("nan")), complex(float("inf"), 0.0),
+                    complex(0.0, -float("inf"))):
+            with pytest.raises(DomainError, match="non-finite"):
+                TangentPoint(as_xi(bad), as_eta(1.5 + 2.0j))
+            with pytest.raises(DomainError, match="non-finite"):
+                TangentPoint(as_xi(0.3 - 0.2j), as_eta(bad))
+        # the largest finite coordinates are accepted: the check adds or
+        # multiplies no coordinates, which would overflow to inf
+        huge = 1e308 + 1e308j
+        TangentPoint(as_xi(huge), as_eta(huge))
+        TangentPoint(as_xi(-huge), as_eta(huge.conjugate()))
 
     def test_broken_conformal_derivative_propagates(self):
         from neutralkahler.ambient import ConformalGeometry, ambient_frame
@@ -219,7 +247,7 @@ class TestCalibration:
         with pytest.raises(DomainError, match="non-finite"):
             calibration_gap(fr, *vs)
         with pytest.raises(DomainError, match="non-finite"):
-            _plane_extent(*vs)
+            _plane_extent(np.array(vs))
 
     def test_stacked_frame_and_short_vectors_are_errors(self, flat):
         stack = ambient_frame(flat, TangentPoint(np.zeros(3), np.ones(3)))
@@ -263,7 +291,7 @@ class TestPlaneExtent:
             v1, v2 = scale * rng.normal(size=4), scale * rng.normal(size=4)
             if k % 3 == 0:
                 v2 = v1 + 1e-6 * scale * rng.normal(size=4)  # nearly dependent
-            s_max, s_min = _plane_extent(v1, v2)
+            s_max, s_min = _plane_extent(np.array([v1, v2]))
             ref_max, ref_min = svd_extent(v1, v2)
             assert abs(s_max - ref_max) <= 1e-14 * ref_max
             assert abs(s_min - ref_min) <= 1e-14 * ref_max
@@ -274,15 +302,15 @@ class TestPlaneExtent:
         rng = rng_from_seed(22)
         for _ in range(50):
             v1, v2 = pair_with_ratio(rng, ratio)
-            s_max, s_min = _plane_extent(v1, v2)
+            s_max, s_min = _plane_extent(np.array([v1, v2]))
             ref_max, ref_min = svd_extent(v1, v2)
             assert (s_min > rtol * s_max) == (ref_min > rtol * ref_max) == (ratio > rtol)
 
     def test_zero_and_parallel_vectors(self):
         v = np.array([1.0, -2.0, 0.5, 3.0])
-        assert _plane_extent(np.zeros(4), np.zeros(4)) == (0.0, 0.0)
-        assert _plane_extent(v, np.zeros(4))[1] == 0.0
-        s_max, s_min = _plane_extent(v, -3.0 * v)
+        assert _plane_extent(np.zeros((2, 4))) == (0.0, 0.0)
+        assert _plane_extent(np.array([v, np.zeros(4)]))[1] == 0.0
+        s_max, s_min = _plane_extent(np.array([v, -3.0 * v]))
         assert not (s_min > 1e-12 * s_max)
 
     @given(exponent=st.floats(-300.0, 300.0), seed=st.integers(0, 2**31))
@@ -294,7 +322,7 @@ class TestPlaneExtent:
         rng = rng_from_seed(seed)
         for ratio in (1e-13, 1e-11, 0.5):
             v1, v2 = pair_with_ratio(rng, ratio)
-            s_max, s_min = _plane_extent(scale * v1, scale * v2)
+            s_max, s_min = _plane_extent(np.array([scale * v1, scale * v2]))
             assert abs(s_max - scale) <= 1e-14 * scale
             assert abs(s_min - ratio * scale) <= 1e-14 * scale
             assert (s_min > 1e-12 * s_max) == (ratio > 1e-12)
@@ -326,6 +354,82 @@ class TestPlaneExtent:
 
         with pytest.raises(DomainError, match="non-finite"):
             random_plane(NanRng())
+
+
+def _hex_digest(values) -> str:
+    return hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest()
+
+
+class TestPinnedChain:
+    """The per-point chain of the ambient checks and the seeded section draws,
+    bit for bit: SHA-256 of the ``float.hex`` strings of every value (signs of
+    zero included), recorded before the chain was made cheaper."""
+
+    @pytest.mark.parametrize("name, seed, point_digest, stack_digest", [
+        ("flat", 17, "bb2367d1c8acd24a98f47ce67971d3d8fd74663b02442e8a697d0ab9b654f31a",
+         "a931091ceed53e575d2e77f5a12e5f8753c7ab6a315ad056a35118943e0deb42"),
+        ("sphere", 18, "17479a84cc6705f1bcaa9fb0b87f4436e53064f2c486989155e68a99ca0a0352",
+         "7d055290569aef3178d0e290dc03654c0fe3a63131c56ea9c5b7b2aed8cc4c51"),
+    ])
+    def test_point_chain_is_pinned(self, name, seed, point_digest, stack_digest):
+        geom = geometry_by_name(name)
+        rng = rng_from_seed(seed)
+        values, coords = [], []
+        for _ in range(500):
+            xi, eta = random_tangent_coords(rng)
+            assert type(xi) is complex and type(eta) is complex
+            coords.append((xi, eta))
+            values += [xi.real, xi.imag, eta.real, eta.imag]
+            fr = ambient_frame(geom, TangentPoint(xi, eta))
+            values += fr.G4.ravel().tolist() + fr.O4.ravel().tolist()
+            v1, v2 = random_plane(rng)
+            w1, w2 = j_invariant_plane(rng)
+            values += v1.tolist() + v2.tolist() + w1.tolist() + w2.tolist()
+            values += [calibration_gap(fr, v1, v2), calibration_gap(fr, w1, w2)]
+            values += [float(k) for k in ambient_signature(fr)]
+            values += theta_form(geom, TangentPoint(xi, eta)).components.tolist()
+        state = rng.bit_generator.state["state"]
+        values += [float(state["counter"][0]), float(state["key"][0])]
+        assert _hex_digest(values) == point_digest
+        # the same points as one stack
+        p = TangentPoint(*map(np.array, zip(*coords)))
+        fr = ambient_frame(geom, p)
+        assert fr.G4.shape == fr.O4.shape == (500, 4, 4)
+        assert _hex_digest(fr.G4.ravel().tolist() + fr.O4.ravel().tolist()
+                           + theta_form(geom, p).components.ravel().tolist()) == stack_digest
+
+    def test_section_draws_are_pinned(self, monkeypatch):
+        from neutralkahler import sampling
+
+        def digest_of_draws(seed, draw):
+            # the coefficient dicts the draws hand to the section constructors
+            dicts = []
+            for name in ("polynomial_section", "lagrangian_section"):
+                real = getattr(sampling, name)
+                monkeypatch.setattr(sampling, name, lambda g, c, real=real:
+                                    dicts.append(c) or real(g, c))
+            rng = rng_from_seed(seed)
+            draw(rng)
+            monkeypatch.undo()
+            values = [x for c in dicts for (m, n), v in c.items()
+                      for x in (float(m), float(n), complex(v).real, complex(v).imag)]
+            return _hex_digest(values + [float(rng.bit_generator.state["state"]["counter"][0])])
+
+        def polynomial(rng):
+            for k in range(50):
+                sampling.random_polynomial_section(
+                    rng, geometry_by_name(("flat", "sphere")[k % 2]), scale=(0.5, 0.3)[k % 2])
+
+        def holomorphic_and_lagrangian(rng):
+            for k in range(20):
+                geom = geometry_by_name(("flat", "sphere")[k % 2])
+                sampling.random_holomorphic_section(rng, geom, ((0.5, 2.0), (0.3, 0.9))[k % 2])
+                sampling.random_lagrangian_section(rng, geom)
+
+        assert digest_of_draws(19, polynomial) == (
+            "e9200977a06e701d28fb36434105fce59605e6428c5597f53f85b8e2e284aa32")
+        assert digest_of_draws(20, holomorphic_and_lagrangian) == (
+            "f04c02476fc8a2ba1c09914b5c97c9ea41dcf0c18e25f0e9135d70ac872c6dd1")
 
 
 class TestThetaForm:

@@ -393,7 +393,8 @@ class TestRun:
 
     @pytest.mark.parametrize("task", ["residual", "classify"])
     def test_one_lattice_evaluation_per_task(self, task, outdir, monkeypatch):
-        # the report and the --out CSV share one residual map and one slope table
+        # the report and the --out CSV share one residual map, whose stencil
+        # centres are the lattice's slopes: no second slope table
         from neutralkahler import cli, graphs
 
         calls = []
@@ -406,18 +407,25 @@ class TestRun:
                      "--grid", "12x12", "--out", "c.csv", "--report", "r.json"]) == 0
         lattice = (144,)
         assert calls.count(("_residual_map", lattice)) == 1
-        assert calls.count(("_slopes_on", lattice)) == 1
+        assert calls.count(("_slopes_on", (9,) + lattice)) == 1
+        assert len(calls) == 2
 
     def test_out_csv_is_the_export_csv(self, outdir):
         from neutralkahler.graphs import export_classification_csv
         from neutralkahler.lines3d import TorusFamily, torus_section
         from neutralkahler.numerics import AnnulusGrid
 
-        grid = AnnulusGrid(0.3, 2.5, 12, 12, ((1.0, 0.05),))
-        export_classification_csv(torus_section(TorusFamily(1.0, 5.0)), grid, outdir / "direct.csv")
+        # the band removes the rings at R = 0.9 and 1.1 of the 12 on [0.3, 2.5]
+        grid = AnnulusGrid(0.3, 2.5, 12, 12, ((1.0, 0.15),))
+        rings = np.unique(grid._lattice()[0])
+        assert rings.size == 10 < np.unique(AnnulusGrid(0.3, 2.5, 12, 12)._lattice()[0]).size
+        assert not np.any(np.abs(rings - 1.0) < 0.15)
+        rows = export_classification_csv(torus_section(TorusFamily(1.0, 5.0)), grid,
+                                         outdir / "direct.csv")
+        assert rows == 10 * 12
         for task in ("residual", "classify"):
             assert main([task, "--B2", "1", "--C2", "5", "--rmin", "0.3", "--rmax", "2.5",
-                         "--grid", "12x12", "--exclude", "1.0:0.05", "--out", f"{task}.csv",
+                         "--grid", "12x12", "--exclude", "1.0:0.15", "--out", f"{task}.csv",
                          "--report", "r.json"]) == 0
             assert (outdir / f"{task}.csv").read_bytes() == (outdir / "direct.csv").read_bytes()
 

@@ -17,9 +17,7 @@ from neutralkahler import (
     el_residual,
     export_classification_csv,
     first_variation,
-    holomorphic_at,
     induced_metric,
-    lagrangian_at,
     lagrangian_section,
     polynomial_section,
     pullback_determinant,
@@ -35,6 +33,7 @@ from neutralkahler.graphs import (
     _STENCIL,
     _fd_jacobian,
     _residual_map,
+    _slopes_on,
     radial_bump,
 )
 from neutralkahler.numerics import ComplexField, RadialFunction, _polar
@@ -88,20 +87,29 @@ class TestSlopes:
 
 
 class TestPredicates:
+    """Holomorphic means ``sigma = 0`` and lagrangian ``lam = 0``; on these
+    closed-form sections each vanishes to 1e-9 or stays clear of it."""
+
     def test_holomorphic_not_lagrangian(self, flat):
         s = i_xi(flat)
-        assert holomorphic_at(s, 1.0 + 0.5j)
-        assert not lagrangian_at(s, 1.0 + 0.5j)
+        assert s.F.analytic
+        sl = slopes(s, 1.0 + 0.5j)
+        assert abs(sl.sigma) < 1e-9
+        assert not abs(sl.lam) < 1e-9
 
     def test_lagrangian_not_holomorphic(self, flat):
         s = xibar(flat)
-        assert not holomorphic_at(s, 1.0 + 0.5j)
-        assert lagrangian_at(s, 1.0 + 0.5j)
+        assert s.F.analytic
+        sl = slopes(s, 1.0 + 0.5j)
+        assert not abs(sl.sigma) < 1e-9
+        assert abs(sl.lam) < 1e-9
 
     def test_torus_meridian_both(self):
         s = torus_section(TorusFamily(1.0, 0.0))
-        assert holomorphic_at(s, complex(1.0))
-        assert lagrangian_at(s, complex(1.0))
+        assert s.F.analytic
+        sl = slopes(s, complex(1.0))
+        assert abs(sl.sigma) < 1e-9
+        assert abs(sl.lam) < 1e-9
 
     def test_gradient_sections_are_lagrangian(self, flat, sphere):
         rng = rng_from_seed(27)
@@ -315,10 +323,23 @@ class TestElResidual:
         for xi in (lo * np.exp(0.4j), complex(hi * np.exp(2.9j)), 0.5 * (lo + hi) * np.exp(-1.1j)):
             assert el_residual(section, xi) == _two_step_residual(section, xi)
         lattice = np.linspace(lo, hi, 40)[:, None] * np.exp(1j * np.linspace(0.0, 6.2, 40))
-        values, codes = _residual_map(section, lattice)
+        values, codes, _ = _residual_map(section, lattice)
         assert lattice.size > _RESIDUAL_BLOCK and values.shape == lattice.shape
         assert np.all(codes == 0)
         assert np.array_equal(values, _two_step_residual(section, lattice))
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_stencil_centres_are_the_slopes(self, sphere, n):
+        # the map's slopes are the centre row of each block's stencil, bit for
+        # bit the slopes of the lattice itself, in one block and across blocks
+        section = random_polynomial_section(rng_from_seed(31), sphere)
+        lattice = np.linspace(0.4, 1.6, n)[:, None] * np.exp(1j * np.linspace(0.0, 6.2, n))
+        assert (lattice.size > _RESIDUAL_BLOCK) == (n == 40)
+        _, _, sl = _residual_map(section, lattice)
+        ref = _slopes_on(section, lattice)
+        assert sl.sigma.shape == sl.rho.shape == lattice.shape
+        for got, want in ((sl.sigma, ref.sigma), (sl.rho, ref.rho)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _two_step_residual(section, xi):
