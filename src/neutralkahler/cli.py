@@ -53,7 +53,7 @@ from .graphs import (
 )
 from .graphs import el_residual  # noqa: F401  (unused; bench/test_bench.py traces this binding)
 from .lines3d import TorusFamily, export_congruence, torus_section
-from .numerics import DEFAULT_BAND_HALF_WIDTH, AnnulusGrid, _polar
+from .numerics import DEFAULT_BAND_HALF_WIDTH, AnnulusGrid, _ARMS, _polar, _richardson
 from .rotsym import (
     FamilyParams,
     comfortable_range,
@@ -239,16 +239,18 @@ def _suite_ambient(config: RunConfig, report: Report) -> None:
     compat = np.maximum(np.abs(g_jajb - g_ab), np.abs(g_ab - omega_jab)) / scale
     report.worst("compatibility", [(compat, None, *points)], "xi", "eta")
 
-    # d(Omega) and d(Theta) by central differences: the centre and its 8 shifts
-    # along the coordinates (x, y, p, q), all in one evaluation
-    h = 1e-5
+    # d(Omega) and d(Theta) by the difference rule (its roundoff eps/h and truncation h^4
+    # meet near h = 1e-3) on the centre and its four real arms along each of (x, y, p, q)
+    h = 1e-3
     c0 = np.array([[xi.real, xi.imag, eta.real, eta.imag] for xi, eta in
                    (random_tangent_coords(rng) for _ in range(min(max(n // 20, 5), 50)))])
-    c = c0[:, None, :] + np.concatenate([np.zeros((1, 4)), h * np.eye(4), -h * np.eye(4)])
+    arms = (np.real(_ARMS[:4])[:, None] * np.eye(4)[:, None]).reshape(16, 4)
+    c = c0[:, None, :] + h * np.concatenate([np.zeros((1, 4)), arms])
     p = TangentPoint(c[..., 0] + 1j * c[..., 1], c[..., 2] + 1j * c[..., 3])
     omega, theta = ambient_frame(geom, p).O4, theta_form(geom, p).components
-    grads_o = (omega[:, 1:5] - omega[:, 5:]) / (2 * h)  # [draw, coordinate, a, b]
-    grads_t = (theta[:, 1:5] - theta[:, 5:]) / (2 * h)
+    # the rule reads the arms along the first axis; the gradients are [draw, coordinate, a, b]
+    grads_o, grads_t = (np.stack(_richardson(v[:, 1:].swapaxes(0, 1), h), axis=1)
+                        for v in (omega, theta))
     a_, b_, c_ = np.array(list(itertools.combinations(range(4), 3))).T
     cyc = grads_o[:, a_, b_, c_] + grads_o[:, b_, c_, a_] + grads_o[:, c_, a_, b_]
     exact = grads_t - grads_t.swapaxes(1, 2) - omega[:, 0]

@@ -19,6 +19,7 @@ recovered independently by pulling the ambient 4x4 metric back through a
 finite-difference Jacobian of the graph map (``pullback_determinant``);
 the real-coordinate determinant equals 16 times the convention above
 (one factor 4 from ``xi = x + iy``, one from the ambient normalisation).
+Every difference here is the one Richardson rule of ``numerics._richardson``.
 
 Area-stationarity of a graph is the vanishing of
 
@@ -46,11 +47,14 @@ import numpy as np
 from .ambient import ConformalGeometry, TangentPoint, ambient_frame, theta_form
 from .errors import DomainError, SingularResidualError
 from .numerics import (
+    FD_STEP,
     AnnulusGrid,
     ComplexField,
+    _ARMS,
     _node_sum,
     _polar,
     _require_finite,
+    _richardson,
     _write_rows,
     integrate_circle,
 )
@@ -96,11 +100,11 @@ T_STEP = 1e-5
 #: points per block of a residual sweep, which bounds its peak memory: a block's
 #: 9-point stencil holds under half the points of one 5-point stencil on 64 x 64 nodes
 _RESIDUAL_BLOCK = 1024
-#: the residual's stencil in units of its step h: the centre, the arms +-h, +-ih of
-#: the coarse step and the arms +-h/2, +-ih/2 of the fine one; each row of
-#: ``_STEPS`` picks one step's 5-point stencil (centre, +1, -1, +i, -i) out of it
-_STENCIL = np.array([0.0, 1.0, -1.0, 1j, -1j, 0.5, -0.5, 0.5j, -0.5j])
-_STEPS = np.array([[0, 1, 2, 3, 4], [0, 5, 6, 7, 8]])
+#: the residual's stencil in units of its step h: the centre, then the arms of the
+#: difference rule; each row of ``_STEPS`` picks one step's 5-point stencil (centre,
+#: +1, -1, +i, -i) out of it
+_STENCIL = np.array((0.0, *_ARMS))
+_STEPS = np.array([[0, 1, 2, 5, 6], [0, 3, 4, 7, 8]])
 
 
 class SurfaceClass(enum.Enum):
@@ -156,11 +160,9 @@ class SlopeData:
         """The causal class at a point; an object array of classes on arrays."""
         degenerate = self.degenerate
         null = (abs(self.sigma) < NULL_ATOL) & (abs(self.lam) < NULL_ATOL)
-        return np.select(
-            [degenerate & null, degenerate, self.det_factor > 0.0],
-            [SurfaceClass.TOTALLY_NULL, SurfaceClass.DEGENERATE, SurfaceClass.RIEMANNIAN],
-            SurfaceClass.LORENTZ,
-        )[()]
+        definite = np.where(self.det_factor > 0.0, SurfaceClass.RIEMANNIAN, SurfaceClass.LORENTZ)
+        return np.where(degenerate, np.where(null, SurfaceClass.TOTALLY_NULL,
+                                             SurfaceClass.DEGENERATE), definite)[()]
 
 
 @dataclass(frozen=True)
@@ -202,21 +204,22 @@ def induced_metric(section: GraphSection, xi: complex) -> InducedMetric:
     )
 
 
-def _fd_jacobian(section: GraphSection, xi) -> np.ndarray:
-    """Jacobian of ``(x, y) -> (x, y, p, q)`` by central differences, shape
-    ``(..., 4, 2)`` over an array of points (4x2 at one point).
-
-    Deliberately ignores any closed-form derivatives of F so the pullback
-    stays an independent check on the slope formulas.
-    """
-    h = 1e-6 * np.maximum(1.0, abs(xi))
-    fx = (section.F(xi + h) - section.F(xi - h)) / (2.0 * h)
-    fy = (section.F(xi + 1j * h) - section.F(xi - 1j * h)) / (2.0 * h)
-    jac = np.zeros(h.shape + (4, 2))  # h is a numpy scalar or array, shaped like xi
+def _jacobian(xi, fx, fy) -> np.ndarray:
+    """Jacobian ``(..., 4, 2)`` of the graph map ``(x, y) -> (x, y, Re F, Im F)`` at the
+    points ``xi`` (4x2 at one point) from F's partials ``fx``, ``fy`` (scalar if constant)."""
+    jac = np.zeros(np.shape(xi) + (4, 2))
     jac[..., 0, 0] = jac[..., 1, 1] = 1.0
     jac[..., 2, 0], jac[..., 2, 1] = fx.real, fy.real
     jac[..., 3, 0], jac[..., 3, 1] = fx.imag, fy.imag
     return jac
+
+
+def _fd_jacobian(section: GraphSection, xi) -> np.ndarray:
+    """:func:`_jacobian` by the Richardson rule on F, one call per arm, with step
+    ``FD_STEP * max(1, |xi|)``. Deliberately ignores any closed-form derivatives of F
+    so the pullback stays an independent check on the slope formulas."""
+    h = FD_STEP * np.maximum(1.0, abs(xi))
+    return _jacobian(xi, *_richardson([section.F(xi + arm * h) for arm in _ARMS], h))
 
 
 def pullback_determinant(section: GraphSection, xi):
@@ -273,8 +276,7 @@ def _residual_block(section: GraphSection, xi):
     # imaginary part, so analytic sections get a small step (their slope
     # evaluations are exact and the difference noise stays near 1e-10)
     h = (1e-6 if section.F.analytic else 5e-4) * np.maximum(1.0, abs(xi))
-    pad = (1,) * np.ndim(xi)
-    z = xi + _STENCIL.reshape((9,) + pad) * h
+    z = xi + _STENCIL.reshape((9,) + (1,) * np.ndim(xi)) * h
     sl = _slopes_on(section, z)
     lam, det = sl.lam, sl.det_factor
 
@@ -282,25 +284,17 @@ def _residual_block(section: GraphSection, xi):
         neg = np.signbit(v)[_STEPS]
         return neg.any(axis=1) & ~neg.all(axis=1)
 
-    code = np.select([sl.degenerate[_STEPS].any(axis=1), mixed(det), (det[0] > 0.0) & mixed(lam)],
-                     [1, 2, 3])
+    code = np.where(sl.degenerate[_STEPS].any(axis=1), 1,
+                    np.where(mixed(det), 2, np.where((det[0] > 0.0) & mixed(lam), 3, 0)))
     code = np.where(code[0] != 0, code[0], code[1])  # the coarse step's code comes first
 
     w = np.broadcast_to(section.geometry.conformal_factor(z), z.shape)
-    step = np.array([1.0, 0.5]).reshape((2,) + pad) * h
     with np.errstate(divide="ignore", invalid="ignore"):  # at skipped points only
         root = np.sqrt(np.abs(det))
-        p = (lam / root)[_STEPS]
-        q = (sl.sigma * w / root)[_STEPS]
-        px = (p[:, 1] - p[:, 2]) / (2.0 * step)
-        py = (p[:, 3] - p[:, 4]) / (2.0 * step)
-        d_p = 0.5 * (px - 1j * py)
-
-        qx = (q[:, 1] - q[:, 2]) / (2.0 * step)
-        qy = (q[:, 3] - q[:, 4]) / (2.0 * step)
-        dbar_q = 0.5 * (qx + 1j * qy)
-        coarse, fine = 1j * d_p - dbar_q / w[0]
-        value = np.where(code == 0, (4.0 * fine - coarse) / 3.0, np.nan)
+        px, py = _richardson((lam / root)[1:], h)
+        qx, qy = _richardson((sl.sigma * w / root)[1:], h)
+        d_p, dbar_q = 0.5 * (px - 1j * py), 0.5 * (qx + 1j * qy)
+        value = np.where(code == 0, 1j * d_p - dbar_q / w[0], np.nan)
     # copies, so that a block's stencil arrays are freed before the next block
     return value, code, sl.sigma[0].copy(), sl.rho[0].copy()
 
@@ -308,9 +302,9 @@ def _residual_block(section: GraphSection, xi):
 def el_residual(section: GraphSection, xi: complex) -> complex:
     """Area-stationarity residual at ``xi``; zero on stationary graphs.
 
-    One Richardson step on the central differences removes the leading
-    truncation term, which matters where the slope fields steepen near
-    zeros of the squared imaginary part. Raises
+    The Richardson rule of ``numerics._richardson`` differentiates ``p``
+    and ``q``; it removes the leading truncation term, which matters where
+    the slope fields steepen near zeros of the squared imaginary part. Raises
     :class:`SingularResidualError` when ``det_factor`` is degenerate or
     changes sign on the stencil, or when ``lam`` changes sign while the
     metric is definite (the square-root branch would jump); its ``reason``
@@ -390,7 +384,7 @@ def bump_basis(
 def first_variation(section: GraphSection, bump: ComplexField, grid: AnnulusGrid) -> float:
     """Derivative of the area along ``F + t * bump`` at ``t = 0``.
 
-    Symmetric differences in ``t`` with one Richardson step. The slopes
+    The Richardson rule of ``numerics._richardson`` in ``t``. The slopes
     are real-linear in the field, ``sigma(F + t b) = sigma(F) + t sigma(b)``
     and likewise ``lam``, so one ``slopes`` call on all Gauss nodes for F
     and one for the bump give the four shifted areas as sums over the same
@@ -400,13 +394,9 @@ def first_variation(section: GraphSection, bump: ComplexField, grid: AnnulusGrid
     """
     sigma, lam, w = _slope_table(section, grid)
     sigma_b, lam_b, _ = _slope_table(GraphSection(bump, section.geometry), grid)
-    ts = np.array([T_STEP, -T_STEP, 0.5 * T_STEP, -0.5 * T_STEP])[:, None, None]
-    a_plus, a_minus, h_plus, h_minus = _area_from_slopes(
-        sigma + ts * sigma_b, lam + ts * lam_b, w, grid
-    )
-    coarse = (a_plus - a_minus) / (2.0 * T_STEP)
-    fine = (h_plus - h_minus) / T_STEP
-    return float((4.0 * fine - coarse) / 3.0)
+    ts = (np.real(_ARMS[:4]) * T_STEP)[:, None, None]
+    areas = _area_from_slopes(sigma + ts * sigma_b, lam + ts * lam_b, w, grid)
+    return float(_richardson(areas, T_STEP)[0])
 
 
 def stokes_check(
@@ -418,14 +408,16 @@ def stokes_check(
     pullback of Omega over the annulus graph and ``boundary`` is the
     circulation of the primitive 1-form along the outer circle minus the
     inner circle. Exactness of Omega makes the two agree. Each side is one
-    array evaluation: the FD Jacobian and ``O4`` on all Gauss nodes, and
-    ``theta_form`` on all boundary angles of a circle.
+    array evaluation: the section's jet and ``O4`` on all Gauss nodes, with no
+    difference (``F_x = dF + dbarF``, ``F_y = i (dF - dbarF)``, so a ``dF`` that
+    disagrees with F shows), and ``theta_form`` on F at the boundary angles.
     """
     xi = _polar(grid.radial_nodes[:, None], grid.theta_nodes)
-    eta = np.broadcast_to(section.F(xi), xi.shape)
+    f, d, dbar = section.F.jet_at(xi)
+    eta = np.broadcast_to(f, xi.shape)
     _require_finite(np.isfinite(eta), grid)
     O4 = ambient_frame(section.geometry, TangentPoint(xi, eta)).O4
-    jac = _fd_jacobian(section, xi)
+    jac = _jacobian(xi, d + dbar, 1j * (d - dbar))
     density = (jac[..., None, :, 0] @ O4 @ jac[..., :, 1:])[..., 0, 0]
     _require_finite(np.isfinite(density), grid)
     interior = float(_node_sum(density, grid))
@@ -528,21 +520,15 @@ def conjugate_section(section: GraphSection) -> GraphSection:
     The stationarity residual of the conjugated section at ``xi`` is the
     conjugate of the original residual at ``conj(xi)``.
     """
-    F = section.F
-    geom = section.geometry
-
-    field = ComplexField(
-        lambda xi: F(xi.conjugate()).conjugate(),
-        (lambda xi: tuple(v.conjugate() for v in F.jet(xi.conjugate()))) if F.analytic else None,
-        F.fd_step,
-    )
+    F, geom = section.F, section.geometry
+    jet = (lambda xi: tuple(v.conjugate() for v in F.jet(xi.conjugate()))) if F.analytic else None
     refl = ConformalGeometry(
         name=geom.name + "~",
         u=lambda xi: geom.u(xi.conjugate()),
         du=lambda xi: geom.du_at(xi.conjugate()).conjugate(),
         u_of_R=geom.u_of_R,
     )
-    return GraphSection(field, refl)
+    return GraphSection(ComplexField(lambda xi: F(xi.conjugate()).conjugate(), jet), refl)
 
 
 def export_classification_csv(section: GraphSection, grid: AnnulusGrid, path) -> int:

@@ -43,8 +43,8 @@ __all__ = [
     "CumulativeIntegral",
 ]
 
-#: default relative step for complex finite differences
-DEFAULT_FD_STEP = 1e-6
+#: relative step of a field's FD jet and of the pullback's Jacobian: h = FD_STEP max(1, |xi|)
+FD_STEP = 1e-3
 #: default half-width of an exclusion band when none is given
 DEFAULT_BAND_HALF_WIDTH = 1e-3
 
@@ -63,6 +63,20 @@ GAUSS_LEGENDRE_8 = (
 for _table in (*GAUSS_LEGENDRE_4, *GAUSS_LEGENDRE_8):
     _table.flags.writeable = False
 
+#: the arms of the one difference rule in units of its step h, per direction (``1``,
+#: then ``i``): ``+h, -h, +h/2, -h/2``; Python complex, so that a Python scalar point
+#: plus an arm stays a Python scalar. The first four, real, serve a real variable
+_ARMS = (1 + 0j, -1 + 0j, 0.5 + 0j, -0.5 + 0j, 1j, -1j, 0.5j, -0.5j)
+
+
+def _richardson(values, h) -> list:
+    """First derivatives along each direction from the ``values`` on its four arms, in
+    the order of ``_ARMS``: ``(4 D(h/2) - D(h)) / 3`` of the central quotients ``D``,
+    whose ``2 (h/2) = h`` exactly; elementwise when the values are arrays."""
+    diff = [values[j] - values[j + 1] for j in range(0, len(values), 2)]  # + minus - arm
+    return [(4.0 * (fine / h) - coarse / (2.0 * h)) / 3.0
+            for coarse, fine in zip(diff[::2], diff[1::2])]
+
 
 @dataclass(frozen=True)
 class ComplexField:
@@ -70,14 +84,13 @@ class ComplexField:
 
     ``F(xi)`` is the value alone; ``jet_at(xi)`` is ``(F, dF, dbarF)``. A closed-form
     ``jet`` makes the derivative policy *analytic*; without one, the derivatives
-    come from central differences with step ``fd_step * max(1, |xi|)``. Evaluator
-    and jet are elementwise on arrays of nodes; a constant field may return
-    scalars, which callers broadcast.
+    come from the Richardson rule :func:`_richardson` on the arms ``_ARMS`` with step
+    ``FD_STEP * max(1, |xi|)``. Evaluator and jet are elementwise on arrays of nodes;
+    a constant field may return scalars, which callers broadcast.
     """
 
     evaluator: Callable
     jet: Optional[Callable] = None
-    fd_step: float = DEFAULT_FD_STEP
 
     @property
     def analytic(self) -> bool:
@@ -88,19 +101,19 @@ class ComplexField:
 
     def jet_at(self, xi):
         """``(F, dF, dbarF)`` at ``xi``: the closed-form jet, or else the evaluator
-        at ``xi`` and at the four stencil points ``xi +- h``, ``xi +- i h``."""
+        at ``xi`` and, once per arm, at the eight arms around it."""
         if self.jet is not None:
             return self.jet(xi)
-        h = self.fd_step * np.maximum(1.0, abs(xi))
+        h = FD_STEP * np.maximum(1.0, abs(xi))
         try:
-            fx = (self(xi + h) - self(xi - h)) / (2.0 * h)
-            fy = (self(xi + 1j * h) - self(xi - 1j * h)) / (2.0 * h)
+            values = [self(xi + arm * h) for arm in _ARMS]
         except Exception as exc:  # evaluation failure at a stencil point
             raise DerivativeUnavailableError(
                 f"field evaluation failed on the stencil at xi={xi}: {exc}"
             ) from exc
-        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
+        if not all(np.all(np.isfinite(v)) for v in values):
             raise DerivativeUnavailableError(f"non-finite stencil values at xi={xi}")
+        fx, fy = _richardson(values, h)
         return self(xi), 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
@@ -134,7 +147,7 @@ class RadialFunction:
 
 def radial_derivative(g: Callable, r, order: int = 1):
     """First or second derivative of ``g`` at radii ``r > 0`` by Richardson-
-    extrapolated central differences (elementwise when ``g`` is)."""
+    extrapolated central differences on the real arms (elementwise when ``g`` is)."""
     if np.any(r <= 0.0):
         raise DomainError(f"radial derivative requested at non-positive radius {r}")
     if order not in (1, 2):
@@ -142,13 +155,12 @@ def radial_derivative(g: Callable, r, order: int = 1):
 
     h = (1e-5 if order == 1 else 1e-4) * np.maximum(1.0, abs(r))
     h = np.minimum(h, 0.49 * r)  # keep the full stencil at positive radii
-
-    def central(step):
-        if order == 1:
-            return (g(r + step) - g(r - step)) / (2.0 * step)
-        return (g(r + step) - 2.0 * g(r) + g(r - step)) / step**2
-
-    coarse, fine = central(h), central(h / 2.0)
+    values = [g(r + arm.real * h) for arm in _ARMS[:4]]
+    if order == 1:
+        return _richardson(values, h)[0]
+    twice_centre = 2.0 * g(r)
+    coarse = (values[0] - twice_centre + values[1]) / h**2
+    fine = (values[2] - twice_centre + values[3]) / (0.5 * h) ** 2
     return (4.0 * fine - coarse) / 3.0
 
 

@@ -27,10 +27,14 @@ from neutralkahler import (
     torus_section,
 )
 from neutralkahler.ambient import ConformalGeometry, TangentPoint, ambient_frame, theta_form
+from neutralkahler.cli import RunConfig, run
 from neutralkahler.errors import DomainError, QuadratureError, SingularResidualError
 from neutralkahler.graphs import (
     _RESIDUAL_BLOCK,
     _STENCIL,
+    _STEPS,
+    NULL_ATOL,
+    SlopeData,
     _fd_jacobian,
     _residual_map,
     _slopes_on,
@@ -195,6 +199,31 @@ class TestPullbackOracle:
                 assert d2 == pytest.approx(d1, rel=1e-6)
 
 
+#: floors of det_oracle and stokes at the default ``nklab verify --suite graphs`` runs
+#: (flat and sphere, seeds 0-3), over 5x the worst value measured there (1.72e-10 and
+#: 1.15e-14): the difference rule's error, not the pinned tolerance, sets them
+ORACLE_FLOORS = {"det_oracle": 1e-9, "stokes": 1e-12}
+
+
+def assert_oracle_floors(geometry, seed):
+    """The default graphs suite run of ``geometry`` and ``seed``: det_oracle and stokes
+    evaluated something and stay under their floors."""
+    _, report = run(RunConfig(task="verify", geometry=geometry, suite="graphs", seed=seed,
+                              report="floors.json"))
+    checks = {c["name"]: c for c in report["checks"]}
+    for name, floor in ORACLE_FLOORS.items():
+        assert checks[name]["evaluated"] > 0, name
+        assert checks[name]["value"] <= floor, f"{name} {checks[name]['value']:.3e}"
+
+
+class TestOracleFloors:
+    @pytest.mark.parametrize("geometry", ["flat", "sphere"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_default_graphs_suite(self, geometry, seed, tmp_path, monkeypatch):
+        monkeypatch.setenv("NKLAB_OUTPUT_DIR", str(tmp_path))
+        assert_oracle_floors(geometry, seed)
+
+
 class TestArea:
     def test_unit_holomorphic_line(self, flat):
         grid = AnnulusGrid(1.0, 2.0, 16, 8)
@@ -342,29 +371,76 @@ class TestElResidual:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _select_codes_and_classes(section, xi):
+    """The residual's skip codes and the classes at ``xi``, written with ``np.select``
+    as before the nested ``np.where`` forms (the reference)."""
+    h = 1e-6 * np.maximum(1.0, abs(xi))
+    sl = _slopes_on(section, xi + _STENCIL[:, None] * h)
+    lam, det = sl.lam, sl.det_factor
+
+    def mixed(v):
+        neg = np.signbit(v)[_STEPS]
+        return neg.any(axis=1) & ~neg.all(axis=1)
+
+    code = np.select([sl.degenerate[_STEPS].any(axis=1), mixed(det), (det[0] > 0.0) & mixed(lam)],
+                     [1, 2, 3])
+    centre = SlopeData(sl.sigma[0], sl.rho[0])
+    null = (abs(centre.sigma) < NULL_ATOL) & (abs(centre.lam) < NULL_ATOL)
+    classes = np.select(
+        [centre.degenerate & null, centre.degenerate, centre.det_factor > 0.0],
+        [SurfaceClass.TOTALLY_NULL, SurfaceClass.DEGENERATE, SurfaceClass.RIEMANNIAN],
+        SurfaceClass.LORENTZ,
+    )
+    return np.where(code[0] != 0, code[0], code[1]), classes
+
+
+class TestSkipCodesAndClasses:
+    """On ``F = i xi^2 / 2 + eps xibar`` (flat): ``lam = x``, ``sigma = -eps``, so points
+    within a step of ``x = 0`` or of ``|x| = eps`` give every skip code and class, and
+    at ``x = 9e-7``, ``eps = 2.5e-7`` both ``det`` and ``lam`` change sign (code 2)."""
+
+    CASES = [(0.0, [0.0, 3e-7, 0.5]), (1e-8, [0.0, 1e-8, 3e-7, -3e-7, 5e-7]), (1.0, [1.0, 0.5]),
+             (2.5e-7, [9e-7])]
+
+    def test_same_as_select(self, flat):
+        codes, classes = set(), set()
+        for eps, xs in self.CASES:
+            section = polynomial_section(flat, {(2, 0): 0.5j, (0, 1): eps})
+            xi = np.array(xs) + 1j
+            _, code, sl = _residual_map(section, xi)
+            want_code, want_classes = _select_codes_and_classes(section, xi)
+            assert np.array_equal(code, want_code)
+            assert list(sl.classify()) == list(want_classes)
+            for x, want in zip(xi, want_classes):  # one point gives a class, not an array
+                assert slopes(section, x).classify() is want
+            codes.update(code.tolist())
+            classes.update(want_classes.tolist())
+        assert codes == {0, 1, 2, 3} and classes == set(SurfaceClass)
+
+
 def _two_step_residual(section, xi):
-    """The residual as it was computed before its two steps shared one stencil:
-    one 5-point stencil and one ``slopes`` call per step (the reference)."""
+    """The residual from one 5-point stencil and one ``slopes`` call per step, with
+    the Richardson step taken on each partial derivative of ``p`` and ``q`` before
+    they are composed (the reference)."""
     five = np.array([0.0, 1.0, -1.0, 1j, -1j])
     h = (1e-6 if section.F.analytic else 5e-4) * np.maximum(1.0, abs(xi))
 
-    def quotient(step):
+    def quotients(step):
         z = xi + five.reshape((5,) + (1,) * np.ndim(xi)) * step
         sl = slopes(section, z)
         sigma, lam = np.broadcast_to(sl.sigma, z.shape), np.broadcast_to(sl.lam, z.shape)
         w = np.broadcast_to(section.geometry.conformal_factor(z), z.shape)
         root = np.sqrt(np.abs(lam * lam - (sigma.real * sigma.real + sigma.imag * sigma.imag)))
         p, q = lam / root, sigma * w / root
-        px = (p[1] - p[2]) / (2.0 * step)
-        py = (p[3] - p[4]) / (2.0 * step)
-        d_p = 0.5 * (px - 1j * py)
-        qx = (q[1] - q[2]) / (2.0 * step)
-        qy = (q[3] - q[4]) / (2.0 * step)
-        dbar_q = 0.5 * (qx + 1j * qy)
-        return 1j * d_p - dbar_q / w[0]
+        partials = [(v[1] - v[2]) / (2.0 * step) for v in (p, q)]
+        partials += [(v[3] - v[4]) / (2.0 * step) for v in (p, q)]
+        return partials, w[0]
 
-    coarse, fine = quotient(h), quotient(0.5 * h)
-    return (4.0 * fine - coarse) / 3.0
+    (coarse, w0), (fine, _) = quotients(h), quotients(0.5 * h)
+    px, qx, py, qy = ((4.0 * f - c) / 3.0 for c, f in zip(coarse, fine))
+    d_p = 0.5 * (px - 1j * py)
+    dbar_q = 0.5 * (qx + 1j * qy)
+    return 1j * d_p - dbar_q / w0
 
 
 class TestFirstVariation:
@@ -878,11 +954,11 @@ class TestJet:
         for xi in (0.8 - 0.3j, 2.5 + 1.5j):
             calls.clear()
             sl = slopes(GraphSection(field, sphere), xi)
-            assert len(calls) == 5
-            # the central differences the former separate d and dbar each took
-            h = 1e-6 * max(1.0, abs(xi))
-            fx = (ev(xi + h) - ev(xi - h)) / (2.0 * h)
-            fy = (ev(xi + 1j * h) - ev(xi - 1j * h)) / (2.0 * h)
+            assert len(calls) == 9
+            # central differences at the steps h and h/2, extrapolated per direction
+            h = 1e-3 * max(1.0, abs(xi))
+            fx, fy = ((4.0 * (ev(xi + a * h / 2) - ev(xi - a * h / 2)) / h
+                       - (ev(xi + a * h) - ev(xi - a * h)) / (2.0 * h)) / 3.0 for a in (1, 1j))
             d, dbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
             assert field.jet_at(xi) == (ev(xi), d, dbar)
             assert sl.sigma == -dbar.conjugate()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from neutralkahler import numerics
 from neutralkahler.errors import DomainError, QuadratureError
 from neutralkahler.numerics import (
     GAUSS_LEGENDRE_4,
@@ -123,16 +124,18 @@ class TestWirtinger:
         with pytest.raises(DerivativeUnavailableError):
             f.jet_at(1.0 + 0.0j)
 
-    def test_fd_error_scales_quadratically(self):
-        # f = sin(x) + i e^{0.3 y}:  d f = (cos x + 0.3 e^{0.3 y}) / 2
+    def test_fd_error_scales_quartically(self, monkeypatch):
+        # f = sin(x) + i e^{0.3 y}:  d f = (cos x + 0.3 e^{0.3 y}) / 2; both steps lie in
+        # the truncation regime (errors about 2e-9 and 1e-10, far above roundoff), where
+        # halving the step of a fourth-order rule divides the error by 16
         f = lambda z: complex(math.sin(z.real), math.exp(0.3 * z.imag))
         exact = 0.5 * (math.cos(1.0) + 0.3 * math.exp(0.3 * 0.5))
         errs = []
-        for h in (1e-2, 1e-3):
-            field = ComplexField(f, fd_step=h)
-            errs.append(abs(field.jet_at(1.0 + 0.5j)[1] - exact))
+        for h in (4e-2, 2e-2):
+            monkeypatch.setattr(numerics, "FD_STEP", h)
+            errs.append(abs(ComplexField(f).jet_at(1.0 + 0.5j)[1] - exact))
         ratio = errs[0] / errs[1]
-        assert 50.0 < ratio < 200.0
+        assert 14.0 < ratio < 18.0
 
 
 class TestRadialDerivative:

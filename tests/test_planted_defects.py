@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_graphs
+import test_numerics
 from neutralkahler import cli, graphs, numerics, rotsym, sampling
 from neutralkahler.ambient import AmbientFrame, ThetaForm, ambient_frame, theta_form
 from neutralkahler.cli import DEFAULT_TOLERANCES, RunConfig, run
@@ -297,11 +299,51 @@ def test_degenerate_family_without_source_term(monkeypatch):
 @pytest.mark.parametrize("geometry", ["flat", "sphere"])
 def test_dbar_exponent_off_by_one(monkeypatch, geometry):
     # dbar of a coefficient matrix takes (n + 1) C, not n C; F itself is untouched,
-    # so its FD Jacobian and both Stokes sides are too
+    # so its FD Jacobian and the boundary side of Stokes are too. The interior reads
+    # the jet, but Omega pulls back to 2i Im d(F e^{2u}) dxi ^ dxibar, free of dbar F
     plant_source_defect(monkeypatch, graphs, "_wirtinger", "(m, n)[axis]", "(m, n + 1)[axis]")
     checks = verify(geometry, "graphs")
     assert failed(checks, *checks) == ["det_oracle"]
     assert checks["det_oracle"]["evaluated"] > 0
+
+
+@pytest.mark.parametrize("geometry", ["flat", "sphere"])
+def test_d_exponent_off_by_one(monkeypatch, geometry):
+    # d of a coefficient matrix takes (m + 1) C, not m C; F is untouched, so the FD
+    # Jacobian and the boundary side of Stokes are too, while the interior reads the jet
+    plant_source_defect(monkeypatch, graphs, "_wirtinger", "(m, n)[axis]", "(m + 1, n)[axis]")
+    checks = verify(geometry, "graphs")
+    assert failed(checks, *checks) == ["det_oracle", "stokes"]
+    assert checks["stokes"]["value"] > 1e-3
+
+
+def test_jet_scaled_by_one_part_in_1e8(monkeypatch):
+    # F, dF and dbarF scaled by 1 + 1e-8 inside slopes: every slope determinant moves by
+    # 2e-8 relative, which the pinned det_oracle tolerance (1e-6) cannot see; the
+    # floor that the fourth-order pullback affords (1e-9) does
+    plant_source_defect(monkeypatch, graphs, "slopes", "f, d, dbar = section.F.jet_at(xi)",
+                        "f, d, dbar = (v * (1.0 + 1e-8) for v in section.F.jet_at(xi))")
+    assert failed(verify("sphere", "graphs"), "det_oracle", "stokes") == []
+    with pytest.raises(AssertionError, match="det_oracle"):
+        test_graphs.assert_oracle_floors("sphere", 0)
+
+
+def test_richardson_weight_perturbed(monkeypatch):
+    # one weight of the difference rule 4 -> 4.01: every derivative it takes grows by
+    # 1/300 of itself, which the pullback's Jacobian and d(Theta) show. The residual and
+    # the first variation vanish on stationary sections under any rescaling of their
+    # derivatives, and Stokes differences nothing, so they cannot
+    plant_source_defect(monkeypatch, numerics, "_richardson", "4.0 * (fine / h)",
+                        "4.01 * (fine / h)")
+    for module in (graphs, cli):
+        monkeypatch.setattr(module, "_richardson", numerics._richardson)
+    for geometry in ("flat", "sphere"):
+        checks = verify(geometry, "all")
+        assert failed(checks, *checks) == ["exactness", "det_oracle"]
+    with pytest.raises(AssertionError):
+        test_numerics.TestWirtinger().test_fd_error_scales_quartically(monkeypatch)
+    with pytest.raises(AssertionError):
+        test_numerics.TestRadialDerivative().test_square()
 
 
 def test_potential_not_symmetrised(monkeypatch):
