@@ -34,6 +34,7 @@ from .graphs import (
     el_residual,
     export_classification_csv,
     first_variation,
+    first_variations,
     induced_metric,
     lagrangian_section,
     polynomial_section,

@@ -47,7 +47,7 @@ from .graphs import (
     _write_classification_csv,
     area,
     bump_basis,
-    first_variation,
+    first_variations,
     pullback_determinant,
     stokes_check,
 )
@@ -293,14 +293,6 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
                  "r_range", "section")
 
 
-def _variation_sweep(section: GraphSection, grid: AnnulusGrid, bumps: list) -> tuple:
-    """The section's area and ``|first variation| / area`` along each of ``bumps``,
-    in their order."""
-    a_val = area(section, grid)
-    fv = np.array([abs(first_variation(section, bump, grid)) for bump in bumps])
-    return a_val, fv / max(a_val, 1e-12)
-
-
 def _suite_rotsym(config: RunConfig, report: Report) -> None:
     geom = geometry_by_name(config.geometry)
     rng = rng_from_seed(config.seed + 2)
@@ -344,7 +336,8 @@ def _suite_families(config: RunConfig, report: Report) -> None:
         kept = codes == 0
         sweeps.append((np.where(kept, np.abs(values), 0.0), params, rs, ts))
         evaluated += int(np.count_nonzero(kept))
-        _, rel = _variation_sweep(section, grid, bump_basis(grid.r_min, grid.r_max)[:4])
+        fv = first_variations(section, bump_basis(grid.r_min, grid.r_max)[:4], grid)
+        rel = np.abs(fv) / max(area(section, grid), 1e-12)
         variations.append((rel, params, np.arange(rel.size)))
     report.worst("residual_max", sweeps, "R", "theta", evaluated=evaluated)
     report.worst("first_variation_rel", variations, "bump")
@@ -392,7 +385,9 @@ def _run_area(config: RunConfig, report: Report) -> None:
 
 def _run_variation(config: RunConfig, report: Report) -> None:
     section, grid = _section_and_grid(config)
-    report.values["area"], rel = _variation_sweep(section, grid, bump_basis(grid.r_min, grid.r_max))
+    report.values["area"] = a_val = area(section, grid)
+    fv = first_variations(section, bump_basis(grid.r_min, grid.r_max), grid)
+    rel = np.abs(fv) / max(a_val, 1e-12)
     report.worst("first_variation_rel", [(rel, None, np.arange(rel.size))], "bump")
 
 

@@ -27,7 +27,7 @@ Area-stationarity of a graph is the vanishing of
 
 evaluated here by composing slope fields with Wirtinger derivatives
 (``el_residual``) and cross-checked by differentiating the area functional
-along compactly supported bumps (``first_variation``). The absolute value
+along compactly supported bumps (``first_variations``). The absolute value
 under the square root is taken literally, so the residual is only defined
 where ``det_factor`` keeps one sign across the whole stencil.
 
@@ -70,6 +70,7 @@ __all__ = [
     "area",
     "el_residual",
     "first_variation",
+    "first_variations",
     "stokes_check",
     "radial_bump",
     "bump_basis",
@@ -381,22 +382,33 @@ def bump_basis(
     return [_angular_field(lambda r, j=j: j(r)[0], j, k) for k in ks for j in jets]
 
 
-def first_variation(section: GraphSection, bump: ComplexField, grid: AnnulusGrid) -> float:
-    """Derivative of the area along ``F + t * bump`` at ``t = 0``.
+def first_variations(
+    section: GraphSection, bumps: Sequence[ComplexField], grid: AnnulusGrid
+) -> np.ndarray:
+    """Derivative of the area along ``F + t * bump`` at ``t = 0``, one per bump.
 
     The Richardson rule of ``numerics._richardson`` in ``t``. The slopes
     are real-linear in the field, ``sigma(F + t b) = sigma(F) + t sigma(b)``
     and likewise ``lam``, so one ``slopes`` call on all Gauss nodes for F
-    and one for the bump give the four shifted areas as sums over the same
-    per-node table that ``area`` reads. This is the independent
+    and one per bump give each bump's four shifted areas as sums over the
+    same per-node table that ``area`` reads. This is the independent
     stationarity oracle: it shares nothing with ``el_residual`` and does
     no spatial differencing.
     """
     sigma, lam, w = _slope_table(section, grid)
-    sigma_b, lam_b, _ = _slope_table(GraphSection(bump, section.geometry), grid)
     ts = (np.real(_ARMS[:4]) * T_STEP)[:, None, None]
-    areas = _area_from_slopes(sigma + ts * sigma_b, lam + ts * lam_b, w, grid)
-    return float(_richardson(areas, T_STEP)[0])
+
+    def variation(bump: ComplexField):
+        sigma_b, lam_b, _ = _slope_table(GraphSection(bump, section.geometry), grid)
+        areas = _area_from_slopes(sigma + ts * sigma_b, lam + ts * lam_b, w, grid)
+        return _richardson(areas, T_STEP)[0]
+
+    return np.array([variation(bump) for bump in bumps], dtype=float)
+
+
+def first_variation(section: GraphSection, bump: ComplexField, grid: AnnulusGrid) -> float:
+    """:func:`first_variations` along one bump."""
+    return float(first_variations(section, (bump,), grid)[0])
 
 
 def stokes_check(

@@ -64,7 +64,6 @@ __all__ = [
     "degenerate_family",
     "ode_residuals",
     "sphere_shorthand_params",
-    "rotsym_section",
 ]
 
 #: threshold on |1 + R u'| below which the ODE coefficients are singular
@@ -312,15 +311,6 @@ class RotSymProfile:
 
     def section(self) -> GraphSection:
         return GraphSection(_angular_field(self.G, self.G_jet, 1), self.geometry)
-
-
-def rotsym_section(geom: ConformalGeometry, G: Callable, dG: Callable) -> GraphSection:
-    """Graph section ``F = G(R) e^{i theta}`` with exact Wirtinger derivatives.
-
-    For this ansatz ``d F = (G' + G/R)/2`` (independent of theta) and
-    ``dbar F = e^{2 i theta} (G' - G/R)/2``.
-    """
-    return GraphSection(_angular_field(G, lambda r: (G(r), dG(r)), 1), geom)
 
 
 def _closed_family_profiles(

@@ -1,5 +1,6 @@
 """The batch entry point: configs, reports, determinism, exit codes."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -504,3 +505,33 @@ class TestRun:
         import math
 
         assert report["values"]["area"] == pytest.approx(6.0 * math.pi, rel=1e-10)
+
+
+def _hexed(obj):
+    """``obj`` with every float written as its ``float.hex`` string."""
+    if isinstance(obj, float):
+        return float.hex(obj)
+    if isinstance(obj, dict):
+        return {key: _hexed(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_hexed(value) for value in obj]
+    return obj
+
+
+#: (geometry, seed) -> SHA-256 of the families suite's checks and values, every float
+#: as float.hex, recorded before the suite swept each section's bumps in one call
+FAMILIES_DIGESTS = {
+    ("flat", 0): "5195158e26051139590ecf964b912f7d4aeba17e68b1de267379a86219ab7874",
+    ("flat", 1): "5bc05362822ac20985c1671877b3e83717fbde019ad6a774bfea6ebd1330e0cf",
+    ("sphere", 0): "e68887bd7f6dcbf8ef72aa99efdd40b7fd06357e9812ee29fc4de865cdd215c7",
+    ("sphere", 1): "c9763a168a1cd2fc13e18a704869b5e1de28e86f13f6b3a359a1d3c996fb6f3f",
+}
+
+
+@pytest.mark.parametrize("geometry, seed", FAMILIES_DIGESTS)
+def test_families_suite_is_pinned(geometry, seed):
+    _, report = run(RunConfig(task="verify", geometry=geometry, suite="families", seed=seed,
+                              report="families.json"))
+    body = _hexed({"checks": report["checks"], "values": report["values"]})
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    assert digest == FAMILIES_DIGESTS[geometry, seed]

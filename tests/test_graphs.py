@@ -1,5 +1,6 @@
 """Slope invariants, induced metrics, stationarity residuals, variations."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from neutralkahler import (
     el_residual,
     export_classification_csv,
     first_variation,
+    first_variations,
     induced_metric,
     lagrangian_section,
     polynomial_section,
@@ -27,7 +29,7 @@ from neutralkahler import (
     torus_section,
 )
 from neutralkahler.ambient import ConformalGeometry, TangentPoint, ambient_frame, theta_form
-from neutralkahler.cli import RunConfig, run
+from neutralkahler.cli import RunConfig, _section_and_grid, run
 from neutralkahler.errors import DomainError, QuadratureError, SingularResidualError
 from neutralkahler.graphs import (
     _RESIDUAL_BLOCK,
@@ -41,7 +43,7 @@ from neutralkahler.graphs import (
     radial_bump,
 )
 from neutralkahler.numerics import ComplexField, RadialFunction, _polar
-from neutralkahler.rotsym import comfortable_range, degenerate_family, rotsym_section
+from neutralkahler.rotsym import RotSymProfile, comfortable_range, degenerate_family
 from neutralkahler.sampling import (
     geometry_by_name,
     off_family_profile,
@@ -55,6 +57,11 @@ from neutralkahler.sampling import (
 
 def i_xi(flat):
     return polynomial_section(flat, {(1, 0): 1j})
+
+
+def i_r2(flat, domain, psi=RadialFunction(lambda r: r**4, lambda r: 4.0 * r**3)):
+    """``F = i R^2 e^{i theta}``: the profile ``H = 0``, ``Psi = R^4`` (or ``psi``)."""
+    return RotSymProfile(flat, RadialFunction.constant(0.0), psi, 1, domain).section()
 
 
 def xibar(flat):
@@ -241,8 +248,8 @@ class TestArea:
 
     def test_non_finite_node_is_named(self, flat):
         # F = i R^2 e^{i theta} for R < 1.5, undefined (nan) beyond
-        section = rotsym_section(flat, lambda r: np.where(r < 1.5, 1j * r * r, complex("nan")),
-                                 lambda r: 2j * r)
+        psi = RadialFunction(lambda r: np.where(r < 1.5, r**4, np.nan), lambda r: 4.0 * r**3)
+        section = i_r2(flat, (1.0, 2.0), psi)
         grid = AnnulusGrid(1.0, 2.0, 4, 8)
         bump = bump_basis(1.0, 2.0)[0]
         for compute in (lambda: area(section, grid), lambda: first_variation(section, bump, grid),
@@ -263,7 +270,7 @@ class TestElResidual:
 
     def test_quadratic_profile_is_not_stationary(self, flat):
         # F = i R^2 e^{i theta}: the residual has modulus 1/(2 sqrt(2) R)
-        section = rotsym_section(flat, lambda r: 1j * r * r, lambda r: 2j * r)
+        section = i_r2(flat, (0.5, 1.5))
         res = el_residual(section, complex(1.0))
         assert abs(res) > 0.01
         assert abs(res) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-6)
@@ -443,30 +450,37 @@ def _two_step_residual(section, xi):
     return 1j * d_p - dbar_q / w0
 
 
+#: variation-task configurations and the SHA-256 of their 10-bump sweeps, recorded
+#: before the sweep read the section's slope table once for all its bumps
+SWEEP_DIGESTS = [
+    (dict(geometry="flat", a2=1.0, b2=0.5, grid_r=32, grid_theta=32),
+     "004d04b4efc4c1c03504ce19253cf147cc3c06f8321598057835eddcf99e7852"),
+    (dict(geometry="sphere", b2=1.0, c2=5.0, rmin=0.3, rmax=0.9, grid_r=64, grid_theta=64),
+     "98ef7bbe948c052c6992c3c0eb7bef90e2de98cf66c3763ac593fc259873c07e"),
+]
+
+
 class TestFirstVariation:
     def test_holomorphic_sections_stationary_under_bumps(self, flat):
         grid = AnnulusGrid(1.0, 2.0, 16, 16)
         section = polynomial_section(flat, {(1, 0): 1.7j, (2, 0): 0.05j})
-        a_val = area(section, grid)
-        for bump in bump_basis(1.0, 2.0):
-            assert abs(first_variation(section, bump, grid)) <= 1e-5 * a_val
+        fvs = first_variations(section, bump_basis(1.0, 2.0), grid)
+        assert fvs.shape == (10,)
+        assert np.all(np.abs(fvs) <= 1e-5 * area(section, grid))
 
     def test_torus_family_stationary_under_bumps(self):
         section = torus_section(TorusFamily(1.0, 0.0))
         grid = AnnulusGrid(1.2, 3.0, 16, 16)
-        a_val = area(section, grid)
-        for bump in bump_basis(1.2, 3.0):
-            assert abs(first_variation(section, bump, grid)) <= 1e-5 * a_val
+        fvs = first_variations(section, bump_basis(1.2, 3.0), grid)
+        assert np.all(np.abs(fvs) <= 1e-5 * area(section, grid))
 
     def test_nonstationary_profile_detected(self, flat):
         # the residual of this profile carries an e^{-i theta} phase, so the
         # equivariant (k = 1) bumps are the ones that see it
-        section = rotsym_section(flat, lambda r: 1j * r * r, lambda r: 2j * r)
+        section = i_r2(flat, (0.5, 1.5))
         grid = AnnulusGrid(0.5, 1.5, 16, 16)
-        a_val = area(section, grid)
-        bumps = bump_basis(0.5, 1.5)
-        fvs = [abs(first_variation(section, b, grid)) for b in bumps]
-        assert max(fvs) > 1e-3 * a_val
+        fvs = np.abs(first_variations(section, bump_basis(0.5, 1.5), grid))
+        assert fvs.max() > 1e-3 * area(section, grid)
 
     def test_linearity_in_bump(self, flat):
         grid = AnnulusGrid(1.0, 2.0, 12, 12)
@@ -476,9 +490,7 @@ class TestFirstVariation:
             lambda xi: b1(xi) + b2(xi),
             lambda xi: tuple(u + v for u, v in zip(b1.jet(xi), b2.jet(xi))),
         )
-        fv1 = first_variation(section, b1, grid)
-        fv2 = first_variation(section, b2, grid)
-        fv12 = first_variation(section, combined, grid)
+        fv1, fv2, fv12 = first_variations(section, (b1, b2, combined), grid)
         scale = max(abs(fv1) + abs(fv2), 1e-9)
         assert abs(fv12 - fv1 - fv2) <= 1e-6 * scale
 
@@ -500,20 +512,48 @@ class TestFirstVariation:
         assert abs(expect) > 1e-2
         assert got == pytest.approx(expect, rel=1e-8)
 
-    def test_slopes_once_per_node_and_field(self, flat, monkeypatch):
-        # one slopes call for F and one for the bump, each on every Gauss node
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    def test_slopes_once_per_node_and_field(self, flat, monkeypatch, n):
+        # one slopes call for F and one per bump, each on every Gauss node
         import neutralkahler.graphs as graphs
 
         calls = []
         real_slopes = graphs.slopes
         monkeypatch.setattr(graphs, "slopes", lambda s, xi: calls.append(xi) or real_slopes(s, xi))
         grid = AnnulusGrid(1.0, 2.0, 6, 8)
-        first_variation(i_xi(flat), bump_basis(1.0, 2.0)[0], grid)
+        bumps = bump_basis(1.0, 2.0)[:n]
+        assert first_variations(i_xi(flat), bumps, grid).shape == (n,)
         nodes = grid.radial_nodes[:, None] * np.exp(1j * grid.theta_nodes)
-        assert len(calls) == 2
+        assert len(calls) == n + 1
         for xi in calls:
             assert np.shape(xi) == nodes.shape
             assert np.allclose(xi, nodes, rtol=1e-15, atol=0.0)
+        calls.clear()  # the one-bump case does the same work as a sweep of one
+        first_variation(i_xi(flat), bumps[0], grid)
+        assert len(calls) == 2
+
+    def test_variation_task_builds_one_table_per_field(self, monkeypatch, tmp_path):
+        # area and the 10-bump sweep: one table for the section's area, one for the
+        # section's variations and one per bump (a table per bump and call was 21)
+        import neutralkahler.graphs as graphs
+
+        monkeypatch.setenv("NKLAB_OUTPUT_DIR", str(tmp_path))
+        tables = []
+        real_table = graphs._slope_table
+        monkeypatch.setattr(graphs, "_slope_table",
+                            lambda s, grid: tables.append(s) or real_table(s, grid))
+        code, report = run(RunConfig(task="variation", geometry="flat", a2=1.0, b2=0.5,
+                                     grid_r=8, grid_theta=8, report="v.json"))
+        assert code == 0 and report["checks"][0]["evaluated"] == 10
+        assert len(tables) == 12
+
+    @pytest.mark.parametrize("config, digest", SWEEP_DIGESTS)
+    def test_sweep_values_are_pinned(self, config, digest):
+        # the 10-bump sweeps of the variation task, bit for bit (SHA-256 of the
+        # float.hex strings): a reordered summation in the sweep shows
+        section, grid = _section_and_grid(RunConfig(task="variation", **config))
+        values = first_variations(section, bump_basis(grid.r_min, grid.r_max), grid).tolist()
+        assert hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest() == digest
 
     def test_bump_vanishes_at_support_ends(self):
         phi = radial_bump(1.0, 2.0)

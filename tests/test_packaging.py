@@ -1,7 +1,8 @@
-"""Packaging: the runtime imports match the declared dependencies, and
-importing the CLI loads no scipy and no configparser."""
+"""Packaging: the runtime imports match the declared dependencies, importing
+the CLI loads no scipy and no configparser, and every exported name resolves."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -56,3 +57,18 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_configparser():
     # only --config reads a file; runs without it skip the import
     assert cli_import_loads("configparser") == []
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                           if "\n__all__ = " in p.read_text()))
+def test_every_all_name_resolves(module):
+    mod = importlib.import_module(f"{PACKAGE.name}.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_package_exports_the_variation_sweep_and_its_one_bump_case():
+    import neutralkahler
+    from neutralkahler import graphs
+
+    assert neutralkahler.first_variation is graphs.first_variation
+    assert neutralkahler.first_variations is graphs.first_variations

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_cli
 import test_graphs
 import test_numerics
 from neutralkahler import cli, graphs, numerics, rotsym, sampling
@@ -367,3 +368,28 @@ def test_angular_jet_dbar_sign_flipped(monkeypatch):
     checks = verify("sphere", "families")
     assert failed(checks, "residual_max", "first_variation_rel") == ["residual_max",
                                                                       "first_variation_rel"]
+
+
+def test_sweep_pairs_every_bump_with_the_first(monkeypatch):
+    # every bump of a first_variations sweep varied along the first bump's slope table
+    # (the radial k = 0 one). The stationary families vary by zero along every bump,
+    # so the families suite's check cannot see it; an off-family G(R) e^{i theta}
+    # moves only along the k = 1 bumps, so criterion 5's off-family detection catches
+    # it, and so do the pinned families reports and the pinned sphere-torus sweep
+    # (the flat sweep's pinned values are all zero, so that pin cannot)
+    plant_source_defect(monkeypatch, graphs, "first_variations",
+                        "variation(bump) for", "variation(bumps[0]) for")
+    for module in (cli, test_acceptance, test_graphs):
+        monkeypatch.setattr(module, "first_variations", graphs.first_variations)
+    for geometry in ("flat", "sphere"):
+        checks = verify(geometry, "families")
+        assert failed(checks, "residual_max", "first_variation_rel") == []
+    with pytest.raises(AssertionError, match="off-family section"):
+        test_acceptance.test_criterion_5_stationary_families()
+    for geometry, seed in test_cli.FAMILIES_DIGESTS:
+        with pytest.raises(AssertionError):
+            test_cli.test_families_suite_is_pinned(geometry, seed)
+    (flat, flat_digest), (torus, torus_digest) = test_graphs.SWEEP_DIGESTS
+    test_graphs.TestFirstVariation().test_sweep_values_are_pinned(flat, flat_digest)
+    with pytest.raises(AssertionError):
+        test_graphs.TestFirstVariation().test_sweep_values_are_pinned(torus, torus_digest)
