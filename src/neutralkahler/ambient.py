@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -74,8 +74,7 @@ SIGNATURE_RTOL = 1e-10
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class ConformalGeometry:
+class ConformalGeometry(NamedTuple):
     """The conformal exponent u of the base metric ``e^{2u} dxi dxibar``.
 
     ``u`` maps the complex coordinate to a real value; ``du`` is the closed
@@ -186,8 +185,7 @@ class TangentPoint:
         return getattr(self.xi + self.eta, "shape", ())
 
 
-@dataclass(frozen=True)
-class AmbientFrame:
+class AmbientFrame(NamedTuple):
     """G and Omega as real 4x4 matrices, stacked ``(..., 4, 4)`` over an array of
     points; J is the same at every point, the class attribute ``J4``
     (:data:`J4_MATRIX`). ``metric`` and ``symplectic`` take one point's frame
@@ -195,7 +193,7 @@ class AmbientFrame:
 
     G4: np.ndarray
     O4: np.ndarray
-    J4: ClassVar[np.ndarray] = J4_MATRIX
+    J4 = J4_MATRIX  # not annotated: an annotated name would be a third field
 
     def metric(self, a: np.ndarray, b: np.ndarray) -> float:
         _require_one_point(self, "AmbientFrame.metric")
@@ -206,8 +204,7 @@ class AmbientFrame:
         return float(a @ self.O4 @ b)
 
 
-@dataclass(frozen=True)
-class ThetaForm:
+class ThetaForm(NamedTuple):
     """The primitive 1-form of Omega as real 4-covectors, stacked ``(..., 4)``."""
 
     components: np.ndarray

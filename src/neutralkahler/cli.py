@@ -25,7 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -453,8 +453,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(NamedTuple):
     """One ``nklab`` option, declared on the ``RunConfig`` field it sets (see
     ``_option``): its flag; ``parse``, which reads one string value and raises
     ``ValueError`` on a bad one; the ``choices`` or the ``rule`` (a predicate
@@ -607,7 +606,7 @@ class RunConfig:
 
 #: every option, in field order, bound to the field(s) it sets
 _OPTIONS = tuple(
-    dataclasses.replace(f.metadata["option"], fields=f.metadata["option"].fields or (f.name,))
+    f.metadata["option"]._replace(fields=f.metadata["option"].fields or (f.name,))
     for f in dataclasses.fields(RunConfig) if "option" in f.metadata
 )
 

@@ -39,8 +39,7 @@ points, so each grid or lattice sweep is one call on elementwise fields
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,8 +117,7 @@ class SurfaceClass(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class GraphSection:
+class GraphSection(NamedTuple):
     """A fibre coordinate ``F`` over a base geometry."""
 
     F: ComplexField
@@ -133,8 +131,7 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
-@dataclass(frozen=True)
-class SlopeData:
+class SlopeData(NamedTuple):
     """Slope invariants of a graph at one point, or elementwise at an array of points."""
 
     sigma: complex
@@ -166,8 +163,7 @@ class SlopeData:
                                              SurfaceClass.DEGENERATE), definite)[()]
 
 
-@dataclass(frozen=True)
-class InducedMetric:
+class InducedMetric(NamedTuple):
     """Induced metric of a graph at one point, ``(xi, xibar)`` components."""
 
     matrix: np.ndarray

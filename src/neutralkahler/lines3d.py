@@ -35,7 +35,6 @@ lorentzian for ``C2 < 2 B2``, and degenerate exactly when ``C2 = 2 B2``.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -120,7 +119,7 @@ def _lines(xi, eta) -> tuple[np.ndarray, np.ndarray]:
 
 def to_oriented_line(p: TangentPoint) -> OrientedLine:
     """Read a point of TS^2 as an oriented line of 3-space."""
-    if not (cmath.isfinite(p.xi) and cmath.isfinite(p.eta)):
+    if not (np.isfinite(p.xi) and np.isfinite(p.eta)):
         raise ChartError(f"point ({p.xi}, {p.eta}) is outside the finite chart")
     direction, foot = _lines(p.xi, p.eta)
     return OrientedLine(direction=direction, foot=foot)

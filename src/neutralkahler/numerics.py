@@ -15,7 +15,9 @@ Conventions, fixed once for the whole library:
 * The radial rules (4 points for ``AnnulusGrid``, 8 for
   ``CumulativeIntegral``) are pinned Gauss-Legendre constants, written out
   to the last bit; ``tests/test_numerics.py::TestGaussRules`` checks their
-  exactness on polynomials of degree ``2n - 1``.
+  exactness on polynomials of degree ``2n - 1``. So is the antiderivative
+  table of ``CumulativeIntegral``, and a Clenshaw loop sums its Legendre
+  series: the package never imports ``numpy.polynomial``.
 * Exclusion bands remove neighbourhoods of singular radii (null circles,
   coefficient singularities) from every grid.
 * Fields, radial profiles and quadrature integrands evaluate elementwise:
@@ -26,10 +28,9 @@ Conventions, fixed once for the whole library:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import legint, legval, legvander
 
 from .errors import DerivativeUnavailableError, DomainError, QuadratureError
 
@@ -78,8 +79,7 @@ def _richardson(values, h) -> list:
             for coarse, fine in zip(diff[::2], diff[1::2])]
 
 
-@dataclass(frozen=True)
-class ComplexField:
+class ComplexField(NamedTuple):
     """A complex-valued function of one complex variable (and its conjugate).
 
     ``F(xi)`` is the value alone; ``jet_at(xi)`` is ``(F, dF, dbarF)``. A closed-form
@@ -117,8 +117,7 @@ class ComplexField:
         return self(xi), 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-@dataclass(frozen=True)
-class RadialFunction:
+class RadialFunction(NamedTuple):
     """A real function of the radius with optional closed-form derivatives.
 
     ``f`` and the derivatives are elementwise in ``r``: they take an ndarray
@@ -178,10 +177,30 @@ class CumulativeIntegral:
     _NODES, _WEIGHTS = GAUSS_LEGENDRE_8
     #: node values of a cell -> Legendre coefficients of ``int_{-1}^t`` of their
     #: interpolant. The Gauss rule is exact on ``P_j`` times the interpolant, so its
-    #: ``P_j`` coefficient is ``(j + 1/2) sum_i w_i P_j(x_i) y_i`` (no linear solve,
-    #: which would load LAPACK at import)
-    _ANTIDERIVATIVE = legint((np.arange(8.0) + 0.5)[:, None] * (legvander(_NODES, 7).T * _WEIGHTS),
-                             lbnd=-1)
+    #: ``P_j`` coefficient is ``(j + 1/2) sum_i w_i P_j(x_i) y_i``; the table is that
+    #: map integrated by ``legint(..., lbnd=-1)``, pinned like the Gauss rules (each
+    #: literal the shortest repr of its float64), so import loads no numpy.polynomial
+    _ANTIDERIVATIVE = np.array([
+        [0.09921863643905807, 0.19977227490747157, 0.23928482774643112, 0.2146062767606708,
+         0.1480775066176912, 0.07442181813145649, 0.022608759545903155, 0.0020098998513175923],
+        [0.005909979436670654, 0.0609306005580443, 0.17029934334665328, 0.262860076658632,
+         0.262860076658632, 0.17029934334665328, 0.0609306005580443, 0.005909979436670654],
+        [-0.009458822175239745, -0.08090227818878985, -0.14916304052689172, -0.08036274031375878,
+         0.08036274031375878, 0.14916304052689172, 0.08090227818878985, 0.009458822175239745],
+        [0.01244813122654466, 0.07724838238842503, 0.037841237658571725, -0.12753775127354144,
+         -0.12753775127354144, 0.037841237658571725, 0.07724838238842503, 0.01244813122654466],
+        [-0.014706513502389322, -0.05252451373398866, 0.0716011549016957, 0.09997188828311643,
+         -0.09997188828311643, -0.0716011549016957, 0.05252451373398866, 0.014706513502389322],
+        [0.016110604322970058, 0.016019794522015348, -0.09871840141263016, 0.06658800256764458,
+         0.06658800256764458, -0.09871840141263016, 0.016019794522015348, 0.016110604322970058],
+        [-0.016592868853060237, 0.019651905103021467, 0.03724868435897572, -0.10520063690230165,
+         0.10520063690230165, -0.03724868435897572, -0.019651905103021467, 0.016592868853060237],
+        [0.01614555315900244, -0.04300826024179732, 0.047431143346348965, -0.020568436263554125,
+         -0.020568436263554125, 0.047431143346348965, -0.04300826024179732, 0.01614555315900244],
+        [-0.007846163763180916, 0.02519312913897284, -0.042118303541267034, 0.05232710386145422,
+         -0.05232710386145422, 0.042118303541267034, -0.02519312913897284, 0.007846163763180916],
+    ])
+    _ANTIDERIVATIVE.flags.writeable = False
 
     def __init__(self, f: Callable, a: float, b: float, n_cells: int = 256):
         if not b > a:
@@ -204,7 +223,17 @@ class CumulativeIntegral:
         r = np.minimum(np.maximum(r, self.a), self.b)
         k = np.minimum(self.edges.searchsorted(r, side="right"), len(self.edges) - 1) - 1
         t = (r - self._mid[k]) / self._half[k]
-        return self.prefix[k] + legval(t, np.moveaxis(self._coeffs[k], -1, 0), tensor=False)
+        return self.prefix[k] + _legendre_series(np.moveaxis(self._coeffs[k], -1, 0), t)
+
+
+def _legendre_series(c, x):
+    """``sum_j c[j] P_j(x)`` for Legendre coefficients ``c[0], ..., c[n]`` (``n >= 1``,
+    first axis), elementwise in ``x``: the Clenshaw recurrence of ``legval(x, c,
+    tensor=False)``, operation for operation, so its values are legval's bit for bit."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 def _kept_segments(

@@ -39,7 +39,7 @@ into ``B2`` (or the homogeneous multiple, for reduction of order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -72,8 +72,7 @@ COEFF_SINGULAR_ATOL = 1e-10
 SOURCE_SINGULAR_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Constants of the closed-form stationary family."""
 
     a1: float = 0.0
@@ -92,8 +91,7 @@ def sphere_shorthand_params(b2: float, c2: float) -> FamilyParams:
     return FamilyParams(a1=0.0, b1=0.0, a2=c2 - 2.0 * b2, b2=4.0 * b2)
 
 
-@dataclass(frozen=True)
-class OdeCoefficients:
+class OdeCoefficients(NamedTuple):
     """Values of the six ODE coefficient functions, elementwise in the radius:
     each field has the shape of the radii it was evaluated on.
 

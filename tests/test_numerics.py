@@ -333,6 +333,45 @@ class TestCumulativeIntegral:
         rs = np.linspace(1.0, 3.0, 9)
         np.testing.assert_allclose(ci(rs), 2.5 * (rs - 1.0), rtol=1e-14, atol=1e-14)
 
+    def test_antiderivative_table_is_legint_bit_for_bit(self):
+        # the pinned literals are the table numpy.polynomial builds from the 8-point rule
+        from numpy.polynomial.legendre import legint, legvander
+
+        nodes, weights = GAUSS_LEGENDRE_8
+        table = legint((np.arange(8) + 0.5)[:, None] * (legvander(nodes, 7).T * weights), lbnd=-1)
+        pinned = CumulativeIntegral._ANTIDERIVATIVE
+        assert pinned.shape == table.shape == (9, 8)
+        assert pinned.tobytes() == table.tobytes()
+        assert not pinned.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_legendre_series_is_legval_bit_for_bit(self, n):
+        from numpy.polynomial.legendre import legval
+
+        rng = np.random.default_rng(n)
+        c, x = rng.normal(size=(9, n)), rng.uniform(-1.0, 1.0, n)
+        assert numerics._legendre_series(c, x).tobytes() == legval(x, c, tensor=False).tobytes()
+        for j in range(min(n, 5)):  # one cell at a scalar, numpy and Python
+            for t in (x[j], float(x[j])):
+                got, want = numerics._legendre_series(c[:, j], t), legval(t, c[:, j], tensor=False)
+                assert float(got).hex() == float(want).hex()
+
+    def test_values_are_the_legval_evaluation_bit_for_bit(self):
+        # the evaluation CumulativeIntegral made with numpy.polynomial, at array and scalar radii
+        from numpy.polynomial.legendre import legval
+
+        ci = CumulativeIntegral(lambda r: np.exp(-r) * np.sin(3.0 * r), 0.1, 2.0, 32)
+
+        def by_legval(r):
+            k = np.minimum(ci.edges.searchsorted(r, side="right"), len(ci.edges) - 1) - 1
+            t = (r - ci._mid[k]) / ci._half[k]
+            return ci.prefix[k] + legval(t, np.moveaxis(ci._coeffs[k], -1, 0), tensor=False)
+
+        rs = np.random.default_rng(3).uniform(0.1, 2.0, (40, 3))
+        assert ci(rs).tobytes() == by_legval(rs).tobytes()
+        for r in [0.1, 2.0, *rs[:, 0].tolist()]:
+            assert float(ci(r)).hex() == float(by_legval(r)).hex()
+
     def test_out_of_range(self):
         ci = CumulativeIntegral(lambda r: 1.0, 1.0, 2.0)
         for r in (0.5, 2.5, np.array([1.2, 2.0 + 1e-9])):

@@ -1,7 +1,10 @@
 """Packaging: the runtime imports match the declared dependencies, importing
-the CLI loads no scipy and no configparser, and every exported name resolves."""
+the CLI loads no scipy, configparser, numpy.polynomial or cmath, the only
+dataclasses are the classes that validate on construction, and every exported
+name resolves."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -57,6 +60,39 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_configparser():
     # only --config reads a file; runs without it skip the import
     assert cli_import_loads("configparser") == []
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # CumulativeIntegral's antiderivative table is pinned and its Legendre sum inline
+    assert [m for m in cli_import_loads("numpy") if m.startswith("numpy.polynomial")] == []
+
+
+def test_cli_import_loads_no_cmath():
+    assert cli_import_loads("cmath") == []
+
+
+#: the package's dataclasses: each checks or derives state in ``__post_init__``,
+#: and ``RunConfig`` is also mutable. A field-only record is a ``NamedTuple``,
+#: which costs a fraction of a dataclass at import
+VALIDATING_DATACLASSES = {
+    "ambient.TangentPoint",
+    "cli.RunConfig",
+    "lines3d.OrientedLine",
+    "lines3d.TorusFamily",
+    "numerics.AnnulusGrid",
+    "rotsym.RotSymProfile",
+}
+
+
+def test_dataclasses_are_exactly_the_validating_classes():
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        mod = importlib.import_module(f"{PACKAGE.name}.{path.stem}")
+        found.update((f"{path.stem}.{name}", cls) for name, cls in vars(mod).items()
+                     if isinstance(cls, type) and cls.__module__ == mod.__name__
+                     and dataclasses.is_dataclass(cls))
+    assert set(found) == VALIDATING_DATACLASSES
+    assert [name for name, cls in found.items() if "__post_init__" not in vars(cls)] == []
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")

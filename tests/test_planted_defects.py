@@ -6,7 +6,6 @@ the check), runs the verify suite that owns the check at its pinned
 its pinned bound) and asserts that the check fails.
 """
 
-import dataclasses
 import inspect
 import json
 
@@ -173,7 +172,7 @@ def test_ode_coefficient_scaled(monkeypatch, geometry, name):
 
     def scaled(*args):
         co = coefficients(*args)
-        return dataclasses.replace(co, **{name: getattr(co, name) * (1.0 + 1e-3)})
+        return co._replace(**{name: getattr(co, name) * (1.0 + 1e-3)})
 
     monkeypatch.setattr(rotsym, "ode_coefficients", scaled)
     checks = verify(geometry, "rotsym")
