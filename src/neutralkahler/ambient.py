@@ -50,6 +50,7 @@ __all__ = [
     "flat_geometry",
     "sphere_geometry",
     "radial_geometry",
+    "GEOMETRIES",
     "ambient_frame",
     "calibration_gap",
     "ambient_signature",
@@ -162,6 +163,15 @@ def radial_geometry(name: str, u_of_R: RadialFunction) -> ConformalGeometry:
         return np.where(origin, 0.0j, u_of_R.deriv(r, 1) * xi.conjugate() / (2.0 * r))
 
     return ConformalGeometry(name=name, u=u, du=du, u_of_R=u_of_R)
+
+
+#: every geometry a run can name, one row each: (constructor, the radial range its
+#: random stationary families are drawn over, e^{-2u} as a matrix of (xi, xibar)
+#: monomial coefficients or None where it is not a polynomial)
+GEOMETRIES = {
+    "flat": (flat_geometry, (0.3, 4.0), np.ones((1, 1))),
+    "sphere": (sphere_geometry, (0.15, 0.95), np.diag([0.25, 0.5, 0.25])),
+}
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ field). Reports list one entry per check with its explicit tolerance:
 
     {"schema": 1, "task": ..., "checks": [{name, value, tolerance, passed}], ...}
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 configuration
-error, 3 I/O error. The output directory may be overridden with the
-``NKLAB_OUTPUT_DIR`` environment variable.
+Exit codes: 0 all checks passed, 1 a check failed or a library error
+ended the run, 2 configuration error, 3 I/O error. The output directory
+may be overridden with the ``NKLAB_OUTPUT_DIR`` environment variable.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Collection, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .ambient import (
+    GEOMETRIES,
     AmbientFrame,
     TangentPoint,
     ambient_frame,
@@ -456,7 +457,8 @@ def run(config: RunConfig) -> tuple[int, dict]:
 class _Option(NamedTuple):
     """One ``nklab`` option, declared on the ``RunConfig`` field it sets (see
     ``_option``): its flag; ``parse``, which reads one string value and raises
-    ``ValueError`` on a bad one; the ``choices`` or the ``rule`` (a predicate
+    ``ValueError`` on a bad one; the ``choices`` (a live view, such as the
+    geometry table's keys, is read at each check) or the ``rule`` (a predicate
     and what it asks) that the value meets; its help text; the tasks that
     take it, every task if None; and its default. A repeatable option
     collects its values with ``repeat`` (``tuple`` or ``dict``); a config
@@ -466,7 +468,7 @@ class _Option(NamedTuple):
     flag: str
     parse: Callable[[str], Any] = str
     tasks: Optional[tuple[str, ...]] = None
-    choices: Optional[tuple] = None
+    choices: Optional[Collection] = None
     rule: Optional[tuple[Callable[[Any], bool], str]] = None
     help: Optional[str] = None
     repeat: Optional[type] = None
@@ -508,7 +510,7 @@ class _Option(NamedTuple):
         if value is None:
             return
         if self.choices is not None and value not in self.choices:
-            raise ConfigError(f"{self.flag} must be one of {self.choices}, got {value!r}")
+            raise ConfigError(f"{self.flag} must be one of {tuple(self.choices)}, got {value!r}")
         if self.rule is not None and not self.rule[0](value):
             raise ConfigError(f"{self.flag} {self.rule[1]}, got {value!r}")
 
@@ -552,7 +554,7 @@ class RunConfig:
 
     task: str
     # "sphere" with the --C2 shorthand, else "flat"
-    geometry: Optional[str] = _option("--geometry", None, choices=("flat", "sphere"))
+    geometry: Optional[str] = _option("--geometry", None, choices=GEOMETRIES.keys())
     suite: str = _option("--suite", "all", choices=tuple(_SUITES), tasks=("verify",))
     samples: int = _option("--samples", 500, int, tasks=("verify",),
                            rule=(lambda n: n > 0, "must be positive"))

@@ -61,5 +61,9 @@ class ChartError(NeutralKahlerError):
     """A point lies outside the coordinate chart in use."""
 
 
+class UnsupportedGeometryError(NeutralKahlerError, NotImplementedError):
+    """The geometry lacks what an operation needs (such as a polynomial e^{-2u})."""
+
+
 class ConfigError(NeutralKahlerError):
     """A run configuration is malformed or incomplete."""

@@ -43,8 +43,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ambient import ConformalGeometry, TangentPoint, ambient_frame, theta_form
-from .errors import DomainError, SingularResidualError
+from .ambient import GEOMETRIES, ConformalGeometry, TangentPoint, ambient_frame, theta_form
+from .errors import DomainError, SingularResidualError, UnsupportedGeometryError
 from .numerics import (
     FD_STEP,
     AnnulusGrid,
@@ -504,13 +504,14 @@ def lagrangian_section(
     ``(H + H^H) / 2`` so that h is real. Then ``F e^{2u} = dbar h``, so
     ``rho = e^{-2u} d dbar h = e^{-2u} Laplacian(h) / 4`` is real and
     ``lam = 0`` identically; the primitive 1-form pulls back to ``dh``.
-    Supported for the flat and round-sphere geometries, where ``e^{-2u}`` is
-    a polynomial in ``xi, xibar`` (``V``; ``(1 + xi xibar)^2 / 4`` on the
-    sphere), so F is a polynomial section.
+    Supported for the rows of ``ambient.GEOMETRIES`` whose ``e^{-2u}`` is a
+    polynomial in ``xi, xibar`` (``V``, the row's matrix; ``(1 + xi xibar)^2
+    / 4`` on the sphere), so F is a polynomial section; any other geometry
+    raises ``UnsupportedGeometryError``.
     """
-    V = {"flat": np.ones((1, 1)), "sphere": np.diag([0.25, 0.5, 0.25])}.get(geometry.name)
+    _, _, V = GEOMETRIES.get(geometry.name, (None, None, None))
     if V is None:
-        raise NotImplementedError(
+        raise UnsupportedGeometryError(
             f"gradient sections need a polynomial e^(-2u); geometry '{geometry.name}'"
         )
     H = _coefficient_matrix(potential)

@@ -13,14 +13,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .ambient import (
-    ConformalGeometry,
-    J4_MATRIX,
-    _plane_extent,
-    flat_geometry,
-    radial_geometry,
-    sphere_geometry,
-)
+from .ambient import GEOMETRIES, ConformalGeometry, J4_MATRIX, _plane_extent, radial_geometry
 from .errors import DomainError, NeutralKahlerError
 from .graphs import GraphSection, lagrangian_section, polynomial_section, slopes
 from .numerics import RadialFunction, _polar
@@ -54,11 +47,10 @@ def rng_from_seed(seed: int) -> np.random.Generator:
 
 
 def geometry_by_name(name: str) -> ConformalGeometry:
-    if name == "flat":
-        return flat_geometry()
-    if name == "sphere":
-        return sphere_geometry()
-    raise DomainError(f"unknown geometry '{name}'")
+    """The geometry of the row ``name`` of ``ambient.GEOMETRIES``."""
+    if name not in GEOMETRIES:
+        raise DomainError(f"unknown geometry '{name}'; the known ones are {tuple(GEOMETRIES)}")
+    return GEOMETRIES[name][0]()
 
 
 def random_tangent_coords(
@@ -179,13 +171,12 @@ def random_family_profiles(
 ) -> list[tuple[FamilyParams, RotSymProfile]]:
     """Admissible stationary families (branch +1) with their trimmed profiles.
 
-    Constants are redrawn until the profile's domain inside the fixed range
-    of the named geometry is at least 0.25 wide; a draw the family
-    constructor rejects is skipped. Raises ``DomainError`` when one profile
-    takes more than ``MAX_FAMILY_DRAWS`` draws.
+    Constants are redrawn until the profile's domain inside the family draw
+    range of the geometry's row in ``ambient.GEOMETRIES`` is at least 0.25
+    wide; a draw the family constructor rejects is skipped. Raises
+    ``DomainError`` when one profile takes more than ``MAX_FAMILY_DRAWS`` draws.
     """
-    geom = geometry_by_name(geometry)
-    r_range = (0.15, 0.95) if geometry == "sphere" else (0.3, 4.0)
+    geom, r_range = geometry_by_name(geometry), GEOMETRIES[geometry][1]
     return [_admissible_family(rng, geom, r_range) for _ in range(count)]
 
 

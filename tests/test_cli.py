@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neutralkahler.ambient import GEOMETRIES, radial_geometry
 from neutralkahler.cli import (
+    _OPTIONS,
     DEFAULT_TOLERANCES,
     RunConfig,
     build_parser,
@@ -16,7 +18,10 @@ from neutralkahler.cli import (
     main,
     run,
 )
-from neutralkahler.errors import ConfigError
+from neutralkahler.errors import ConfigError, DomainError, UnsupportedGeometryError
+from neutralkahler.graphs import conjugate_section, lagrangian_section, slopes
+from neutralkahler.numerics import RadialFunction
+from neutralkahler.sampling import geometry_by_name, random_family_profiles, rng_from_seed
 
 
 @pytest.fixture(autouse=True)
@@ -535,3 +540,98 @@ def test_families_suite_is_pinned(geometry, seed):
     body = _hexed({"checks": report["checks"], "values": report["values"]})
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
     assert digest == FAMILIES_DIGESTS[geometry, seed]
+
+
+# ---------------------------------------------------------------------------
+# the geometry table
+# ---------------------------------------------------------------------------
+
+
+def _bump_geometry():
+    """A Gaussian conformal bump with pinned constants, ``u = 0.3 exp(-R^2 / 2)``."""
+    a, s2 = 0.3, 2.0
+    return radial_geometry("bump", RadialFunction(
+        lambda r: a * np.exp(-r * r / s2),
+        lambda r: -2.0 * a * r / s2 * np.exp(-r * r / s2),
+        lambda r: (-2.0 * a / s2 + 4.0 * a * r * r / s2**2) * np.exp(-r * r / s2)))
+
+
+@pytest.fixture
+def bump_row(monkeypatch):
+    """The table with one more row, the bump; nothing else is patched."""
+    monkeypatch.setitem(GEOMETRIES, "bump", (_bump_geometry, (0.3, 2.5), None))
+    return "bump"
+
+
+class TestGeometryTable:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "ambient"], ["verify", "--suite", "rotsym"],
+        ["verify", "--suite", "families"], ["residual", "--A2", "1", "--B2", "0.5"],
+        ["variation", "--A2", "1", "--B2", "0.5"],
+    ])
+    def test_one_row_runs_the_ode_and_family_checks(self, bump_row, argv, outdir):
+        samples = ["--samples", "100"] if argv[0] == "verify" else []
+        argv = argv + samples + ["--geometry", bump_row, "--report", "bump.json"]
+        assert main(argv) == 0
+        report = json.loads((outdir / "bump.json").read_text())
+        assert report["config"]["geometry"] == bump_row
+        assert report["checks"] and all(c["passed"] for c in report["checks"])
+        assert all(c["tolerance"] == DEFAULT_TOLERANCES[c["name"]] for c in report["checks"]
+                   if c["name"] in DEFAULT_TOLERANCES)
+        if argv[2] == "ambient":
+            # closedness reads 0 on the flat row; the bump's Omega varies
+            (closed,) = [c for c in report["checks"] if c["name"] == "closedness"]
+            assert closed["evaluated"] > 0 and closed["value"] > 0.0
+
+    @pytest.mark.parametrize("suite", ["graphs", "all"])
+    def test_row_without_polynomial_ends_the_graphs_suite_readably(self, bump_row, suite,
+                                                                   capsys):
+        assert main(["verify", "--geometry", bump_row, "--suite", suite,
+                     "--samples", "100"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{bump_row}'" in err
+        assert "Traceback" not in err
+
+    def test_geometry_choices_are_the_table_keys(self, bump_row):
+        (option,) = [opt for opt in _OPTIONS if opt.flag == "--geometry"]
+        assert list(option.choices) == list(GEOMETRIES) == ["flat", "sphere", bump_row]
+        assert RunConfig(task="verify", geometry=bump_row).geometry == bump_row
+
+    def test_unknown_geometry_names_the_known_ones(self, capsys):
+        assert main(["verify", "--geometry", "hyperbolic"]) == 2
+        err = capsys.readouterr().err
+        assert "('flat', 'sphere')" in err and "function" not in err
+        with pytest.raises(DomainError, match=r"\('flat', 'sphere'\)") as info:
+            geometry_by_name("hyperbolic")
+        assert "function" not in str(info.value)
+
+    def test_help_lists_the_geometries(self, capsys):
+        # the cached parser spells the choices of the table it was first built from
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert "--geometry {flat,sphere}" in capsys.readouterr().out
+
+    def test_every_row_builds_its_named_geometry(self, bump_row):
+        for name in GEOMETRIES:
+            assert geometry_by_name(name).name == name
+
+    @pytest.mark.parametrize("name", ["flat", "sphere"])
+    def test_family_domains_lie_in_the_row_range(self, name):
+        lo, hi = GEOMETRIES[name][1]
+        for _, profile in random_family_profiles(rng_from_seed(3), name, 5):
+            assert lo <= profile.domain[0] < profile.domain[1] <= hi
+
+    def test_lagrangian_sections_exactly_on_rows_with_a_matrix(self, bump_row):
+        potential = {(2, 1): 0.3 + 0.1j, (1, 1): 0.5}
+        for name, (_, _, matrix) in GEOMETRIES.items():
+            geom = geometry_by_name(name)
+            if matrix is None:
+                with pytest.raises(UnsupportedGeometryError, match=name):
+                    lagrangian_section(geom, potential)
+            else:
+                assert abs(slopes(lagrangian_section(geom, potential), 0.4 + 0.7j).lam) < 1e-12
+        reflected = conjugate_section(lagrangian_section(geometry_by_name("sphere"), potential))
+        assert reflected.geometry.name == "sphere~"
+        with pytest.raises(UnsupportedGeometryError, match="sphere~"):
+            lagrangian_section(reflected.geometry, potential)

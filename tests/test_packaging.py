@@ -1,7 +1,7 @@
 """Packaging: the runtime imports match the declared dependencies, importing
 the CLI loads no scipy, configparser, numpy.polynomial or cmath, the only
-dataclasses are the classes that validate on construction, and every exported
-name resolves."""
+dataclasses are the classes that validate on construction, every exported
+name resolves, and the geometries are named in one table."""
 
 import ast
 import dataclasses
@@ -108,3 +108,44 @@ def test_package_exports_the_variation_sweep_and_its_one_bump_case():
 
     assert neutralkahler.first_variation is graphs.first_variation
     assert neutralkahler.first_variations is graphs.first_variations
+
+
+#: where ``src`` may spell a geometry's name: the table, the ``name=`` of each
+#: geometry, and the rules that hold over the round sphere only (line congruences,
+#: the --C2 torus shorthand and the default geometry, and the family sampler's
+#: torus avoidance)
+GEOMETRY_NAME_PLACES = {
+    "ambient.GEOMETRIES",
+    "ambient.flat_geometry(name=)",
+    "ambient.sphere_geometry(name=)",
+    "cli.RunConfig.__post_init__",
+    "lines3d.export_congruence",
+    "sampling.off_family_profile",
+}
+
+
+def geometry_name_places():
+    """The places (module, enclosing definitions or assignment, ``(name=)`` for a
+    keyword argument ``name``) of the string constants "flat" and "sphere" in ``src``."""
+    places = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        elif isinstance(node, ast.Assign) and where.count(".") == 0:
+            where += "".join(f".{t.id}" for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.keyword) and node.arg == "name":
+            where += "(name=)"
+        elif isinstance(node, ast.Constant) and node.value in ("flat", "sphere"):
+            places.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in PACKAGE.glob("*.py"):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return places
+
+
+def test_geometry_names_only_in_the_table_and_the_round_sphere_rules():
+    # a new branch on a geometry's name belongs in ambient.GEOMETRIES, as a column
+    assert geometry_name_places() == GEOMETRY_NAME_PLACES
