@@ -40,7 +40,7 @@ from .errors import (
     DerivativeUnavailableError,
     DomainError,
 )
-from .numerics import ComplexField, RadialFunction
+from .numerics import RadialFunction
 
 __all__ = [
     "ConformalGeometry",
@@ -78,8 +78,9 @@ _LOG2 = math.log(2.0)
 class ConformalGeometry(NamedTuple):
     """The conformal exponent u of the base metric ``e^{2u} dxi dxibar``.
 
-    ``u`` maps the complex coordinate to a real value; ``du`` is the closed
-    form of its holomorphic Wirtinger derivative when available. Both work
+    ``u`` maps the complex coordinate to a real value; ``du``, required, is the
+    closed form of its holomorphic Wirtinger derivative (the plane's finite
+    differences belong to fields, ``numerics.ComplexField``, alone). Both work
     elementwise on arrays of nodes (a constant may come back as a scalar).
     A rotationally symmetric geometry also carries its radial profile
     ``u_of_R``, whose first two derivatives (``u_of_R.deriv``) drive the ODE
@@ -88,14 +89,8 @@ class ConformalGeometry(NamedTuple):
 
     name: str
     u: Callable
-    du: Optional[Callable] = None
+    du: Callable
     u_of_R: Optional[RadialFunction] = None
-
-    def du_at(self, xi):
-        """Holomorphic derivative of u, by closed form or finite differences."""
-        if self.du is not None:
-            return self.du(xi)
-        return ComplexField(self.u).jet_at(xi)[1]
 
     def conformal_factor(self, xi):
         """The metric density ``w = e^{2u}`` (always positive)."""
@@ -231,7 +226,7 @@ def ambient_frame(geom: ConformalGeometry, p: TangentPoint) -> AmbientFrame:
     try:
         # the complex factor on the left: at one point, complex * np.float64 stays
         # Python arithmetic, where np.float64 * complex makes a numpy complex scalar
-        dw = geom.du_at(p.xi) * two_w
+        dw = geom.du(p.xi) * two_w
     except Exception as exc:
         raise DerivativeUnavailableError(
             f"derivative of e^(2u) unavailable at xi={p.xi}: {exc}"

@@ -641,9 +641,14 @@ def _load_config_file(path: str, options: dict[str, _Option]) -> dict:
             for key, raw in flat.items()}
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``nklab`` parser, built once per process (parsing leaves it unchanged)."""
+    """The ``nklab`` parser, built once per set of geometry names (parsing leaves it unchanged)."""
+    return _parser_for(tuple(GEOMETRIES))
+
+
+@functools.lru_cache(maxsize=1)
+def _parser_for(geometries: tuple) -> argparse.ArgumentParser:
+    """The parser while ``GEOMETRIES`` holds the names ``geometries``, its cache key."""
     parser = argparse.ArgumentParser(
         prog="nklab",
         description="Neutral Kahler laboratory: verification suites, residual and "

@@ -6,7 +6,7 @@ class NeutralKahlerError(Exception):
 
 
 class DerivativeUnavailableError(NeutralKahlerError):
-    """A derivative could not be evaluated (missing closed form or failing stencil)."""
+    """A derivative could not be evaluated (a failing closed form or stencil)."""
 
 
 class QuadratureError(NeutralKahlerError):
@@ -55,10 +55,6 @@ class DegenerateFamilyRedirect(AdmissibilityError):
 
 class EmptyDomainError(NeutralKahlerError):
     """A family profile has no admissible sub-interval in the requested range."""
-
-
-class ChartError(NeutralKahlerError):
-    """A point lies outside the coordinate chart in use."""
 
 
 class UnsupportedGeometryError(NeutralKahlerError, NotImplementedError):

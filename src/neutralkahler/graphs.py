@@ -46,11 +46,11 @@ import numpy as np
 from .ambient import GEOMETRIES, ConformalGeometry, TangentPoint, ambient_frame, theta_form
 from .errors import DomainError, SingularResidualError, UnsupportedGeometryError
 from .numerics import (
-    FD_STEP,
     AnnulusGrid,
     ComplexField,
     _ARMS,
     _node_sum,
+    _plane_partials,
     _polar,
     _require_finite,
     _richardson,
@@ -175,7 +175,7 @@ def slopes(section: GraphSection, xi) -> SlopeData:
     """Evaluate the slope invariants at ``xi``, a point or an array of points
     (a constant field can leave a slope scalar; see :func:`_slopes_on`)."""
     f, d, dbar = section.F.jet_at(xi)
-    return SlopeData(sigma=-dbar.conjugate(), rho=d + 2.0 * f * section.geometry.du_at(xi))
+    return SlopeData(sigma=-dbar.conjugate(), rho=d + 2.0 * f * section.geometry.du(xi))
 
 
 def _slopes_on(section: GraphSection, xi: np.ndarray) -> SlopeData:
@@ -211,19 +211,13 @@ def _jacobian(xi, fx, fy) -> np.ndarray:
     return jac
 
 
-def _fd_jacobian(section: GraphSection, xi) -> np.ndarray:
-    """:func:`_jacobian` by the Richardson rule on F, one call per arm, with step
-    ``FD_STEP * max(1, |xi|)``. Deliberately ignores any closed-form derivatives of F
-    so the pullback stays an independent check on the slope formulas."""
-    h = FD_STEP * np.maximum(1.0, abs(xi))
-    return _jacobian(xi, *_richardson([section.F(xi + arm * h) for arm in _ARMS], h))
-
-
 def pullback_determinant(section: GraphSection, xi):
     """Determinant of the ambient metric pulled back through the graph map,
-    converted to the ``(xi, xibar)`` convention; elementwise in ``xi``."""
+    converted to the ``(xi, xibar)`` convention; elementwise in ``xi``. The Jacobian
+    differences F's values (:func:`numerics._plane_partials`) and never reads its jet,
+    so the pullback stays an independent check on the slope formulas."""
     frame = ambient_frame(section.geometry, section.point(xi))
-    jac = _fd_jacobian(section, xi)
+    jac = _jacobian(xi, *_plane_partials(section.F, xi))
     return np.linalg.det(np.swapaxes(jac, -1, -2) @ frame.G4 @ jac) / PULLBACK_DET_FACTOR
 
 
@@ -534,7 +528,7 @@ def conjugate_section(section: GraphSection) -> GraphSection:
     refl = ConformalGeometry(
         name=geom.name + "~",
         u=lambda xi: geom.u(xi.conjugate()),
-        du=lambda xi: geom.du_at(xi.conjugate()).conjugate(),
+        du=lambda xi: geom.du(xi.conjugate()).conjugate(),
         u_of_R=geom.u_of_R,
     )
     return GraphSection(ComplexField(lambda xi: F(xi.conjugate()).conjugate(), jet), refl)

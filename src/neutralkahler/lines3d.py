@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .ambient import TangentPoint, sphere_geometry
-from .errors import AdmissibilityError, ChartError, DomainError
+from .errors import AdmissibilityError, DomainError
 from .graphs import GraphSection, SurfaceClass, _slopes_on
 from .numerics import AnnulusGrid, RadialFunction, _polar, _write_rows
 from .rotsym import RotSymProfile, _even_quartic
@@ -118,9 +118,7 @@ def _lines(xi, eta) -> tuple[np.ndarray, np.ndarray]:
 
 
 def to_oriented_line(p: TangentPoint) -> OrientedLine:
-    """Read a point of TS^2 as an oriented line of 3-space."""
-    if not (np.isfinite(p.xi) and np.isfinite(p.eta)):
-        raise ChartError(f"point ({p.xi}, {p.eta}) is outside the finite chart")
+    """Read a point of TS^2 as an oriented line of 3-space (a ``TangentPoint`` is finite)."""
     direction, foot = _lines(p.xi, p.eta)
     return OrientedLine(direction=direction, foot=foot)
 
@@ -211,7 +209,7 @@ def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: flo
     fmt = fmt.lower()
     if fmt not in ("obj", "csv"):
         raise DomainError(f"unknown export format '{fmt}'")
-    if not section.geometry.name.startswith("sphere"):
+    if section.geometry.name.rstrip("~") != "sphere":  # the round sphere or a reflection
         raise DomainError(
             "line congruences exist over the round sphere only "
             f"(section geometry is '{section.geometry.name}')"

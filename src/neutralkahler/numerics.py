@@ -44,7 +44,7 @@ __all__ = [
     "CumulativeIntegral",
 ]
 
-#: relative step of a field's FD jet and of the pullback's Jacobian: h = FD_STEP max(1, |xi|)
+#: relative step of the plane's one stencil, ``_plane_partials``: h = FD_STEP max(1, |xi|)
 FD_STEP = 1e-3
 #: default half-width of an exclusion band when none is given
 DEFAULT_BAND_HALF_WIDTH = 1e-3
@@ -79,14 +79,21 @@ def _richardson(values, h) -> list:
             for coarse, fine in zip(diff[::2], diff[1::2])]
 
 
+def _plane_partials(F: Callable, xi) -> list:
+    """``[F_x, F_y]`` at ``xi``, the plane's one stencil: :func:`_richardson` on one call
+    of ``F`` per arm of ``_ARMS`` (never a jet), step ``FD_STEP * max(1, |xi|)``."""
+    h = FD_STEP * np.maximum(1.0, abs(xi))
+    return _richardson([F(xi + arm * h) for arm in _ARMS], h)
+
+
 class ComplexField(NamedTuple):
     """A complex-valued function of one complex variable (and its conjugate).
 
     ``F(xi)`` is the value alone; ``jet_at(xi)`` is ``(F, dF, dbarF)``. A closed-form
     ``jet`` makes the derivative policy *analytic*; without one, the derivatives
-    come from the Richardson rule :func:`_richardson` on the arms ``_ARMS`` with step
-    ``FD_STEP * max(1, |xi|)``. Evaluator and jet are elementwise on arrays of nodes;
-    a constant field may return scalars, which callers broadcast.
+    come from the plane's one stencil, :func:`_plane_partials`: no other object of the
+    plane has a derivative policy. Evaluator and jet are elementwise on arrays of
+    nodes; a constant field may return scalars, which callers broadcast.
     """
 
     evaluator: Callable
@@ -104,16 +111,15 @@ class ComplexField(NamedTuple):
         at ``xi`` and, once per arm, at the eight arms around it."""
         if self.jet is not None:
             return self.jet(xi)
-        h = FD_STEP * np.maximum(1.0, abs(xi))
         try:
-            values = [self(xi + arm * h) for arm in _ARMS]
+            with np.errstate(invalid="ignore", over="ignore"):  # non-finite: raised below
+                fx, fy = _plane_partials(self, xi)
         except Exception as exc:  # evaluation failure at a stencil point
             raise DerivativeUnavailableError(
                 f"field evaluation failed on the stencil at xi={xi}: {exc}"
             ) from exc
-        if not all(np.all(np.isfinite(v)) for v in values):
-            raise DerivativeUnavailableError(f"non-finite stencil values at xi={xi}")
-        fx, fy = _richardson(values, h)
+        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
+            raise DerivativeUnavailableError(f"non-finite differences on the stencil at xi={xi}")
         return self(xi), 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 

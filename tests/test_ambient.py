@@ -48,7 +48,7 @@ class TestGeometry:
         xi = 0.8 - 0.3j
         r = abs(xi)
         expected = sphere.radial_du(r) * xi.conjugate() / (2.0 * r)
-        assert sphere.du_at(xi) == pytest.approx(expected, abs=1e-14)
+        assert sphere.du(xi) == pytest.approx(expected, abs=1e-14)
 
     def test_tangent_point_finiteness(self):
         with pytest.raises(DomainError):

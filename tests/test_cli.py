@@ -143,6 +143,22 @@ class TestConfig:
         assert main(["residual", "--grid", "13", "--A2", "1"]) == 2  # bad grid
         assert main([]) == 2  # no task
 
+    @pytest.mark.parametrize("argv, message", [
+        (["export", "--B2", "1", "--C2", "0"], "export needs --out"),
+        (["residual", "--C2", "5"], "needs both --B2 and --C2"),
+        (["area", "--B2", "0.5"], "family tasks need --A2"),
+    ], ids=["export-without-out", "C2-without-B2", "family-task-without-A2"])
+    def test_missing_options_exit_two(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+
+    def test_report_under_a_file_is_an_io_error(self, outdir, capsys):
+        (outdir / "taken").write_text("")
+        assert main(["area", "--A2", "1", "--B2", "0.5", "--grid", "4x4",
+                     "--report", "taken/r.json"]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
     def test_readme_commands_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -416,6 +432,17 @@ class TestRun:
         assert calls.count(("_slopes_on", (9,) + lattice)) == 1
         assert len(calls) == 2
 
+    def test_classify_without_out_counts_the_same_classes(self, outdir):
+        argv = ["classify", "--B2", "1", "--C2", "0", "--rmin", "0.3", "--rmax", "2.5",
+                "--grid", "12x12"]
+        assert main(argv + ["--report", "plain.json"]) == 0
+        assert main(argv + ["--out", "c.csv", "--report", "out.json"]) == 0
+        plain, out = (json.loads((outdir / f"{name}.json").read_text())
+                      for name in ("plain", "out"))
+        assert plain["artifacts"] == [] and len(out["artifacts"]) == 1
+        assert plain["values"]["class_counts"] == out["values"]["class_counts"]
+        assert sum(plain["values"]["class_counts"].values()) == 144
+
     def test_out_csv_is_the_export_csv(self, outdir):
         from neutralkahler.graphs import export_classification_csv
         from neutralkahler.lines3d import TorusFamily, torus_section
@@ -605,9 +632,14 @@ class TestGeometryTable:
             geometry_by_name("hyperbolic")
         assert "function" not in str(info.value)
 
+    def test_help_lists_a_row_added_in_process(self, bump_row, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        assert f"--geometry {{flat,sphere,{bump_row}}}" in capsys.readouterr().out
+        assert build_parser() is build_parser()
+
     def test_help_lists_the_geometries(self, capsys):
-        # the cached parser spells the choices of the table it was first built from
-        build_parser.cache_clear()
+        # no cache to clear, whatever ran before: the parser follows the table's names
         with pytest.raises(SystemExit):
             main(["verify", "--help"])
         assert "--geometry {flat,sphere}" in capsys.readouterr().out

@@ -37,12 +37,12 @@ from neutralkahler.graphs import (
     _STEPS,
     NULL_ATOL,
     SlopeData,
-    _fd_jacobian,
+    _jacobian,
     _residual_map,
     _slopes_on,
     radial_bump,
 )
-from neutralkahler.numerics import ComplexField, RadialFunction, _polar
+from neutralkahler.numerics import ComplexField, RadialFunction, _plane_partials, _polar
 from neutralkahler.rotsym import RotSymProfile, comfortable_range, degenerate_family
 from neutralkahler.sampling import (
     geometry_by_name,
@@ -129,7 +129,7 @@ class TestPredicates:
             for xi in (0.3 + 0.4j, -1.1 + 0.2j, 0.8 - 1.3j):
                 sl = slopes(section, xi)
                 assert abs(sl.lam) <= 1e-12 * max(1.0, abs(sl.rho))
-        tilted = ConformalGeometry("tilted", u=lambda z: 0.1 * z.real)
+        tilted = ConformalGeometry("tilted", u=lambda z: 0.1 * z.real, du=lambda z: 0.05 + 0j)
         with pytest.raises(NotImplementedError):
             lagrangian_section(tilted, {(1, 1): 1.0})
 
@@ -204,6 +204,22 @@ class TestPullbackOracle:
                 d1 = induced_metric(section, xi).determinant
                 d2 = pullback_determinant(section, xi)
                 assert d2 == pytest.approx(d1, rel=1e-6)
+
+    @pytest.mark.parametrize("name", ["flat", "sphere"])
+    def test_reads_no_jet(self, name):
+        # a jet that is wrong everywhere moves the slopes, not the pullback: the
+        # oracle differences F's values alone, with the FD jet's own stencil
+        geom = geometry_by_name(name)
+        section = random_polynomial_section(rng_from_seed(45), geom)
+        F = section.F
+        wrong = GraphSection(ComplexField(F.evaluator, lambda z: (F(z), 3.0 * z, 0.7 - z)), geom)
+        xi = _annulus_points(0.3, 1.8)
+        assert np.array_equal(pullback_determinant(wrong, xi), pullback_determinant(section, xi))
+        assert np.all(slopes(wrong, xi).rho != slopes(section, xi).rho)
+        fx, fy = _plane_partials(F, xi)
+        _, d, dbar = ComplexField(F.evaluator).jet_at(xi)
+        assert np.array_equal(d, 0.5 * (fx - 1j * fy))
+        assert np.array_equal(dbar, 0.5 * (fx + 1j * fy))
 
 
 #: floors of det_oracle and stokes at the default ``nklab verify --suite graphs`` runs
@@ -656,7 +672,7 @@ class TestArrayContract:
         xi = _annulus_points(0.2, 2.5)
         for geom in (geometry_by_name("flat"), geometry_by_name("sphere"),
                      random_radial_geometry(rng_from_seed(31))):
-            for fn in (geom.u, geom.du_at, geom.conformal_factor):
+            for fn in (geom.u, geom.du, geom.conformal_factor):
                 self.same(fn, xi)
 
 
@@ -664,9 +680,9 @@ class TestAmbientArrayContract:
     """The ambient layer and the pullback oracle on a 5 x 4 array of points
     give each point's own values. Frames and Theta are compared with Python
     scalar points, bit for bit on the flat geometry and otherwise within
-    1e-13 of the largest value. The FD Jacobian divides
-    by a 1e-6 step, which magnifies last-bit differences between scalar and
-    array evaluations of F to about 1e-10, so it and the determinant are
+    1e-13 of the largest value. The plane's FD partials divide
+    by a step of about 1e-3, which magnifies last-bit differences between scalar
+    and array evaluations of F to about 5e-13, so they and the determinant are
     compared bit for bit with one-point arrays (the same arithmetic)."""
 
     GEOMETRIES = ("flat", "sphere", "bumpy")
@@ -702,12 +718,12 @@ class TestAmbientArrayContract:
     def test_jacobian_and_pullback_determinant(self, name):
         section = random_polynomial_section(rng_from_seed(44), self.geometry(name))
         xi, _ = self.points()
-        jac = _fd_jacobian(section, xi)
+        jac = _jacobian(xi, *_plane_partials(section.F, xi))
         det = pullback_determinant(section, xi)
         assert jac.shape == (5, 4, 4, 2) and det.shape == (5, 4)
         for i, j in np.ndindex(xi.shape):
             one = xi[i, j:j + 1]
-            assert np.array_equal(jac[i, j], _fd_jacobian(section, one)[0])
+            assert np.array_equal(jac[i, j], _jacobian(one, *_plane_partials(section.F, one))[0])
             assert np.array_equal(det[i, j], pullback_determinant(section, one)[0])
 
     def test_stacks_are_read_only(self, sphere):
@@ -724,7 +740,7 @@ class TestAmbientArrayContract:
             p = TangentPoint(0.4 - 0.3j, 1.0 + 2.0j)
             assert ambient_frame(geom, p).G4.shape == ambient_frame(geom, p).O4.shape == (4, 4)
             assert theta_form(geom, p).components.shape == (4,)
-        assert _fd_jacobian(section, 0.4 - 0.3j).shape == (4, 2)
+        assert _jacobian(0.4 - 0.3j, *_plane_partials(section.F, 0.4 - 0.3j)).shape == (4, 2)
         assert isinstance(pullback_determinant(section, 0.4 - 0.3j), float)
 
     @pytest.mark.parametrize("coordinate, value", [(0, complex("nan")), (1, complex("inf"))])
@@ -1002,4 +1018,4 @@ class TestJet:
             d, dbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
             assert field.jet_at(xi) == (ev(xi), d, dbar)
             assert sl.sigma == -dbar.conjugate()
-            assert sl.rho == d + 2.0 * ev(xi) * sphere.du_at(xi)
+            assert sl.rho == d + 2.0 * ev(xi) * sphere.du(xi)

@@ -1,7 +1,6 @@
 """Oriented lines of 3-space, the torus congruences, mesh export."""
 
 import math
-import types
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from neutralkahler import (
     torus_profile,
     torus_section,
 )
-from neutralkahler.errors import AdmissibilityError, ChartError, DomainError
+from neutralkahler.errors import AdmissibilityError, DomainError
 from neutralkahler.lines3d import _ddirection, direction_of
 from neutralkahler.numerics import ComplexField
 
@@ -139,11 +138,6 @@ class TestOrientedLines:
         assert np.allclose(rotated.direction, rz @ base.direction, atol=1e-10)
         assert np.allclose(rotated.foot, rz @ base.foot, atol=1e-10)
 
-    def test_nonfinite_chart_error(self):
-        bad = types.SimpleNamespace(xi=complex("inf"), eta=0.0)
-        with pytest.raises(ChartError):
-            to_oriented_line(bad)
-
     def test_line_invariants_enforced(self):
         from neutralkahler import OrientedLine
 
@@ -208,6 +202,21 @@ class TestExport:
         section = polynomial_section(flat, {(1, 0): 1j})
         with pytest.raises(DomainError, match="round sphere"):
             export_congruence(section, self.grid16(), 1.0, "obj", tmp_path / "x.obj")
+
+    def test_only_the_round_sphere_and_its_reflection_export(self, tmp_path):
+        # the rule reads the whole name: a bump named "sphere-..." is not the round sphere
+        from neutralkahler import GraphSection, RadialFunction, conjugate_section
+        from neutralkahler.ambient import radial_geometry
+
+        torus = torus_section(TorusFamily(1.0, 5.0))
+        bump = radial_geometry("sphere-bump", RadialFunction(lambda r: 0.3 * np.exp(-r * r)))
+        with pytest.raises(DomainError, match="'sphere-bump'"):
+            export_congruence(GraphSection(torus.F, bump), self.grid16(), 1.0, "obj",
+                              tmp_path / "bump.obj")
+        assert not (tmp_path / "bump.obj").exists()
+        mirrored = conjugate_section(torus)
+        assert mirrored.geometry.name == "sphere~"
+        assert export_congruence(mirrored, self.grid16(), 1.0, "obj", tmp_path / "m.obj") == 256
 
 
 class TestLineArrays:

@@ -121,8 +121,11 @@ class TestWirtinger:
         from neutralkahler.errors import DerivativeUnavailableError
 
         f = fd_field(lambda z: float("inf") if z.real > 1.0 else 1.0)
-        with pytest.raises(DerivativeUnavailableError):
+        with pytest.raises(DerivativeUnavailableError, match="non-finite"):
             f.jet_at(1.0 + 0.0j)
+        g = fd_field(lambda z: np.where(z.real > 1.0, np.inf, z))
+        with pytest.raises(DerivativeUnavailableError, match="non-finite"):
+            g.jet_at(np.array([0.5 + 0.5j, 1.0 + 0.0j]))
 
     def test_fd_error_scales_quartically(self, monkeypatch):
         # f = sin(x) + i e^{0.3 y}:  d f = (cos x + 0.3 e^{0.3 y}) / 2; both steps lie in

@@ -1,7 +1,8 @@
 """Packaging: the runtime imports match the declared dependencies, importing
 the CLI loads no scipy, configparser, numpy.polynomial or cmath, the only
 dataclasses are the classes that validate on construction, every exported
-name resolves, and the geometries are named in one table."""
+name resolves, the geometries are named in one table, and only ``numerics``
+spells the step of the plane's one finite-difference stencil."""
 
 import ast
 import dataclasses
@@ -149,3 +150,10 @@ def geometry_name_places():
 def test_geometry_names_only_in_the_table_and_the_round_sphere_rules():
     # a new branch on a geometry's name belongs in ambient.GEOMETRIES, as a column
     assert geometry_name_places() == GEOMETRY_NAME_PLACES
+
+
+def test_only_numerics_spells_the_plane_step():
+    # the FD jet and the pullback share numerics._plane_partials; a second stencil of
+    # the plane elsewhere would spell its step
+    assert [p.name for p in PACKAGE.glob("*.py") if "FD_STEP" in p.read_text()] == [
+        "numerics.py"]

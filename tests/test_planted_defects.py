@@ -16,6 +16,7 @@ import test_acceptance
 import test_cli
 import test_graphs
 import test_numerics
+import test_rotsym
 from neutralkahler import cli, graphs, numerics, rotsym, sampling
 from neutralkahler.ambient import AmbientFrame, ThetaForm, ambient_frame, theta_form
 from neutralkahler.cli import DEFAULT_TOLERANCES, RunConfig, run
@@ -264,7 +265,7 @@ def test_one_nan_stokes_interior(monkeypatch):
 def test_rho_without_conformal_term(monkeypatch):
     # rho = d F + 2 F du with the 2 F du term dropped; du = 0 on the flat geometry
     plant_source_defect(monkeypatch, graphs, "slopes",
-                        " + 2.0 * f * section.geometry.du_at(xi)")
+                        " + 2.0 * f * section.geometry.du(xi)")
     checks = verify("sphere", "graphs")
     assert failed(checks, "det_oracle", "stokes") == ["det_oracle"]
     assert checks["det_oracle"]["evaluated"] > 0
@@ -294,6 +295,18 @@ def test_degenerate_family_without_source_term(monkeypatch):
     plant_source_defect(monkeypatch, rotsym, "psi_closed_form", " + v(r) * J(r)")
     with pytest.raises(AssertionError, match="degenerate defect"):
         test_acceptance.test_criterion_7_degenerate_families()
+
+
+def test_psi_second_derivative_source_sign_flipped(monkeypatch):
+    # Psi'' with +4 u' e^{-2u} J for -4 u' e^{-2u} J: Psi and Psi' are untouched, so
+    # psi_quadrature and the degenerate families cannot see it, and u' = 0 hides it
+    # on the flat geometry; the sphere's Psi'' leaves the first ODE
+    plant_source_defect(monkeypatch, rotsym, "psi_closed_form", "- 4.0 * ud * v(r) * jv",
+                        "+ 4.0 * ud * v(r) * jv")
+    monkeypatch.setattr(test_rotsym, "psi_closed_form", rotsym.psi_closed_form)
+    test_rotsym.TestPsiClosedForm().test_second_derivative_solves_the_first_ode("flat")
+    with pytest.raises(AssertionError):
+        test_rotsym.TestPsiClosedForm().test_second_derivative_solves_the_first_ode("sphere")
 
 
 @pytest.mark.parametrize("geometry", ["flat", "sphere"])

@@ -13,7 +13,7 @@ from neutralkahler.rotsym import FamilyParams, OdeCoefficients
 
 #: each record with its fields in order and the defaults of the trailing ones
 RECORDS = [
-    (ConformalGeometry, ("name", "u", "du", "u_of_R"), {"du": None, "u_of_R": None}),
+    (ConformalGeometry, ("name", "u", "du", "u_of_R"), {"u_of_R": None}),
     (AmbientFrame, ("G4", "O4"), {}),
     (ThetaForm, ("components",), {}),
     (GraphSection, ("F", "geometry"), {}),
@@ -71,7 +71,7 @@ def test_examples_of_defaults_and_methods():
     f = ComplexField(np.exp)
     assert f.jet is None and not f.analytic and f(0.0) == 1.0
     assert RadialFunction.constant(2.0).deriv(1.0, 2) == 0.0
-    assert ConformalGeometry("plane", lambda xi: 0.0).u_of_R is None
+    assert ConformalGeometry("plane", lambda xi: 0.0, lambda xi: 0j).u_of_R is None
     frame = AmbientFrame(np.eye(4), np.zeros((4, 4)))
     assert frame.J4 is AmbientFrame.J4 is J4_MATRIX
     assert frame.metric(np.ones(4), np.ones(4)) == 4.0

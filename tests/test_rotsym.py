@@ -24,9 +24,9 @@ from neutralkahler.errors import (
     EmptyDomainError,
     SingularCoefficientError,
 )
-from neutralkahler.numerics import CumulativeIntegral, RadialFunction
+from neutralkahler.numerics import CumulativeIntegral, RadialFunction, radial_derivative
 from neutralkahler.rotsym import RotSymProfile
-from neutralkahler.sampling import random_radial_geometry, rng_from_seed
+from neutralkahler.sampling import geometry_by_name, random_radial_geometry, rng_from_seed
 
 H_LINEAR = RadialFunction(lambda r: r, lambda r: 1.0, lambda r: 0.0)
 
@@ -212,6 +212,21 @@ class TestPsiClosedForm:
             em2u = math.exp(-2.0 * sphere.radial_u(r))
             assert psi(r) == pytest.approx(2.0 * r * r + 3.0 * em2u, rel=1e-12)
 
+    @pytest.mark.parametrize("geometry", ["flat", "sphere"])
+    def test_second_derivative_solves_the_first_ode(self, geometry):
+        # Psi'' is assembled in closed form, not differenced: it must solve the first
+        # ODE with Psi and Psi', and agree with the Richardson difference of Psi'
+        geom = geometry_by_name(geometry)
+        H = RadialFunction(lambda r: 0.3 * r + 0.2 / r, lambda r: 0.3 - 0.2 / r**2,
+                           lambda r: 0.4 / r**3)
+        psi = psi_closed_form(geom, H, 0.7, 1.1, (0.3, 0.9))
+        rs = np.linspace(0.35, 0.85, 7)
+        r1, _ = ode_residuals(geom, H, psi, rs)
+        assert np.max(np.abs(r1)) <= 1e-10
+        d2 = psi.deriv(rs, 2)
+        fd = radial_derivative(lambda r: psi.deriv(r, 1), rs, 1)
+        assert np.max(np.abs(d2 - fd) / np.maximum(np.abs(d2), 1.0)) <= 1e-9
+
     def test_quadratic_profile_integral(self, flat):
         # H = R^2: the source integrand is R^3/2, so the integral is R^4/8
         H = RadialFunction(lambda r: r * r, lambda r: 2.0 * r, lambda r: 2.0)
@@ -378,7 +393,7 @@ class TestCustomGeometry:
             degenerate_family(flat, RadialFunction.constant(0.0), -5.0, 1, (0.5, 2.0))
 
     def test_geometry_without_radial_profile_rejected(self):
-        tilted = ConformalGeometry("tilted", u=lambda z: 0.1 * z.real)
+        tilted = ConformalGeometry("tilted", u=lambda z: 0.1 * z.real, du=lambda z: 0.05 + 0j)
         calls = [
             lambda: ode_coefficients(tilted, H_LINEAR, 1.0),
             lambda: psi_closed_form(tilted, H_LINEAR, 1.0, 1.0, (0.5, 2.0)),
