@@ -547,7 +547,6 @@ def _write_classification_csv(path, rs, ts, sl: SlopeData, residual, classes) ->
     names = {c: str(c) for c in SurfaceClass}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("R,theta,re_sigma,im_sigma,lambda,det_factor,abs_residual,class\n")
-        _write_rows(fh, "", ",", (rs, ts),
-                    (sl.sigma.real, sl.sigma.imag, sl.lam, sl.det_factor, residual),
-                    [map(names.__getitem__, classes.tolist())])
+        _write_rows(fh, "", ",", (rs, ts, sl.sigma.real, sl.sigma.imag, sl.lam, sl.det_factor,
+                                  residual), [list(map(names.__getitem__, classes.tolist()))])
     return rs.size

@@ -223,7 +223,7 @@ def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: flo
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "csv":
             fh.write("R,theta,dx,dy,dz,fx,fy,fz\n")
-            _write_rows(fh, "", ",", (rs, ts), (*d.T, *f.T))
+            _write_rows(fh, "", ",", (rs, ts, *d.T, *f.T))
         else:
             # node k owns the 1-based vertices 2k+1 (start) and 2k+2 (end); ring
             # r holds nodes r n_theta + j, and angular neighbours j, j+1 make a quad
@@ -231,6 +231,6 @@ def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: flo
             first = np.arange(rs.size // grid.n_theta)[:, None] * grid.n_theta
             k = (first + np.arange(grid.n_theta - 1)).ravel()
             fh.write(f"# line congruence: {rs.size} segments\n")
-            _write_rows(fh, "v ", " ", values=ends.reshape(-1, 3).T)
-            _write_rows(fh, "f ", " ", values=(2 * k[:, None] + np.array([1, 3, 4, 2])).T)
+            _write_rows(fh, "v ", " ", ends.reshape(-1, 3).T)
+            _write_rows(fh, "f ", " ", (2 * k[:, None] + np.array([1, 3, 4, 2])).T)
     return rs.size

@@ -352,20 +352,27 @@ def _polar(r, t):
     return r * (np.cos(t) + 1j * np.sin(t))
 
 
+#: rows formatted and written at once, so the row strings held at a time stay bounded
+_WRITE_BLOCK = 1024
+
+
 def _reprs(column: np.ndarray) -> list[str]:
-    """``[repr(x) for x in column.tolist()]`` of a float64 column, one ``repr`` per
-    distinct bit pattern (``0.0``/``-0.0`` and ``nan`` keep their own strings)."""
+    """``[repr(x) for x in column.tolist()]`` of a float64 or int64 column, one ``repr``
+    per distinct bit pattern (``0.0``/``-0.0`` and ``nan`` keep their own strings)."""
     bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    return np.array([repr(x) for x in bits.view(float).tolist()], object)[inverse].tolist()
+    return np.array([repr(x) for x in bits.view(column.dtype).tolist()], object)[inverse].tolist()
 
 
-def _write_rows(fh, prefix: str, sep: str, lattice=(), values=(), labels=()) -> None:
-    """Write one line per row, ``prefix`` then the columns joined by ``sep``. Numbers are
-    their ``repr`` (shortest round trip): once per distinct value in a ``lattice`` column
-    (a grid's R or theta), once per entry in a ``values`` column; ``labels`` are strings."""
-    fields = ["{}"] * len(lattice) + ["{!r}"] * len(values) + ["{}"] * len(labels)
-    columns = [_reprs(c) for c in lattice] + [c.tolist() for c in values] + list(labels)
-    fh.writelines(map((prefix + sep.join(fields) + "\n").format, *columns))
+def _write_rows(fh, prefix: str, sep: str, numbers, labels=()) -> None:
+    """Write one line per row, ``prefix`` then the columns joined by ``sep``: the
+    ``numbers`` columns (float64 or int64 arrays), then the ``labels`` (string lists).
+
+    A number is its ``repr`` (shortest round trip), made once per distinct bit pattern
+    per column in each block of ``_WRITE_BLOCK`` rows; a block is one ``fh.write``."""
+    for start in range(0, len(numbers[0]), _WRITE_BLOCK):
+        block = slice(start, start + _WRITE_BLOCK)
+        columns = [_reprs(c[block]) for c in numbers] + [c[block] for c in labels]
+        fh.write(prefix + ("\n" + prefix).join(map(sep.join, zip(*columns))) + "\n")
 
 
 def _require_finite(finite: np.ndarray, grid: AnnulusGrid) -> None:

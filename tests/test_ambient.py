@@ -14,6 +14,7 @@ from neutralkahler import (
     calibration_gap,
     theta_form,
 )
+from neutralkahler import sampling
 from neutralkahler.ambient import J4_MATRIX, _plane_extent
 from neutralkahler.errors import AmbiguousSignatureError, DegeneratePlaneError, DomainError
 from neutralkahler.sampling import (
@@ -356,6 +357,42 @@ class TestPlaneExtent:
             random_plane(NanRng())
 
 
+class TestDrawBounds:
+    """``sampling``'s redraw loops stop at their bounds: a generator whose every draw
+    is rejected makes exactly the bound's draws, then ``DomainError``."""
+
+    class StubRng:
+        """Normal draws are zeros and uniform draws one fixed value; draws are counted."""
+
+        def __init__(self, uniform):
+            self.value, self.draws = uniform, 0
+
+        def normal(self, size):
+            self.draws += 1
+            return np.zeros(size)
+
+        def uniform(self, low=0.0, high=1.0):
+            self.draws += 1
+            return self.value
+
+    @pytest.mark.parametrize("draw, uniform, bound, per_draw, message", [
+        # a zero pair spans no plane
+        (random_plane, 0.0, sampling.MAX_PLANE_DRAWS, 1, "no independent pair"),
+        # c0 = 0.5 - 0.5 and zero perturbations: F = 0, so lam = 0 everywhere
+        (lambda rng: sampling.random_holomorphic_section(rng, geometry_by_name("flat"),
+                                                         (0.5, 2.0)),
+         -0.5, sampling.MAX_HOLOMORPHIC_DRAWS, 2, "no sign-definite"),
+        # every family constant 0: the constructor rejects a2 = b2 = 0
+        (lambda rng: sampling.random_family_profiles(rng, "flat", 1),
+         0.0, sampling.MAX_FAMILY_DRAWS, 5, "no admissible family"),
+    ], ids=["plane", "holomorphic", "family"])
+    def test_bound_raises(self, draw, uniform, bound, per_draw, message):
+        rng = self.StubRng(uniform)
+        with pytest.raises(DomainError, match=message):
+            draw(rng)
+        assert rng.draws == bound * per_draw
+
+
 def _hex_digest(values) -> str:
     return hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest()
 
@@ -399,8 +436,6 @@ class TestPinnedChain:
                            + theta_form(geom, p).components.ravel().tolist()) == stack_digest
 
     def test_section_draws_are_pinned(self, monkeypatch):
-        from neutralkahler import sampling
-
         def digest_of_draws(seed, draw):
             # the coefficient dicts the draws hand to the section constructors
             dicts = []

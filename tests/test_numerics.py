@@ -260,6 +260,10 @@ class TestIntegrateAnnulus:
     def test_circle_rule(self):
         assert integrate_circle(lambda t: np.cos(t) ** 2) == pytest.approx(np.pi, rel=1e-12)
 
+    def test_nonfinite_boundary_integrand_names_angle(self):
+        with pytest.raises(QuadratureError, match=r"boundary integrand at theta=3\.14159"):
+            integrate_circle(lambda t: np.where(t >= np.pi, np.nan, 1.0))
+
 
 @pytest.mark.parametrize("n, rule", [(4, GAUSS_LEGENDRE_4), (8, GAUSS_LEGENDRE_8)])
 class TestGaussRules:

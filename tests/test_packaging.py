@@ -2,7 +2,8 @@
 the CLI loads no scipy, configparser, numpy.polynomial or cmath, the only
 dataclasses are the classes that validate on construction, every exported
 name resolves, the geometries are named in one table, and only ``numerics``
-spells the step of the plane's one finite-difference stencil."""
+spells the step of the plane's one finite-difference stencil and formats the
+numbers of the CSV/OBJ artifacts."""
 
 import ast
 import dataclasses
@@ -150,6 +151,18 @@ def geometry_name_places():
 def test_geometry_names_only_in_the_table_and_the_round_sphere_rules():
     # a new branch on a geometry's name belongs in ambient.GEOMETRIES, as a column
     assert geometry_name_places() == GEOMETRY_NAME_PLACES
+
+
+def test_only_numerics_formats_numbers():
+    # every CSV/OBJ number is formatted by numerics._write_rows; a second number
+    # formatter elsewhere would call repr or write rows of its own
+    def formats(path):
+        return any(isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "repr"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "writelines")
+            for node in ast.walk(ast.parse(path.read_text(), str(path))))
+
+    assert [p.name for p in PACKAGE.glob("*.py") if formats(p)] == ["numerics.py"]
 
 
 def test_only_numerics_spells_the_plane_step():

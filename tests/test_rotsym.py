@@ -25,7 +25,7 @@ from neutralkahler.errors import (
     SingularCoefficientError,
 )
 from neutralkahler.numerics import CumulativeIntegral, RadialFunction, radial_derivative
-from neutralkahler.rotsym import RotSymProfile
+from neutralkahler.rotsym import RotSymProfile, comfortable_range
 from neutralkahler.sampling import geometry_by_name, random_radial_geometry, rng_from_seed
 
 H_LINEAR = RadialFunction(lambda r: r, lambda r: 1.0, lambda r: 0.0)
@@ -367,8 +367,6 @@ class TestCustomGeometry:
 
     @pytest.mark.parametrize("seed", [1, 7, 13])
     def test_family_solves_odes_and_stationarity(self, seed):
-        from neutralkahler.rotsym import comfortable_range
-
         geom = random_radial_geometry(rng_from_seed(seed))
         profile = stationary_family(geom, FamilyParams(0.3, -0.4, 1.1, 0.8), 1, (0.3, 3.5))
         section = profile.section()
@@ -405,7 +403,36 @@ class TestCustomGeometry:
                 call()
 
 
+class TestComfortableRange:
+    """The ``Psi >= 0.1 max`` contour of a profile, or a 6 percent trim of its
+    domain when the contour is narrower than 15 percent of it."""
+
+    @staticmethod
+    def peaked(flat, width):
+        psi = RadialFunction(lambda r: np.exp(-(((r - 1.0) / width) ** 2)))
+        return RotSymProfile(flat, RadialFunction.constant(0.0), psi, 1, (0.5, 1.5))
+
+    @pytest.mark.parametrize("width", [0.01, 0.049])
+    def test_narrow_contour_falls_back_to_the_trim(self, flat, width):
+        lo, hi = 0.5, 1.5
+        pad = 0.06 * (hi - lo)
+        assert comfortable_range(self.peaked(flat, width)) == (lo + pad, hi - pad)
+
+    def test_contour_just_wider_than_the_bound_is_kept(self, flat):
+        profile = self.peaked(flat, 0.0505)
+        rs = np.linspace(0.5, 1.5, 513)
+        inside = rs[profile.psi(rs) >= 0.1]
+        assert 0.15 <= inside[-1] - inside[0] < 0.16
+        assert comfortable_range(profile) == (inside[0], inside[-1])
+
+
 class TestProfileValidation:
+    @pytest.mark.parametrize("domain", [(1.5, 0.5), (0.0, 1.0), (0.5, 0.5)])
+    def test_invalid_domain_rejected(self, flat, domain):
+        with pytest.raises(DomainError, match="invalid radial domain"):
+            RotSymProfile(flat, RadialFunction.constant(0.0), RadialFunction(lambda r: 1.0), 1,
+                          domain)
+
     def test_negative_psi_rejected(self, flat):
         with pytest.raises(DomainError):
             RotSymProfile(
