@@ -141,11 +141,12 @@ class Report:
         return all(c["passed"] for c in self.checks)
 
     def as_dict(self) -> dict:
+        """The report, stamped with the time of this call."""
         cfg = {
             "task": self.config.task,
             "geometry": self.config.geometry,
             "seed": self.config.seed,
-            "grid": [self.config.grid_r, self.config.grid_theta],
+            "grid": list(self.config.grid),
             "r_range": [self.config.rmin, self.config.rmax],
             "exclude": [list(b) for b in self.config.exclude],
             "tolerance_overrides": dict(sorted(self.config.tol.items())),
@@ -164,11 +165,6 @@ class Report:
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
 
-    def write(self, path: Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
 
 # ---------------------------------------------------------------------------
 # section and grid construction
@@ -178,18 +174,14 @@ class Report:
 def _section_and_grid(config: RunConfig) -> tuple[GraphSection, AnnulusGrid]:
     """Family section and the task's lattice grid over its admissible radial range."""
     if config.c2 is not None:
-        if config.b2 is None:
-            raise ConfigError("torus shorthand needs both --B2 and --C2")
         section = torus_section(TorusFamily(config.b2, config.c2, config.branch))
         lo, hi = config.rmin, config.rmax
-    elif config.a2 is None:
-        raise ConfigError("family tasks need --A2/--B2 (or the sphere --B2/--C2 shorthand)")
     else:
         params = FamilyParams(config.a1, config.b1, config.a2, config.b2 or 0.0)
         geom = geometry_by_name(config.geometry)
         profile = stationary_family(geom, params, config.branch, (config.rmin, config.rmax))
         section, (lo, hi) = profile.section(), comfortable_range(profile)
-    return section, AnnulusGrid(lo, hi, config.grid_r, config.grid_theta, config.exclude)
+    return section, AnnulusGrid(lo, hi, *config.grid, config.exclude)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +261,7 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
     rel, at = [], []
     for _ in range(n_sections):
         section = random_polynomial_section(rng, geom)
-        xi = np.array([complex(*rng.normal(size=2)) for _ in range(5)])
+        xi = rng.normal(size=(5, 2)).view(complex).ravel()
         sl = _slopes_on(section, xi)
         # a relative comparison means nothing at determinant zeros
         keep = ~(np.abs(sl.det_factor) < 1e-3 * (sl.lam**2 + np.abs(sl.sigma) ** 2 + 1e-6))
@@ -416,8 +408,6 @@ def _write_classification(config: RunConfig, report: Report, *table) -> None:
 
 def _run_export(config: RunConfig, report: Report) -> None:
     section, grid = _section_and_grid(config)
-    if not config.out:
-        raise ConfigError("export needs --out")
     path = _output_path(config.out)
     segments = export_congruence(section, grid, config.half_length, config.fmt, path)
     expected = grid._lattice()[0].size
@@ -440,13 +430,16 @@ _FAMILY_TASKS = tuple(task for task in TASKS if task != "verify")
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute one task; returns (exit_code, report_dict) and writes the report."""
+    """Execute one task; returns (exit_code, report_dict) and writes that report dict."""
     report = Report(config)
     runner, _ = TASKS[config.task]
     runner(config, report)
-    report_path = _output_path(config.report or f"{config.task}_report.json")
-    report.write(report_path)
-    return (0 if report.all_passed() else 1), report.as_dict()
+    report_dict = report.as_dict()
+    with open(_output_path(config.report or f"{config.task}_report.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(report_dict, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    return (0 if report.all_passed() else 1), report_dict
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +455,7 @@ class _Option(NamedTuple):
     and what it asks) that the value meets; its help text; the tasks that
     take it, every task if None; and its default. A repeatable option
     collects its values with ``repeat`` (``tuple`` or ``dict``); a config
-    file gives them separated by whitespace. ``fields`` names the fields it
-    sets: its own, or the pair of the grid."""
+    file gives them separated by whitespace. ``field`` names the field it sets."""
 
     flag: str
     parse: Callable[[str], Any] = str
@@ -472,7 +464,7 @@ class _Option(NamedTuple):
     rule: Optional[tuple[Callable[[Any], bool], str]] = None
     help: Optional[str] = None
     repeat: Optional[type] = None
-    fields: tuple[str, ...] = ()
+    field: str = ""
     default: Any = None
 
     @property
@@ -483,13 +475,12 @@ class _Option(NamedTuple):
     @property
     def keys(self) -> set[str]:
         """Its config-file keys: spelled like the flag, or like the field it sets."""
-        return {self.dest, *self.fields} if len(self.fields) == 1 else {self.dest}
+        return {self.dest, self.field}
 
-    def read(self, raw) -> dict:
-        """The field values of one string, or of a list of strings if repeatable;
+    def read(self, raw):
+        """The field value of one string, or of a list of strings if repeatable;
         a bad string raises ``ConfigError`` naming the option."""
-        value = self.repeat(map(self._parse, raw)) if self.repeat else self._parse(raw)
-        return dict(zip(self.fields, value if len(self.fields) > 1 else (value,)))
+        return self.repeat(map(self._parse, raw)) if self.repeat else self._parse(raw)
 
     def _parse(self, text: str):
         try:
@@ -501,8 +492,7 @@ class _Option(NamedTuple):
         """Raise ``ConfigError`` if the task of ``config`` does not take the
         option but its value there is not the default, or if the value is set
         (not None) and misses the choices or the rule."""
-        value = tuple(getattr(config, name) for name in self.fields)
-        value = value if len(value) > 1 else value[0]
+        value = getattr(config, self.field)
         if self.tasks is not None and config.task not in self.tasks:
             if value != self.default:
                 raise ConfigError(f"task '{config.task}' does not take {self.flag}, got {value!r}")
@@ -548,9 +538,10 @@ def _parse_tol(text: str) -> tuple[str, float]:
 
 @dataclass
 class RunConfig:
-    """Resolved options of one CLI invocation. Each field but ``task`` and
-    ``grid_theta`` declares the option that sets it; this is the option table
-    that the subcommands and the config-file reader are built from."""
+    """Resolved options of one CLI invocation, the whole contract of a run: one
+    that constructs meets every rule of its task. Each field but ``task``
+    declares the option that sets it; this is the option table that the
+    subcommands and the config-file reader are built from."""
 
     task: str
     # "sphere" with the --C2 shorthand, else "flat"
@@ -568,10 +559,9 @@ class RunConfig:
     branch: int = _option("--branch", 1, int, choices=(1, -1), tasks=_FAMILY_TASKS)
     rmin: float = _option("--rmin", 0.5, float)
     rmax: float = _option("--rmax", 2.5, float)
-    grid_r: int = _option("--grid", 32, _parse_grid, fields=("grid_r", "grid_theta"),
-                          rule=(lambda g: g[0] >= 2 and g[1] >= 4, "needs >= 2x4 nodes"),
-                          help="radial x angular resolution, e.g. 64x64")
-    grid_theta: int = 32  # set by --grid, with grid_r
+    grid: tuple[int, int] = _option("--grid", (32, 32), _parse_grid,
+                                    rule=(lambda g: g[0] >= 2 and g[1] >= 4, "needs >= 2x4 nodes"),
+                                    help="radial x angular resolution, e.g. 64x64")
     exclude: tuple[tuple[float, float], ...] = _option(
         "--exclude", (), _parse_band, repeat=tuple,
         rule=(lambda bands: all(np.isfinite(c) and 0.0 < h < np.inf for c, h in bands),
@@ -601,16 +591,20 @@ class RunConfig:
             raise ConfigError("line congruences exist over the round sphere only")
         if not 0.0 < self.rmin < self.rmax < np.inf:
             raise ConfigError(f"need 0 < rmin < rmax < inf, got rmin={self.rmin}, rmax={self.rmax}")
+        if self.c2 is not None and self.b2 is None:
+            raise ConfigError("torus shorthand needs both --B2 and --C2")
+        if self.task in _FAMILY_TASKS and self.c2 is None and self.a2 is None:
+            raise ConfigError("family tasks need --A2/--B2 (or the sphere --B2/--C2 shorthand)")
+        if self.task == "export" and not self.out:
+            raise ConfigError("export needs --out")
 
     def tolerance(self, name: str) -> float:
         return float(self.tol.get(name, DEFAULT_TOLERANCES[name]))
 
 
-#: every option, in field order, bound to the field(s) it sets
-_OPTIONS = tuple(
-    f.metadata["option"]._replace(fields=f.metadata["option"].fields or (f.name,))
-    for f in dataclasses.fields(RunConfig) if "option" in f.metadata
-)
+#: every option, in field order, bound to the field it sets
+_OPTIONS = tuple(f.metadata["option"]._replace(field=f.name)
+                 for f in dataclasses.fields(RunConfig) if "option" in f.metadata)
 
 
 def _task_options(task: str) -> dict[str, _Option]:
@@ -675,10 +669,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     options = _task_options(args.task)
     raw = _load_config_file(args.config, options) if args.config else {}
     raw.update((dest, getattr(args, dest)) for dest in options if getattr(args, dest) is not None)
-    values: dict = {}
-    for dest, value in raw.items():
-        values.update(options[dest].read(value))
-    return RunConfig(args.task, **values)
+    return RunConfig(args.task, **{options[dest].field: options[dest].read(value)
+                                   for dest, value in raw.items()})
 
 
 def main(argv: Optional[list[str]] = None) -> int:

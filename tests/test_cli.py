@@ -43,7 +43,7 @@ class TestConfig:
 
     def test_grid_spec(self):
         cfg = parse(["residual", "--A2", "1", "--grid", "64x48"])
-        assert (cfg.grid_r, cfg.grid_theta) == (64, 48)
+        assert cfg.grid == (64, 48)
 
     def test_bad_grid_spec(self):
         with pytest.raises(ConfigError):
@@ -53,6 +53,10 @@ class TestConfig:
         cfg = parse(["residual", "--B2", "1", "--C2", "0", "--exclude", "1.0:0.05",
                      "--exclude", "2.0"])
         assert cfg.exclude == ((1.0, 0.05), (2.0, 1e-3))
+
+    def test_unknown_task_rejected(self):
+        with pytest.raises(ConfigError, match="unknown task 'bogus'"):
+            RunConfig(task="bogus")
 
     def test_tolerance_override(self):
         cfg = parse(["verify", "--tol", "residual_max=1e-4"])
@@ -149,9 +153,18 @@ class TestConfig:
         (["area", "--B2", "0.5"], "family tasks need --A2"),
     ], ids=["export-without-out", "C2-without-B2", "family-task-without-A2"])
     def test_missing_options_exit_two(self, argv, message, capsys):
+        # a rule of the run, raised when its RunConfig is built
+        with pytest.raises(ConfigError, match=message):
+            parse(argv)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and message in err
+
+    def test_export_without_out_fails_before_building_the_torus(self, outdir, capsys):
+        # B2 < 0 has no torus: an export that built it first would exit 1 on "need B2 >= 0"
+        assert main(["export", "--B2", "-1", "--C2", "0"]) == 2
+        assert "export needs --out" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
 
     def test_report_under_a_file_is_an_io_error(self, outdir, capsys):
         (outdir / "taken").write_text("")
@@ -259,9 +272,10 @@ class TestOptionTable:
                      "[run]\nfmt = csv\nhalf_length = 2\na2 = 1\ngrid = 8X12\n"):
             cfg_file = tmp_path / "run.cfg"
             cfg_file.write_text(text)
-            cfg = parse(["export", "--config", str(cfg_file), "--B2", "1", "--C2", "0"])
+            cfg = parse(["export", "--config", str(cfg_file), "--B2", "1", "--C2", "0",
+                         "--out", "t.csv"])
             assert (cfg.fmt, cfg.half_length, cfg.a2) == ("csv", 2.0, 1.0)
-            assert (cfg.grid_r, cfg.grid_theta) == (8, 12)
+            assert cfg.grid == (8, 12)
 
     def test_unparsable_file_exits_two(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -272,12 +286,12 @@ class TestOptionTable:
     @pytest.mark.parametrize("field, value, flag", [
         ("geometry", "hyperbolic", "--geometry"), ("suite", "bogus", "--suite"),
         ("samples", 0, "--samples"), ("seed", -1, "--seed"), ("branch", 2, "--branch"),
-        ("grid_r", 1, "--grid"), ("grid_theta", 3, "--grid"),
+        ("grid", (1, 32), "--grid"), ("grid", (32, 3), "--grid"),
         ("exclude", ((1.0, 0.0),), "--exclude"), ("half_length", np.inf, "--half-length"),
         ("fmt", "ply", "--format"), ("tol", {"bogus": 1.0}, "--tol"),
     ])
     def test_rules_guard_direct_construction(self, field, value, flag):
-        base = dict(task="export", geometry="sphere", b2=1.0, c2=0.0)
+        base = dict(task="export", geometry="sphere", b2=1.0, c2=0.0, out="t.obj")
         RunConfig(**base)
         with pytest.raises(ConfigError, match=flag):
             RunConfig(**{**base, field: value})
@@ -290,7 +304,9 @@ class TestOptionTable:
     def test_direct_construction_takes_only_the_tasks_options(self, task, field, value, flag):
         base = {"task": task}
         if task == "export":
-            base.update(geometry="sphere", b2=1.0, c2=0.0)
+            base.update(geometry="sphere", b2=1.0, c2=0.0, out="t.obj")
+        elif task != "verify":
+            base.update(a2=1.0)
         # an option the task does not take may hold its default only
         RunConfig(**base, **{field: getattr(RunConfig(**base), field)})
         with pytest.raises(ConfigError, match=f"does not take {flag}"):
@@ -307,6 +323,10 @@ class TestRun:
         on_disk = json.loads((outdir / "amb.json").read_text())
         assert on_disk["checks"] == report["checks"]
 
+    def test_returned_report_is_the_one_on_disk(self, outdir):
+        _, report = run(RunConfig(task="area", a2=1.0, grid=(4, 4), report="a.json"))
+        assert json.loads((outdir / "a.json").read_text()) == report  # timestamp included
+
     def test_determinism_modulo_timestamp(self):
         cfg = dict(task="verify", geometry="flat", suite="graphs", samples=60, seed=5,
                    report="g.json")
@@ -319,7 +339,7 @@ class TestRun:
     def test_torus_residual_task(self, outdir):
         code, report = run(RunConfig(
             task="residual", geometry="sphere",
-            b2=1.0, c2=0.0, rmin=0.3, rmax=2.5, grid_r=16, grid_theta=16,
+            b2=1.0, c2=0.0, rmin=0.3, rmax=2.5, grid=(16, 16),
             exclude=((1.0, 0.05),), out="classes.csv", report="res.json",
         ))
         assert code == 0
@@ -336,7 +356,7 @@ class TestRun:
     def test_flat_family_variation(self):
         code, report = run(RunConfig(
             task="variation", geometry="flat", a2=1.0, b2=0.5,
-            rmin=0.5, rmax=2.0, grid_r=12, grid_theta=12, report="v.json",
+            rmin=0.5, rmax=2.0, grid=(12, 12), report="v.json",
         ))
         assert code == 0
         assert report["checks"][0]["name"] == "first_variation_rel"
@@ -344,7 +364,7 @@ class TestRun:
     def test_export_obj(self, outdir):
         code, report = run(RunConfig(
             task="export", geometry="sphere", b2=1.0, c2=0.0,
-            rmin=0.3, rmax=3.0, grid_r=16, grid_theta=16,
+            rmin=0.3, rmax=3.0, grid=(16, 16),
             fmt="obj", out="torus.obj", report="e.json",
         ))
         assert code == 0
@@ -378,7 +398,7 @@ class TestRun:
     def test_failed_check_exits_one(self):
         code, report = run(RunConfig(
             task="residual", geometry="sphere",
-            b2=1.0, c2=0.0, rmin=0.3, rmax=2.5, grid_r=12, grid_theta=12,
+            b2=1.0, c2=0.0, rmin=0.3, rmax=2.5, grid=(12, 12),
             exclude=((1.0, 0.05),), tol={"residual_max": 1e-15}, report="f.json",
         ))
         assert code == 1
@@ -387,7 +407,7 @@ class TestRun:
     def test_tolerances_echoed(self):
         _, report = run(RunConfig(
             task="residual", geometry="sphere",
-            b2=1.0, c2=0.0, rmin=0.3, rmax=2.5, grid_r=12, grid_theta=12,
+            b2=1.0, c2=0.0, rmin=0.3, rmax=2.5, grid=(12, 12),
             exclude=((1.0, 0.05),), tol={"residual_max": 1e-5}, report="t.json",
         ))
         assert report["config"]["tolerance_overrides"] == {"residual_max": 1e-5}
@@ -407,7 +427,7 @@ class TestRun:
 
     def test_suite_and_samples_echoed_for_verify_only(self):
         _, report = run(RunConfig(
-            task="area", a2=1.0, rmin=1.0, rmax=2.0, grid_r=4, grid_theta=4, report="a.json",
+            task="area", a2=1.0, rmin=1.0, rmax=2.0, grid=(4, 4), report="a.json",
         ))
         assert "suite" not in report["config"] and "samples" not in report["config"]
         _, report = run(RunConfig(task="verify", suite="ambient", samples=20, report="v.json"))
@@ -503,8 +523,8 @@ class TestRun:
     def test_every_max_type_check_shows_coverage_and_worst_case(self):
         reports = [run(RunConfig(task="verify", geometry=geometry, suite="all", samples=100,
                                  report=f"{geometry}.json"))[1] for geometry in ("flat", "sphere")]
-        family = dict(geometry="sphere", b2=1.0, c2=5.0, rmin=0.3, rmax=2.5, grid_r=12,
-                      grid_theta=12, exclude=((1.0, 0.05),))
+        family = dict(geometry="sphere", b2=1.0, c2=5.0, rmin=0.3, rmax=2.5, grid=(12, 12),
+                      exclude=((1.0, 0.05),))
         reports += [run(RunConfig(task=task, report=f"{task}.json", **family))[1]
                     for task in ("residual", "variation")]
         checks = [c for report in reports for c in report["checks"]]
@@ -517,7 +537,7 @@ class TestRun:
     def test_residual_worst_cases_are_located(self):
         _, report = run(RunConfig(
             task="residual", geometry="sphere", b2=1.0, c2=5.0, rmin=0.3, rmax=2.5,
-            grid_r=12, grid_theta=12, exclude=((1.0, 0.05),), report="r.json"))
+            grid=(12, 12), exclude=((1.0, 0.05),), report="r.json"))
         at = report["checks"][0]["worst_at"]
         assert set(at) == {"R", "theta"}
         assert 0.3 <= at["R"] <= 2.5 and abs(at["R"] - 1.0) >= 0.05
@@ -532,7 +552,7 @@ class TestRun:
     def test_area_value_reported(self):
         _, report = run(RunConfig(
             task="area", geometry="flat", a2=1.0, b2=0.0,
-            rmin=1.0, rmax=2.0, grid_r=16, grid_theta=8, report="a.json",
+            rmin=1.0, rmax=2.0, grid=(16, 8), report="a.json",
         ))
         import math
 

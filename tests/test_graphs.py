@@ -322,7 +322,7 @@ class TestElResidual:
         section = random_lagrangian_section(rng, sphere)
         grid = AnnulusGrid(0.6, 1.6, 8, 8)
         best = 0.0
-        for r, t in grid.mesh_nodes():
+        for r, t in zip(*(c.tolist() for c in grid._lattice())):
             xi = r * np.exp(1j * t)
             if abs(slopes(section, xi).sigma) < 1e-3:
                 continue
@@ -469,9 +469,9 @@ def _two_step_residual(section, xi):
 #: variation-task configurations and the SHA-256 of their 10-bump sweeps, recorded
 #: before the sweep read the section's slope table once for all its bumps
 SWEEP_DIGESTS = [
-    (dict(geometry="flat", a2=1.0, b2=0.5, grid_r=32, grid_theta=32),
+    (dict(geometry="flat", a2=1.0, b2=0.5, grid=(32, 32)),
      "004d04b4efc4c1c03504ce19253cf147cc3c06f8321598057835eddcf99e7852"),
-    (dict(geometry="sphere", b2=1.0, c2=5.0, rmin=0.3, rmax=0.9, grid_r=64, grid_theta=64),
+    (dict(geometry="sphere", b2=1.0, c2=5.0, rmin=0.3, rmax=0.9, grid=(64, 64)),
      "98ef7bbe948c052c6992c3c0eb7bef90e2de98cf66c3763ac593fc259873c07e"),
 ]
 
@@ -559,7 +559,7 @@ class TestFirstVariation:
         monkeypatch.setattr(graphs, "_slope_table",
                             lambda s, grid: tables.append(s) or real_table(s, grid))
         code, report = run(RunConfig(task="variation", geometry="flat", a2=1.0, b2=0.5,
-                                     grid_r=8, grid_theta=8, report="v.json"))
+                                     grid=(8, 8), report="v.json"))
         assert code == 0 and report["checks"][0]["evaluated"] == 10
         assert len(tables) == 12
 
@@ -608,7 +608,7 @@ class TestCsvExport:
         rows = export_classification_csv(i_xi(flat), grid, path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "R,theta,re_sigma,im_sigma,lambda,det_factor,abs_residual,class"
-        assert rows == len(grid.mesh_nodes())
+        assert rows == grid._lattice()[0].size
         assert len(lines) == rows + 1
         assert lines[1].endswith("riemannian")
 

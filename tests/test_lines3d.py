@@ -30,6 +30,8 @@ class TestTorusFamily:
             TorusFamily(1.0, -3.0)
         with pytest.raises(AdmissibilityError):
             TorusFamily(-0.5, 0.0)
+        with pytest.raises(AdmissibilityError, match="branch must be"):
+            TorusFamily(1.0, 0.0, branch=2)
 
     def test_quartic_profile_values(self):
         section = torus_section(TorusFamily(1.0, 0.0))
@@ -173,7 +175,7 @@ class TestExport:
         segments = export_congruence(section, grid, 2.0, "csv", path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "R,theta,dx,dy,dz,fx,fy,fz"
-        assert segments == len(grid.mesh_nodes()) == len(lines) - 1
+        assert segments == grid._lattice()[0].size == len(lines) - 1
         for row in lines[1:]:
             vals = [float(tok) for tok in row.split(",")]
             d, f = np.array(vals[2:5]), np.array(vals[5:8])
@@ -240,11 +242,11 @@ class TestLineArrays:
         grid = AnnulusGrid(0.3, 3.0, 10, 6, ((1.2, 0.2), (2.4, 0.1)))
         path = tmp_path / "banded.obj"
         segments = export_congruence(torus_section(TorusFamily(1.0, 5.0)), grid, 1.0, "obj", path)
-        nodes = grid.mesh_nodes()
+        radii = grid._lattice()[0].tolist()
         rings = {}
-        for k, (r, _t) in enumerate(nodes):
+        for k, r in enumerate(radii):
             rings.setdefault(r, []).append(k)
-        assert segments == len(nodes) == 6 * len(rings) and len(rings) < 10
+        assert segments == len(radii) == 6 * len(rings) and len(rings) < 10
         expected = [f"f {2 * i + 1} {2 * j + 1} {2 * j + 2} {2 * i + 2}"
                     for ring in rings.values() for i, j in zip(ring[:-1], ring[1:])]
         lines = path.read_text().splitlines()
@@ -257,7 +259,7 @@ class TestLineArrays:
         export_congruence(section, grid, 1.5, "obj", path)
         vertices = np.array([[float(tok) for tok in line.split()[1:]]
                              for line in path.read_text().splitlines() if line.startswith("v ")])
-        for k, (r, t) in enumerate(grid.mesh_nodes()):
+        for k, (r, t) in enumerate(zip(*(c.tolist() for c in grid._lattice()))):
             xi = r * complex(math.cos(t), math.sin(t))
             line = to_oriented_line(TangentPoint(xi, section.F(xi)))
             assert np.allclose(vertices[2 * k], line.point(-1.5), rtol=0.0, atol=1e-13)

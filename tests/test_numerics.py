@@ -157,6 +157,10 @@ class TestRadialDerivative:
         with pytest.raises(DomainError):
             radial_derivative(lambda r: r, -1.0, 2)
 
+    def test_third_order_rejected(self):
+        with pytest.raises(DomainError, match="order must be 1 or 2, got 3"):
+            radial_derivative(lambda r: r**3, 1.0, 3)
+
     def test_closed_form_takes_priority(self):
         assert RadialFunction(lambda r: r * r, lambda r: -1.0).deriv(3.0, 1) == -1.0
 
@@ -177,8 +181,7 @@ class TestAnnulusGrid:
     def test_exclusion_band_respected(self):
         grid = AnnulusGrid(0.5, 2.0, 16, 8, exclusion_bands=((1.0, 0.05),))
         assert not np.any(np.abs(grid.radial_nodes - 1.0) < 0.05)
-        for r, _ in grid.mesh_nodes():
-            assert abs(r - 1.0) >= 0.05
+        assert np.all(np.abs(grid._lattice()[0] - 1.0) >= 0.05)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -201,6 +204,10 @@ class TestAnnulusGrid:
         # the bands cover the whole range
         with pytest.raises(DomainError, match="positive finite half-width"):
             AnnulusGrid(0.5, 2.0, 16, 16, (band,))
+
+    def test_bands_covering_the_range_rejected(self):
+        with pytest.raises(DomainError, match="cover the whole radial range"):
+            AnnulusGrid(1.0, 2.0, 8, 8, ((1.2, 0.3), (1.7, 0.4)))
 
     def test_every_kept_segment_gets_a_cell(self):
         bands = ((1.0, 0.1), (1.5, 0.1))  # keep [0.5, 0.9], [1.1, 1.4], [1.6, 2.5]
@@ -378,6 +385,11 @@ class TestCumulativeIntegral:
         assert ci(rs).tobytes() == by_legval(rs).tobytes()
         for r in [0.1, 2.0, *rs[:, 0].tolist()]:
             assert float(ci(r)).hex() == float(by_legval(r)).hex()
+
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_range_rejected(self, a, b):
+        with pytest.raises(DomainError, match="empty integration range"):
+            CumulativeIntegral(lambda r: 1.0, a, b)
 
     def test_out_of_range(self):
         ci = CumulativeIntegral(lambda r: 1.0, 1.0, 2.0)

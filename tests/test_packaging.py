@@ -170,3 +170,38 @@ def test_only_numerics_spells_the_plane_step():
     # the plane elsewhere would spell its step
     assert [p.name for p in PACKAGE.glob("*.py") if "FD_STEP" in p.read_text()] == [
         "numerics.py"]
+
+
+def test_every_run_config_field_but_the_task_is_one_options_field():
+    from neutralkahler.cli import _OPTIONS, RunConfig
+
+    owners = [opt.field for opt in _OPTIONS]
+    assert sorted(owners) == sorted(f.name for f in dataclasses.fields(RunConfig)
+                                    if f.name != "task")
+
+
+#: where ``cli`` may raise ``ConfigError``: the run's rules, the option's parse and
+#: checks, and the reading of the config file and the flags; a runner raises none
+CONFIG_ERROR_PLACES = {
+    "RunConfig.__post_init__",
+    "_Option._parse",
+    "_Option.check",
+    "_load_config_file",
+    "config_from_args",
+}
+
+
+def test_config_errors_only_where_a_run_is_configured():
+    places = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              and getattr(node.exc.func, "id", None) == "ConfigError"):
+            places.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse((PACKAGE / "cli.py").read_text()), "")
+    assert places == CONFIG_ERROR_PLACES

@@ -23,9 +23,9 @@ RECORDS = [
     (RadialFunction, ("f", "df", "d2f"), {"df": None, "d2f": None}),
     (FamilyParams, ("a1", "b1", "a2", "b2"), {"a1": 0.0, "b1": 0.0, "a2": 1.0, "b2": 0.0}),
     (OdeCoefficients, ("p1", "q1", "L1", "p2", "q2", "L2"), {}),
-    (_Option, ("flag", "parse", "tasks", "choices", "rule", "help", "repeat", "fields", "default"),
+    (_Option, ("flag", "parse", "tasks", "choices", "rule", "help", "repeat", "field", "default"),
      {"parse": str, "tasks": None, "choices": None, "rule": None, "help": None, "repeat": None,
-      "fields": (), "default": None}),
+      "field": "", "default": None}),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -78,5 +78,5 @@ def test_examples_of_defaults_and_methods():
     assert ThetaForm(np.arange(4.0))(np.ones(4)) == 6.0
     assert SlopeData(1.0 + 0j, 2.0 + 3.0j).det_factor == 8.0
     assert _Option("--half-length").dest == "half-length"
-    grid = _Option("--grid", fields=("grid_r", "grid_theta"))._replace(default=(32, 32))
+    grid = _Option("--grid", field="grid")._replace(default=(32, 32))
     assert grid.keys == {"grid"} and grid.default == (32, 32)

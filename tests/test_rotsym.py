@@ -52,6 +52,11 @@ class TestOdeCoefficients:
         assert co.L2 == 0.0
         assert math.isnan(co.p2) and math.isnan(co.q2)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.array([1.0, 0.0])])
+    def test_nonpositive_radius_rejected(self, flat, r):
+        with pytest.raises(DomainError, match="radius must be positive"):
+            ode_coefficients(flat, H_LINEAR, r)
+
     def test_sphere_singular_radius(self, sphere):
         with pytest.raises(SingularCoefficientError):
             ode_coefficients(sphere, H_LINEAR, 1.0)
@@ -264,6 +269,15 @@ class TestStationaryFamily:
         with pytest.raises(DegenerateFamilyRedirect):
             stationary_family(flat, FamilyParams(0.0, 0.0, 0.0, 1.0))
 
+    def test_reversed_range_rejected(self, flat):
+        with pytest.raises(DomainError, match="invalid requested range"):
+            stationary_family(flat, FamilyParams(0.0, 0.0, 1.0, 0.0), 1, (2.0, 1.0))
+
+    def test_section_undefined_at_the_origin(self, flat):
+        section = stationary_family(flat, FamilyParams(0.0, 0.0, 1.0, 0.0), 1, (0.3, 3.0)).section()
+        with pytest.raises(DomainError, match="angular mode undefined at xi = 0"):
+            section.F(np.array([1.0 + 0j, 0j]))
+
     def test_everywhere_negative_psi_rejected(self, flat):
         with pytest.raises(EmptyDomainError):
             stationary_family(flat, FamilyParams(0.0, 0.0, -1.0, -1.0))
@@ -452,6 +466,15 @@ class TestProfileValidation:
                 branch=2,
                 domain=(0.5, 1.5),
             )
+
+    def test_profile_derivative_undefined_where_psi_vanishes(self, flat):
+        # Psi = (R - 1)^2 >= 0 on the domain, with W = 0 at R = 1
+        profile = RotSymProfile(flat, RadialFunction.constant(0.0),
+                                RadialFunction(lambda r: (r - 1.0) ** 2, lambda r: 2.0 * (r - 1.0),
+                                               lambda r: 2.0), 1, (0.5, 1.5))
+        profile.G_jet(1.2)
+        with pytest.raises(DomainError, match="Psi = 0"):
+            profile.G_jet(1.0)
 
     def test_section_derivatives_match_fd(self, flat):
         profile = stationary_family(flat, FamilyParams(0.2, 0.1, 1.0, 0.4), 1, (0.5, 2.5))
