@@ -79,8 +79,8 @@ class ConformalGeometry(NamedTuple):
     """The conformal exponent u of the base metric ``e^{2u} dxi dxibar``.
 
     ``u`` maps the complex coordinate to a real value; ``du``, required, is the
-    closed form of its holomorphic Wirtinger derivative (the plane's finite
-    differences belong to fields, ``numerics.ComplexField``, alone). Both work
+    closed form of its holomorphic Wirtinger derivative (the plane's one finite
+    difference, ``numerics._plane_partials``, serves the pullback oracle alone). Both work
     elementwise on arrays of nodes (a constant may come back as a scalar).
     A rotationally symmetric geometry also carries its radial profile
     ``u_of_R``, whose first two derivatives (``u_of_R.deriv``) drive the ODE

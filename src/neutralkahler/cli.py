@@ -14,18 +14,16 @@ may be overridden with the ``NKLAB_OUTPUT_DIR`` environment variable.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import datetime
 import functools
 import itertools
-import json
 import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Collection, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Collection, NamedTuple, Optional
 
 import numpy as np
 
@@ -72,6 +70,9 @@ from .sampling import (
     random_tangent_coords,
     rng_from_seed,
 )
+
+if TYPE_CHECKING:  # the parser's types; the module itself is imported in _parser_for
+    import argparse
 
 #: default check tolerances; every report entry cites one of these or an override
 DEFAULT_TOLERANCES = {
@@ -431,6 +432,7 @@ _FAMILY_TASKS = tuple(task for task in TASKS if task != "verify")
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one task; returns (exit_code, report_dict) and writes that report dict."""
+    import json  # here, like argparse in _parser_for: importing the CLI loads neither
     report = Report(config)
     runner, _ = TASKS[config.task]
     runner(config, report)
@@ -490,19 +492,26 @@ class _Option(NamedTuple):
 
     def check(self, config: RunConfig) -> None:
         """Raise ``ConfigError`` if the task of ``config`` does not take the
-        option but its value there is not the default, or if the value is set
-        (not None) and misses the choices or the rule."""
+        option but its value there is not the default; if the value is None
+        where the default is not; or if the value misses the choices or the
+        rule, or is of a type that they cannot test."""
         value = getattr(config, self.field)
         if self.tasks is not None and config.task not in self.tasks:
             if value != self.default:
                 raise ConfigError(f"task '{config.task}' does not take {self.flag}, got {value!r}")
             return
         if value is None:
+            if self.default is not None:
+                raise ConfigError(f"{self.flag} needs a value, got None")
             return
-        if self.choices is not None and value not in self.choices:
-            raise ConfigError(f"{self.flag} must be one of {tuple(self.choices)}, got {value!r}")
-        if self.rule is not None and not self.rule[0](value):
-            raise ConfigError(f"{self.flag} {self.rule[1]}, got {value!r}")
+        try:
+            if self.choices is not None and value not in self.choices:
+                raise ConfigError(f"{self.flag} must be one of {tuple(self.choices)}, "
+                                  f"got {value!r}")
+            if self.rule is not None and not self.rule[0](value):
+                raise ConfigError(f"{self.flag} {self.rule[1]}, got {value!r}")
+        except TypeError as exc:
+            raise ConfigError(f"{self.flag} cannot take {value!r}: {exc}") from exc
 
 
 def _option(flag: str, default: Any, parse: Callable[[str], Any] = str, **spec) -> Any:
@@ -643,6 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.lru_cache(maxsize=1)
 def _parser_for(geometries: tuple) -> argparse.ArgumentParser:
     """The parser while ``GEOMETRIES`` holds the names ``geometries``, its cache key."""
+    import argparse  # here, so importing the CLI does not load it
     parser = argparse.ArgumentParser(
         prog="nklab",
         description="Neutral Kahler laboratory: verification suites, residual and "

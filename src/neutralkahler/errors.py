@@ -6,7 +6,8 @@ class NeutralKahlerError(Exception):
 
 
 class DerivativeUnavailableError(NeutralKahlerError):
-    """A derivative could not be evaluated (a failing closed form or stencil)."""
+    """A geometry's closed-form ``du`` failed where ``ambient.ambient_frame`` evaluates it,
+    the one place that raises this."""
 
 
 class QuadratureError(NeutralKahlerError):

@@ -97,6 +97,8 @@ DEGENERACY_SCALE_FLOOR = NULL_ATOL**2
 _SKIP_REASONS = ("degenerate", "det_sign_change", "lam_sign_change")
 #: step in ``t`` of the first variation's symmetric differences
 T_STEP = 1e-5
+#: relative step of the residual's stencil: h = RESIDUAL_STEP max(1, |xi|)
+RESIDUAL_STEP = 1e-6
 #: points per block of a residual sweep, which bounds its peak memory: a block's
 #: 9-point stencil holds under half the points of one 5-point stencil on 64 x 64 nodes
 _RESIDUAL_BLOCK = 1024
@@ -174,7 +176,7 @@ class InducedMetric(NamedTuple):
 def slopes(section: GraphSection, xi) -> SlopeData:
     """Evaluate the slope invariants at ``xi``, a point or an array of points
     (a constant field can leave a slope scalar; see :func:`_slopes_on`)."""
-    f, d, dbar = section.F.jet_at(xi)
+    f, d, dbar = section.F.jet(xi)
     return SlopeData(sigma=-dbar.conjugate(), rho=d + 2.0 * f * section.geometry.du(xi))
 
 
@@ -264,9 +266,9 @@ def _residual_block(section: GraphSection, xi):
     """:func:`_residual_map` from one ``slopes`` call on the ``9 x shape(xi)`` stencil,
     whose centre row (offset 0) gives the slopes at ``xi``."""
     # slope fields steepen like (R - R0)^{-1/2} near zeros of the squared
-    # imaginary part, so analytic sections get a small step (their slope
-    # evaluations are exact and the difference noise stays near 1e-10)
-    h = (1e-6 if section.F.analytic else 5e-4) * np.maximum(1.0, abs(xi))
+    # imaginary part, so the step is small: the slopes come from closed-form
+    # jets, and the difference noise stays near 1e-10
+    h = RESIDUAL_STEP * np.maximum(1.0, abs(xi))
     z = xi + _STENCIL.reshape((9,) + (1,) * np.ndim(xi)) * h
     sl = _slopes_on(section, z)
     lam, det = sl.lam, sl.det_factor
@@ -415,7 +417,7 @@ def stokes_check(
     disagrees with F shows), and ``theta_form`` on F at the boundary angles.
     """
     xi = _polar(grid.radial_nodes[:, None], grid.theta_nodes)
-    f, d, dbar = section.F.jet_at(xi)
+    f, d, dbar = section.F.jet(xi)
     eta = np.broadcast_to(f, xi.shape)
     _require_finite(np.isfinite(eta), grid)
     O4 = ambient_frame(section.geometry, TangentPoint(xi, eta)).O4
@@ -524,14 +526,15 @@ def conjugate_section(section: GraphSection) -> GraphSection:
     conjugate of the original residual at ``conj(xi)``.
     """
     F, geom = section.F, section.geometry
-    jet = (lambda xi: tuple(v.conjugate() for v in F.jet(xi.conjugate()))) if F.analytic else None
     refl = ConformalGeometry(
         name=geom.name + "~",
         u=lambda xi: geom.u(xi.conjugate()),
         du=lambda xi: geom.du(xi.conjugate()).conjugate(),
         u_of_R=geom.u_of_R,
     )
-    return GraphSection(ComplexField(lambda xi: F(xi.conjugate()).conjugate(), jet), refl)
+    field = ComplexField(lambda xi: F(xi.conjugate()).conjugate(),
+                         lambda xi: tuple(v.conjugate() for v in F.jet(xi.conjugate())))
+    return GraphSection(field, refl)
 
 
 def export_classification_csv(section: GraphSection, grid: AnnulusGrid, path) -> int:

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DerivativeUnavailableError, DomainError, QuadratureError
+from .errors import DomainError, QuadratureError
 
 __all__ = [
     "ComplexField",
@@ -81,46 +81,27 @@ def _richardson(values, h) -> list:
 
 def _plane_partials(F: Callable, xi) -> list:
     """``[F_x, F_y]`` at ``xi``, the plane's one stencil: :func:`_richardson` on one call
-    of ``F`` per arm of ``_ARMS`` (never a jet), step ``FD_STEP * max(1, |xi|)``."""
+    of ``F`` per arm of ``_ARMS`` (never a jet), step ``FD_STEP * max(1, |xi|)``. Its one
+    caller is ``graphs.pullback_determinant``, the side of ``det_oracle`` that reads no jet."""
     h = FD_STEP * np.maximum(1.0, abs(xi))
     return _richardson([F(xi + arm * h) for arm in _ARMS], h)
 
 
 class ComplexField(NamedTuple):
-    """A complex-valued function of one complex variable (and its conjugate).
+    """A complex-valued function of one complex variable (and its conjugate): an
+    evaluator and its closed-form jet.
 
-    ``F(xi)`` is the value alone; ``jet_at(xi)`` is ``(F, dF, dbarF)``. A closed-form
-    ``jet`` makes the derivative policy *analytic*; without one, the derivatives
-    come from the plane's one stencil, :func:`_plane_partials`: no other object of the
-    plane has a derivative policy. Evaluator and jet are elementwise on arrays of
+    ``F(xi)`` is the value alone; ``jet(xi)`` is ``(F, dF, dbarF)``. The plane has no
+    derivative policy: every field carries its jet, and only the pullback oracle
+    differences a field's values. Evaluator and jet are elementwise on arrays of
     nodes; a constant field may return scalars, which callers broadcast.
     """
 
     evaluator: Callable
-    jet: Optional[Callable] = None
-
-    @property
-    def analytic(self) -> bool:
-        return self.jet is not None
+    jet: Callable
 
     def __call__(self, xi):
         return self.evaluator(xi)
-
-    def jet_at(self, xi):
-        """``(F, dF, dbarF)`` at ``xi``: the closed-form jet, or else the evaluator
-        at ``xi`` and, once per arm, at the eight arms around it."""
-        if self.jet is not None:
-            return self.jet(xi)
-        try:
-            with np.errstate(invalid="ignore", over="ignore"):  # non-finite: raised below
-                fx, fy = _plane_partials(self, xi)
-        except Exception as exc:  # evaluation failure at a stencil point
-            raise DerivativeUnavailableError(
-                f"field evaluation failed on the stencil at xi={xi}: {exc}"
-            ) from exc
-        if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(fy))):
-            raise DerivativeUnavailableError(f"non-finite differences on the stencil at xi={xi}")
-        return self(xi), 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 class RadialFunction(NamedTuple):

@@ -296,6 +296,17 @@ class TestOptionTable:
         with pytest.raises(ConfigError, match=flag):
             RunConfig(**{**base, field: value})
 
+    @pytest.mark.parametrize("field, value, flag", [
+        ("seed", None, "--seed"), ("samples", None, "--samples"), ("suite", None, "--suite"),
+        ("exclude", None, "--exclude"), ("tol", None, "--tol"), ("rmin", None, "--rmin"),
+        ("samples", "5", "--samples"), ("grid", 16, "--grid"),
+    ])
+    def test_none_or_a_wrong_type_is_a_config_error(self, field, value, flag):
+        # None stands only where it is the default; a value the rule cannot test is bad too
+        RunConfig(task="verify", geometry=None, out=None)
+        with pytest.raises(ConfigError, match=flag):
+            RunConfig(task="verify", **{field: value})
+
     @pytest.mark.parametrize("task, field, value, flag", [
         ("area", "samples", 5, "--samples"), ("export", "suite", "graphs", "--suite"),
         ("verify", "a2", 1.0, "--A2"), ("verify", "branch", -1, "--branch"),

@@ -103,21 +103,18 @@ class TestPredicates:
 
     def test_holomorphic_not_lagrangian(self, flat):
         s = i_xi(flat)
-        assert s.F.analytic
         sl = slopes(s, 1.0 + 0.5j)
         assert abs(sl.sigma) < 1e-9
         assert not abs(sl.lam) < 1e-9
 
     def test_lagrangian_not_holomorphic(self, flat):
         s = xibar(flat)
-        assert s.F.analytic
         sl = slopes(s, 1.0 + 0.5j)
         assert not abs(sl.sigma) < 1e-9
         assert abs(sl.lam) < 1e-9
 
     def test_torus_meridian_both(self):
         s = torus_section(TorusFamily(1.0, 0.0))
-        assert s.F.analytic
         sl = slopes(s, complex(1.0))
         assert abs(sl.sigma) < 1e-9
         assert abs(sl.lam) < 1e-9
@@ -208,7 +205,7 @@ class TestPullbackOracle:
     @pytest.mark.parametrize("name", ["flat", "sphere"])
     def test_reads_no_jet(self, name):
         # a jet that is wrong everywhere moves the slopes, not the pullback: the
-        # oracle differences F's values alone, with the FD jet's own stencil
+        # oracle differences F's values alone
         geom = geometry_by_name(name)
         section = random_polynomial_section(rng_from_seed(45), geom)
         F = section.F
@@ -216,10 +213,24 @@ class TestPullbackOracle:
         xi = _annulus_points(0.3, 1.8)
         assert np.array_equal(pullback_determinant(wrong, xi), pullback_determinant(section, xi))
         assert np.all(slopes(wrong, xi).rho != slopes(section, xi).rho)
-        fx, fy = _plane_partials(F, xi)
-        _, d, dbar = ComplexField(F.evaluator).jet_at(xi)
-        assert np.array_equal(d, 0.5 * (fx - 1j * fy))
-        assert np.array_equal(dbar, 0.5 * (fx + 1j * fy))
+
+    def test_plane_partials_are_eight_values_and_one_stencil(self):
+        # the oracle's one stencil, bit for bit: F at the eight arms, central differences
+        # at the steps h and h/2, extrapolated per direction
+        calls = []
+
+        def ev(z):
+            calls.append(z)
+            return z * z * z.conjugate() + 0.3j * z.conjugate() ** 2
+
+        for xi in (0.8 - 0.3j, 2.5 + 1.5j):
+            calls.clear()
+            got = _plane_partials(ev, xi)
+            assert len(calls) == 8
+            h = 1e-3 * max(1.0, abs(xi))
+            want = [(4.0 * (ev(xi + a * h / 2) - ev(xi - a * h / 2)) / h
+                     - (ev(xi + a * h) - ev(xi - a * h)) / (2.0 * h)) / 3.0 for a in (1, 1j)]
+            assert got == want
 
 
 #: floors of det_oracle and stokes at the default ``nklab verify --suite graphs`` runs
@@ -358,18 +369,15 @@ class TestElResidual:
         assert set(calls[0].tolist()) == {xi + a * s for s in (h, 0.5 * h)
                                          for a in (0.0, 1.0, -1.0, 1j, -1j)}
 
-    @pytest.mark.parametrize("case", ["sphere_family", "torus", "fd_torus", "conjugate_polynomial"])
+    @pytest.mark.parametrize("case", ["sphere_family", "torus", "conjugate_polynomial"])
     def test_bit_identical_to_two_five_point_stencils(self, sphere, case):
         # at single points and on a lattice of more than one block
-        torus = torus_section(TorusFamily(2.0, 1.0))
         lo, hi = 1.2, 2.4
         if case == "sphere_family":
             profile = stationary_family(sphere, FamilyParams(0.4, -0.3, 0.9, 1.4), -1, (0.3, 0.95))
             section, (lo, hi) = profile.section(), comfortable_range(profile)
         elif case == "torus":
-            section = torus
-        elif case == "fd_torus":
-            section = GraphSection(ComplexField(torus.F.evaluator), sphere)
+            section = torus_section(TorusFamily(2.0, 1.0))
         else:
             section = conjugate_section(polynomial_section(sphere, {(1, 0): 1.5j, (2, 1): 0.1}))
         for xi in (lo * np.exp(0.4j), complex(hi * np.exp(2.9j)), 0.5 * (lo + hi) * np.exp(-1.1j)):
@@ -446,7 +454,7 @@ def _two_step_residual(section, xi):
     the Richardson step taken on each partial derivative of ``p`` and ``q`` before
     they are composed (the reference)."""
     five = np.array([0.0, 1.0, -1.0, 1j, -1j])
-    h = (1e-6 if section.F.analytic else 5e-4) * np.maximum(1.0, abs(xi))
+    h = 1e-6 * np.maximum(1.0, abs(xi))
 
     def quotients(step):
         z = xi + five.reshape((5,) + (1,) * np.ndim(xi)) * step
@@ -663,7 +671,7 @@ class TestArrayContract:
     def test_field_and_slopes(self, case):
         section, (lo, hi) = _contract_cases()[case]
         xi = _annulus_points(lo, hi)
-        jet = section.F.jet_at
+        jet = section.F.jet
         for fn in (section.F, lambda z: jet(z)[0], lambda z: jet(z)[1], lambda z: jet(z)[2],
                    lambda z: slopes(section, z).sigma, lambda z: slopes(section, z).rho):
             self.same(fn, xi)
@@ -967,9 +975,8 @@ class TestJet:
     @pytest.mark.parametrize("case", range(len(_jet_cases())))
     def test_jet_is_the_separate_formulas(self, case):
         name, field, reference, (lo, hi) = _jet_cases()[case]
-        assert field.analytic
         for xi in self.points(lo, hi):
-            jet = field.jet_at(xi)
+            jet = field.jet(xi)
             assert np.array_equal(field(xi), jet[0]), name
             for got, want_fn in zip(jet, reference):
                 want = want_fn(xi)
@@ -997,25 +1004,3 @@ class TestJet:
             calls.clear()
             slopes(section, xi)
             assert calls == {"H": 1, "H'": 1, "Psi": 1, "Psi'": 1}
-
-    def test_finite_difference_jet_is_the_value_and_one_stencil(self, sphere):
-        calls = []
-
-        def ev(z):
-            calls.append(z)
-            return z * z * z.conjugate() + 0.3j * z.conjugate() ** 2
-
-        field = ComplexField(ev)
-        assert not field.analytic
-        for xi in (0.8 - 0.3j, 2.5 + 1.5j):
-            calls.clear()
-            sl = slopes(GraphSection(field, sphere), xi)
-            assert len(calls) == 9
-            # central differences at the steps h and h/2, extrapolated per direction
-            h = 1e-3 * max(1.0, abs(xi))
-            fx, fy = ((4.0 * (ev(xi + a * h / 2) - ev(xi - a * h / 2)) / h
-                       - (ev(xi + a * h) - ev(xi - a * h)) / (2.0 * h)) / 3.0 for a in (1, 1j))
-            d, dbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-            assert field.jet_at(xi) == (ev(xi), d, dbar)
-            assert sl.sigma == -dbar.conjugate()
-            assert sl.rho == d + 2.0 * ev(xi) * sphere.du(xi)

@@ -1,9 +1,9 @@
 """Packaging: the runtime imports match the declared dependencies, importing
-the CLI loads no scipy, configparser, numpy.polynomial or cmath, the only
-dataclasses are the classes that validate on construction, every exported
-name resolves, the geometries are named in one table, and only ``numerics``
+the CLI loads no scipy, configparser, argparse, json, numpy.polynomial or cmath,
+the only dataclasses are the classes that validate on construction, every
+exported name resolves, the geometries are named in one table, only ``numerics``
 spells the step of the plane's one finite-difference stencil and formats the
-numbers of the CSV/OBJ artifacts."""
+numbers of the CSV/OBJ artifacts, and only the pullback oracle calls that stencil."""
 
 import ast
 import dataclasses
@@ -62,6 +62,11 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_configparser():
     # only --config reads a file; runs without it skip the import
     assert cli_import_loads("configparser") == []
+
+
+def test_cli_import_loads_no_argparse_or_json():
+    # only main parses arguments and only run writes a report; each imports its module
+    assert cli_import_loads("argparse") == cli_import_loads("json") == []
 
 
 def test_cli_import_loads_no_numpy_polynomial():
@@ -166,10 +171,28 @@ def test_only_numerics_formats_numbers():
 
 
 def test_only_numerics_spells_the_plane_step():
-    # the FD jet and the pullback share numerics._plane_partials; a second stencil of
-    # the plane elsewhere would spell its step
+    # the pullback differences F through numerics._plane_partials alone; a second
+    # stencil of the plane elsewhere would spell its step
     assert [p.name for p in PACKAGE.glob("*.py") if "FD_STEP" in p.read_text()] == [
         "numerics.py"]
+
+
+def test_only_the_pullback_reads_the_plane_stencil():
+    # a field is its closed-form jet: the one code that differences F is the pullback
+    # oracle, so no finite-difference jet can come back through numerics._plane_partials
+    readers = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+            where = f"{where}.{getattr(node, 'name', '<lambda>')}"
+        elif "_plane_partials" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            readers.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert readers == ["graphs.pullback_determinant"]
 
 
 def test_every_run_config_field_but_the_task_is_one_options_field():

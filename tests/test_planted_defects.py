@@ -334,8 +334,8 @@ def test_jet_scaled_by_one_part_in_1e8(monkeypatch):
     # F, dF and dbarF scaled by 1 + 1e-8 inside slopes: every slope determinant moves by
     # 2e-8 relative, which the pinned det_oracle tolerance (1e-6) cannot see; the
     # floor that the fourth-order pullback affords (1e-9) does
-    plant_source_defect(monkeypatch, graphs, "slopes", "f, d, dbar = section.F.jet_at(xi)",
-                        "f, d, dbar = (v * (1.0 + 1e-8) for v in section.F.jet_at(xi))")
+    plant_source_defect(monkeypatch, graphs, "slopes", "f, d, dbar = section.F.jet(xi)",
+                        "f, d, dbar = (v * (1.0 + 1e-8) for v in section.F.jet(xi))")
     assert failed(verify("sphere", "graphs"), "det_oracle", "stokes") == []
     with pytest.raises(AssertionError, match="det_oracle"):
         test_graphs.assert_oracle_floors("sphere", 0)

@@ -19,7 +19,7 @@ RECORDS = [
     (GraphSection, ("F", "geometry"), {}),
     (SlopeData, ("sigma", "rho"), {}),
     (InducedMetric, ("matrix", "determinant", "classification"), {}),
-    (ComplexField, ("evaluator", "jet"), {"jet": None}),
+    (ComplexField, ("evaluator", "jet"), {}),
     (RadialFunction, ("f", "df", "d2f"), {"df": None, "d2f": None}),
     (FamilyParams, ("a1", "b1", "a2", "b2"), {"a1": 0.0, "b1": 0.0, "a2": 1.0, "b2": 0.0}),
     (OdeCoefficients, ("p1", "q1", "L1", "p2", "q2", "L2"), {}),
@@ -68,8 +68,8 @@ class TestRecordContract:
 
 def test_examples_of_defaults_and_methods():
     assert repr(FamilyParams()) == "FamilyParams(a1=0.0, b1=0.0, a2=1.0, b2=0.0)"
-    f = ComplexField(np.exp)
-    assert f.jet is None and not f.analytic and f(0.0) == 1.0
+    f = ComplexField(np.exp, lambda xi: (np.exp(xi), np.exp(xi), 0.0))
+    assert f(0.0) == 1.0 and f.jet(0.0) == (1.0, 1.0, 0.0)
     assert RadialFunction.constant(2.0).deriv(1.0, 2) == 0.0
     assert ConformalGeometry("plane", lambda xi: 0.0, lambda xi: 0j).u_of_R is None
     frame = AmbientFrame(np.eye(4), np.zeros((4, 4)))
