@@ -57,7 +57,10 @@ print(f"normalised conformal coefficient: {coeffs[0] * K:+.6f} (expect -0.5)")
 
 print("\n=== quadrature solution vs. the closed family ===")
 a1, b1, a2, b2 = 0.3, 0.8, 1.1, 0.6
-H = RadialFunction(lambda r: a1 * r + b1 * em2u(r) / r)
+# H = a1 R + b1 e^{-2u} / R with e^{-2u} = (1 + R^2)^2 / 4, and its closed-form H', H''
+H = RadialFunction(lambda r: a1 * r + 0.25 * b1 * (1.0 / r + 2.0 * r + r**3),
+                   lambda r: a1 + 0.25 * b1 * (-1.0 / r**2 + 2.0 + 3.0 * r * r),
+                   lambda r: 0.25 * b1 * (2.0 / r**3 + 6.0 * r))
 psi = psi_closed_form(sphere, H, a2, b2, (0.1, 0.9), n_quad=512)
 shift = -b1 * b1 * em2u(0.1) / 0.01
 worst = 0.0

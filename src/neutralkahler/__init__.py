@@ -58,7 +58,6 @@ from .numerics import (
     RadialFunction,
     integrate_annulus,
     integrate_circle,
-    radial_derivative,
 )
 from .rotsym import (
     FamilyParams,
@@ -69,7 +68,6 @@ from .rotsym import (
     ode_residuals,
     psi_closed_form,
     reduction_of_order,
-    sphere_shorthand_params,
     stationary_family,
 )
 

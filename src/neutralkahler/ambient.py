@@ -144,9 +144,8 @@ def sphere_geometry() -> ConformalGeometry:
 
 
 def radial_geometry(name: str, u_of_R: RadialFunction) -> ConformalGeometry:
-    """A rotationally symmetric geometry from a radial profile ``u(R)``, which
-    should carry closed-form first and second derivatives for the ODE machinery
-    (``u_of_R.deriv`` falls back to finite differences)."""
+    """A rotationally symmetric geometry from a radial profile ``u(R)`` with its
+    closed-form ``u'``; the ODE machinery also reads its ``u''``, ``u_of_R.d2f``."""
 
     def u(xi):
         return u_of_R(abs(xi))

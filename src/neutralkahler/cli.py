@@ -23,7 +23,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Collection, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Collection, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -493,8 +493,8 @@ class _Option(NamedTuple):
     def check(self, config: RunConfig) -> None:
         """Raise ``ConfigError`` if the task of ``config`` does not take the
         option but its value there is not the default; if the value is None
-        where the default is not; or if the value misses the choices or the
-        rule, or is of a type that they cannot test."""
+        where the default is not; if the value is not of the type that ``read``
+        returns; or if it misses the choices or the rule."""
         value = getattr(config, self.field)
         if self.tasks is not None and config.task not in self.tasks:
             if value != self.default:
@@ -504,14 +504,27 @@ class _Option(NamedTuple):
             if self.default is not None:
                 raise ConfigError(f"{self.flag} needs a value, got None")
             return
-        try:
-            if self.choices is not None and value not in self.choices:
-                raise ConfigError(f"{self.flag} must be one of {tuple(self.choices)}, "
-                                  f"got {value!r}")
-            if self.rule is not None and not self.rule[0](value):
-                raise ConfigError(f"{self.flag} {self.rule[1]}, got {value!r}")
-        except TypeError as exc:
-            raise ConfigError(f"{self.flag} cannot take {value!r}: {exc}") from exc
+        kind = self.parse if isinstance(self.parse, type) else get_type_hints(self.parse)["return"]
+        items = value.items() if isinstance(value, dict) else value if self.repeat else (value,)
+        if not (isinstance(value, self.repeat or object) and all(_is_a(v, kind) for v in items)):
+            name = kind.__name__ if isinstance(kind, type) else str(kind)
+            if self.repeat:
+                name = f"a {self.repeat.__name__} of {name}"
+            raise ConfigError(f"{self.flag} takes {name}, got {value!r}")
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(f"{self.flag} must be one of {tuple(self.choices)}, got {value!r}")
+        if self.rule is not None and not self.rule[0](value):
+            raise ConfigError(f"{self.flag} {self.rule[1]}, got {value!r}")
+
+
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is of ``kind``, a type or a ``tuple[...]`` of types, as a
+    parser returns it: an int passes for a float, and a bool for no kind."""
+    if isinstance(kind, type):
+        return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float
+                                                           else kind)
+    return (isinstance(value, tuple) and len(value) == len(kind.__args__)
+            and all(map(_is_a, value, kind.__args__)))
 
 
 def _option(flag: str, default: Any, parse: Callable[[str], Any] = str, **spec) -> Any:

@@ -20,6 +20,8 @@ Conventions, fixed once for the whole library:
   series: the package never imports ``numpy.polynomial``.
 * Exclusion bands remove neighbourhoods of singular radii (null circles,
   coefficient singularities) from every grid.
+* A radial profile (``RadialFunction``) carries its closed-form derivatives, as a
+  field (``ComplexField``) carries its jet: nothing here differences a profile.
 * Fields, radial profiles and quadrature integrands evaluate elementwise:
   they take ndarrays of nodes as well as Python scalars, so a grid sweep is
   one call.
@@ -38,7 +40,6 @@ __all__ = [
     "ComplexField",
     "RadialFunction",
     "AnnulusGrid",
-    "radial_derivative",
     "integrate_annulus",
     "integrate_circle",
     "CumulativeIntegral",
@@ -105,49 +106,32 @@ class ComplexField(NamedTuple):
 
 
 class RadialFunction(NamedTuple):
-    """A real function of the radius with optional closed-form derivatives.
+    """A real function of the radius and its closed-form derivatives.
 
-    ``f`` and the derivatives are elementwise in ``r``: they take an ndarray
-    of radii as well as a Python scalar, and may return a scalar only when
-    constant, which callers broadcast.
+    ``df`` is required, so a profile without one fails where it is built; ``d2f``
+    is needed only where the second derivative is read (the ODE coefficients and
+    residuals). ``f`` and the derivatives are elementwise in ``r``: they take an
+    ndarray of radii as well as a Python scalar, and may return a scalar only
+    when constant, which callers broadcast.
     """
 
     f: Callable
-    df: Optional[Callable] = None
+    df: Callable
     d2f: Optional[Callable] = None
 
     def __call__(self, r):
         return self.f(r)
 
     def deriv(self, r, order: int = 1):
-        if order == 1 and self.df is not None:
+        if order == 1:
             return self.df(r)
         if order == 2 and self.d2f is not None:
             return self.d2f(r)
-        return radial_derivative(self.f, r, order)
+        raise DomainError(f"radial profile has no closed-form derivative of order {order}")
 
     @staticmethod
     def constant(value: float) -> "RadialFunction":
         return RadialFunction(lambda r: value, lambda r: 0.0, lambda r: 0.0)
-
-
-def radial_derivative(g: Callable, r, order: int = 1):
-    """First or second derivative of ``g`` at radii ``r > 0`` by Richardson-
-    extrapolated central differences on the real arms (elementwise when ``g`` is)."""
-    if np.any(r <= 0.0):
-        raise DomainError(f"radial derivative requested at non-positive radius {r}")
-    if order not in (1, 2):
-        raise DomainError(f"derivative order must be 1 or 2, got {order}")
-
-    h = (1e-5 if order == 1 else 1e-4) * np.maximum(1.0, abs(r))
-    h = np.minimum(h, 0.49 * r)  # keep the full stencil at positive radii
-    values = [g(r + arm.real * h) for arm in _ARMS[:4]]
-    if order == 1:
-        return _richardson(values, h)[0]
-    twice_centre = 2.0 * g(r)
-    coarse = (values[0] - twice_centre + values[1]) / h**2
-    fine = (values[2] - twice_centre + values[3]) / (0.5 * h) ** 2
-    return (4.0 * fine - coarse) / 3.0
 
 
 class CumulativeIntegral:

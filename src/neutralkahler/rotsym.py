@@ -39,7 +39,7 @@ into ``B2`` (or the homogeneous multiple, for reduction of order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "stationary_family",
     "degenerate_family",
     "ode_residuals",
-    "sphere_shorthand_params",
 ]
 
 #: threshold on |1 + R u'| below which the ODE coefficients are singular
@@ -79,16 +78,6 @@ class FamilyParams(NamedTuple):
     b1: float = 0.0
     a2: float = 1.0
     b2: float = 0.0
-
-
-def sphere_shorthand_params(b2: float, c2: float) -> FamilyParams:
-    """Convert the round-sphere torus constants ``(B2, C2)``.
-
-    On the sphere the closed family is usually written with the factor
-    ``(1 + R^2)^2`` instead of ``e^{-2u} = (1 + R^2)^2 / 4``; absorbing
-    the 4 gives ``a2 = C2 - 2 B2`` and ``b2 = 4 B2``.
-    """
-    return FamilyParams(a1=0.0, b1=0.0, a2=c2 - 2.0 * b2, b2=4.0 * b2)
 
 
 class OdeCoefficients(NamedTuple):
@@ -116,10 +105,6 @@ def _even_quartic(c0: float, c1: float, c2: float) -> RadialFunction:
     )
 
 
-def _as_radial(h: Union[RadialFunction, Callable]) -> RadialFunction:
-    return h if isinstance(h, RadialFunction) else RadialFunction(h)
-
-
 def _require_nonsingular(d, r) -> None:
     """Raise at the first radius (row-major) where ``d = 1 + R u'`` vanishes."""
     singular = np.abs(d) <= COEFF_SINGULAR_ATOL
@@ -128,14 +113,11 @@ def _require_nonsingular(d, r) -> None:
         raise SingularCoefficientError(f"1 + R u'(R) = {d0:.3e} at R = {r0}")
 
 
-def ode_coefficients(
-    geom: ConformalGeometry, H: Union[RadialFunction, Callable], r
-) -> OdeCoefficients:
+def ode_coefficients(geom: ConformalGeometry, H: RadialFunction, r) -> OdeCoefficients:
     """Evaluate the coefficient functions of both stationarity ODEs,
     elementwise in the radii ``r``."""
     if np.any(r <= 0.0):
         raise DomainError(f"radius must be positive, got {r}")
-    H = _as_radial(H)
     ud = geom.radial_du(r)
     udd = geom.radial_ddu(r)
     d = 1.0 + r * ud
@@ -167,7 +149,7 @@ def ode_coefficients(
 
 def reduction_of_order(
     p: Callable,
-    psi1: Union[RadialFunction, Callable],
+    psi1: RadialFunction,
     r_range: tuple[float, float],
     n_quad: int = 256,
 ) -> RadialFunction:
@@ -183,7 +165,6 @@ def reduction_of_order(
     equals ``e^{-P}`` identically. ``p`` and ``psi1`` are elementwise.
     """
     a, b = r_range
-    psi1 = _as_radial(psi1)
     samples = np.linspace(a, b, 101)
     vals = np.broadcast_to(psi1(samples), samples.shape)
     scale = max(1.0, float(np.max(np.abs(vals))))
@@ -224,7 +205,7 @@ def _source_J(geom: ConformalGeometry, H: RadialFunction) -> Callable:
 
 def psi_closed_form(
     geom: ConformalGeometry,
-    H: Union[RadialFunction, Callable],
+    H: RadialFunction,
     a2: float,
     b2: float,
     r_range: tuple[float, float],
@@ -235,7 +216,6 @@ def psi_closed_form(
     left end of ``r_range``: the constant this leaves is a shift of ``b2``, so
     compare with closed forms modulo that shift. ``Psi'`` and ``Psi''`` are
     assembled from the analytic pieces, exact functions of the integral."""
-    H = _as_radial(H)
     a, b = r_range
     J = _source_J(geom, H)
     # probe the path, ends included, so singular geometry fails at construction
@@ -372,15 +352,20 @@ def _closed_family_profiles(
 def _trim_domain(
     geom: ConformalGeometry, psi: RadialFunction, r_range: tuple[float, float]
 ) -> tuple[float, float]:
-    """Largest subinterval of ``r_range`` with ``Psi >= 0`` and ``1 + R u' != 0``."""
+    """Largest subinterval of ``r_range`` with ``Psi >= 0`` and ``1 + R u' != 0``:
+    a run of admissible nodes ends at a node where ``1 + R u'`` nearly vanishes
+    and between two nodes where it changes sign, so no run crosses its zero."""
     lo, hi = r_range
     if not 0.0 < lo < hi:
         raise DomainError(f"invalid requested range {r_range}")
     rs = np.linspace(lo, hi, 2001)
-    ok = (psi(rs) >= 0.0) & (abs(1.0 + rs * geom.radial_du(rs)) > COEFF_SINGULAR_ATOL)
-    # runs of admissible nodes are [starts[i], stops[i]); take the first longest
-    flips = np.flatnonzero(np.diff(np.concatenate([[False], ok, [False]])))
-    starts, stops = flips[::2], flips[1::2]
+    d = 1.0 + rs * geom.radial_du(rs)
+    ok = (psi(rs) >= 0.0) & (abs(d) > COEFF_SINGULAR_ATOL)
+    # a run goes on from a node to the next where both are admissible and 1 + R u'
+    # keeps its sign; runs are [starts[k], stops[k]), and the first longest is taken
+    goes_on = ok[:-1] & ok[1:] & (np.signbit(d[:-1]) == np.signbit(d[1:]))
+    starts = np.flatnonzero(ok & ~np.concatenate([[False], goes_on]))
+    stops = np.flatnonzero(ok & ~np.concatenate([goes_on, [False]])) + 1
     if starts.size == 0 or np.max(stops - starts) < 2:
         raise EmptyDomainError(f"no admissible subinterval of {r_range}")
     best = np.argmax(stops - starts)
@@ -398,7 +383,7 @@ def stationary_family(
     The declared domain is the largest subinterval of ``r_range`` on which
     ``Psi >= 0`` and the coefficient factor ``1 + R u'`` does not vanish
     (on the round sphere that factor has a zero at ``R = 1``, splitting
-    every requested range).
+    every requested range that contains it).
     """
     geom.require_radial()
     if params.a2 == 0.0:
@@ -412,7 +397,7 @@ def stationary_family(
 
 def degenerate_family(
     geom: ConformalGeometry,
-    H: Union[RadialFunction, Callable],
+    H: RadialFunction,
     b2: float,
     branch: int = 1,
     r_range: tuple[float, float] = (0.1, 10.0),
@@ -420,10 +405,9 @@ def degenerate_family(
     """Graphs with everywhere-degenerate induced metric, one per profile ``H``.
 
     ``Psi = e^{-2u} (b2 + int (R H' - H)^2 e^{2u} / (2 R (1 + R u')))``;
-    the slope determinant then cancels identically, for any differentiable
-    ``H``. The integral is a 512-cell cumulative quadrature.
+    the slope determinant then cancels identically, for any profile ``H``
+    with its closed-form ``H'``. The integral is a 512-cell cumulative quadrature.
     """
-    H = _as_radial(H)
     psi = psi_closed_form(geom, H, 0.0, b2, r_range, 512)
     domain = _trim_domain(geom, psi, r_range)
     return RotSymProfile(geometry=geom, H=H, psi=psi, branch=branch, domain=domain)
@@ -453,8 +437,8 @@ def comfortable_range(profile: RotSymProfile) -> tuple[float, float]:
 
 def ode_residuals(
     geom: ConformalGeometry,
-    H: Union[RadialFunction, Callable],
-    psi: Union[RadialFunction, Callable],
+    H: RadialFunction,
+    psi: RadialFunction,
     r,
 ) -> tuple:
     """Residuals of both stationarity ODEs for given profiles, elementwise
@@ -463,7 +447,6 @@ def ode_residuals(
     The second residual is ``nan`` where its coefficients are undefined
     (``R H' - H = 0``).
     """
-    psi = _as_radial(psi)
     co = ode_coefficients(geom, H, r)
     val = psi(r)
     dval = psi.deriv(r, 1)

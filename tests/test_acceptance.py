@@ -310,7 +310,13 @@ def test_criterion_6_ode_machinery():
         geom = geometry_by_name(geometry)
         a1, b1, a2, b2 = 0.3, 0.8, 1.1, 0.6
         em2u = lambda r: np.exp(-2.0 * geom.radial_u(r))
-        H = RadialFunction(lambda r: a1 * r + b1 * em2u(r) / r)
+        # H = a1 R + b1 e^{-2u} / R, H' and H'' by the product rule on e^{-2u}
+        dem2u = lambda r: -2.0 * geom.radial_du(r) * em2u(r)
+        d2em2u = lambda r: (4.0 * geom.radial_du(r) ** 2 - 2.0 * geom.radial_ddu(r)) * em2u(r)
+        H = RadialFunction(lambda r: a1 * r + b1 * em2u(r) / r,
+                           lambda r: a1 + b1 * (dem2u(r) / r - em2u(r) / r**2),
+                           lambda r: b1 * (d2em2u(r) / r - 2.0 * dem2u(r) / r**2
+                                           + 2.0 * em2u(r) / r**3))
         psi = psi_closed_form(geom, H, a2, b2, r_range, n_quad=1024)
         shift = -b1 * b1 * em2u(r_range[0]) / r_range[0] ** 2
         for r in np.linspace(r_range[0], r_range[1], 33):

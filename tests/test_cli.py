@@ -299,13 +299,24 @@ class TestOptionTable:
     @pytest.mark.parametrize("field, value, flag", [
         ("seed", None, "--seed"), ("samples", None, "--samples"), ("suite", None, "--suite"),
         ("exclude", None, "--exclude"), ("tol", None, "--tol"), ("rmin", None, "--rmin"),
-        ("samples", "5", "--samples"), ("grid", 16, "--grid"),
+        ("samples", "5", "--samples"), ("grid", 16, "--grid"), ("seed", 1.5, "--seed"),
+        ("rmin", "0.3", "--rmin"),
     ])
     def test_none_or_a_wrong_type_is_a_config_error(self, field, value, flag):
         # None stands only where it is the default; a value the rule cannot test is bad too
         RunConfig(task="verify", geometry=None, out=None)
         with pytest.raises(ConfigError, match=flag):
             RunConfig(task="verify", **{field: value})
+
+    def test_an_option_without_a_rule_is_type_checked_too(self):
+        # a value is held to the type that its option's parser returns
+        with pytest.raises(ConfigError, match="--A2 takes float, got '1'"):
+            RunConfig(task="area", a2="1", grid=(4, 4))
+
+    def test_an_int_passes_for_a_float(self, outdir):
+        _, by_int = run(RunConfig(task="area", a2=1, rmin=1, grid=(4, 4), report="a.json"))
+        _, by_float = run(RunConfig(task="area", a2=1.0, rmin=1.0, grid=(4, 4), report="a.json"))
+        assert (by_int["checks"], by_int["values"]) == (by_float["checks"], by_float["values"])
 
     @pytest.mark.parametrize("task, field, value, flag", [
         ("area", "samples", 5, "--samples"), ("export", "suite", "graphs", "--suite"),

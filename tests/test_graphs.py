@@ -150,6 +150,7 @@ class TestInducedMetric:
         w = sphere.conformal_factor(xi)
         assert im.matrix[0, 0] == pytest.approx(1j * sl.sigma * w)
         assert im.matrix[0, 1] == pytest.approx(-sl.lam * w)
+        assert im.matrix[1, 0] == pytest.approx(-sl.lam * w)
         assert im.matrix[1, 1] == pytest.approx(-1j * sl.sigma.conjugate() * w)
         assert im.determinant == pytest.approx(sl.det_factor * w * w, rel=1e-10)
 

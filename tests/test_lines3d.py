@@ -211,7 +211,8 @@ class TestExport:
         from neutralkahler.ambient import radial_geometry
 
         torus = torus_section(TorusFamily(1.0, 5.0))
-        bump = radial_geometry("sphere-bump", RadialFunction(lambda r: 0.3 * np.exp(-r * r)))
+        bump = radial_geometry("sphere-bump", RadialFunction(lambda r: 0.3 * np.exp(-r * r),
+                                                             lambda r: -0.6 * r * np.exp(-r * r)))
         with pytest.raises(DomainError, match="'sphere-bump'"):
             export_congruence(GraphSection(torus.F, bump), self.grid16(), 1.0, "obj",
                               tmp_path / "bump.obj")

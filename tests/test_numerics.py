@@ -1,4 +1,4 @@
-"""Wirtinger calculus, radial derivatives and annulus quadrature."""
+"""Wirtinger calculus, radial profiles and annulus quadrature."""
 
 import math
 
@@ -18,7 +18,6 @@ from neutralkahler.numerics import (
     _plane_partials,
     integrate_annulus,
     integrate_circle,
-    radial_derivative,
 )
 
 
@@ -120,32 +119,41 @@ class TestWirtinger:
 
 
 class TestRadialDerivative:
+    """A radial profile is its closed-form derivatives: ``deriv`` reads them and
+    differences nothing."""
+
     def test_square(self):
-        assert radial_derivative(lambda r: r * r, 3.0, 1) == pytest.approx(6.0, abs=1e-9)
+        assert RadialFunction(lambda r: r * r, lambda r: 2.0 * r).deriv(3.0, 1) == 6.0
 
     def test_log_second_derivative(self):
-        assert radial_derivative(math.log, 2.0, 2) == pytest.approx(-0.25, abs=1e-7)
+        log = RadialFunction(np.log, lambda r: 1.0 / r, lambda r: -1.0 / (r * r))
+        assert log.deriv(2.0, 2) == -0.25
 
     def test_constant(self):
-        assert radial_derivative(lambda r: 4.2, 1.3, 1) == pytest.approx(0.0, abs=1e-12)
-
-    def test_nonpositive_radius_rejected(self):
-        with pytest.raises(DomainError):
-            radial_derivative(lambda r: r, 0.0, 1)
-        with pytest.raises(DomainError):
-            radial_derivative(lambda r: r, -1.0, 2)
+        assert RadialFunction.constant(4.2).deriv(1.3, 1) == 0.0
+        assert RadialFunction.constant(4.2).deriv(1.3, 2) == 0.0
 
     def test_third_order_rejected(self):
-        with pytest.raises(DomainError, match="order must be 1 or 2, got 3"):
-            radial_derivative(lambda r: r**3, 1.0, 3)
+        cube = RadialFunction(lambda r: r**3, lambda r: 3.0 * r * r, lambda r: 6.0 * r)
+        with pytest.raises(DomainError, match="derivative of order 3$"):
+            cube.deriv(1.0, 3)
 
-    def test_closed_form_takes_priority(self):
-        assert RadialFunction(lambda r: r * r, lambda r: -1.0).deriv(3.0, 1) == -1.0
+    def test_deriv_reads_the_closed_forms(self):
+        # even a wrong closed form is returned as given: nothing checks it against f here
+        rf = RadialFunction(lambda r: r * r, lambda r: -1.0, lambda r: 7.0)
+        assert rf.deriv(3.0, 1) == -1.0 and rf.deriv(3.0) == -1.0
+        assert rf.deriv(3.0, 2) == 7.0
+        rs = np.array([0.5, 1.0, 2.0])
+        np.testing.assert_array_equal(RadialFunction(np.sin, np.cos).deriv(rs, 1), np.cos(rs))
 
-    def test_radial_function_fallback(self):
-        rf = RadialFunction(lambda r: r**3)
-        assert rf.deriv(2.0, 1) == pytest.approx(12.0, abs=1e-6)
-        assert rf.deriv(2.0, 2) == pytest.approx(12.0, abs=1e-4)
+    def test_no_fallback_without_closed_forms(self):
+        # a profile without f' fails where it is built, one without f'' where f'' is read
+        with pytest.raises(TypeError, match="df"):
+            RadialFunction(lambda r: r**3)
+        rf = RadialFunction(lambda r: r**3, lambda r: 3.0 * r * r)
+        assert rf.d2f is None and rf.deriv(2.0, 1) == 12.0
+        with pytest.raises(DomainError, match="derivative of order 2$"):
+            rf.deriv(2.0, 2)
 
 
 class TestAnnulusGrid:

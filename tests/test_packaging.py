@@ -3,7 +3,8 @@ the CLI loads no scipy, configparser, argparse, json, numpy.polynomial or cmath,
 the only dataclasses are the classes that validate on construction, every
 exported name resolves, the geometries are named in one table, only ``numerics``
 spells the step of the plane's one finite-difference stencil and formats the
-numbers of the CSV/OBJ artifacts, and only the pullback oracle calls that stencil."""
+numbers of the CSV/OBJ artifacts, only the pullback oracle calls that stencil, and
+the one difference rule has only the users the README lists."""
 
 import ast
 import dataclasses
@@ -177,22 +178,42 @@ def test_only_numerics_spells_the_plane_step():
         "numerics.py"]
 
 
-def test_only_the_pullback_reads_the_plane_stencil():
-    # a field is its closed-form jet: the one code that differences F is the pullback
-    # oracle, so no finite-difference jet can come back through numerics._plane_partials
+def readers_of(name: str) -> list[str]:
+    """The definitions (``module.function``, nested ones dotted, ``<lambda>`` for a
+    lambda) in ``src`` whose code reads ``name``, once per reading, in source order."""
     readers = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
             where = f"{where}.{getattr(node, 'name', '<lambda>')}"
-        elif "_plane_partials" in (getattr(node, "id", None), getattr(node, "attr", None)):
+        elif name in (getattr(node, "id", None), getattr(node, "attr", None)):
             readers.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem)
-    assert readers == ["graphs.pullback_determinant"]
+    return readers
+
+
+def test_only_the_pullback_reads_the_plane_stencil():
+    # a field is its closed-form jet: the one code that differences F is the pullback
+    # oracle, so no finite-difference jet can come back through numerics._plane_partials
+    assert readers_of("_plane_partials") == ["graphs.pullback_determinant"]
+
+
+def test_the_difference_rule_has_only_its_listed_users():
+    # a radial profile is its closed-form derivatives: the one difference rule serves the
+    # plane's stencil, el_residual's stencil (p, then q), the variation sweep in t and the
+    # d(Omega), d(Theta) check of the ambient suite (README, "Conventions"), and no
+    # radial difference
+    assert readers_of("_richardson") == [
+        "cli._suite_ambient",
+        "graphs._residual_block",
+        "graphs._residual_block",
+        "graphs.first_variations.variation",
+        "numerics._plane_partials",
+    ]
 
 
 def test_every_run_config_field_but_the_task_is_one_options_field():

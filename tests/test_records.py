@@ -20,7 +20,7 @@ RECORDS = [
     (SlopeData, ("sigma", "rho"), {}),
     (InducedMetric, ("matrix", "determinant", "classification"), {}),
     (ComplexField, ("evaluator", "jet"), {}),
-    (RadialFunction, ("f", "df", "d2f"), {"df": None, "d2f": None}),
+    (RadialFunction, ("f", "df", "d2f"), {"d2f": None}),
     (FamilyParams, ("a1", "b1", "a2", "b2"), {"a1": 0.0, "b1": 0.0, "a2": 1.0, "b2": 0.0}),
     (OdeCoefficients, ("p1", "q1", "L1", "p2", "q2", "L2"), {}),
     (_Option, ("flag", "parse", "tasks", "choices", "rule", "help", "repeat", "field", "default"),

@@ -10,12 +10,12 @@ from neutralkahler import (
     FamilyParams,
     degenerate_family,
     el_residual,
+    numerics,
     ode_coefficients,
     ode_residuals,
     psi_closed_form,
     reduction_of_order,
     slopes,
-    sphere_shorthand_params,
     stationary_family,
 )
 from neutralkahler.errors import (
@@ -24,16 +24,30 @@ from neutralkahler.errors import (
     EmptyDomainError,
     SingularCoefficientError,
 )
-from neutralkahler.numerics import (
-    CumulativeIntegral,
-    RadialFunction,
-    _plane_partials,
-    radial_derivative,
-)
+from neutralkahler.lines3d import TorusFamily
+from neutralkahler.numerics import CumulativeIntegral, RadialFunction, _plane_partials
 from neutralkahler.rotsym import RotSymProfile, comfortable_range
 from neutralkahler.sampling import geometry_by_name, random_radial_geometry, rng_from_seed
 
 H_LINEAR = RadialFunction(lambda r: r, lambda r: 1.0, lambda r: 0.0)
+
+
+def richardson_derivative(g, rs):
+    """``g'`` at the radii ``rs`` by the package's one difference rule,
+    ``numerics._richardson``, on its real arms, step ``1e-5 max(1, R)``."""
+    h = 1e-5 * np.maximum(1.0, rs)
+    return numerics._richardson([g(rs + arm.real * h) for arm in numerics._ARMS[:4]], h)[0]
+
+
+def closed_family_H(geom, a1, b1):
+    """``H = a1 R + b1 e^{-2u} / R`` with ``H'`` and ``H''`` by the product rule,
+    from ``v = e^{-2u}``, ``v' = -2 u' v`` and ``v'' = (4 u'^2 - 2 u'') v``."""
+    v = lambda r: np.exp(-2.0 * geom.radial_u(r))
+    dv = lambda r: -2.0 * geom.radial_du(r) * v(r)
+    d2v = lambda r: (4.0 * geom.radial_du(r) ** 2 - 2.0 * geom.radial_ddu(r)) * v(r)
+    return RadialFunction(lambda r: a1 * r + b1 * v(r) / r,
+                          lambda r: a1 + b1 * (dv(r) / r - v(r) / r**2),
+                          lambda r: b1 * (d2v(r) / r - 2.0 * dv(r) / r**2 + 2.0 * v(r) / r**3))
 
 
 def lstsq_fit(basis, target, rs):
@@ -104,9 +118,12 @@ class TestOdeResiduals:
             assert math.isnan(r2) or abs(r2) <= 1e-6
 
     def test_homogeneous_combination(self, sphere):
+        em2u = lambda r: np.exp(-2.0 * sphere.radial_u(r))
         psi = RadialFunction(
-            lambda r: 2.0 * r * r + 0.5 * np.exp(-2.0 * sphere.radial_u(r)),
-            lambda r: 4.0 * r - 0.5 * 2.0 * sphere.radial_du(r) * np.exp(-2.0 * sphere.radial_u(r)),
+            lambda r: 2.0 * r * r + 0.5 * em2u(r),
+            lambda r: 4.0 * r - 0.5 * 2.0 * sphere.radial_du(r) * em2u(r),
+            lambda r: 4.0 + 0.5 * (4.0 * sphere.radial_du(r) ** 2
+                                   - 2.0 * sphere.radial_ddu(r)) * em2u(r),
         )
         r1, _ = ode_residuals(sphere, H_LINEAR, psi, 0.6)
         assert abs(r1) <= 1e-6
@@ -196,7 +213,8 @@ class TestReductionOfOrder:
 
     def test_vanishing_psi1_rejected(self):
         with pytest.raises(DomainError):
-            reduction_of_order(lambda r: 0.0, RadialFunction(lambda r: r - 1.0), (0.5, 2.0))
+            reduction_of_order(lambda r: 0.0, RadialFunction(lambda r: r - 1.0, lambda r: 1.0),
+                               (0.5, 2.0))
 
 
 class TestPsiClosedForm:
@@ -207,7 +225,7 @@ class TestPsiClosedForm:
         a1, b1, a2, b2 = 0.3, 0.8, 1.1, 0.6
         r_range = (0.1, 0.9) if geometry == "sphere" else (0.1, 10.0)
         em2u = lambda r: np.exp(-2.0 * geom.radial_u(r))
-        H = RadialFunction(lambda r: a1 * r + b1 * em2u(r) / r)
+        H = closed_family_H(geom, a1, b1)
         psi = psi_closed_form(geom, H, a2, b2, r_range, n_quad=512)
         shift = -b1 * b1 * em2u(r_range[0]) / r_range[0] ** 2
         for r in np.linspace(r_range[0], r_range[1], 15):
@@ -234,7 +252,7 @@ class TestPsiClosedForm:
         r1, _ = ode_residuals(geom, H, psi, rs)
         assert np.max(np.abs(r1)) <= 1e-10
         d2 = psi.deriv(rs, 2)
-        fd = radial_derivative(lambda r: psi.deriv(r, 1), rs, 1)
+        fd = richardson_derivative(psi.df, rs)
         assert np.max(np.abs(d2 - fd) / np.maximum(np.abs(d2), 1.0)) <= 1e-9
 
     def test_quadratic_profile_integral(self, flat):
@@ -256,12 +274,16 @@ class TestStationaryFamily:
         assert sl.lam == pytest.approx(1.0)
 
     def test_sphere_shorthand_mapping(self, sphere):
-        # a2 = C2 - 2 B2, b2 = 4 B2 reproduces B2 + C2 R^2 + B2 R^4
-        params = sphere_shorthand_params(1.0, 0.0)
-        assert params.a2 == -2.0 and params.b2 == 4.0
-        profile = stationary_family(sphere, params, 1, (0.2, 0.9))
-        for r in (0.25, 0.5, 0.8):
-            assert profile.psi(r) == pytest.approx(1.0 + r**4, rel=1e-12)
+        # a2 = C2 - 2 B2, b2 = 4 B2 turns the family into the torus B2 + C2 R^2 + B2 R^4,
+        # since e^{-2u} = (1 + R^2)^2 / 4 on the sphere; B2 != 1 tells x 4 B2 from 4 / B2
+        for b2, c2 in ((2.0, 1.0), (0.5, 3.0)):
+            params = FamilyParams(0.0, 0.0, c2 - 2.0 * b2, 4.0 * b2)
+            psi = stationary_family(sphere, params, 1, (0.2, 0.9)).psi
+            torus = TorusFamily(b2, c2).psi()
+            for r in (0.25, 0.5, 0.8):
+                got = (psi(r), psi.deriv(r, 1), psi.deriv(r, 2))
+                assert got == pytest.approx((torus(r), torus.deriv(r, 1), torus.deriv(r, 2)),
+                                            rel=1e-12, abs=1e-12)
 
     def test_sphere_family_is_stationary(self, sphere):
         profile = stationary_family(sphere, FamilyParams(0.0, 1.0, 1.0, 1.0), 1, (0.05, 0.95))
@@ -294,6 +316,19 @@ class TestStationaryFamily:
         assert lo == pytest.approx(1.0, abs=2e-3)
         assert hi == pytest.approx(3.0)
 
+    def test_domain_stops_at_a_sign_change_of_one_plus_r_du(self, sphere):
+        # 1 + R u' vanishes at R = 1 on the sphere, where no node of this scan lands:
+        # the range splits there, and the longer run, the second, is the domain
+        profile = stationary_family(sphere, FamilyParams(0.4, 0.3, 1.0, 0.5), 1, (0.5, 2.0))
+        lo, hi = profile.domain
+        assert 1.0 < lo < 1.001 and hi == 2.0
+
+    def test_first_longest_run_is_the_domain(self, sphere):
+        # runs (0.3, 1) and (1, 1.5): the longer is the first
+        profile = stationary_family(sphere, FamilyParams(0.4, 0.3, 1.0, 0.5), 1, (0.3, 1.5))
+        lo, hi = profile.domain
+        assert lo == 0.3 and 0.999 < hi < 1.0
+
     def test_rescaling_preserves_classification(self, flat):
         # psi = 2 - 1.2 R^2 keeps both domains at (0.4, sqrt(5/3))
         base = stationary_family(flat, FamilyParams(0.0, 0.0, -1.2, 2.0), 1, (0.4, 2.0))
@@ -314,18 +349,17 @@ class TestStationaryFamily:
 
     def test_analytic_derivatives_match_fd(self, sphere):
         # the hand-assembled H', H'', psi', psi'' closed forms
+        # against the one difference rule: f' with the difference of f, f'' with that of f'
         profile = stationary_family(sphere, FamilyParams(0.4, -0.3, 0.9, 1.4), 1, (0.3, 0.95))
         lo, hi = profile.domain
-        from neutralkahler.numerics import radial_derivative
-
         for r in np.linspace(lo + 0.05, hi - 0.05, 5):
             r = float(r)
             for fn in (profile.H, profile.psi):
                 assert fn.deriv(r, 1) == pytest.approx(
-                    radial_derivative(fn.f, r, 1), rel=1e-6, abs=1e-8
+                    richardson_derivative(fn.f, r), rel=1e-6, abs=1e-8
                 )
                 assert fn.deriv(r, 2) == pytest.approx(
-                    radial_derivative(fn.f, r, 2), rel=1e-5, abs=1e-5
+                    richardson_derivative(fn.df, r), rel=1e-5, abs=1e-5
                 )
 
     def test_section_matches_closed_forms(self, sphere):
@@ -428,7 +462,8 @@ class TestComfortableRange:
 
     @staticmethod
     def peaked(flat, width):
-        psi = RadialFunction(lambda r: np.exp(-(((r - 1.0) / width) ** 2)))
+        bell = lambda r: np.exp(-(((r - 1.0) / width) ** 2))
+        psi = RadialFunction(bell, lambda r: -2.0 * (r - 1.0) / width**2 * bell(r))
         return RotSymProfile(flat, RadialFunction.constant(0.0), psi, 1, (0.5, 1.5))
 
     @pytest.mark.parametrize("width", [0.01, 0.049])
@@ -449,7 +484,7 @@ class TestProfileValidation:
     @pytest.mark.parametrize("domain", [(1.5, 0.5), (0.0, 1.0), (0.5, 0.5)])
     def test_invalid_domain_rejected(self, flat, domain):
         with pytest.raises(DomainError, match="invalid radial domain"):
-            RotSymProfile(flat, RadialFunction.constant(0.0), RadialFunction(lambda r: 1.0), 1,
+            RotSymProfile(flat, RadialFunction.constant(0.0), RadialFunction.constant(1.0), 1,
                           domain)
 
     def test_negative_psi_rejected(self, flat):
@@ -457,7 +492,7 @@ class TestProfileValidation:
             RotSymProfile(
                 geometry=flat,
                 H=RadialFunction.constant(0.0),
-                psi=RadialFunction(lambda r: -1.0),
+                psi=RadialFunction.constant(-1.0),
                 branch=1,
                 domain=(0.5, 1.5),
             )
@@ -467,7 +502,7 @@ class TestProfileValidation:
             RotSymProfile(
                 geometry=flat,
                 H=RadialFunction.constant(0.0),
-                psi=RadialFunction(lambda r: 1.0),
+                psi=RadialFunction.constant(1.0),
                 branch=2,
                 domain=(0.5, 1.5),
             )
