@@ -11,6 +11,12 @@ stacks of real 4x4 matrices, shape ``(..., 4, 4)`` over an array of points
 * ``O4[a, b] = Omega(e_a, e_b)`` is the symplectic form,
 * ``G4[a, b] = G(e_a, e_b)`` is the neutral metric, ``G = Omega(J ., .)``.
 
+An ``AmbientFrame`` is the pair ``(G4, O4)``; ``ambient_frame`` writes both
+into one read-only ``(2, ..., 4, 4)`` buffer, of which they are the two
+contiguous halves. ``calibration_gap`` reads the pair of one point as one
+``(2, 4, 4)`` operand (a copy, so any frame will do) and forms both Gram
+matrices of a plane in one stacked product.
+
 The normalisation is pinned by the primitive 1-form
 
     Theta = eta e^{2u} d(xibar) + etabar e^{2u} d(xi),
@@ -176,10 +182,10 @@ class TangentPoint:
     eta: complex
 
     def __post_init__(self):
-        # a count of the finite entries, not .all(), which costs twice as much on
-        # numpy's boolean scalar; no sum or product of coordinates, which could overflow
-        finite = np.isfinite(self.xi) & np.isfinite(self.eta)
-        if np.count_nonzero(finite) != finite.size:
+        # a zero byte marks a non-finite entry (the search costs half of np.count_nonzero
+        # and a third of .all() on numpy's boolean scalar); no sum or product of
+        # coordinates, which could overflow or warn on inf * 0
+        if 0 in (np.isfinite(self.xi) & np.isfinite(self.eta)).tobytes():
             raise DomainError(f"non-finite tangent point ({self.xi}, {self.eta})")
 
     @property
@@ -190,10 +196,13 @@ class TangentPoint:
 
 
 class AmbientFrame(NamedTuple):
-    """G and Omega as real 4x4 matrices, stacked ``(..., 4, 4)`` over an array of
-    points; J is the same at every point, the class attribute ``J4``
-    (:data:`J4_MATRIX`). ``metric`` and ``symplectic`` take one point's frame
-    and raise ``DomainError`` on a stack."""
+    """The pair (G, Omega) as real 4x4 matrices, stacked ``(..., 4, 4)`` over an
+    array of points; J is the same at every point, the class attribute ``J4``
+    (:data:`J4_MATRIX`). ``ambient_frame`` makes ``G4`` and ``O4`` the two
+    halves of one ``(2, ..., 4, 4)`` buffer, but any two matrices make a frame:
+    ``calibration_gap`` copies one point's pair into one ``(2, 4, 4)`` array
+    and reads nothing else of it. ``metric`` and ``symplectic`` take one
+    point's frame and raise ``DomainError`` on a stack."""
 
     G4: np.ndarray
     O4: np.ndarray
@@ -231,16 +240,19 @@ def ambient_frame(geom: ConformalGeometry, p: TangentPoint) -> AmbientFrame:
             f"derivative of e^(2u) unavailable at xi={p.xi}: {exc}"
         ) from exc
     m = -4.0 * (p.eta * dw).imag
-    # slice assignment, not np.stack, which costs more than a whole frame at one
-    # point; G4 and O4 share one buffer, made read-only once
-    GO = np.zeros((2,) + p.shape + (4, 4))
-    GO[0, ..., 0, 0] = GO[0, ..., 1, 1] = GO[1, ..., 1, 0] = m
-    GO[1, ..., 0, 1] = -m
-    GO[0, ..., 1, 2] = GO[0, ..., 2, 1] = GO[1, ..., 2, 0] = GO[1, ..., 3, 1] = two_w
-    GO[0, ..., 0, 3] = GO[0, ..., 3, 0] = GO[1, ..., 0, 2] = GO[1, ..., 1, 3] = -two_w
-    GO.flags.writeable = False
-    G4, O4 = GO[0], GO[1]
-    return AmbientFrame(G4=G4, O4=O4)
+    # stores, not np.stack, which costs more than a whole frame at one point; G4 and
+    # O4 share one buffer, made read-only once. The stores go through a view with the
+    # point axes last: a value broadcasts over them, and an index without an
+    # Ellipsis saves more than the transpose costs
+    shape = p.shape
+    GO = np.zeros((2,) + shape + (4, 4))
+    E = GO.transpose((0, len(shape) + 1, len(shape) + 2, *range(1, len(shape) + 1)))
+    E[0, 0, 0] = E[0, 1, 1] = E[1, 1, 0] = m
+    E[1, 0, 1] = -m
+    E[0, 1, 2] = E[0, 2, 1] = E[1, 2, 0] = E[1, 3, 1] = two_w
+    E[0, 0, 3] = E[0, 3, 0] = E[1, 0, 2] = E[1, 1, 3] = -two_w
+    GO.setflags(write=False)
+    return AmbientFrame(GO[0], GO[1])
 
 
 def _plane_extent(V: np.ndarray) -> tuple[float, float]:
@@ -255,19 +267,23 @@ def _plane_extent(V: np.ndarray) -> tuple[float, float]:
     would square it). Raises ``DomainError`` on a non-finite entry.
     """
     entries = V.ravel().tolist()
+    big = max(map(abs, entries))
+    if big > 0.0:
+        a0, a1, a2, a3, b0, b1, b2, b3 = [x / big for x in entries]
+        n11 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+        n22 = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
+        n12 = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+        s_max = math.sqrt(0.5 * (n11 + n22) + math.hypot(0.5 * (n11 - n22), n12))
+        # finite entries scale into [-1, 1], so s_max is a number; an inf or nan
+        # entry makes big or a scaled entry nan, and nan runs through to s_max
+        if not math.isnan(s_max):
+            wedge = math.hypot(a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+                               a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+            return s_max * big, wedge / s_max * big
+    # here every entry is zero, or one is not finite (max skips a nan after the first entry)
     if not all(map(math.isfinite, entries)):
         raise DomainError(f"non-finite plane vectors {V[0]}, {V[1]}")
-    big = max(map(abs, entries))
-    if big == 0.0:
-        return 0.0, 0.0
-    a0, a1, a2, a3, b0, b1, b2, b3 = [x / big for x in entries]
-    n11 = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
-    n22 = b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3
-    n12 = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
-    s_max = math.sqrt(0.5 * (n11 + n22) + math.hypot(0.5 * (n11 - n22), n12))
-    wedge = math.hypot(a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
-                       a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
-    return s_max * big, wedge / s_max * big
+    return 0.0, 0.0
 
 
 def _require_one_point(frame: AmbientFrame, caller: str) -> None:
@@ -284,6 +300,13 @@ def calibration_gap(frame: AmbientFrame, v1: np.ndarray, v2: np.ndarray) -> floa
     symplectic area a calibration of the metric area. Raises
     ``DegeneratePlaneError`` unless ``s_min > 1e-12 s_max`` (see
     ``_plane_extent``) and ``DomainError`` on a non-finite entry.
+
+    With ``V`` the 2x4 matrix of rows ``v1, v2``, both Gram matrices come from
+    one stacked product ``V @ (G4, O4) @ V.T``: the metric's is its first
+    2x2 block and ``Omega(v1, v2)`` the upper corner of the second. Each entry
+    is the same sum, in the same order, as in ``V @ G4 @ V.T`` and
+    ``v1 @ O4 @ v2``, so the gap has the same bits. The pair is copied into
+    one ``(2, 4, 4)`` array, whatever buffers the frame's matrices live in.
     """
     _require_one_point(frame, "calibration_gap")
     V = np.array([v1, v2], dtype=float)
@@ -292,8 +315,7 @@ def calibration_gap(frame: AmbientFrame, v1: np.ndarray, v2: np.ndarray) -> floa
     s_max, s_min = _plane_extent(V)
     if not (s_min > 1e-12 * s_max):
         raise DegeneratePlaneError("v1, v2 do not span a plane")
-    (g11, g12), (_, g22) = (V @ frame.G4 @ V.T).tolist()
-    om = (V[0] @ frame.O4 @ V[1]).item()
+    ((g11, g12), (_, g22)), ((_, om), _) = (V @ np.array(frame) @ V.T).tolist()
     return om * om - (g11 * g22 - g12 * g12)
 
 
@@ -305,10 +327,12 @@ def ambient_signature(frame: AmbientFrame) -> tuple[int, int]:
     metric entry (``eigvalsh`` reads one triangle and would not see it).
     """
     _require_one_point(frame, "ambient_signature")
-    if not all(map(math.isfinite, frame.G4.ravel().tolist())):
-        raise DomainError(f"non-finite metric {frame.G4.tolist()}")
-    eigs = np.linalg.eigvalsh(frame.G4).tolist()
-    floor = SIGNATURE_RTOL * max(max(map(abs, eigs)), 1e-300)
+    G4 = frame.G4
+    if not all(map(math.isfinite, G4.ravel().tolist())):
+        raise DomainError(f"non-finite metric {G4.tolist()}")
+    eigs = np.linalg.eigvalsh(G4).tolist()
+    # eigvalsh sorts the eigenvalues in ascending order, so the largest in size is an end one
+    floor = SIGNATURE_RTOL * max(-eigs[0], eigs[-1], 1e-300)
     pos = 0
     for lam in eigs:
         if abs(lam) < floor:
@@ -323,5 +347,5 @@ def theta_form(geom: ConformalGeometry, p: TangentPoint) -> ThetaForm:
     comp = np.zeros(p.shape + (4,))
     comp[..., 0] = two_w * p.eta.real
     comp[..., 1] = two_w * p.eta.imag
-    comp.flags.writeable = False
-    return ThetaForm(components=comp)
+    comp.setflags(write=False)
+    return ThetaForm(comp)

@@ -490,31 +490,45 @@ class _Option(NamedTuple):
         except ValueError as exc:
             raise ConfigError(f"bad {self.flag} value '{text}': {exc}") from exc
 
-    def check(self, config: RunConfig) -> None:
-        """Raise ``ConfigError`` if the task of ``config`` does not take the
-        option but its value there is not the default; if the value is None
-        where the default is not; if the value is not of the type that ``read``
-        returns; or if it misses the choices or the rule."""
+    def check(self, config: RunConfig) -> Any:
+        """The value of the option in ``config``, each int where ``read`` returns
+        a float made a float (so a report echoes ``1.0`` for ``1``), or the
+        default where the task of ``config`` does not take the option. Raise
+        ``ConfigError`` if the task does not take it but its value there is
+        not the default; if the value is None where the default is not; if
+        the value is not of the type that ``read`` returns; or if it misses the
+        choices or the rule."""
         value = getattr(config, self.field)
         if self.tasks is not None and config.task not in self.tasks:
             if value != self.default:
                 raise ConfigError(f"task '{config.task}' does not take {self.flag}, got {value!r}")
-            return
+            return self.default
         if value is None:
             if self.default is not None:
                 raise ConfigError(f"{self.flag} needs a value, got None")
-            return
-        kind = self.parse if isinstance(self.parse, type) else get_type_hints(self.parse)["return"]
+            return value
+        kind = _returns(self.parse)
         items = value.items() if isinstance(value, dict) else value if self.repeat else (value,)
         if not (isinstance(value, self.repeat or object) and all(_is_a(v, kind) for v in items)):
             name = kind.__name__ if isinstance(kind, type) else str(kind)
             if self.repeat:
                 name = f"a {self.repeat.__name__} of {name}"
             raise ConfigError(f"{self.flag} takes {name}, got {value!r}")
+        value = (self.repeat(_as_kind(v, kind) for v in items) if self.repeat
+                 else _as_kind(value, kind))
         if self.choices is not None and value not in self.choices:
             raise ConfigError(f"{self.flag} must be one of {tuple(self.choices)}, got {value!r}")
         if self.rule is not None and not self.rule[0](value):
             raise ConfigError(f"{self.flag} {self.rule[1]}, got {value!r}")
+        return value
+
+
+@functools.lru_cache(maxsize=None)
+def _returns(parse: Callable[[str], Any]) -> Any:
+    """The type that ``parse`` returns: ``parse`` itself if it is a type, else its
+    return annotation, resolved at the first check of an option it parses
+    (``get_type_hints`` costs more than the rest of a check)."""
+    return parse if isinstance(parse, type) else get_type_hints(parse)["return"]
 
 
 def _is_a(value, kind) -> bool:
@@ -525,6 +539,14 @@ def _is_a(value, kind) -> bool:
                                                            else kind)
     return (isinstance(value, tuple) and len(value) == len(kind.__args__)
             and all(map(_is_a, value, kind.__args__)))
+
+
+def _as_kind(value, kind):
+    """``value``, of ``kind`` by ``_is_a``, as the parser would return it: each
+    int where ``kind`` has a float made a float."""
+    if isinstance(kind, type):
+        return float(value) if kind is float else value
+    return tuple(map(_as_kind, value, kind.__args__))
 
 
 def _option(flag: str, default: Any, parse: Callable[[str], Any] = str, **spec) -> Any:
@@ -603,7 +625,7 @@ class RunConfig:
         if self.task not in TASKS:
             raise ConfigError(f"unknown task '{self.task}'")
         for option in _OPTIONS:
-            option.check(self)
+            setattr(self, option.field, option.check(self))
         # the rules that join fields
         if self.geometry is None:
             self.geometry = "sphere" if self.c2 is not None else "flat"

@@ -69,6 +69,10 @@ __all__ = [
 COEFF_SINGULAR_ATOL = 1e-10
 #: threshold on |R H' - H| below which p2, q2 are undefined
 SOURCE_SINGULAR_ATOL = 1e-12
+#: |1 + R u'| that ``comfortable_range`` keeps from a domain edge on that factor's
+#: zero: on seeded round-sphere families the lattice residual there stays below
+#: 2e-7, and every edge of the sphere's draw range (0.15, 0.95) is above it (0.051)
+NULL_CIRCLE_STANDOFF = 0.02
 
 
 class FamilyParams(NamedTuple):
@@ -107,8 +111,9 @@ def _even_quartic(c0: float, c1: float, c2: float) -> RadialFunction:
 
 def _require_nonsingular(d, r) -> None:
     """Raise at the first radius (row-major) where ``d = 1 + R u'`` vanishes."""
-    singular = np.abs(d) <= COEFF_SINGULAR_ATOL
-    if np.any(singular):
+    # the builtin abs and a count: at one radius, np.abs and np.any cost ten times more
+    singular = abs(d) <= COEFF_SINGULAR_ATOL
+    if np.count_nonzero(singular):
         d0, r0 = np.asarray(d)[singular][0], np.asarray(r)[singular][0]
         raise SingularCoefficientError(f"1 + R u'(R) = {d0:.3e} at R = {r0}")
 
@@ -116,7 +121,7 @@ def _require_nonsingular(d, r) -> None:
 def ode_coefficients(geom: ConformalGeometry, H: RadialFunction, r) -> OdeCoefficients:
     """Evaluate the coefficient functions of both stationarity ODEs,
     elementwise in the radii ``r``."""
-    if np.any(r <= 0.0):
+    if np.count_nonzero(r <= 0.0):
         raise DomainError(f"radius must be positive, got {r}")
     ud = geom.radial_du(r)
     udd = geom.radial_ddu(r)
@@ -134,8 +139,7 @@ def ode_coefficients(geom: ConformalGeometry, H: RadialFunction, r) -> OdeCoeffi
     L1 = g / (r * r * d * d) * (r * r * d * hdd - (1.0 + 2.0 * r * ud + r * r * udd) * g)
     L2 = -2.0 * g * g / (r * r)
 
-    undefined = np.abs(g) <= SOURCE_SINGULAR_ATOL * np.maximum(
-        1.0, np.maximum(np.abs(r * hd), np.abs(h)))
+    undefined = abs(g) <= SOURCE_SINGULAR_ATOL * np.maximum(1.0, np.maximum(abs(r * hd), abs(h)))
     # [()] turns the 0-d result at a scalar radius back into a scalar, whose
     # arithmetic costs less than that of a 0-d array
     g = np.where(undefined, 1.0, g)[()]
@@ -416,17 +420,21 @@ def degenerate_family(
 def comfortable_range(profile: RotSymProfile) -> tuple[float, float]:
     """Sub-interval of the profile domain clear of its degenerate edges.
 
-    Where ``Psi`` runs into a zero at a domain endpoint the slope fields
-    blow up like an inverse square root, which ruins finite-difference
-    residuals; this walks inward to the ``Psi >= 0.1 max Psi``
-    contour (falling back to a 6 percent trim when that empties the
-    interval).
+    Two kinds of domain edge ruin finite-difference residuals. Where ``Psi``
+    runs into a zero the slope fields blow up like an inverse square root.
+    Where ``1 + R u'`` runs into a zero (the circle at which ``_trim_domain``
+    ends a run, ``R = 1`` on the round sphere) the slope determinant
+    ``A2 (1 + R u')^2`` vanishes, and the residual's roundoff grows like
+    ``1 / |1 + R u'|``. This walks inward to the nodes where
+    ``Psi >= 0.1 max Psi`` and ``|1 + R u'| >= NULL_CIRCLE_STANDOFF`` (falling
+    back to a 6 percent trim when that empties the interval).
     """
     lo, hi = profile.domain
     rs = np.linspace(lo, hi, 513)
     vals = np.broadcast_to(profile.psi(rs), rs.shape)
     floor = 0.1 * float(np.max(vals))
-    good = np.nonzero(vals >= floor)[0]
+    d = 1.0 + rs * profile.geometry.radial_du(rs)
+    good = np.nonzero((vals >= floor) & (abs(d) >= NULL_CIRCLE_STANDOFF))[0]
     if good.size >= 2:
         new_lo, new_hi = float(rs[good[0]]), float(rs[good[-1]])
         if new_hi - new_lo >= 0.15 * (hi - lo):

@@ -250,6 +250,18 @@ class TestCalibration:
         with pytest.raises(DomainError, match="non-finite"):
             _plane_extent(np.array(vs))
 
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, np.nan]],  # behind zeros only
+        [[1.0, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]],  # after the largest entry
+        [[np.nan, 1.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0]],
+        [[1.0, np.inf, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]],
+        [[0.0, -np.inf, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+    ])
+    def test_non_finite_entry_anywhere_is_found(self, rows):
+        # the scan for the largest entry skips a nan that is not first
+        with pytest.raises(DomainError, match="non-finite"):
+            _plane_extent(np.array(rows))
+
     def test_stacked_frame_and_short_vectors_are_errors(self, flat):
         stack = ambient_frame(flat, TangentPoint(np.zeros(3), np.ones(3)))
         v1, v2 = np.eye(4)[:2]
@@ -465,6 +477,40 @@ class TestPinnedChain:
             "e9200977a06e701d28fb36434105fce59605e6428c5597f53f85b8e2e284aa32")
         assert digest_of_draws(20, holomorphic_and_lagrangian) == (
             "f04c02476fc8a2ba1c09914b5c97c9ea41dcf0c18e25f0e9135d70ac872c6dd1")
+
+
+class TestStackedGap:
+    """``calibration_gap`` forms both Gram matrices of a plane in one stacked
+    product ``V @ (G4, O4) @ V.T``; its gap has the bits of the two chains
+    ``V @ G4 @ V.T`` and ``v1 @ O4 @ v2`` on every kind of frame. A regrouped
+    sum, or a shortcut through the buffer that ``ambient_frame`` shares between
+    ``G4`` and ``O4`` (``G4.base``), fails here."""
+
+    @staticmethod
+    def two_chains(frame, v1, v2):
+        V = np.array([v1, v2], dtype=float)
+        (g11, g12), (_, g22) = (V @ frame.G4 @ V.T).tolist()
+        om = (V[0] @ frame.O4 @ V[1]).item()
+        return om * om - (g11 * g22 - g12 * g12)
+
+    @pytest.mark.parametrize("name, seed", [("flat", 31), ("sphere", 32), ("bump", 33)])
+    def test_bit_identical_to_two_chains(self, name, seed, request):
+        geom = request.getfixturevalue(name)
+        rng = rng_from_seed(seed)
+        coords = [random_tangent_coords(rng) for _ in range(400)]
+        planes = [(random_plane, j_invariant_plane)[k % 2](rng) for k in range(400)]
+        own = [ambient_frame(geom, TangentPoint(xi, eta)) for xi, eta in coords]
+        # sliced from one stack, as the ambient suite slices its frames
+        stack = ambient_frame(geom, TangentPoint(*map(np.array, zip(*coords))))
+        sliced = [AmbientFrame(g, o) for g, o in zip(stack.G4, stack.O4)]
+        # two matrices of their own, in no shared buffer
+        separate = [AmbientFrame(np.array(fr.G4), np.array(fr.O4)) for fr in own]
+        assert own[0].G4.base.shape == (2, 4, 4) and sliced[0].G4.base.shape == (2, 400, 4, 4)
+        assert separate[0].G4.base is None
+        for frames in (own, sliced, separate):
+            got = [calibration_gap(fr, v1, v2) for fr, (v1, v2) in zip(frames, planes)]
+            want = [self.two_chains(fr, v1, v2) for fr, (v1, v2) in zip(frames, planes)]
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 class TestThetaForm:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neutralkahler.ambient import GEOMETRIES, radial_geometry
+from neutralkahler.ambient import GEOMETRIES
 from neutralkahler.cli import (
     _OPTIONS,
     DEFAULT_TOLERANCES,
@@ -20,7 +20,6 @@ from neutralkahler.cli import (
 )
 from neutralkahler.errors import ConfigError, DomainError, UnsupportedGeometryError
 from neutralkahler.graphs import conjugate_section, lagrangian_section, slopes
-from neutralkahler.numerics import RadialFunction
 from neutralkahler.sampling import geometry_by_name, random_family_profiles, rng_from_seed
 
 
@@ -318,6 +317,33 @@ class TestOptionTable:
         _, by_float = run(RunConfig(task="area", a2=1.0, rmin=1.0, grid=(4, 4), report="a.json"))
         assert (by_int["checks"], by_int["values"]) == (by_float["checks"], by_float["values"])
 
+    def test_an_int_for_a_float_is_held_as_a_float(self, outdir):
+        # the report echoes the options, so equal values give equal reports
+        by_int = RunConfig(task="area", a1=0, a2=1, rmin=1, grid=(4, 4), exclude=((2, 0.05),),
+                           tol={"residual_max": 1}, report="a.json")
+        by_float = RunConfig(task="area", a1=0.0, a2=1.0, rmin=1.0, grid=(4, 4),
+                             exclude=((2.0, 0.05),), tol={"residual_max": 1.0}, report="a.json")
+        assert [type(v) for v in (by_int.a1, by_int.a2, by_int.rmin, by_int.exclude[0][0],
+                                  by_int.tol["residual_max"])] == [float] * 5
+        assert type(RunConfig(task="verify", a1=0).a1) is float  # an option verify does not take
+        texts = []
+        for config in (by_int, by_float):
+            report = run(config)[1]
+            del report["timestamp"]
+            texts.append(json.dumps(report, sort_keys=True))
+        # dict equality takes 1 for 1.0; the report's JSON text does not
+        assert texts[0] == texts[1] and '"r_range": [1.0, 2.5]' in texts[0]
+
+    def test_a_parser_return_type_is_resolved_once(self, monkeypatch):
+        import neutralkahler.cli as cli
+        calls, real = [], cli.get_type_hints
+        monkeypatch.setattr(cli, "get_type_hints", lambda f: calls.append(f) or real(f))
+        cli._returns.cache_clear()
+        for _ in range(3):
+            RunConfig(task="area", a2=1.0, grid=(4, 4), exclude=((2.0, 0.05),))
+        cli._returns.cache_clear()
+        assert sorted(f.__name__ for f in calls) == ["_parse_band", "_parse_grid", "_parse_tol"]
+
     @pytest.mark.parametrize("task, field, value, flag", [
         ("area", "samples", 5, "--samples"), ("export", "suite", "graphs", "--suite"),
         ("verify", "a2", 1.0, "--A2"), ("verify", "branch", -1, "--branch"),
@@ -336,6 +362,18 @@ class TestOptionTable:
 
 
 class TestRun:
+    def test_sphere_family_stands_off_the_null_circle(self, outdir):
+        # its domain starts at R = 1.00025, next to the zero of 1 + R u' at R = 1,
+        # where residual_max read 1.75e-6 on the first ring of the lattice
+        argv = ["residual", "--geometry", "sphere", "--A1", "0.4", "--B1", "0.3", "--A2", "1",
+                "--B2", "0.5", "--rmin", "0.5", "--rmax", "2.0", "--report", "r.json"]
+        assert main(argv) == 0
+        report = json.loads((outdir / "r.json").read_text())
+        (check,) = report["checks"]
+        assert check["name"] == "residual_max" and check["passed"]
+        assert check["tolerance"] == DEFAULT_TOLERANCES["residual_max"]
+        assert check["evaluated"] == 32 * 32
+
     def test_verify_ambient_passes(self, outdir):
         code, report = run(RunConfig(task="verify", geometry="sphere", suite="ambient",
                                      samples=100, seed=42, report="amb.json"))
@@ -616,19 +654,10 @@ def test_families_suite_is_pinned(geometry, seed):
 # ---------------------------------------------------------------------------
 
 
-def _bump_geometry():
-    """A Gaussian conformal bump with pinned constants, ``u = 0.3 exp(-R^2 / 2)``."""
-    a, s2 = 0.3, 2.0
-    return radial_geometry("bump", RadialFunction(
-        lambda r: a * np.exp(-r * r / s2),
-        lambda r: -2.0 * a * r / s2 * np.exp(-r * r / s2),
-        lambda r: (-2.0 * a / s2 + 4.0 * a * r * r / s2**2) * np.exp(-r * r / s2)))
-
-
 @pytest.fixture
-def bump_row(monkeypatch):
+def bump_row(monkeypatch, bump):
     """The table with one more row, the bump; nothing else is patched."""
-    monkeypatch.setitem(GEOMETRIES, "bump", (_bump_geometry, (0.3, 2.5), None))
+    monkeypatch.setitem(GEOMETRIES, "bump", (lambda: bump, (0.3, 2.5), None))
     return "bump"
 
 

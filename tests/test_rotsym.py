@@ -26,7 +26,7 @@ from neutralkahler.errors import (
 )
 from neutralkahler.lines3d import TorusFamily
 from neutralkahler.numerics import CumulativeIntegral, RadialFunction, _plane_partials
-from neutralkahler.rotsym import RotSymProfile, comfortable_range
+from neutralkahler.rotsym import NULL_CIRCLE_STANDOFF, RotSymProfile, comfortable_range
 from neutralkahler.sampling import geometry_by_name, random_radial_geometry, rng_from_seed
 
 H_LINEAR = RadialFunction(lambda r: r, lambda r: 1.0, lambda r: 0.0)
@@ -457,8 +457,26 @@ class TestCustomGeometry:
 
 
 class TestComfortableRange:
-    """The ``Psi >= 0.1 max`` contour of a profile, or a 6 percent trim of its
-    domain when the contour is narrower than 15 percent of it."""
+    """The ``Psi >= 0.1 max`` contour of a profile, also kept
+    ``NULL_CIRCLE_STANDOFF`` off a zero of ``1 + R u'``, or a 6 percent trim of
+    its domain when the contour is narrower than 15 percent of it."""
+
+    def test_walks_in_from_the_null_circle(self, sphere):
+        # the domain starts at R = 1.00025, next to the zero of 1 + R u' at R = 1
+        profile = stationary_family(sphere, FamilyParams(0.4, 0.3, 1.0, 0.5), 1, (0.5, 2.0))
+        lo, hi = profile.domain
+        rs = np.linspace(lo, hi, 513)
+        d = np.abs(1.0 + rs * sphere.radial_du(rs))
+        assert d[0] < 1e-3 and np.all(profile.psi(rs) >= 0.1 * np.max(profile.psi(rs)))
+        first = np.argmax(d >= NULL_CIRCLE_STANDOFF)
+        assert comfortable_range(profile) == (rs[first], hi)
+        assert 1.02 < rs[first] < 1.023 and d[first - 1] < NULL_CIRCLE_STANDOFF <= d[first]
+
+    @pytest.mark.parametrize("params", [(0.2, 0.1, 1.0, 1.0), (0.1, 0.2, -1.0, 2.0)])
+    def test_sphere_draw_range_is_clear_of_the_circle(self, sphere, params):
+        # |1 + R u'| is 0.051 at R = 0.95, the edge of the sphere's draw range
+        profile = stationary_family(sphere, FamilyParams(*params), 1, (0.15, 0.95))
+        assert profile.domain == comfortable_range(profile) == (0.15, 0.95)
 
     @staticmethod
     def peaked(flat, width):
