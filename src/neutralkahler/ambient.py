@@ -40,12 +40,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    AmbiguousSignatureError,
-    DegeneratePlaneError,
-    DerivativeUnavailableError,
-    DomainError,
-)
+from .errors import AmbiguousSignatureError, DegeneratePlaneError, DomainError
 from .numerics import RadialFunction
 
 __all__ = [
@@ -231,14 +226,9 @@ def ambient_frame(geom: ConformalGeometry, p: TangentPoint) -> AmbientFrame:
     """Evaluate (G, Omega, J) at ``p`` for the given base geometry, elementwise
     over an array of points (a constant ``e^{2u}`` broadcasts to their shape)."""
     two_w = 2.0 * geom.conformal_factor(p.xi)
-    try:
-        # the complex factor on the left: at one point, complex * np.float64 stays
-        # Python arithmetic, where np.float64 * complex makes a numpy complex scalar
-        dw = geom.du(p.xi) * two_w
-    except Exception as exc:
-        raise DerivativeUnavailableError(
-            f"derivative of e^(2u) unavailable at xi={p.xi}: {exc}"
-        ) from exc
+    # the complex factor on the left: at one point, complex * np.float64 stays
+    # Python arithmetic, where np.float64 * complex makes a numpy complex scalar
+    dw = geom.du(p.xi) * two_w
     m = -4.0 * (p.eta * dw).imag
     # stores, not np.stack, which costs more than a whole frame at one point; G4 and
     # O4 share one buffer, made read-only once. The stores go through a view with the

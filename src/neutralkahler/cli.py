@@ -42,12 +42,12 @@ from .graphs import (
     _SKIP_REASONS,
     GraphSection,
     _residual_map,
-    _slopes_on,
     _write_classification_csv,
     area,
     bump_basis,
     first_variations,
     pullback_determinant,
+    slopes,
     stokes_check,
 )
 from .graphs import el_residual  # noqa: F401  (unused; bench/test_bench.py traces this binding)
@@ -263,7 +263,7 @@ def _suite_graphs(config: RunConfig, report: Report) -> None:
     for _ in range(n_sections):
         section = random_polynomial_section(rng, geom)
         xi = rng.normal(size=(5, 2)).view(complex).ravel()
-        sl = _slopes_on(section, xi)
+        sl = slopes(section, xi)
         # a relative comparison means nothing at determinant zeros
         keep = ~(np.abs(sl.det_factor) < 1e-3 * (sl.lam**2 + np.abs(sl.sigma) ** 2 + 1e-6))
         d1 = (sl.det_factor * geom.conformal_factor(xi) ** 2)[keep]
@@ -337,13 +337,14 @@ def _suite_families(config: RunConfig, report: Report) -> None:
     report.worst("first_variation_rel", variations, "bump")
 
 
+#: each suite's runners; ``all`` runs every suite above it, in order
 _SUITES = {
     "ambient": (_suite_ambient,),
     "graphs": (_suite_graphs,),
     "rotsym": (_suite_rotsym,),
     "families": (_suite_families,),
-    "all": (_suite_ambient, _suite_graphs, _suite_rotsym, _suite_families),
 }
+_SUITES["all"] = sum(_SUITES.values(), ())
 
 
 def _run_verify(config: RunConfig, report: Report) -> None:
@@ -392,7 +393,7 @@ def _run_classify(config: RunConfig, report: Report) -> None:
     if config.out:  # the residual map's stencil centres are the lattice's slopes
         values, _, sl = _residual_map(section, xi)
     else:
-        sl = _slopes_on(section, xi)
+        sl = slopes(section, xi)
     classes = sl.classify()
     counts = Counter(classes.tolist())
     report.values["class_counts"] = dict(sorted((str(c), n) for c, n in counts.items()))
@@ -508,14 +509,19 @@ class _Option(NamedTuple):
                 raise ConfigError(f"{self.flag} needs a value, got None")
             return value
         kind = _returns(self.parse)
-        items = value.items() if isinstance(value, dict) else value if self.repeat else (value,)
-        if not (isinstance(value, self.repeat or object) and all(_is_a(v, kind) for v in items)):
+        try:
+            if not self.repeat:
+                value = _as_kind(value, kind)
+            elif isinstance(value, self.repeat):
+                items = value.items() if isinstance(value, dict) else value
+                value = self.repeat(_as_kind(v, kind) for v in items)
+            else:
+                raise TypeError
+        except TypeError:
             name = kind.__name__ if isinstance(kind, type) else str(kind)
             if self.repeat:
                 name = f"a {self.repeat.__name__} of {name}"
-            raise ConfigError(f"{self.flag} takes {name}, got {value!r}")
-        value = (self.repeat(_as_kind(v, kind) for v in items) if self.repeat
-                 else _as_kind(value, kind))
+            raise ConfigError(f"{self.flag} takes {name}, got {value!r}") from None
         if self.choices is not None and value not in self.choices:
             raise ConfigError(f"{self.flag} must be one of {tuple(self.choices)}, got {value!r}")
         if self.rule is not None and not self.rule[0](value):
@@ -531,21 +537,18 @@ def _returns(parse: Callable[[str], Any]) -> Any:
     return parse if isinstance(parse, type) else get_type_hints(parse)["return"]
 
 
-def _is_a(value, kind) -> bool:
-    """Whether ``value`` is of ``kind``, a type or a ``tuple[...]`` of types, as a
-    parser returns it: an int passes for a float, and a bool for no kind."""
-    if isinstance(kind, type):
-        return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float
-                                                           else kind)
-    return (isinstance(value, tuple) and len(value) == len(kind.__args__)
-            and all(map(_is_a, value, kind.__args__)))
-
-
 def _as_kind(value, kind):
-    """``value``, of ``kind`` by ``_is_a``, as the parser would return it: each
-    int where ``kind`` has a float made a float."""
+    """``value`` as the parser would return it, of ``kind``, a type or a
+    ``tuple[...]`` of types: each int where ``kind`` has a float made a float.
+    Raise ``TypeError`` if ``value`` is not of ``kind``: an int passes for a
+    float, and a bool for no kind."""
     if isinstance(kind, type):
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float
+                                                     else kind):
+            raise TypeError(f"{value!r} is not of {kind}")
         return float(value) if kind is float else value
+    if not (isinstance(value, tuple) and len(value) == len(kind.__args__)):
+        raise TypeError(f"{value!r} is not of {kind}")
     return tuple(map(_as_kind, value, kind.__args__))
 
 

@@ -5,11 +5,6 @@ class NeutralKahlerError(Exception):
     """Base class for all library errors."""
 
 
-class DerivativeUnavailableError(NeutralKahlerError):
-    """A geometry's closed-form ``du`` failed where ``ambient.ambient_frame`` evaluates it,
-    the one place that raises this."""
-
-
 class QuadratureError(NeutralKahlerError):
     """An integrand was non-finite at a quadrature node."""
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .ambient import TangentPoint, sphere_geometry
 from .errors import AdmissibilityError, DomainError
-from .graphs import GraphSection, SurfaceClass, _slopes_on
+from .graphs import GraphSection, SurfaceClass, slopes
 from .numerics import AnnulusGrid, RadialFunction, _polar, _write_rows
 from .rotsym import RotSymProfile, _even_quartic
 
@@ -182,7 +182,7 @@ def signature_profile(fam: TorusFamily, r_samples: Sequence[float]) -> list[Sign
     sign of ``-lam``: both flip across the null meridians at ``R = 1``.
     """
     rs = np.asarray(r_samples, dtype=float)
-    sl = _slopes_on(torus_section(fam), rs.astype(complex))
+    sl = slopes(torus_section(fam), rs.astype(complex))
     signs = np.where(-sl.lam > 0.0, 1, -1).tolist()
     return [
         SignatureSample(r, cls, sign if cls is SurfaceClass.RIEMANNIAN else None)
@@ -206,7 +206,6 @@ def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: flo
     """
     if not 0.0 < half_length < np.inf:
         raise DomainError(f"half_length must be positive and finite, got {half_length}")
-    fmt = fmt.lower()
     if fmt not in ("obj", "csv"):
         raise DomainError(f"unknown export format '{fmt}'")
     if section.geometry.name.rstrip("~") != "sphere":  # the round sphere or a reflection

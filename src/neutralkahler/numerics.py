@@ -297,17 +297,17 @@ class AnnulusGrid:
         return 2.0 * np.pi / self.n_theta
 
     def _lattice(self) -> tuple[np.ndarray, np.ndarray]:
-        """R and theta of every ``mesh_nodes`` node, as flat arrays in the same order."""
+        """R and theta of the uniform ``n_r x n_theta`` lattice (inclusive in R, bands
+        removed) as flat arrays, ring by ring: the nodes of the residual and
+        classification sweeps and of the line-congruence export, where evenly spaced
+        nodes read better than Gauss points."""
         rs = np.linspace(self.r_min, self.r_max, self.n_r)
         rs = rs[[not any(abs(r - c) < h for c, h in self.exclusion_bands) for r in rs]]
         return np.repeat(rs, self.n_theta), np.tile(self.theta_nodes, rs.size)
 
     def mesh_nodes(self) -> list[tuple[float, float]]:
-        """Uniform ``n_r x n_theta`` lattice (inclusive in R), bands removed.
-
-        Used for mesh export and classification maps, where evenly spaced
-        nodes read better than Gauss points.
-        """
+        """The ``(R, theta)`` pairs of :meth:`_lattice`, in its order; the package
+        itself works on the arrays, and only the benchmark counts these pairs."""
         rs, ts = self._lattice()
         return list(zip(rs.tolist(), ts.tolist()))
 

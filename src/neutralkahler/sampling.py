@@ -53,11 +53,10 @@ def geometry_by_name(name: str) -> ConformalGeometry:
     return GEOMETRIES[name][0]()
 
 
-def random_tangent_coords(
-    rng: np.random.Generator, xi_scale: float = 2.0, eta_scale: float = 3.0
-) -> tuple[complex, complex]:
+def random_tangent_coords(rng: np.random.Generator) -> tuple[complex, complex]:
+    """A tangent point ``(xi, eta)``: standard normal parts, ``eta`` scaled by 3/2."""
     xr, xi_, er, ei = rng.normal(size=4).tolist()
-    return complex(xr, xi_) * xi_scale / 2.0, complex(er, ei) * eta_scale / 2.0
+    return complex(xr, xi_), complex(er, ei) * 3.0 / 2.0
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

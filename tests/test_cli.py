@@ -312,6 +312,18 @@ class TestOptionTable:
         with pytest.raises(ConfigError, match="--A2 takes float, got '1'"):
             RunConfig(task="area", a2="1", grid=(4, 4))
 
+    @pytest.mark.parametrize("field, value", [
+        ("exclude", ((1.0, "x"),)), ("exclude", [(1.0, 0.1)]),
+        ("tol", {"stokes": "x"}), ("tol", {"stokes": True}),
+    ])
+    def test_a_repeatable_option_names_its_collection(self, field, value):
+        # a wrong item, or the wrong collection, names the collection and the item type
+        takes = {"exclude": "--exclude takes a tuple of tuple[float, float]",
+                 "tol": "--tol takes a dict of tuple[str, float]"}
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(task="area", a2=1.0, grid=(4, 4), **{field: value})
+        assert str(exc.value) == f"{takes[field]}, got {value!r}"
+
     def test_an_int_passes_for_a_float(self, outdir):
         _, by_int = run(RunConfig(task="area", a2=1, rmin=1, grid=(4, 4), report="a.json"))
         _, by_float = run(RunConfig(task="area", a2=1.0, rmin=1.0, grid=(4, 4), report="a.json"))
@@ -500,8 +512,8 @@ class TestRun:
         from neutralkahler import cli, graphs
 
         calls = []
-        for module, name in ((cli, "_residual_map"), (cli, "_slopes_on"),
-                             (graphs, "_residual_map"), (graphs, "_slopes_on")):
+        for module, name in ((cli, "_residual_map"), (cli, "slopes"),
+                             (graphs, "_residual_map"), (graphs, "slopes")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda s, xi, *a, name=name, real=real:
                                 calls.append((name, np.shape(xi))) or real(s, xi, *a))
@@ -509,7 +521,7 @@ class TestRun:
                      "--grid", "12x12", "--out", "c.csv", "--report", "r.json"]) == 0
         lattice = (144,)
         assert calls.count(("_residual_map", lattice)) == 1
-        assert calls.count(("_slopes_on", (9,) + lattice)) == 1
+        assert calls.count(("slopes", (9,) + lattice)) == 1
         assert len(calls) == 2
 
     def test_classify_without_out_counts_the_same_classes(self, outdir):

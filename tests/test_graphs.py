@@ -39,7 +39,6 @@ from neutralkahler.graphs import (
     SlopeData,
     _jacobian,
     _residual_map,
-    _slopes_on,
     radial_bump,
 )
 from neutralkahler.numerics import ComplexField, RadialFunction, _plane_partials, _polar
@@ -87,6 +86,21 @@ class TestSlopes:
         sl = slopes(section, complex(1.0))
         assert abs(sl.sigma) <= 1e-12
         assert abs(sl.lam) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 5)])
+    def test_constant_field_slopes_are_shaped_like_the_points(self, flat, shape):
+        # the jet of a constant field is three scalars, and flat du is zero: the
+        # slopes on an array of points are arrays of its shape all the same
+        c = 2.0 + 1.0j
+        section = GraphSection(ComplexField(lambda xi: c, lambda xi: (c, 0.0, 0.0)), flat)
+        sl = slopes(section, np.full(shape, 0.3 + 0.4j))
+        assert isinstance(sl.sigma, np.ndarray) and isinstance(sl.rho, np.ndarray)
+        for v in (sl.sigma, sl.rho, sl.lam, sl.det_factor):
+            assert np.shape(v) == shape and np.all(v == 0.0)
+        # at a Python point the slopes stay Python scalars
+        for point_section in (section, i_xi(flat)):
+            sl = slopes(point_section, 0.3 + 0.4j)
+            assert type(sl.sigma) in (float, complex) and type(sl.rho) in (float, complex)
 
     def test_lambda_is_im_rho_exactly(self, sphere):
         rng = rng_from_seed(21)
@@ -397,7 +411,7 @@ class TestElResidual:
         lattice = np.linspace(0.4, 1.6, n)[:, None] * np.exp(1j * np.linspace(0.0, 6.2, n))
         assert (lattice.size > _RESIDUAL_BLOCK) == (n == 40)
         _, _, sl = _residual_map(section, lattice)
-        ref = _slopes_on(section, lattice)
+        ref = slopes(section, lattice)
         assert sl.sigma.shape == sl.rho.shape == lattice.shape
         for got, want in ((sl.sigma, ref.sigma), (sl.rho, ref.rho)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -407,7 +421,7 @@ def _select_codes_and_classes(section, xi):
     """The residual's skip codes and the classes at ``xi``, written with ``np.select``
     as before the nested ``np.where`` forms (the reference)."""
     h = 1e-6 * np.maximum(1.0, abs(xi))
-    sl = _slopes_on(section, xi + _STENCIL[:, None] * h)
+    sl = slopes(section, xi + _STENCIL[:, None] * h)
     lam, det = sl.lam, sl.det_factor
 
     def mixed(v):

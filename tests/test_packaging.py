@@ -3,8 +3,9 @@ the CLI loads no scipy, configparser, argparse, json, numpy.polynomial or cmath,
 the only dataclasses are the classes that validate on construction, every
 exported name resolves, the geometries are named in one table, only ``numerics``
 spells the step of the plane's one finite-difference stencil and formats the
-numbers of the CSV/OBJ artifacts, only the pullback oracle calls that stencil, and
-the one difference rule has only the users the README lists."""
+numbers of the CSV/OBJ artifacts, no handler catches more than the exceptions it
+names, only the pullback oracle calls that stencil, and the one difference rule
+has only the users the README lists."""
 
 import ast
 import dataclasses
@@ -176,6 +177,21 @@ def test_only_numerics_spells_the_plane_step():
     # stencil of the plane elsewhere would spell its step
     assert [p.name for p in PACKAGE.glob("*.py") if "FD_STEP" in p.read_text()] == [
         "numerics.py"]
+
+
+def test_handlers_catch_only_named_exceptions():
+    # a handler names what it expects: no bare except and no except Exception, so no
+    # catch-all can rewrap or hide the error a geometry or a field raises itself
+    def broad(handler):
+        if handler.type is None:
+            return True
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(getattr(t, "id", getattr(t, "attr", None)) in ("Exception", "BaseException")
+                   for t in types)
+
+    assert [f"{p.name}:{node.lineno}" for p in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(p.read_text(), str(p)))
+            if isinstance(node, ast.ExceptHandler) and broad(node)] == []
 
 
 def readers_of(name: str) -> list[str]:

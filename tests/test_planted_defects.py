@@ -8,6 +8,7 @@ its pinned bound) and asserts that the check fails.
 
 import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -53,12 +54,17 @@ def plant_frame_defect(monkeypatch, defect):
 
 def plant_source_defect(monkeypatch, module, name, old, new=""):
     """Recompile ``module.name`` with the one occurrence of ``old`` in its source
-    replaced by ``new``, and patch it in for the test."""
-    source = inspect.getsource(getattr(module, name))
+    replaced by ``new``, and patch it in for the test: in ``module`` and in every
+    package module that imported it (test modules keep their own bindings)."""
+    real = getattr(module, name)
+    source = inspect.getsource(real)
     assert source.count(old) == 1, old
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
-    monkeypatch.setattr(module, name, namespace[name])
+    for importer in list(sys.modules.values()):
+        if (getattr(importer, "__name__", "").partition(".")[0] == "neutralkahler"
+                and vars(importer).get(name) is real):
+            monkeypatch.setattr(importer, name, namespace[name])
 
 
 def failed(checks, *names):
@@ -349,8 +355,6 @@ def test_richardson_weight_perturbed(monkeypatch):
     # derivatives, and Stokes differences nothing, so they cannot
     plant_source_defect(monkeypatch, numerics, "_richardson", "4.0 * (fine / h)",
                         "4.01 * (fine / h)")
-    for module in (graphs, cli):
-        monkeypatch.setattr(module, "_richardson", numerics._richardson)
     for geometry in ("flat", "sphere"):
         checks = verify(geometry, "all")
         assert failed(checks, *checks) == ["exactness", "det_oracle"]
@@ -365,7 +369,6 @@ def test_potential_not_symmetrised(monkeypatch):
     # (H + H^H) / 2 without its H^H term: h is no longer real, so the gradient
     # sections stop being lagrangian and their Stokes sides stop vanishing
     plant_source_defect(monkeypatch, graphs, "lagrangian_section", " + H.conj().T")
-    monkeypatch.setattr(sampling, "lagrangian_section", graphs.lagrangian_section)
     with pytest.raises(AssertionError, match="lagrangian sides"):
         test_acceptance.test_criterion_9_exactness_stokes()
 
@@ -375,7 +378,6 @@ def test_angular_jet_dbar_sign_flipped(monkeypatch):
     # every family section, torus and variation bump shares; F and d are untouched.
     # The graphs suite draws polynomial sections only, so it cannot see it
     plant_source_defect(monkeypatch, graphs, "_angular_field", "(dg - kg)", "(dg + kg)")
-    monkeypatch.setattr(rotsym, "_angular_field", graphs._angular_field)
     assert failed(verify("flat", "graphs"), "det_oracle", "stokes") == []
     checks = verify("flat", "families")
     assert failed(checks, "residual_max", "first_variation_rel") == ["residual_max"]
@@ -393,7 +395,7 @@ def test_sweep_pairs_every_bump_with_the_first(monkeypatch):
     # (the flat sweep's pinned values are all zero, so that pin cannot)
     plant_source_defect(monkeypatch, graphs, "first_variations",
                         "variation(bump) for", "variation(bumps[0]) for")
-    for module in (cli, test_acceptance, test_graphs):
+    for module in (test_acceptance, test_graphs):
         monkeypatch.setattr(module, "first_variations", graphs.first_variations)
     for geometry in ("flat", "sphere"):
         checks = verify(geometry, "families")

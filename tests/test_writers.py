@@ -15,7 +15,7 @@ import pytest
 
 from neutralkahler import numerics
 from neutralkahler.cli import main
-from neutralkahler.graphs import _residual_map, _slopes_on, export_classification_csv
+from neutralkahler.graphs import _residual_map, export_classification_csv, slopes
 from neutralkahler.lines3d import TorusFamily, _lines, export_congruence, torus_section
 from neutralkahler.numerics import _WRITE_BLOCK, AnnulusGrid, _polar, _reprs, _write_rows
 
@@ -36,7 +36,7 @@ def lattice(section, grid):
 
 def reference_classification(section, grid) -> bytes:
     rs, ts, xi = lattice(section, grid)
-    sl = _slopes_on(section, xi)
+    sl = slopes(section, xi)
     residual = np.abs(_residual_map(section, xi)[0])
     columns = (rs, ts, sl.sigma.real, sl.sigma.imag, sl.lam, sl.det_factor, residual)
     rows = zip(*(c.tolist() for c in columns), sl.classify().tolist())
