@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import AmbiguousSignatureError, DegeneratePlaneError, DomainError
-from .numerics import RadialFunction
+from .numerics import RadialFunction, _first_where
 
 __all__ = [
     "ConformalGeometry",
@@ -51,6 +51,7 @@ __all__ = [
     "flat_geometry",
     "sphere_geometry",
     "radial_geometry",
+    "ROUND_SPHERE",
     "GEOMETRIES",
     "ambient_frame",
     "calibration_gap",
@@ -75,6 +76,10 @@ SIGNATURE_RTOL = 1e-10
 
 _LOG2 = math.log(2.0)
 
+#: ``e^{-2u} = (1 + xi xibar)^2 / 4`` of the round sphere, as (xi, xibar) monomial
+#: coefficients: the geometry over which TN is the space of oriented lines of R^3
+ROUND_SPHERE = ((0.25, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 0.25))
+
 
 class ConformalGeometry(NamedTuple):
     """The conformal exponent u of the base metric ``e^{2u} dxi dxibar``.
@@ -85,13 +90,17 @@ class ConformalGeometry(NamedTuple):
     elementwise on arrays of nodes (a constant may come back as a scalar).
     A rotationally symmetric geometry also carries its radial profile
     ``u_of_R``, whose first two derivatives (``u_of_R.deriv``) drive the ODE
-    machinery; ``u_of_R`` is ``None`` for any other geometry.
+    machinery; ``u_of_R`` is ``None`` for any other geometry. Where ``e^{-2u}``
+    is a polynomial in ``xi, xibar``, ``inverse_factor`` holds its coefficients,
+    row ``m`` and column ``n`` that of ``xi^m xibar^n``, as nested tuples of
+    floats (so a geometry stays comparable); it is ``None`` otherwise.
     """
 
     name: str
     u: Callable
     du: Callable
     u_of_R: Optional[RadialFunction] = None
+    inverse_factor: Optional[tuple[tuple[float, ...], ...]] = None
 
     def conformal_factor(self, xi):
         """The metric density ``w = e^{2u}`` (always positive)."""
@@ -119,7 +128,8 @@ class ConformalGeometry(NamedTuple):
 def flat_geometry() -> ConformalGeometry:
     """The Euclidean plane, ``u = 0``."""
     return ConformalGeometry(
-        name="flat", u=lambda xi: 0.0, du=lambda xi: 0.0j, u_of_R=RadialFunction.constant(0.0)
+        name="flat", u=lambda xi: 0.0, du=lambda xi: 0.0j, u_of_R=RadialFunction.constant(0.0),
+        inverse_factor=((1.0,),),
     )
 
 
@@ -141,6 +151,7 @@ def sphere_geometry() -> ConformalGeometry:
             lambda r: -2.0 * r / (1.0 + r * r),
             lambda r: -2.0 * (1.0 - r * r) / (1.0 + r * r) ** 2,
         ),
+        inverse_factor=ROUND_SPHERE,
     )
 
 
@@ -161,11 +172,11 @@ def radial_geometry(name: str, u_of_R: RadialFunction) -> ConformalGeometry:
 
 
 #: every geometry a run can name, one row each: (constructor, the radial range its
-#: random stationary families are drawn over, e^{-2u} as a matrix of (xi, xibar)
-#: monomial coefficients or None where it is not a polynomial)
+#: random stationary families are drawn over); the built geometry carries the rest
+#: of what it is, its e^{-2u} polynomial included
 GEOMETRIES = {
-    "flat": (flat_geometry, (0.3, 4.0), np.ones((1, 1))),
-    "sphere": (sphere_geometry, (0.15, 0.95), np.diag([0.25, 0.5, 0.25])),
+    "flat": (flat_geometry, (0.3, 4.0)),
+    "sphere": (sphere_geometry, (0.15, 0.95)),
 }
 
 
@@ -181,7 +192,10 @@ class TangentPoint:
         # and a third of .all() on numpy's boolean scalar); no sum or product of
         # coordinates, which could overflow or warn on inf * 0
         if 0 in (np.isfinite(self.xi) & np.isfinite(self.eta)).tobytes():
-            raise DomainError(f"non-finite tangent point ({self.xi}, {self.eta})")
+            bad = ~(np.isfinite(self.xi) & np.isfinite(self.eta))
+            index, xi, eta = _first_where(bad, self.xi, self.eta)
+            at = f" at index {index}" if index else ""
+            raise DomainError(f"non-finite tangent point ({xi}, {eta}){at}")
 
     @property
     def shape(self) -> tuple:

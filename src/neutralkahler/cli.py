@@ -583,6 +583,10 @@ def _parse_tol(text: str) -> tuple[str, float]:
     return name, float(value)
 
 
+#: the rule of each family constant
+_FINITE = (np.isfinite, "must be finite")
+
+
 @dataclass
 class RunConfig:
     """Resolved options of one CLI invocation, the whole contract of a run: one
@@ -597,11 +601,11 @@ class RunConfig:
     samples: int = _option("--samples", 500, int, tasks=("verify",),
                            rule=(lambda n: n > 0, "must be positive"))
     seed: int = _option("--seed", 0, int, rule=(lambda s: s >= 0, "must be non-negative"))
-    a1: float = _option("--A1", 0.0, float, tasks=_FAMILY_TASKS)
-    b1: float = _option("--B1", 0.0, float, tasks=_FAMILY_TASKS)
-    a2: Optional[float] = _option("--A2", None, float, tasks=_FAMILY_TASKS)
-    b2: Optional[float] = _option("--B2", None, float, tasks=_FAMILY_TASKS)
-    c2: Optional[float] = _option("--C2", None, float, tasks=_FAMILY_TASKS,
+    a1: float = _option("--A1", 0.0, float, tasks=_FAMILY_TASKS, rule=_FINITE)
+    b1: float = _option("--B1", 0.0, float, tasks=_FAMILY_TASKS, rule=_FINITE)
+    a2: Optional[float] = _option("--A2", None, float, tasks=_FAMILY_TASKS, rule=_FINITE)
+    b2: Optional[float] = _option("--B2", None, float, tasks=_FAMILY_TASKS, rule=_FINITE)
+    c2: Optional[float] = _option("--C2", None, float, tasks=_FAMILY_TASKS, rule=_FINITE,
                                   help="sphere torus shorthand (with --B2)")
     branch: int = _option("--branch", 1, int, choices=(1, -1), tasks=_FAMILY_TASKS)
     rmin: float = _option("--rmin", 0.5, float)
@@ -620,8 +624,10 @@ class RunConfig:
     out: Optional[str] = _option("--out", None, help="artifact path (CSV/OBJ)")
     report: Optional[str] = _option("--report", None, help="JSON report path")
     tol: dict = _option("--tol", dict, _parse_tol, repeat=dict,
-                        rule=(lambda tol: set(tol) <= set(DEFAULT_TOLERANCES),
-                              f"takes only the checks {sorted(DEFAULT_TOLERANCES)}"),
+                        rule=(lambda tol: set(tol) <= set(DEFAULT_TOLERANCES)
+                              and all(0.0 <= t < np.inf for t in tol.values()),
+                              f"takes only the checks {sorted(DEFAULT_TOLERANCES)}, "
+                              "each with a finite tolerance >= 0"),
                         help="tolerance override NAME=VALUE (repeatable)")
 
     def __post_init__(self):

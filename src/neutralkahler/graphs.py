@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .ambient import GEOMETRIES, ConformalGeometry, TangentPoint, ambient_frame, theta_form
+from .ambient import ConformalGeometry, TangentPoint, ambient_frame, theta_form
 from .errors import DomainError, SingularResidualError, UnsupportedGeometryError
 from .numerics import (
     AnnulusGrid,
@@ -500,16 +500,15 @@ def lagrangian_section(
     ``(H + H^H) / 2`` so that h is real. Then ``F e^{2u} = dbar h``, so
     ``rho = e^{-2u} d dbar h = e^{-2u} Laplacian(h) / 4`` is real and
     ``lam = 0`` identically; the primitive 1-form pulls back to ``dh``.
-    Supported for the rows of ``ambient.GEOMETRIES`` whose ``e^{-2u}`` is a
-    polynomial in ``xi, xibar`` (``V``, the row's matrix; ``(1 + xi xibar)^2
-    / 4`` on the sphere), so F is a polynomial section; any other geometry
-    raises ``UnsupportedGeometryError``.
+    Supported on a geometry whose ``e^{-2u}`` is a polynomial in ``xi, xibar``
+    (``V``, its ``inverse_factor``; ``(1 + xi xibar)^2 / 4`` on the sphere), so F
+    is a polynomial section; any other geometry raises ``UnsupportedGeometryError``.
     """
-    _, _, V = GEOMETRIES.get(geometry.name, (None, None, None))
-    if V is None:
+    if geometry.inverse_factor is None:
         raise UnsupportedGeometryError(
             f"gradient sections need a polynomial e^(-2u); geometry '{geometry.name}'"
         )
+    V = np.array(geometry.inverse_factor)
     H = _coefficient_matrix(potential)
     H = np.pad(H, [(0, max(H.shape) - size) for size in H.shape])
     G = _wirtinger(0.5 * (H + H.conj().T), 1)  # dbar h
@@ -523,14 +522,18 @@ def conjugate_section(section: GraphSection) -> GraphSection:
     """The section ``xi -> conj(F(conj xi))`` over the reflected geometry.
 
     The stationarity residual of the conjugated section at ``xi`` is the
-    conjugate of the original residual at ``conj(xi)``.
+    conjugate of the original residual at ``conj(xi)``. The reflected
+    ``e^{-2u}`` swaps the exponents of ``xi`` and ``xibar``: its coefficients
+    are the transpose of the original's.
     """
     F, geom = section.F, section.geometry
+    V = geom.inverse_factor
     refl = ConformalGeometry(
         name=geom.name + "~",
         u=lambda xi: geom.u(xi.conjugate()),
         du=lambda xi: geom.du(xi.conjugate()).conjugate(),
         u_of_R=geom.u_of_R,
+        inverse_factor=None if V is None else tuple(zip(*V)),
     )
     field = ComplexField(lambda xi: F(xi.conjugate()).conjugate(),
                          lambda xi: tuple(v.conjugate() for v in F.jet(xi.conjugate())))

@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .ambient import TangentPoint, sphere_geometry
+from .ambient import ROUND_SPHERE, TangentPoint, sphere_geometry
 from .errors import AdmissibilityError, DomainError
 from .graphs import GraphSection, SurfaceClass, slopes
 from .numerics import AnnulusGrid, RadialFunction, _polar, _write_rows
@@ -208,10 +208,10 @@ def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: flo
         raise DomainError(f"half_length must be positive and finite, got {half_length}")
     if fmt not in ("obj", "csv"):
         raise DomainError(f"unknown export format '{fmt}'")
-    if section.geometry.name.rstrip("~") != "sphere":  # the round sphere or a reflection
+    if section.geometry.inverse_factor != ROUND_SPHERE:  # the round sphere or a reflection
         raise DomainError(
-            "line congruences exist over the round sphere only "
-            f"(section geometry is '{section.geometry.name}')"
+            "line congruences exist over the round sphere only; section geometry "
+            f"'{section.geometry.name}' has another e^(-2u)"
         )
 
     rs, ts = grid._lattice()

@@ -189,8 +189,10 @@ class CumulativeIntegral:
             table.flags.writeable = False
 
     def __call__(self, r):
-        if np.logical_or(r < self.a - 1e-12, r > self.b + 1e-12).any():
-            raise DomainError(f"radius {r} outside integration range [{self.a}, {self.b}]")
+        outside = np.logical_or(r < self.a - 1e-12, r > self.b + 1e-12)
+        if outside.any():
+            _, r0 = _first_where(outside, r)
+            raise DomainError(f"radius {r0} outside integration range [{self.a}, {self.b}]")
         r = np.minimum(np.maximum(r, self.a), self.b)
         k = np.minimum(self.edges.searchsorted(r, side="right"), len(self.edges) - 1) - 1
         t = (r - self._mid[k]) / self._half[k]
@@ -338,6 +340,15 @@ def _write_rows(fh, prefix: str, sep: str, numbers, labels=()) -> None:
         block = slice(start, start + _WRITE_BLOCK)
         columns = [_reprs(c[block]) for c in numbers] + [c[block] for c in labels]
         fh.write(prefix + ("\n" + prefix).join(map(sep.join, zip(*columns))) + "\n")
+
+
+def _first_where(mask, *arrays) -> tuple:
+    """The index (row-major) of the first true entry of ``mask`` and the entries of
+    ``arrays`` there, all broadcast together: an error names that one entry, not
+    a whole array."""
+    mask, *arrays = np.broadcast_arrays(mask, *arrays)
+    index = tuple(np.argwhere(mask)[0].tolist())
+    return (index, *(a[index] for a in arrays))
 
 
 def _require_finite(finite: np.ndarray, grid: AnnulusGrid) -> None:

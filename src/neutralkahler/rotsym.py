@@ -51,7 +51,7 @@ from .errors import (
     SingularCoefficientError,
 )
 from .graphs import GraphSection, _angular_field
-from .numerics import CumulativeIntegral, RadialFunction
+from .numerics import CumulativeIntegral, RadialFunction, _first_where
 
 __all__ = [
     "FamilyParams",
@@ -114,15 +114,16 @@ def _require_nonsingular(d, r) -> None:
     # the builtin abs and a count: at one radius, np.abs and np.any cost ten times more
     singular = abs(d) <= COEFF_SINGULAR_ATOL
     if np.count_nonzero(singular):
-        d0, r0 = np.asarray(d)[singular][0], np.asarray(r)[singular][0]
+        _, d0, r0 = _first_where(singular, d, r)
         raise SingularCoefficientError(f"1 + R u'(R) = {d0:.3e} at R = {r0}")
 
 
 def ode_coefficients(geom: ConformalGeometry, H: RadialFunction, r) -> OdeCoefficients:
     """Evaluate the coefficient functions of both stationarity ODEs,
     elementwise in the radii ``r``."""
-    if np.count_nonzero(r <= 0.0):
-        raise DomainError(f"radius must be positive, got {r}")
+    nonpositive = r <= 0.0
+    if np.count_nonzero(nonpositive):
+        raise DomainError(f"radius must be positive, got {_first_where(nonpositive, r)[1]}")
     ud = geom.radial_du(r)
     udd = geom.radial_ddu(r)
     d = 1.0 + r * ud
@@ -286,8 +287,10 @@ class RotSymProfile:
     def G_jet(self, r):
         """``(G, G')`` at ``r``, from one evaluation each of ``Psi``, ``Psi'``, ``H`` and ``H'``."""
         w = self.W(r)
-        if np.any(w == 0.0):
-            raise DomainError(f"profile derivative undefined where Psi = 0 (R = {r})")
+        zero = w == 0.0
+        if np.any(zero):
+            _, r0 = _first_where(zero, r)
+            raise DomainError(f"profile derivative undefined where Psi = 0 (R = {r0})")
         dG = self.H.deriv(r, 1) + 1j * (self.branch * self.psi.deriv(r, 1) / (2.0 * w))
         return self.G(r, w), dG
 

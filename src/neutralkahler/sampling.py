@@ -13,7 +13,14 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .ambient import GEOMETRIES, ConformalGeometry, J4_MATRIX, _plane_extent, radial_geometry
+from .ambient import (
+    GEOMETRIES,
+    ROUND_SPHERE,
+    ConformalGeometry,
+    J4_MATRIX,
+    _plane_extent,
+    radial_geometry,
+)
 from .errors import DomainError, NeutralKahlerError
 from .graphs import GraphSection, lagrangian_section, polynomial_section, slopes
 from .numerics import RadialFunction, _polar
@@ -188,12 +195,14 @@ def off_family_profile(
 
     ``Psi`` is a positive even polynomial chosen outside the stationary
     family (the quartic coefficient breaks the closed form on both the
-    flat and the round geometries).
+    flat and the round geometries). Over the round sphere, the geometry whose
+    ``inverse_factor`` is ``ambient.ROUND_SPHERE`` whatever its name, a draw
+    near the symmetric torus pattern ``c2 = c0`` moves to ``c2 = 1.8 c0``.
     """
     c0 = rng.uniform(0.5, 1.5)
     c1 = rng.uniform(0.2, 1.0)
     c2 = rng.uniform(0.5, 1.5)
-    if geometry.name == "sphere" and abs(c2 - c0) < 0.3 * c0:
+    if geometry.inverse_factor == ROUND_SPHERE and abs(c2 - c0) < 0.3 * c0:
         c2 = c0 * 1.8  # keep clear of the symmetric torus pattern
     return RotSymProfile(
         geometry=geometry,

@@ -14,7 +14,7 @@ from neutralkahler import (
     calibration_gap,
     theta_form,
 )
-from neutralkahler import sampling
+from neutralkahler import conjugate_section, polynomial_section, sampling
 from neutralkahler.ambient import J4_MATRIX, _plane_extent
 from neutralkahler.errors import AmbiguousSignatureError, DegeneratePlaneError, DomainError
 from neutralkahler.sampling import (
@@ -54,6 +54,32 @@ class TestGeometry:
     def test_tangent_point_finiteness(self):
         with pytest.raises(DomainError):
             TangentPoint(complex("inf"), 0.0)
+
+    def test_a_non_finite_point_of_a_stack_is_named_by_its_index(self):
+        xi = np.zeros(2000, dtype=complex)
+        xi[1234] = complex(0.0, float("nan"))
+        with pytest.raises(DomainError) as info:
+            TangentPoint(xi, 1.0 + 2.0j)
+        assert str(info.value) == "non-finite tangent point (nanj, (1+2j)) at index (1234,)"
+        with pytest.raises(DomainError, match=r"^non-finite tangent point \(0.5, inf\)$"):
+            TangentPoint(0.5, float("inf"))
+
+    @pytest.mark.parametrize("reflected", [False, True], ids=["as-built", "reflected"])
+    @pytest.mark.parametrize("name", ["flat", "sphere"])
+    def test_inverse_factor_inverts_the_conformal_factor(self, name, reflected):
+        # e^{-2u} from the (xi, xibar) coefficients times e^{2u} is 1, over each
+        # geometry with a polynomial: flat, sphere and the reflected sphere~
+        geom = geometry_by_name(name)
+        if reflected:
+            geom = conjugate_section(polynomial_section(geom, {(1, 0): 1.0})).geometry
+            assert geom.name == name + "~"
+        C = np.array(geom.inverse_factor)
+        rng = rng_from_seed(31)
+        xi = np.array([random_tangent_coords(rng)[0] for _ in range(200)])
+        m, n = np.indices(C.shape)
+        powers = xi[:, None, None] ** m * xi.conjugate()[:, None, None] ** n
+        inverse = np.sum(C * powers, axis=(1, 2))
+        assert np.max(np.abs(inverse * geom.conformal_factor(xi) - 1.0)) <= 1e-13
 
     # one value of each input kind, and a scalar paired with an array either way
     KINDS = {

@@ -128,10 +128,21 @@ class TestConfig:
         ["area", "--A2", "1", "--B2", "0.5", "--exclude", "1.0:0"],
         ["area", "--A2", "1", "--B2", "0.5", "--exclude", "nan:0.1"],
         ["verify", "--seed", "-5"],
+        ["residual", "--A2", "nan", "--B2", "1"],
+        ["residual", "--A2", "1", "--B2", "inf"],
+        ["area", "--A1=-inf", "--A2", "1", "--B2", "0.5"],
+        ["area", "--B1", "nan", "--A2", "1", "--B2", "0.5"],
+        ["export", "--B2", "nan", "--C2", "0", "--out", "t.obj"],
+        ["export", "--B2", "1", "--C2", "inf", "--out", "t.obj"],
+        ["verify", "--tol", "ode_residual=nan"],
+        ["verify", "--tol", "ode_residual=-1"],
+        ["verify", "--tol", "stokes=inf"],
     ], ids=["one-radius", "two-angles", "empty-range", "negative-half-length",
             "nan-half-length", "infinite-half-length", "infinite-rmax", "export-infinite-rmax",
             "nan-rmin", "negative-band-half-width", "nan-band-half-width",
-            "zero-band-half-width", "nan-band-centre", "negative-seed"])
+            "zero-band-half-width", "nan-band-centre", "negative-seed", "nan-A2",
+            "infinite-B2", "infinite-A1", "nan-B1", "nan-B2", "infinite-C2", "nan-tolerance",
+            "negative-tolerance", "infinite-tolerance"])
     def test_bad_grid_range_and_half_length(self, argv, capsys):
         with pytest.raises(ConfigError):
             parse(argv)
@@ -288,6 +299,9 @@ class TestOptionTable:
         ("grid", (1, 32), "--grid"), ("grid", (32, 3), "--grid"),
         ("exclude", ((1.0, 0.0),), "--exclude"), ("half_length", np.inf, "--half-length"),
         ("fmt", "ply", "--format"), ("tol", {"bogus": 1.0}, "--tol"),
+        ("a1", np.nan, "--A1"), ("b1", -np.inf, "--B1"), ("a2", np.nan, "--A2"),
+        ("b2", np.inf, "--B2"), ("c2", np.nan, "--C2"), ("tol", {"stokes": np.nan}, "--tol"),
+        ("tol", {"stokes": -1e-9}, "--tol"), ("tol", {"stokes": np.inf}, "--tol"),
     ])
     def test_rules_guard_direct_construction(self, field, value, flag):
         base = dict(task="export", geometry="sphere", b2=1.0, c2=0.0, out="t.obj")
@@ -669,7 +683,7 @@ def test_families_suite_is_pinned(geometry, seed):
 @pytest.fixture
 def bump_row(monkeypatch, bump):
     """The table with one more row, the bump; nothing else is patched."""
-    monkeypatch.setitem(GEOMETRIES, "bump", (lambda: bump, (0.3, 2.5), None))
+    monkeypatch.setitem(GEOMETRIES, "bump", (lambda: bump, (0.3, 2.5)))
     return "bump"
 
 
@@ -738,15 +752,17 @@ class TestGeometryTable:
             assert lo <= profile.domain[0] < profile.domain[1] <= hi
 
     def test_lagrangian_sections_exactly_on_rows_with_a_matrix(self, bump_row):
+        # the matrix of e^{-2u} is the row geometry's own inverse_factor (None on the bump)
         potential = {(2, 1): 0.3 + 0.1j, (1, 1): 0.5}
-        for name, (_, _, matrix) in GEOMETRIES.items():
+        for name in GEOMETRIES:
             geom = geometry_by_name(name)
-            if matrix is None:
+            if geom.inverse_factor is None:
                 with pytest.raises(UnsupportedGeometryError, match=name):
                     lagrangian_section(geom, potential)
             else:
                 assert abs(slopes(lagrangian_section(geom, potential), 0.4 + 0.7j).lam) < 1e-12
+        # the reflection of the sphere, which is no row, carries the transposed matrix
         reflected = conjugate_section(lagrangian_section(geometry_by_name("sphere"), potential))
         assert reflected.geometry.name == "sphere~"
-        with pytest.raises(UnsupportedGeometryError, match="sphere~"):
-            lagrangian_section(reflected.geometry, potential)
+        section = lagrangian_section(reflected.geometry, potential)
+        assert abs(slopes(section, 0.4 + 0.7j).lam) < 1e-12

@@ -28,9 +28,20 @@ from neutralkahler import (
     stokes_check,
     torus_section,
 )
-from neutralkahler.ambient import ConformalGeometry, TangentPoint, ambient_frame, theta_form
+from neutralkahler.ambient import (
+    ConformalGeometry,
+    TangentPoint,
+    ambient_frame,
+    radial_geometry,
+    theta_form,
+)
 from neutralkahler.cli import RunConfig, _section_and_grid, run
-from neutralkahler.errors import DomainError, QuadratureError, SingularResidualError
+from neutralkahler.errors import (
+    DomainError,
+    QuadratureError,
+    SingularResidualError,
+    UnsupportedGeometryError,
+)
 from neutralkahler.graphs import (
     _RESIDUAL_BLOCK,
     _STENCIL,
@@ -143,6 +154,25 @@ class TestPredicates:
         tilted = ConformalGeometry("tilted", u=lambda z: 0.1 * z.real, du=lambda z: 0.05 + 0j)
         with pytest.raises(NotImplementedError):
             lagrangian_section(tilted, {(1, 1): 1.0})
+
+    def test_gradient_sections_over_the_reflected_sphere_are_lagrangian(self, sphere):
+        # the reflection sphere~ carries the transposed e^{-2u} matrix of the sphere
+        reflected = conjugate_section(polynomial_section(sphere, {(1, 0): 1.0})).geometry
+        assert reflected.name == "sphere~"
+        rng = rng_from_seed(28)
+        for _ in range(4):
+            section = random_lagrangian_section(rng, reflected)
+            for xi in (0.4 + 0.7j, -1.1 + 0.2j, 0.8 - 1.3j, 2.5 + 0.1j):
+                sl = slopes(section, xi)
+                assert abs(sl.lam) <= 1e-12 * max(1.0, abs(sl.rho))
+
+    def test_a_geometry_named_sphere_is_not_the_sphere(self, bump):
+        # the e^{-2u} polynomial is the geometry's, not its name's: a bump built under
+        # the name "sphere" has none
+        mislabelled = radial_geometry("sphere", bump.u_of_R)
+        assert mislabelled.inverse_factor is None
+        with pytest.raises(UnsupportedGeometryError, match="'sphere'"):
+            lagrangian_section(mislabelled, {(2, 1): 0.3 + 0.1j, (1, 1): 0.5})
 
 
 class TestInducedMetric:

@@ -206,17 +206,19 @@ class TestExport:
             export_congruence(section, self.grid16(), 1.0, "obj", tmp_path / "x.obj")
 
     def test_only_the_round_sphere_and_its_reflection_export(self, tmp_path):
-        # the rule reads the whole name: a bump named "sphere-..." is not the round sphere
+        # the rule reads the geometry's e^{-2u}, not its name: a bump is not the round
+        # sphere, whatever it is named
         from neutralkahler import GraphSection, RadialFunction, conjugate_section
         from neutralkahler.ambient import radial_geometry
 
         torus = torus_section(TorusFamily(1.0, 5.0))
-        bump = radial_geometry("sphere-bump", RadialFunction(lambda r: 0.3 * np.exp(-r * r),
-                                                             lambda r: -0.6 * r * np.exp(-r * r)))
-        with pytest.raises(DomainError, match="'sphere-bump'"):
-            export_congruence(GraphSection(torus.F, bump), self.grid16(), 1.0, "obj",
-                              tmp_path / "bump.obj")
-        assert not (tmp_path / "bump.obj").exists()
+        for name in ("sphere-bump", "sphere"):
+            bump = radial_geometry(name, RadialFunction(lambda r: 0.3 * np.exp(-r * r),
+                                                        lambda r: -0.6 * r * np.exp(-r * r)))
+            with pytest.raises(DomainError, match=f"'{name}'"):
+                export_congruence(GraphSection(torus.F, bump), self.grid16(), 1.0, "obj",
+                                  tmp_path / "bump.obj")
+            assert not (tmp_path / "bump.obj").exists()
         mirrored = conjugate_section(torus)
         assert mirrored.geometry.name == "sphere~"
         assert export_congruence(mirrored, self.grid16(), 1.0, "obj", tmp_path / "m.obj") == 256

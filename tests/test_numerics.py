@@ -328,6 +328,16 @@ class TestCumulativeIntegral:
         assert values.shape == rs.shape
         assert values.tolist() == [[ci(float(r)) for r in row] for row in rs]
 
+    def test_a_radius_outside_is_named_alone(self):
+        # the error names the first radius outside the range, not the whole array
+        ci = CumulativeIntegral(np.exp, 1.0, 2.0, 8)
+        rs = np.linspace(0.5, 3.5, 500)[::-1]
+        with pytest.raises(DomainError) as info:
+            ci(rs)
+        assert str(info.value) == "radius 3.5 outside integration range [1.0, 2.0]"
+        with pytest.raises(DomainError, match=r"^radius 0.25 outside"):
+            ci(0.25)
+
     def test_constant_integrand_may_return_a_scalar(self):
         ci = CumulativeIntegral(lambda r: 2.5, 1.0, 3.0, 8)
         rs = np.linspace(1.0, 3.0, 9)

@@ -120,16 +120,14 @@ def test_package_exports_the_variation_sweep_and_its_one_bump_case():
 
 
 #: where ``src`` may spell a geometry's name: the table, the ``name=`` of each
-#: geometry, and the rules that hold over the round sphere only (line congruences,
-#: the --C2 torus shorthand and the default geometry, and the family sampler's
-#: torus avoidance)
+#: geometry, and the CLI's rules on the name the user typed (the --C2 torus
+#: shorthand, export and the default geometry); code that holds over the round
+#: sphere alone reads the geometry's ``inverse_factor``, not its name
 GEOMETRY_NAME_PLACES = {
     "ambient.GEOMETRIES",
     "ambient.flat_geometry(name=)",
     "ambient.sphere_geometry(name=)",
     "cli.RunConfig.__post_init__",
-    "lines3d.export_congruence",
-    "sampling.off_family_profile",
 }
 
 
@@ -156,7 +154,7 @@ def geometry_name_places():
 
 
 def test_geometry_names_only_in_the_table_and_the_round_sphere_rules():
-    # a new branch on a geometry's name belongs in ambient.GEOMETRIES, as a column
+    # a new branch on a built geometry's name belongs on ConformalGeometry, as a field
     assert geometry_name_places() == GEOMETRY_NAME_PLACES
 
 
@@ -216,6 +214,15 @@ def test_only_the_pullback_reads_the_plane_stencil():
     # a field is its closed-form jet: the one code that differences F is the pullback
     # oracle, so no finite-difference jet can come back through numerics._plane_partials
     assert readers_of("_plane_partials") == ["graphs.pullback_determinant"]
+
+
+def test_only_the_cli_and_the_sampler_read_the_geometry_table():
+    # the table maps a name a run types to a constructor and a draw range; what a
+    # geometry is (its e^{-2u} polynomial included) the geometry carries, so no other
+    # module looks a geometry up by its name (ambient's entry is the table itself)
+    readers = {where.partition(".")[0] for where in readers_of("GEOMETRIES")
+               if where != "ambient"}
+    assert sorted(readers) == ["cli", "sampling"]
 
 
 def test_the_difference_rule_has_only_its_listed_users():

@@ -13,7 +13,8 @@ from neutralkahler.rotsym import FamilyParams, OdeCoefficients
 
 #: each record with its fields in order and the defaults of the trailing ones
 RECORDS = [
-    (ConformalGeometry, ("name", "u", "du", "u_of_R"), {"u_of_R": None}),
+    (ConformalGeometry, ("name", "u", "du", "u_of_R", "inverse_factor"),
+     {"u_of_R": None, "inverse_factor": None}),
     (AmbientFrame, ("G4", "O4"), {}),
     (ThetaForm, ("components",), {}),
     (GraphSection, ("F", "geometry"), {}),

@@ -76,6 +76,13 @@ class TestOdeCoefficients:
         with pytest.raises(DomainError, match="radius must be positive"):
             ode_coefficients(flat, H_LINEAR, r)
 
+    def test_nonpositive_radius_is_named_alone(self, flat):
+        # 500 radii, the first non-positive one named: no message prints the whole array
+        rs = np.linspace(2.0, -1.0, 500)
+        with pytest.raises(DomainError) as info:
+            ode_coefficients(flat, H_LINEAR, rs)
+        assert str(info.value) == f"radius must be positive, got {rs[rs <= 0.0][0]}"
+
     def test_sphere_singular_radius(self, sphere):
         with pytest.raises(SingularCoefficientError):
             ode_coefficients(sphere, H_LINEAR, 1.0)
@@ -533,6 +540,8 @@ class TestProfileValidation:
         profile.G_jet(1.2)
         with pytest.raises(DomainError, match="Psi = 0"):
             profile.G_jet(1.0)
+        with pytest.raises(DomainError, match=r"Psi = 0 \(R = 1.0\)$"):
+            profile.G_jet(np.linspace(0.5, 1.5, 201))
 
     def test_section_derivatives_match_fd(self, flat):
         profile = stationary_family(flat, FamilyParams(0.2, 0.1, 1.0, 0.4), 1, (0.5, 2.5))
