@@ -8,67 +8,20 @@ checks area-stationarity both via the Euler-Lagrange residual and via
 direct first variation of the area, constructs the closed-form
 rotationally symmetric stationary and degenerate families, and realises
 the round-sphere case as congruences of oriented lines in 3-space.
+
+Each module's ``__all__`` is its public API, and the package re-exports
+all of it.
 """
 
-from .ambient import (
-    AmbientFrame,
-    ConformalGeometry,
-    TangentPoint,
-    ThetaForm,
-    ambient_frame,
-    ambient_signature,
-    calibration_gap,
-    flat_geometry,
-    radial_geometry,
-    sphere_geometry,
-    theta_form,
-)
-from .graphs import (
-    GraphSection,
-    InducedMetric,
-    SlopeData,
-    SurfaceClass,
-    area,
-    bump_basis,
-    conjugate_section,
-    el_residual,
-    export_classification_csv,
-    first_variation,
-    first_variations,
-    induced_metric,
-    lagrangian_section,
-    polynomial_section,
-    pullback_determinant,
-    slopes,
-    stokes_check,
-)
-from .lines3d import (
-    OrientedLine,
-    SignatureSample,
-    TorusFamily,
-    export_congruence,
-    signature_profile,
-    to_oriented_line,
-    torus_profile,
-    torus_section,
-)
-from .numerics import (
-    AnnulusGrid,
-    ComplexField,
-    RadialFunction,
-    integrate_annulus,
-    integrate_circle,
-)
-from .rotsym import (
-    FamilyParams,
-    OdeCoefficients,
-    RotSymProfile,
-    degenerate_family,
-    ode_coefficients,
-    ode_residuals,
-    psi_closed_form,
-    reduction_of_order,
-    stationary_family,
-)
+from . import ambient, graphs, lines3d, numerics, rotsym, sampling
+from .ambient import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .lines3d import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .rotsym import *  # noqa: F403
+from .sampling import *  # noqa: F403
+
+__all__ = (ambient.__all__ + numerics.__all__ + graphs.__all__ + rotsym.__all__
+           + lines3d.__all__ + sampling.__all__)
 
 __version__ = "0.1.0"

@@ -157,7 +157,12 @@ def sphere_geometry() -> ConformalGeometry:
 
 def radial_geometry(name: str, u_of_R: RadialFunction) -> ConformalGeometry:
     """A rotationally symmetric geometry from a radial profile ``u(R)`` with its
-    closed-form ``u'``; the ODE machinery also reads its ``u''``, ``u_of_R.d2f``."""
+    closed-form ``u'``; the ODE machinery also reads its ``u''``, ``u_of_R.d2f``.
+
+    Its ``inverse_factor`` is always ``None``: a radial profile cannot say that
+    ``e^{-2u}`` is a polynomial, so lagrangian sections and line congruences refuse
+    the geometry as built. ``._replace(inverse_factor=...)`` supplies the polynomial
+    (``ROUND_SPHERE`` for a profile of the round sphere)."""
 
     def u(xi):
         return u_of_R(abs(xi))

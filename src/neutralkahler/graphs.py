@@ -92,8 +92,10 @@ NULL_ATOL = 1e-6
 #: exact null points (slopes at roundoff level) inside the degenerate class
 DEGENERACY_SCALE_FLOOR = NULL_ATOL**2
 
-#: why the residual map skips a point, in priority order: skip code k
-#: means ``_SKIP_REASONS[k - 1]``, code 0 that the point was evaluated
+#: why the residual map skips a point: skip code k means ``_SKIP_REASONS[k - 1]``,
+#: code 0 that the point was evaluated. Each of the two steps takes its first reason
+#: in this (priority) order, and a point reports the coarse step's reason if it has
+#: one, else the fine step's, so a coarse reason wins over a higher-priority fine one
 _SKIP_REASONS = ("degenerate", "det_sign_change", "lam_sign_change")
 #: step in ``t`` of the first variation's symmetric differences
 T_STEP = 1e-5

@@ -43,7 +43,7 @@ import numpy as np
 from .ambient import ROUND_SPHERE, TangentPoint, sphere_geometry
 from .errors import AdmissibilityError, DomainError
 from .graphs import GraphSection, SurfaceClass, slopes
-from .numerics import AnnulusGrid, RadialFunction, _polar, _write_rows
+from .numerics import AnnulusGrid, RadialFunction, _first_where, _polar, _write_rows
 from .rotsym import RotSymProfile, _even_quartic
 
 __all__ = [
@@ -87,10 +87,10 @@ def _check_lines(d: np.ndarray, f: np.ndarray, rs=None, ts=None) -> None:
     # a non-finite entry makes the norm or the dot product nan or infinite
     ok = (np.abs(norm - 1.0) <= 1e-12) & (np.abs(dot) <= 1e-10)
     if not ok.all():
-        k = np.flatnonzero(~ok)[0]
+        k, norm0, dot0 = _first_where(~ok, norm, dot)
         where = "" if rs is None else f" at node (R={rs[k]:.6g}, theta={ts[k]:.6g})"
         raise DomainError(f"not a unit direction with a perpendicular foot{where}: "
-                          f"|d| = {norm[k]!r}, d.f = {dot[k]:.3e}")
+                          f"|d| = {norm0!r}, d.f = {dot0:.3e}")
 
 
 def direction_of(xi) -> np.ndarray:
@@ -132,6 +132,8 @@ class TorusFamily:
     branch: int = 1
 
     def __post_init__(self):
+        if not np.isfinite([self.b2, self.c2]).all():
+            raise AdmissibilityError(f"need finite B2 and C2, got B2={self.b2}, C2={self.c2}")
         if self.b2 < 0.0:
             raise AdmissibilityError(f"need B2 >= 0, got {self.b2}")
         if self.c2 < -2.0 * self.b2:

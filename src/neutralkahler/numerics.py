@@ -189,7 +189,8 @@ class CumulativeIntegral:
             table.flags.writeable = False
 
     def __call__(self, r):
-        outside = np.logical_or(r < self.a - 1e-12, r > self.b + 1e-12)
+        # the negated range test, so that a NaN radius is outside it too
+        outside = np.logical_not((r >= self.a - 1e-12) & (r <= self.b + 1e-12))
         if outside.any():
             _, r0 = _first_where(outside, r)
             raise DomainError(f"radius {r0} outside integration range [{self.a}, {self.b}]")
@@ -354,8 +355,7 @@ def _first_where(mask, *arrays) -> tuple:
 def _require_finite(finite: np.ndarray, grid: AnnulusGrid) -> None:
     """Raise :class:`QuadratureError` at the first node (radial-major) where ``finite`` fails."""
     if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        r, t = grid.radial_nodes[i], grid.theta_nodes[j]
+        _, r, t = _first_where(~finite, grid.radial_nodes[:, None], grid.theta_nodes)
         raise QuadratureError(f"non-finite integrand at node (R={r:.6g}, theta={t:.6g})")
 
 
@@ -380,7 +380,8 @@ def integrate_circle(f: Callable, n_theta: int = 256) -> float:
     called once, elementwise on the array of angles."""
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     vals = np.broadcast_to(f(thetas), thetas.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = thetas[~np.isfinite(vals)][0]
+    finite = np.isfinite(vals)
+    if not finite.all():
+        _, bad = _first_where(~finite, thetas)
         raise QuadratureError(f"non-finite boundary integrand at theta={bad:.6g}")
     return float(vals.sum() * (2.0 * np.pi / n_theta))

@@ -121,7 +121,7 @@ def _require_nonsingular(d, r) -> None:
 def ode_coefficients(geom: ConformalGeometry, H: RadialFunction, r) -> OdeCoefficients:
     """Evaluate the coefficient functions of both stationarity ODEs,
     elementwise in the radii ``r``."""
-    nonpositive = r <= 0.0
+    nonpositive = np.logical_not(r > 0.0)  # so that a NaN radius is not positive either
     if np.count_nonzero(nonpositive):
         raise DomainError(f"radius must be positive, got {_first_where(nonpositive, r)[1]}")
     ud = geom.radial_du(r)

@@ -17,6 +17,7 @@ from neutralkahler import (
     conjugate_section,
     el_residual,
     export_classification_csv,
+    export_congruence,
     first_variation,
     first_variations,
     induced_metric,
@@ -29,6 +30,7 @@ from neutralkahler import (
     torus_section,
 )
 from neutralkahler.ambient import (
+    ROUND_SPHERE,
     ConformalGeometry,
     TangentPoint,
     ambient_frame,
@@ -173,6 +175,23 @@ class TestPredicates:
         assert mislabelled.inverse_factor is None
         with pytest.raises(UnsupportedGeometryError, match="'sphere'"):
             lagrangian_section(mislabelled, {(2, 1): 0.3 + 0.1j, (1, 1): 0.5})
+
+    def test_a_radial_geometry_carries_a_polynomial_only_when_given_one(self, sphere, tmp_path):
+        # the round sphere's own radial profile says nothing of e^{-2u}: refused as
+        # built, accepted once _replace supplies ROUND_SPHERE
+        round_ = radial_geometry("round", sphere.u_of_R)
+        torus_F = torus_section(TorusFamily(1.0, 5.0)).F
+        grid = AnnulusGrid(0.3, 3.0, 4, 4)
+        assert round_.inverse_factor is None
+        with pytest.raises(UnsupportedGeometryError, match="'round'"):
+            lagrangian_section(round_, {(1, 1): 1.0})
+        with pytest.raises(DomainError, match="'round'"):
+            export_congruence(GraphSection(torus_F, round_), grid, 1.0, "csv", tmp_path / "r.csv")
+        given = round_._replace(inverse_factor=ROUND_SPHERE)
+        sl = slopes(lagrangian_section(given, {(1, 1): 1.0}), 0.4 + 0.7j)
+        assert abs(sl.lam) <= 1e-12
+        assert export_congruence(GraphSection(torus_F, given), grid, 1.0, "csv",
+                                 tmp_path / "r.csv") == 16
 
 
 class TestInducedMetric:

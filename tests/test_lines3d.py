@@ -33,6 +33,13 @@ class TestTorusFamily:
         with pytest.raises(AdmissibilityError, match="branch must be"):
             TorusFamily(1.0, 0.0, branch=2)
 
+    @pytest.mark.parametrize("b2, c2", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan),
+                                        (1.0, math.inf)])
+    def test_non_finite_constants_rejected(self, b2, c2):
+        # a comparison that NaN fails would let the constant through
+        with pytest.raises(AdmissibilityError, match="need finite B2 and C2"):
+            TorusFamily(b2, c2)
+
     def test_quartic_profile_values(self):
         section = torus_section(TorusFamily(1.0, 0.0))
         xi = 1.5 * np.exp(0.3j)

@@ -392,3 +392,10 @@ class TestCumulativeIntegral:
         for r in (0.5, 2.5, np.array([1.2, 2.0 + 1e-9])):
             with pytest.raises(DomainError):
                 ci(r)
+
+    @pytest.mark.parametrize("r", [float("nan"), np.array([1.2, np.nan, 3.0])])
+    def test_nan_radius_is_outside(self, r):
+        # the first bad entry is the NaN, ahead of the radius above the range
+        ci = CumulativeIntegral(np.exp, 1.0, 2.0, 8)
+        with pytest.raises(DomainError, match=r"^radius nan outside integration range"):
+            ci(r)

@@ -1,7 +1,8 @@
 """Packaging: the runtime imports match the declared dependencies, importing
 the CLI loads no scipy, configparser, argparse, json, numpy.polynomial or cmath,
 the only dataclasses are the classes that validate on construction, every
-exported name resolves, the geometries are named in one table, only ``numerics``
+exported name resolves, the package's ``__all__`` is its modules' lists
+concatenated, the geometries are named in one table, only ``numerics``
 spells the step of the plane's one finite-difference stencil and formats the
 numbers of the CSV/OBJ artifacts, no handler catches more than the exceptions it
 names, only the pullback oracle calls that stencil, and the one difference rule
@@ -104,19 +105,48 @@ def test_dataclasses_are_exactly_the_validating_classes():
     assert [name for name, cls in found.items() if "__post_init__" not in vars(cls)] == []
 
 
-@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
-                                           if "\n__all__ = " in p.read_text()))
+#: the modules whose ``__all__`` the package re-exports, in the order of its own
+#: ``__all__``
+PUBLIC_MODULES = ("ambient", "numerics", "graphs", "rotsym", "lines3d", "sampling")
+#: the modules but ``__init__`` that declare an ``__all__``
+DECLARING_MODULES = sorted(p.stem for p in PACKAGE.glob("*.py")
+                           if p.stem != "__init__" and "\n__all__ = " in p.read_text())
+
+
+@pytest.mark.parametrize("module", DECLARING_MODULES)
 def test_every_all_name_resolves(module):
     mod = importlib.import_module(f"{PACKAGE.name}.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_package_exports_the_variation_sweep_and_its_one_bump_case():
-    import neutralkahler
-    from neutralkahler import graphs
+def test_the_public_modules_are_the_modules_declaring_all():
+    assert sorted(PUBLIC_MODULES) == DECLARING_MODULES
 
-    assert neutralkahler.first_variation is graphs.first_variation
-    assert neutralkahler.first_variations is graphs.first_variations
+
+def test_package_all_is_the_module_lists_concatenated():
+    # each module's __all__ is the one declaration of its public names
+    import neutralkahler
+
+    assert neutralkahler.__all__ == [
+        name for module in PUBLIC_MODULES
+        for name in importlib.import_module(f"{PACKAGE.name}.{module}").__all__]
+
+
+def test_package_all_names_no_name_twice():
+    import neutralkahler
+
+    assert len(set(neutralkahler.__all__)) == len(neutralkahler.__all__)
+
+
+def test_package_exports_each_name_as_its_module_object():
+    import neutralkahler
+
+    others = []
+    for module in PUBLIC_MODULES:
+        mod = importlib.import_module(f"{PACKAGE.name}.{module}")
+        others += [f"{module}.{name}" for name in mod.__all__
+                   if getattr(neutralkahler, name, None) is not getattr(mod, name)]
+    assert others == []
 
 
 #: where ``src`` may spell a geometry's name: the table, the ``name=`` of each

@@ -83,6 +83,11 @@ class TestOdeCoefficients:
             ode_coefficients(flat, H_LINEAR, rs)
         assert str(info.value) == f"radius must be positive, got {rs[rs <= 0.0][0]}"
 
+    @pytest.mark.parametrize("r", [float("nan"), np.array([1.0, np.nan, -1.0])])
+    def test_nan_radius_is_not_positive(self, flat, r):
+        with pytest.raises(DomainError, match=r"^radius must be positive, got nan$"):
+            ode_coefficients(flat, H_LINEAR, r)
+
     def test_sphere_singular_radius(self, sphere):
         with pytest.raises(SingularCoefficientError):
             ode_coefficients(sphere, H_LINEAR, 1.0)
