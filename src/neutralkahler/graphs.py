@@ -99,6 +99,9 @@ DEGENERACY_SCALE_FLOOR = NULL_ATOL**2
 _SKIP_REASONS = ("degenerate", "det_sign_change", "lam_sign_change")
 #: step in ``t`` of the first variation's symmetric differences
 T_STEP = 1e-5
+#: the first variation's four values of ``t`` (the real arms of the difference rule),
+#: one per leading axis of its shifted area sums
+_T_ARMS = (np.real(_ARMS[:4]) * T_STEP)[:, None, None]
 #: relative step of the residual's stencil: h = RESIDUAL_STEP max(1, |xi|)
 RESIDUAL_STEP = 1e-6
 #: points per block of a residual sweep, which bounds its peak memory: a block's
@@ -175,14 +178,31 @@ class InducedMetric(NamedTuple):
     classification: SurfaceClass
 
 
+def _jet_slopes(jet, du) -> tuple:
+    """``(sigma, rho)`` from a field's jet ``(F, dF, dbarF)`` and the geometry's ``du`` at
+    the same points: the one slope formula, elementwise (a constant may stay scalar)."""
+    f, d, dbar = jet
+    return -dbar.conjugate(), d + 2.0 * f * du
+
+
+def _shaped(v, shape: tuple) -> np.ndarray:
+    """``v`` as a read-only array of ``shape``: a view of an array already of that
+    shape, otherwise ``v`` (a scalar, as a constant field or geometry returns) broadcast."""
+    if isinstance(v, np.ndarray) and v.shape == shape:
+        v = v.view()
+        v.setflags(write=False)
+        return v
+    return np.broadcast_to(v, shape)
+
+
 def slopes(section: GraphSection, xi) -> SlopeData:
-    """Evaluate the slope invariants at ``xi``: Python scalars at a Python point; on
-    an array of points, both slopes as (read-only) arrays shaped like ``xi``, also
-    where a constant field or geometry leaves one of them scalar."""
-    f, d, dbar = section.F.jet(xi)
-    sigma, rho = -dbar.conjugate(), d + 2.0 * f * section.geometry.du(xi)
+    """Evaluate the slope invariants at ``xi`` from one jet of the field and one ``du``
+    of the geometry: Python scalars at a Python point; on an array of points, both
+    slopes as read-only arrays shaped like ``xi`` (views where the formula already gave
+    that shape, broadcast where a constant field or geometry leaves one scalar)."""
+    sigma, rho = _jet_slopes(section.F.jet(xi), section.geometry.du(xi))
     if isinstance(xi, np.ndarray):
-        return SlopeData(np.broadcast_to(sigma, xi.shape), np.broadcast_to(rho, xi.shape))
+        return SlopeData(_shaped(sigma, xi.shape), _shaped(rho, xi.shape))
     return SlopeData(sigma, rho)
 
 
@@ -223,21 +243,36 @@ def pullback_determinant(section: GraphSection, xi):
     return np.linalg.det(np.swapaxes(jac, -1, -2) @ frame.G4 @ jac) / PULLBACK_DET_FACTOR
 
 
-def _slope_table(
-    section: GraphSection, grid: AnnulusGrid
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``sigma``, ``lam`` and ``e^{2u}`` at every Gauss node, indexed ``[radial node,
-    angle]``, from one ``slopes`` call; checked by :func:`numerics._require_finite`."""
-    xi = _polar(grid.radial_nodes[:, None], grid.theta_nodes)
-    sl = slopes(section, xi)
-    w = np.broadcast_to(section.geometry.conformal_factor(xi), xi.shape)
-    _require_finite(np.isfinite(sl.sigma) & np.isfinite(sl.lam) & np.isfinite(w), grid)
-    return sl.sigma, sl.lam, w
+def _node_geometry(geometry: ConformalGeometry, grid: AnnulusGrid):
+    """``du`` and ``e^{2u}`` (shaped like the nodes) at the grid's Gauss nodes, each
+    evaluated once for all the fields of one quadrature call."""
+    xi = grid.xi_nodes
+    return geometry.du(xi), _shaped(geometry.conformal_factor(xi), xi.shape)
 
 
-def _area_from_slopes(sigma: np.ndarray, lam: np.ndarray, w: np.ndarray, grid: AnnulusGrid):
-    """Area from node tables of the slopes; leading axes (one per ``t``) are kept."""
-    return _node_sum(2.0 * np.sqrt(np.abs(lam * lam - _abs2(sigma))) * w, grid)
+def _slope_table(field: ComplexField, du, grid: AnnulusGrid, w=None) -> tuple:
+    """``Re sigma``, ``Im sigma`` and ``lam`` of ``field`` at every Gauss node, read-only
+    arrays indexed ``[radial node, angle]``, from one jet and the geometry's node ``du``;
+    checked, with ``e^{2u}`` where ``w`` is given, by :func:`numerics._require_finite`."""
+    xi = grid.xi_nodes
+    sigma, rho = (_shaped(v, xi.shape) for v in _jet_slopes(field.jet(xi), du))
+    lam = rho.imag
+    finite = np.isfinite(sigma) & np.isfinite(lam)
+    _require_finite(finite if w is None else finite & np.isfinite(w), grid)
+    return sigma.real, sigma.imag, lam
+
+
+def _area_from_slopes(re, im, lam, w: np.ndarray, grid: AnnulusGrid):
+    """Area from node tables (arrays) of ``Re sigma``, ``Im sigma`` and ``lam``: the one
+    area density, ``2 sqrt|lam^2 - |sigma|^2| e^{2u}``; leading axes (one per ``t``)
+    are kept. After its first product the density is worked in its own buffer."""
+    density = lam * lam
+    norm = re * re
+    norm += im * im
+    density -= norm
+    np.sqrt(np.abs(density, out=density), out=density)
+    density *= 2.0
+    return _node_sum(density * w, grid)
 
 
 def area(section: GraphSection, grid: AnnulusGrid) -> float:
@@ -246,7 +281,8 @@ def area(section: GraphSection, grid: AnnulusGrid) -> float:
     The normalisation fixes ``|dxi ^ dxibar| = 2 dx ^ dy``; stationarity
     statements do not depend on it, absolute values do.
     """
-    return float(_area_from_slopes(*_slope_table(section, grid), grid))
+    du, w = _node_geometry(section.geometry, grid)
+    return float(_area_from_slopes(*_slope_table(section.F, du, grid, w), w, grid))
 
 
 def _residual_map(section: GraphSection, xi):
@@ -342,7 +378,7 @@ def _angular_field(g: Callable, g_jet: Callable, k: int) -> ComplexField:
 
     def radius(xi):
         r = abs(xi)
-        if np.any(r == 0.0):
+        if np.count_nonzero(r) != np.size(r):  # a zero radius; nan counts as nonzero
             raise DomainError("angular mode undefined at xi = 0")
         return r
 
@@ -383,18 +419,26 @@ def first_variations(
 
     The Richardson rule of ``numerics._richardson`` in ``t``. The slopes
     are real-linear in the field, ``sigma(F + t b) = sigma(F) + t sigma(b)``
-    and likewise ``lam``, so one ``slopes`` call on all Gauss nodes for F
-    and one per bump give each bump's four shifted areas as sums over the
-    same per-node table that ``area`` reads. This is the independent
-    stationarity oracle: it shares nothing with ``el_residual`` and does
-    no spatial differencing.
+    and likewise ``lam``, so each bump's four shifted areas are sums over
+    the same per-node density that ``area`` reads, taken in real arithmetic
+    (``Re sigma``, ``Im sigma``, ``lam``). One call reads the geometry once
+    (``e^{2u}`` and ``du`` on the grid's Gauss nodes) and each field's jet
+    once, F's and one per bump. This is the independent stationarity
+    oracle: it shares nothing with ``el_residual`` and does no spatial
+    differencing.
     """
-    sigma, lam, w = _slope_table(section, grid)
-    ts = (np.real(_ARMS[:4]) * T_STEP)[:, None, None]
+    du, w = _node_geometry(section.geometry, grid)
+    re, im, lam = _slope_table(section.F, du, grid, w)
+
+    def shifted(v, v_b):  # v + t v_b for each t, in one new buffer
+        out = _T_ARMS * v_b
+        out += v
+        return out
 
     def variation(bump: ComplexField):
-        sigma_b, lam_b, _ = _slope_table(GraphSection(bump, section.geometry), grid)
-        areas = _area_from_slopes(sigma + ts * sigma_b, lam + ts * lam_b, w, grid)
+        re_b, im_b, lam_b = _slope_table(bump, du, grid)
+        areas = _area_from_slopes(shifted(re, re_b), shifted(im, im_b), shifted(lam, lam_b),
+                                  w, grid)
         return _richardson(areas, T_STEP)[0]
 
     return np.array([variation(bump) for bump in bumps], dtype=float)
@@ -418,9 +462,9 @@ def stokes_check(
     difference (``F_x = dF + dbarF``, ``F_y = i (dF - dbarF)``, so a ``dF`` that
     disagrees with F shows), and ``theta_form`` on F at the boundary angles.
     """
-    xi = _polar(grid.radial_nodes[:, None], grid.theta_nodes)
+    xi = grid.xi_nodes
     f, d, dbar = section.F.jet(xi)
-    eta = np.broadcast_to(f, xi.shape)
+    eta = _shaped(f, xi.shape)
     _require_finite(np.isfinite(eta), grid)
     O4 = ambient_frame(section.geometry, TangentPoint(xi, eta)).O4
     jac = _jacobian(xi, d + dbar, 1j * (d - dbar))

@@ -90,7 +90,7 @@ def _check_lines(d: np.ndarray, f: np.ndarray, rs=None, ts=None) -> None:
         k, norm0, dot0 = _first_where(~ok, norm, dot)
         where = "" if rs is None else f" at node (R={rs[k]:.6g}, theta={ts[k]:.6g})"
         raise DomainError(f"not a unit direction with a perpendicular foot{where}: "
-                          f"|d| = {norm0!r}, d.f = {dot0:.3e}")
+                          f"|d| = {float(norm0)!r}, d.f = {dot0:.3e}")
 
 
 def direction_of(xi) -> np.ndarray:

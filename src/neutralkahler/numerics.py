@@ -30,6 +30,7 @@ Conventions, fixed once for the whole library:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -240,7 +241,9 @@ class AnnulusGrid:
     ``n_r`` counts radial quadrature cells (4 Gauss points each) and
     ``n_theta`` equally spaced angles. ``exclusion_bands`` is a sequence of
     ``(center, half_width)`` pairs, each with a finite centre and a positive
-    finite half-width; no node is placed inside a band.
+    finite half-width; no node is placed inside a band. The grid carries its
+    complex Gauss nodes, :attr:`xi_nodes`, built on first use: every quadrature of
+    ``graphs`` on the grid reads that one table.
     """
 
     r_min: float
@@ -294,6 +297,15 @@ class AnnulusGrid:
         object.__setattr__(
             self, "theta_nodes", np.arange(self.n_theta) * (2.0 * np.pi / self.n_theta)
         )
+
+    @cached_property
+    def xi_nodes(self) -> np.ndarray:
+        """The complex Gauss nodes ``R e^{i theta}`` (:func:`_polar`), indexed ``[radial
+        node, angle]`` and read-only. Built at the first read and kept with the grid, not
+        in ``__post_init__``: the lattice sweeps (residual, classify, export) never read it."""
+        xi = _polar(self.radial_nodes[:, None], self.theta_nodes)
+        xi.flags.writeable = False
+        return xi
 
     @property
     def theta_weight(self) -> float:

@@ -538,6 +538,24 @@ class TestRun:
         assert calls.count(("slopes", (9,) + lattice)) == 1
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("task, extra, builds", [
+        ("residual", ["--out", "c.csv"], 0),
+        ("classify", ["--out", "c.csv"], 0),
+        ("export", ["--format", "obj", "--out", "t.obj"], 0),
+        ("variation", [], 1),
+    ])
+    def test_only_the_quadratures_build_the_gauss_nodes(self, task, extra, builds, monkeypatch):
+        # the lattice tasks sweep the grid's lattice and never build its complex Gauss
+        # nodes; the quadratures of one grid (area and the sweep) build them once
+        from neutralkahler import numerics
+
+        built = []
+        real_polar = numerics._polar
+        monkeypatch.setattr(numerics, "_polar", lambda r, t: built.append(1) or real_polar(r, t))
+        assert main([task, "--B2", "1", "--C2", "5", "--rmin", "0.3", "--rmax", "0.9",
+                     "--grid", "12x12", "--report", "r.json", *extra]) == 0
+        assert len(built) == builds
+
     def test_classify_without_out_counts_the_same_classes(self, outdir):
         argv = ["classify", "--B2", "1", "--C2", "0", "--rmin", "0.3", "--rmax", "2.5",
                 "--grid", "12x12"]

@@ -59,6 +59,7 @@ from neutralkahler.rotsym import RotSymProfile, comfortable_range, degenerate_fa
 from neutralkahler.sampling import (
     geometry_by_name,
     off_family_profile,
+    random_family_profiles,
     random_holomorphic_section,
     random_lagrangian_section,
     random_polynomial_section,
@@ -548,6 +549,61 @@ SWEEP_DIGESTS = [
 ]
 
 
+def _jet_counted(field, jets):
+    """``field`` whose jet appends the points of each evaluation to ``jets``."""
+    return ComplexField(field.evaluator, lambda xi: jets.append(xi) or field.jet(xi))
+
+
+def _kernel_corpus():
+    """The seeded corpus of the grid kernels, ``{name: (section, grid)}``: a flat and a
+    sphere family on their comfortable ranges, a torus, a polynomial and a lagrangian
+    section, and an off-family control."""
+    flat, sphere = geometry_by_name("flat"), geometry_by_name("sphere")
+    rng = rng_from_seed(31)
+    corpus = {}
+    for name in ("flat", "sphere"):
+        ((_, profile),) = random_family_profiles(rng, name, 1)
+        corpus[f"{name}-family"] = profile.section(), AnnulusGrid(*comfortable_range(profile),
+                                                                  16, 16)
+    corpus["torus"] = torus_section(TorusFamily(1.0, 3.0)), AnnulusGrid(1.25, 2.5, 16, 16)
+    corpus["polynomial"] = (random_polynomial_section(rng, sphere, scale=0.3),
+                            AnnulusGrid(0.6, 1.5, 32, 32))
+    corpus["lagrangian"] = random_lagrangian_section(rng, flat), AnnulusGrid(0.6, 1.7, 24, 24)
+    corpus["control"] = (off_family_profile(rng, flat, (0.5, 2.5)).section(),
+                         AnnulusGrid(0.5, 2.5, 16, 16))
+    return corpus
+
+
+#: SHA-256 of the float.hex strings of each corpus case's kernel values (``area``,
+#: ``first_variation`` along every bump of ``bump_basis``, the ``first_variations``
+#: sweep, both sides of ``stokes_check``), recorded before the grid carried its nodes
+KERNEL_DIGESTS = {
+    "flat-family":
+        "a42fa9cbde0337f1c5739c95efd0119ac25147e87a20248d0287c342e35bdbe3",
+    "sphere-family":
+        "61261e47f5680a47c4b7f60499135557276b4be8041b0d527a516e8d7fe53867",
+    "torus":
+        "4ba74ea4419ebbf51f57d4aeabfb3a8c3153270400a99335e6bf3f27e167936a",
+    "polynomial":
+        "b878bf15e5fc160f2f4608c1d4c0f485455d684cffd976bdbabf6205dc7a4fe2",
+    "lagrangian":
+        "efee4af92b7e14e72ca878d9dad3968d65793274224507084ffb0a54c2b57106",
+    "control":
+        "a230022f8eca2c4dc3d64911f9bee4ff55e8844724e3d7d8bf249b44f8c6d8ad",
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_DIGESTS)
+def test_grid_kernels_are_pinned(name):
+    section, grid = _kernel_corpus()[name]
+    bumps = bump_basis(grid.r_min, grid.r_max)
+    values = [area(section, grid), *(first_variation(section, b, grid) for b in bumps),
+              *first_variations(section, bumps, grid).tolist(), *stokes_check(section, grid)]
+    assert len(values) == 23 and all(math.isfinite(v) for v in values)
+    digest = hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest()
+    assert digest == KERNEL_DIGESTS[name]
+
+
 class TestFirstVariation:
     def test_holomorphic_sections_stationary_under_bumps(self, flat):
         grid = AnnulusGrid(1.0, 2.0, 16, 16)
@@ -601,39 +657,75 @@ class TestFirstVariation:
         assert got == pytest.approx(expect, rel=1e-8)
 
     @pytest.mark.parametrize("n", [1, 4, 10])
-    def test_slopes_once_per_node_and_field(self, flat, monkeypatch, n):
-        # one slopes call for F and one per bump, each on every Gauss node
-        import neutralkahler.graphs as graphs
-
-        calls = []
-        real_slopes = graphs.slopes
-        monkeypatch.setattr(graphs, "slopes", lambda s, xi: calls.append(xi) or real_slopes(s, xi))
+    def test_slopes_once_per_node_and_field(self, flat, n):
+        # one jet of F and one per bump, each on the grid's one table of Gauss nodes
+        jets = []
         grid = AnnulusGrid(1.0, 2.0, 6, 8)
-        bumps = bump_basis(1.0, 2.0)[:n]
-        assert first_variations(i_xi(flat), bumps, grid).shape == (n,)
+        section = i_xi(flat)._replace(F=_jet_counted(i_xi(flat).F, jets))
+        bumps = [_jet_counted(b, jets) for b in bump_basis(1.0, 2.0)[:n]]
+        assert first_variations(section, bumps, grid).shape == (n,)
         nodes = grid.radial_nodes[:, None] * np.exp(1j * grid.theta_nodes)
-        assert len(calls) == n + 1
-        for xi in calls:
-            assert np.shape(xi) == nodes.shape
+        assert len(jets) == n + 1
+        for xi in jets:
+            assert xi is grid.xi_nodes
             assert np.allclose(xi, nodes, rtol=1e-15, atol=0.0)
-        calls.clear()  # the one-bump case does the same work as a sweep of one
-        first_variation(i_xi(flat), bumps[0], grid)
-        assert len(calls) == 2
+        jets.clear()  # the one-bump case does the same work as a sweep of one
+        first_variation(section, bumps[0], grid)
+        assert len(jets) == 2
 
     def test_variation_task_builds_one_table_per_field(self, monkeypatch, tmp_path):
-        # area and the 10-bump sweep: one table for the section's area, one for the
-        # section's variations and one per bump (a table per bump and call was 21)
+        # area and the 10-bump sweep: one jet of the section for its area, one for its
+        # variations and one per bump (a table per bump and call was 21)
         import neutralkahler.graphs as graphs
+        import neutralkahler.rotsym as rotsym
 
         monkeypatch.setenv("NKLAB_OUTPUT_DIR", str(tmp_path))
-        tables = []
-        real_table = graphs._slope_table
-        monkeypatch.setattr(graphs, "_slope_table",
-                            lambda s, grid: tables.append(s) or real_table(s, grid))
+        jets = []
+        real_field = graphs._angular_field
+        for module in (graphs, rotsym):  # the family's section and the bumps
+            monkeypatch.setattr(module, "_angular_field",
+                                lambda *args: _jet_counted(real_field(*args), jets))
         code, report = run(RunConfig(task="variation", geometry="flat", a2=1.0, b2=0.5,
                                      grid=(8, 8), report="v.json"))
         assert code == 0 and report["checks"][0]["evaluated"] == 10
-        assert len(tables) == 12
+        assert len(jets) == 12
+
+    def test_a_call_reads_the_geometry_once(self, sphere):
+        # e^{2u} and du on the Gauss nodes once per call, not once per bump
+        counts = {"u": 0, "du": 0}
+
+        def counted(name):
+            real = getattr(sphere, name)
+            return lambda xi: counts.__setitem__(name, counts[name] + 1) or real(xi)
+
+        geometry = sphere._replace(u=counted("u"), du=counted("du"))
+        section = polynomial_section(geometry, {(1, 0): 1.2j, (2, 1): 0.1})
+        grid = AnnulusGrid(0.5, 1.5, 6, 8)
+        bumps = bump_basis(0.5, 1.5)
+        for kernel in (lambda: first_variations(section, bumps, grid),
+                       lambda: first_variation(section, bumps[3], grid),
+                       lambda: area(section, grid)):
+            kernel()
+            assert counts == {"u": 1, "du": 1}
+            counts.update(u=0, du=0)
+
+    def test_a_grid_builds_its_node_table_once(self, flat, monkeypatch):
+        import neutralkahler.numerics as numerics
+
+        built = []
+        real_polar = numerics._polar
+        monkeypatch.setattr(numerics, "_polar", lambda r, t: built.append(1) or real_polar(r, t))
+        grid = AnnulusGrid(1.0, 2.0, 6, 8)
+        assert built == []  # not at construction
+        section, bumps = polynomial_section(flat, {(1, 0): 1.3j, (1, 1): 0.1}), bump_basis(1.0, 2.0)
+        area(section, grid)
+        first_variations(section, bumps, grid)
+        first_variation(section, bumps[0], grid)
+        stokes_check(section, grid)
+        assert len(built) == 1 and grid.xi_nodes is grid.xi_nodes
+        assert not grid.xi_nodes.flags.writeable
+        assert np.array_equal(grid.xi_nodes, real_polar(grid.radial_nodes[:, None],
+                                                        grid.theta_nodes))
 
     @pytest.mark.parametrize("config, digest", SWEEP_DIGESTS)
     def test_sweep_values_are_pinned(self, config, digest):

@@ -287,6 +287,15 @@ class TestLineArrays:
         with pytest.raises(DomainError, match=r"R=2, theta=0\b"):
             export_congruence(section, grid, 1.0, fmt, tmp_path / f"nan.{fmt}")
 
+    def test_non_unit_direction_names_its_norm_as_a_plain_number(self):
+        from neutralkahler import OrientedLine
+
+        # the shortest repr of the norm, not numpy's np.float64(...) spelling
+        with pytest.raises(DomainError) as info:
+            OrientedLine(direction=np.array([1.0, 1.0, 0.0]), foot=np.zeros(3))
+        assert str(info.value) == ("not a unit direction with a perpendicular foot: "
+                                   "|d| = 1.4142135623730951, d.f = 0.000e+00")
+
     def test_oriented_line_rejects_non_finite(self):
         from neutralkahler import OrientedLine
 

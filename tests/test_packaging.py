@@ -95,14 +95,18 @@ VALIDATING_DATACLASSES = {
 
 
 def test_dataclasses_are_exactly_the_validating_classes():
+    # ``__init__`` is read through the package object: importing it by its stem would
+    # run it a second time as a module of its own, ``neutralkahler.__init__``
     found = {}
     for path in PACKAGE.glob("*.py"):
-        mod = importlib.import_module(f"{PACKAGE.name}.{path.stem}")
+        name = PACKAGE.name if path.stem == "__init__" else f"{PACKAGE.name}.{path.stem}"
+        mod = importlib.import_module(name)
         found.update((f"{path.stem}.{name}", cls) for name, cls in vars(mod).items()
                      if isinstance(cls, type) and cls.__module__ == mod.__name__
                      and dataclasses.is_dataclass(cls))
     assert set(found) == VALIDATING_DATACLASSES
     assert [name for name, cls in found.items() if "__post_init__" not in vars(cls)] == []
+    assert f"{PACKAGE.name}.__init__" not in sys.modules
 
 
 #: the modules whose ``__all__`` the package re-exports, in the order of its own

@@ -269,9 +269,9 @@ def test_one_nan_stokes_interior(monkeypatch):
 
 
 def test_rho_without_conformal_term(monkeypatch):
-    # rho = d F + 2 F du with the 2 F du term dropped; du = 0 on the flat geometry
-    plant_source_defect(monkeypatch, graphs, "slopes",
-                        " + 2.0 * f * section.geometry.du(xi)")
+    # rho = d F + 2 F du with the 2 F du term dropped, in the one slope formula that
+    # slopes and the quadratures share; du = 0 on the flat geometry
+    plant_source_defect(monkeypatch, graphs, "_jet_slopes", " + 2.0 * f * du")
     checks = verify("sphere", "graphs")
     assert failed(checks, "det_oracle", "stokes") == ["det_oracle"]
     assert checks["det_oracle"]["evaluated"] > 0
@@ -337,11 +337,12 @@ def test_d_exponent_off_by_one(monkeypatch, geometry):
 
 
 def test_jet_scaled_by_one_part_in_1e8(monkeypatch):
-    # F, dF and dbarF scaled by 1 + 1e-8 inside slopes: every slope determinant moves by
-    # 2e-8 relative, which the pinned det_oracle tolerance (1e-6) cannot see; the
-    # floor that the fourth-order pullback affords (1e-9) does
-    plant_source_defect(monkeypatch, graphs, "slopes", "f, d, dbar = section.F.jet(xi)",
-                        "f, d, dbar = (v * (1.0 + 1e-8) for v in section.F.jet(xi))")
+    # F, dF and dbarF scaled by 1 + 1e-8 inside the slope formula (slopes and the
+    # quadratures): every slope determinant moves by 2e-8 relative, which the pinned
+    # det_oracle tolerance (1e-6) cannot see; the floor that the fourth-order pullback
+    # affords (1e-9) does
+    plant_source_defect(monkeypatch, graphs, "_jet_slopes", "f, d, dbar = jet",
+                        "f, d, dbar = (v * (1.0 + 1e-8) for v in jet)")
     assert failed(verify("sphere", "graphs"), "det_oracle", "stokes") == []
     with pytest.raises(AssertionError, match="det_oracle"):
         test_graphs.assert_oracle_floors("sphere", 0)
