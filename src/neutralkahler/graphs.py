@@ -408,7 +408,7 @@ def bump_basis(
     """Compactly supported variation bumps: radial hat times ``e^{i k theta}``,
     applied separately to the real and imaginary parts of the perturbation."""
     phi = radial_bump(r_lo, r_hi)
-    jets = [lambda r, c=c: tuple(c * v for v in phi(r)) for c in (1.0, 1.0j)]
+    jets = (phi, lambda r: tuple(1j * v for v in phi(r)))
     return [_angular_field(lambda r, j=j: j(r)[0], j, k) for k in ks for j in jets]
 
 

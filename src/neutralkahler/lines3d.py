@@ -44,7 +44,7 @@ from .ambient import ROUND_SPHERE, TangentPoint, sphere_geometry
 from .errors import AdmissibilityError, DomainError
 from .graphs import GraphSection, SurfaceClass, slopes
 from .numerics import AnnulusGrid, RadialFunction, _first_where, _polar, _write_rows
-from .rotsym import RotSymProfile, _even_quartic
+from .rotsym import RotSymProfile, _radial_sum
 
 __all__ = [
     "OrientedLine",
@@ -142,7 +142,7 @@ class TorusFamily:
             raise AdmissibilityError(f"branch must be +1 or -1, got {self.branch}")
 
     def psi(self) -> RadialFunction:
-        return _even_quartic(self.b2, self.c2, self.b2)
+        return _radial_sum(((self.b2, 0, 0), (self.c2, 2, 0), (self.b2, 4, 0)))
 
 
 def torus_profile(fam: TorusFamily) -> RotSymProfile:

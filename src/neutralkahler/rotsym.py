@@ -31,6 +31,12 @@ pointwise, so the sign of ``A2`` fixes the causal class of the whole
 surface. For ``A2 = 0`` the same integral formula produces graphs whose
 induced metric is degenerate everywhere (``lam^2 = sigma sigmabar``).
 
+The closed profiles, the family's ``H`` and ``Psi`` and the even quartics of
+the tori and of the off-family controls, are sums of terms ``c R^m e^{-2nu}``,
+and one rule (``_radial_sum``) differentiates them all: a term ``t`` has the
+log-derivative ``k = m / R - 2 n u'``, so ``t' = k t`` and
+``t'' = (k^2 - m / R^2 - 2 n u'') t``.
+
 All indefinite integrals are cumulative quadratures anchored at the left
 end of the declared domain; the resulting constant shifts are absorbed
 into ``B2`` (or the homogeneous multiple, for reduction of order).
@@ -39,7 +45,7 @@ into ``B2`` (or the homogeneous multiple, for reduction of order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -100,13 +106,49 @@ class OdeCoefficients(NamedTuple):
     L2: float
 
 
-def _even_quartic(c0: float, c1: float, c2: float) -> RadialFunction:
-    """``Psi = c0 + c1 R^2 + c2 R^4`` with both derivatives."""
-    return RadialFunction(
-        lambda r: c0 + c1 * r * r + c2 * r**4,
-        lambda r: 2.0 * c1 * r + 4.0 * c2 * r**3,
-        lambda r: 2.0 * c1 + 12.0 * c2 * r * r,
-    )
+def _power(x, p: int):
+    """``x**p`` for ``p >= 1``, by a product where ``p`` is 1 or 2."""
+    return x if p == 1 else x * x if p == 2 else x**p
+
+
+def _radial_sum(terms, geom: Optional[ConformalGeometry] = None) -> RadialFunction:
+    """``f = sum c R^m e^{-2 n u}`` over the terms ``(c, m, n)``, with both
+    derivatives by one rule: a term ``t`` has the log-derivative
+    ``k = m / R - 2 n u'``, so ``t' = k t`` and ``t'' = (k^2 - m / R^2 - 2 n u'') t``.
+    A call reads ``e^{-2u}``, ``u'`` and ``u''`` of ``geom`` at most once each, and
+    none of them (``geom`` may then be ``None``) when every ``n`` is 0. A zero
+    exponent multiplies by nothing, a negative ``m`` is a power of ``1 / R``, and
+    the derivatives leave out the constant terms."""
+    terms = tuple((c, m, n, 2.0 * n) for c, m, n in terms)
+    varying = tuple(term for term in terms if term[1] or term[2])
+    radial = any(n for _, _, n, _ in terms)
+    inverse = any(m < 0 for _, m, _, _ in terms)
+
+    def sum_of(r, order):
+        if order or inverse:
+            inv = 1.0 / r
+        if radial:
+            v = np.exp(-2.0 * geom.radial_u(r))
+            ud = geom.radial_du(r) if order else None
+            udd = geom.radial_ddu(r) if order == 2 else None
+        total = None
+        for c, m, n, n2 in varying if order else terms:
+            t = c * (_power(r, m) if m > 0 else _power(inv, -m)) if m else c
+            if n:
+                t = t * _power(v, n)
+            if order:
+                # t' / t = k and t'' / t = k^2 - m / R^2 - 2 n u'', each without the parts
+                # whose m or n is 0
+                k = m * inv - n2 * ud if m and n else m * inv if m else -n2 * ud
+                if order == 2:
+                    k = k * k - m * inv * inv if m else k * k
+                    if n:
+                        k = k - n2 * udd
+                t = t * k
+            total = t if total is None else total + t
+        return total
+
+    return RadialFunction(lambda r: sum_of(r, 0), lambda r: sum_of(r, 1), lambda r: sum_of(r, 2))
 
 
 def _require_nonsingular(d, r) -> None:
@@ -298,64 +340,6 @@ class RotSymProfile:
         return GraphSection(_angular_field(self.G, self.G_jet, 1), self.geometry)
 
 
-def _closed_family_profiles(
-    geom: ConformalGeometry, params: FamilyParams
-) -> tuple[RadialFunction, RadialFunction]:
-    """Closed-form ``H`` and ``Psi`` (with derivatives) of the stationary family."""
-    a1, b1, a2, b2 = params.a1, params.b1, params.a2, params.b2
-    v = _radial_v(geom)
-
-    def H(r):
-        return a1 * r + b1 * v(r) / r
-
-    def dH(r):
-        ud = geom.radial_du(r)
-        return a1 - b1 * v(r) * (1.0 + 2.0 * r * ud) / (r * r)
-
-    def d2H(r):
-        ud = geom.radial_du(r)
-        udd = geom.radial_ddu(r)
-        return (
-            2.0
-            * b1
-            * v(r)
-            * ((1.0 + 2.0 * r * ud) / r**3 + (2.0 * ud * ud - udd) / r)
-        )
-
-    def psi(r):
-        vr = v(r)
-        return a2 * r * r + b2 * vr - b1 * b1 * vr * vr / (r * r)
-
-    def dpsi(r):
-        ud = geom.radial_du(r)
-        vr = v(r)
-        return (
-            2.0 * a2 * r
-            - 2.0 * b2 * ud * vr
-            + 2.0 * b1 * b1 * vr * vr * (1.0 + 2.0 * r * ud) / r**3
-        )
-
-    def d2psi(r):
-        ud = geom.radial_du(r)
-        udd = geom.radial_ddu(r)
-        vr = v(r)
-        return (
-            2.0 * a2
-            - 2.0 * b2 * vr * (udd - 2.0 * ud * ud)
-            + 2.0
-            * b1
-            * b1
-            * vr
-            * vr
-            * (
-                (2.0 * r * udd - 8.0 * r * ud * ud - 2.0 * ud) / r**3
-                - (3.0 + 6.0 * r * ud) / r**4
-            )
-        )
-
-    return RadialFunction(H, dH, d2H), RadialFunction(psi, dpsi, d2psi)
-
-
 def _trim_domain(
     geom: ConformalGeometry, psi: RadialFunction, r_range: tuple[float, float]
 ) -> tuple[float, float]:
@@ -397,7 +381,9 @@ def stationary_family(
         raise DegenerateFamilyRedirect(
             "a2 = 0 produces a degenerate surface; use degenerate_family"
         )
-    H, psi = _closed_family_profiles(geom, params)
+    a1, b1, a2, b2 = params
+    H = _radial_sum(((a1, 1, 0), (b1, -1, 1)), geom)
+    psi = _radial_sum(((a2, 2, 0), (b2, 0, 1), (-b1 * b1, -2, 2)), geom)
     domain = _trim_domain(geom, psi, r_range)
     return RotSymProfile(geometry=geom, H=H, psi=psi, branch=branch, domain=domain)
 

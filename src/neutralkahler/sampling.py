@@ -24,7 +24,7 @@ from .ambient import (
 from .errors import DomainError, NeutralKahlerError
 from .graphs import GraphSection, lagrangian_section, polynomial_section, slopes
 from .numerics import RadialFunction, _polar
-from .rotsym import FamilyParams, RotSymProfile, _even_quartic, stationary_family
+from .rotsym import FamilyParams, RotSymProfile, _radial_sum, stationary_family
 
 __all__ = [
     "rng_from_seed",
@@ -207,7 +207,7 @@ def off_family_profile(
     return RotSymProfile(
         geometry=geometry,
         H=RadialFunction.constant(0.0),
-        psi=_even_quartic(c0, c1, c2),
+        psi=_radial_sum(((c0, 0, 0), (c1, 2, 0), (c2, 4, 0))),
         branch=1,
         domain=r_range,
     )

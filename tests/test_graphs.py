@@ -540,12 +540,12 @@ def _two_step_residual(section, xi):
 
 
 #: variation-task configurations and the SHA-256 of their 10-bump sweeps, recorded
-#: before the sweep read the section's slope table once for all its bumps
+#: when the family and torus profiles took their derivatives from one rule
 SWEEP_DIGESTS = [
     (dict(geometry="flat", a2=1.0, b2=0.5, grid=(32, 32)),
-     "004d04b4efc4c1c03504ce19253cf147cc3c06f8321598057835eddcf99e7852"),
+     "cc28a033a2ed325a4088fe79013e77b08d71bfa45a4516540bec360a69194abd"),
     (dict(geometry="sphere", b2=1.0, c2=5.0, rmin=0.3, rmax=0.9, grid=(64, 64)),
-     "98ef7bbe948c052c6992c3c0eb7bef90e2de98cf66c3763ac593fc259873c07e"),
+     "31649f66f2ee8c7bb181140c1d011c4550bc90b8287b4b6271618273b4b307d1"),
 ]
 
 
@@ -576,20 +576,22 @@ def _kernel_corpus():
 
 #: SHA-256 of the float.hex strings of each corpus case's kernel values (``area``,
 #: ``first_variation`` along every bump of ``bump_basis``, the ``first_variations``
-#: sweep, both sides of ``stokes_check``), recorded before the grid carried its nodes
+#: sweep, both sides of ``stokes_check``); the family, torus and control cases recorded
+#: when their profiles took their derivatives from one rule, the others before the grid
+#: carried its nodes
 KERNEL_DIGESTS = {
     "flat-family":
-        "a42fa9cbde0337f1c5739c95efd0119ac25147e87a20248d0287c342e35bdbe3",
+        "37d5a3549ca83783094b4c1d6e0c9f4bc0dd087316ad4906309fe094a3d0a9cb",
     "sphere-family":
-        "61261e47f5680a47c4b7f60499135557276b4be8041b0d527a516e8d7fe53867",
+        "441d161dd318992dfa15df1330c3ff10572aa0d6ad9a71a326c90d126360e683",
     "torus":
-        "4ba74ea4419ebbf51f57d4aeabfb3a8c3153270400a99335e6bf3f27e167936a",
+        "ff0663a5507ef77e5f76db590c71a4a201d88d04d754e5737cf31d32b8daaf97",
     "polynomial":
         "b878bf15e5fc160f2f4608c1d4c0f485455d684cffd976bdbabf6205dc7a4fe2",
     "lagrangian":
         "efee4af92b7e14e72ca878d9dad3968d65793274224507084ffb0a54c2b57106",
     "control":
-        "a230022f8eca2c4dc3d64911f9bee4ff55e8844724e3d7d8bf249b44f8c6d8ad",
+        "74207236be1530537b37e804239ca6274dab74811d71f2c66c9c15311ec74b87",
 }
 
 
@@ -727,7 +729,7 @@ class TestFirstVariation:
         assert np.array_equal(grid.xi_nodes, real_polar(grid.radial_nodes[:, None],
                                                         grid.theta_nodes))
 
-    @pytest.mark.parametrize("config, digest", SWEEP_DIGESTS)
+    @pytest.mark.parametrize("config, digest", SWEEP_DIGESTS, ids=("flat", "torus"))
     def test_sweep_values_are_pinned(self, config, digest):
         # the 10-bump sweeps of the variation task, bit for bit (SHA-256 of the
         # float.hex strings): a reordered summation in the sweep shows

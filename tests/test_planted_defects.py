@@ -18,7 +18,7 @@ import test_cli
 import test_graphs
 import test_numerics
 import test_rotsym
-from neutralkahler import cli, graphs, numerics, rotsym, sampling
+from neutralkahler import cli, graphs, numerics, rotsym
 from neutralkahler.ambient import AmbientFrame, ThetaForm, ambient_frame, theta_form
 from neutralkahler.cli import DEFAULT_TOLERANCES, RunConfig, run
 from neutralkahler.numerics import CumulativeIntegral
@@ -315,6 +315,34 @@ def test_psi_second_derivative_source_sign_flipped(monkeypatch):
         test_rotsym.TestPsiClosedForm().test_second_derivative_solves_the_first_ode("sphere")
 
 
+def test_radial_rule_with_m_over_r_squared_sign_flipped(monkeypatch, request):
+    # t'' = (k^2 + m / R^2 - 2 n u'') t for (k^2 - m / R^2 - 2 n u'') t in the one rule
+    # of the closed profiles: only the ODE residuals read H'' and psi'' (the sections'
+    # jets stop at the first derivative, psi_quadrature compares values), so of the
+    # suites only ode_residual fails. No suite runs a torus, but its quartic carries
+    # m = 2 and 4, and the difference-rule test sees its psi''
+    plant_source_defect(monkeypatch, rotsym, "_radial_sum", " - m * inv * inv",
+                        " + m * inv * inv")
+    for geometry in ("flat", "sphere"):
+        checks = verify(geometry, "all")
+        assert failed(checks, *checks) == ["ode_residual"]
+    with pytest.raises(AssertionError):
+        test_rotsym.TestStationaryFamily().test_analytic_derivatives_match_fd("torus", request)
+
+
+def test_radial_rule_without_the_u_second_derivative(monkeypatch, request):
+    # t'' without its -2 n u'' t term: u'' = 0 on the flat geometry, so flat cannot see
+    # it; the sphere's H'' and psi'' leave the ODE pair, and on the bump, where u'' is not
+    # fixed by u', the difference-rule test sees them too
+    plant_source_defect(monkeypatch, rotsym, "_radial_sum", " - n2 * udd")
+    checks = verify("flat", "all")
+    assert failed(checks, *checks) == []
+    checks = verify("sphere", "all")
+    assert failed(checks, *checks) == ["ode_residual"]
+    with pytest.raises(AssertionError):
+        test_rotsym.TestStationaryFamily().test_analytic_derivatives_match_fd("bump", request)
+
+
 @pytest.mark.parametrize("geometry", ["flat", "sphere"])
 def test_dbar_exponent_off_by_one(monkeypatch, geometry):
     # dbar of a coefficient matrix takes (n + 1) C, not n C; F itself is untouched,
@@ -348,7 +376,7 @@ def test_jet_scaled_by_one_part_in_1e8(monkeypatch):
         test_graphs.assert_oracle_floors("sphere", 0)
 
 
-def test_richardson_weight_perturbed(monkeypatch):
+def test_richardson_weight_perturbed(monkeypatch, request):
     # one weight of the difference rule 4 -> 4.01: every derivative it takes grows by
     # 1/300 of itself, which the pullback's Jacobian and d(Theta) show, and so do the
     # tests that hold the radial closed forms against the rule. The residual and the
@@ -362,8 +390,7 @@ def test_richardson_weight_perturbed(monkeypatch):
     with pytest.raises(AssertionError):
         test_numerics.TestWirtinger().test_fd_error_scales_quartically(monkeypatch)
     with pytest.raises(AssertionError):
-        test_rotsym.TestStationaryFamily().test_analytic_derivatives_match_fd(
-            sampling.geometry_by_name("sphere"))
+        test_rotsym.TestStationaryFamily().test_analytic_derivatives_match_fd("sphere", request)
 
 
 def test_potential_not_symmetrised(monkeypatch):
@@ -392,8 +419,8 @@ def test_sweep_pairs_every_bump_with_the_first(monkeypatch):
     # (the radial k = 0 one). The stationary families vary by zero along every bump,
     # so the families suite's check cannot see it; an off-family G(R) e^{i theta}
     # moves only along the k = 1 bumps, so criterion 5's off-family detection catches
-    # it, and so do the pinned families reports and the pinned sphere-torus sweep
-    # (the flat sweep's pinned values are all zero, so that pin cannot)
+    # it, and so do the pinned families reports and both pinned sweeps (the flat
+    # sweep's pinned values are roundoff, up to 9.5e-10, where the defect's are zero)
     plant_source_defect(monkeypatch, graphs, "first_variations",
                         "variation(bump) for", "variation(bumps[0]) for")
     for module in (test_acceptance, test_graphs):
@@ -406,7 +433,6 @@ def test_sweep_pairs_every_bump_with_the_first(monkeypatch):
     for geometry, seed in test_cli.FAMILIES_DIGESTS:
         with pytest.raises(AssertionError):
             test_cli.test_families_suite_is_pinned(geometry, seed)
-    (flat, flat_digest), (torus, torus_digest) = test_graphs.SWEEP_DIGESTS
-    test_graphs.TestFirstVariation().test_sweep_values_are_pinned(flat, flat_digest)
-    with pytest.raises(AssertionError):
-        test_graphs.TestFirstVariation().test_sweep_values_are_pinned(torus, torus_digest)
+    for config, digest in test_graphs.SWEEP_DIGESTS:
+        with pytest.raises(AssertionError):
+            test_graphs.TestFirstVariation().test_sweep_values_are_pinned(config, digest)
