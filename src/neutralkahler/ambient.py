@@ -89,7 +89,7 @@ class ConformalGeometry(NamedTuple):
     difference, ``numerics._plane_partials``, serves the pullback oracle alone). Both work
     elementwise on arrays of nodes (a constant may come back as a scalar).
     A rotationally symmetric geometry also carries its radial profile
-    ``u_of_R``, whose first two derivatives (``u_of_R.deriv``) drive the ODE
+    ``u_of_R``, whose first two derivatives (``u_of_R.df``, ``.d2f``) drive the ODE
     machinery; ``u_of_R`` is ``None`` for any other geometry. Where ``e^{-2u}``
     is a polynomial in ``xi, xibar``, ``inverse_factor`` holds its coefficients,
     row ``m`` and column ``n`` that of ``xi^m xibar^n``, as nested tuples of
@@ -118,11 +118,11 @@ class ConformalGeometry(NamedTuple):
 
     def radial_du(self, r):
         self.require_radial()
-        return self.u_of_R.deriv(r, 1)
+        return self.u_of_R.df(r)
 
     def radial_ddu(self, r):
         self.require_radial()
-        return self.u_of_R.deriv(r, 2)
+        return self.u_of_R.d2f(r)
 
 
 def flat_geometry() -> ConformalGeometry:
@@ -171,7 +171,7 @@ def radial_geometry(name: str, u_of_R: RadialFunction) -> ConformalGeometry:
         r = abs(xi)
         origin = r == 0.0
         r = np.where(origin, 1.0, r)  # du vanishes at the centre of symmetry
-        return np.where(origin, 0.0j, u_of_R.deriv(r, 1) * xi.conjugate() / (2.0 * r))
+        return np.where(origin, 0.0j, u_of_R.df(r) * xi.conjugate() / (2.0 * r))
 
     return ConformalGeometry(name=name, u=u, du=du, u_of_R=u_of_R)
 

@@ -595,10 +595,11 @@ def export_classification_csv(section: GraphSection, grid: AnnulusGrid, path) ->
 
 
 def _write_classification_csv(path, rs, ts, sl: SlopeData, residual, classes) -> int:
-    """Write lattice columns already computed (radii, angles, slopes, |residual|, classes)."""
+    """Write lattice columns already computed (radii, angles, slopes, |residual|, classes);
+    returns the rows written."""
     names = {c: str(c) for c in SurfaceClass}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("R,theta,re_sigma,im_sigma,lambda,det_factor,abs_residual,class\n")
-        _write_rows(fh, "", ",", (rs, ts, sl.sigma.real, sl.sigma.imag, sl.lam, sl.det_factor,
-                                  residual), [list(map(names.__getitem__, classes.tolist()))])
-    return rs.size
+        return _write_rows(fh, "", ",", (rs, ts, sl.sigma.real, sl.sigma.imag, sl.lam,
+                                         sl.det_factor, residual),
+                           [list(map(names.__getitem__, classes.tolist()))])

@@ -204,7 +204,8 @@ def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: flo
     quads joining angular neighbours at each radius, giving ruled-surface
     ribbons; an ``n_r x n_theta`` lattice yields ``2 n_r n_theta`` vertices
     and ``n_r (n_theta - 1)`` quads. CSV: one row per node with direction
-    and foot in round-trip decimal form. Returns the number of segments.
+    and foot in round-trip decimal form. Returns the number of segments the file
+    holds: its CSV rows, or its OBJ vertex lines over two.
     """
     if not 0.0 < half_length < np.inf:
         raise DomainError(f"half_length must be positive and finite, got {half_length}")
@@ -224,14 +225,13 @@ def export_congruence(section: GraphSection, grid: AnnulusGrid, half_length: flo
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "csv":
             fh.write("R,theta,dx,dy,dz,fx,fy,fz\n")
-            _write_rows(fh, "", ",", (rs, ts, *d.T, *f.T))
-        else:
-            # node k owns the 1-based vertices 2k+1 (start) and 2k+2 (end); ring
-            # r holds nodes r n_theta + j, and angular neighbours j, j+1 make a quad
-            ends = f[:, None] + np.array([-half_length, half_length])[:, None] * d[:, None]
-            first = np.arange(rs.size // grid.n_theta)[:, None] * grid.n_theta
-            k = (first + np.arange(grid.n_theta - 1)).ravel()
-            fh.write(f"# line congruence: {rs.size} segments\n")
-            _write_rows(fh, "v ", " ", ends.reshape(-1, 3).T)
-            _write_rows(fh, "f ", " ", (2 * k[:, None] + np.array([1, 3, 4, 2])).T)
-    return rs.size
+            return _write_rows(fh, "", ",", (rs, ts, *d.T, *f.T))
+        # node k owns the 1-based vertices 2k+1 (start) and 2k+2 (end); ring
+        # r holds nodes r n_theta + j, and angular neighbours j, j+1 make a quad
+        ends = f[:, None] + np.array([-half_length, half_length])[:, None] * d[:, None]
+        first = np.arange(rs.size // grid.n_theta)[:, None] * grid.n_theta
+        k = (first + np.arange(grid.n_theta - 1)).ravel()
+        fh.write(f"# line congruence: {rs.size} segments\n")
+        vertices = _write_rows(fh, "v ", " ", ends.reshape(-1, 3).T)
+        _write_rows(fh, "f ", " ", (2 * k[:, None] + np.array([1, 3, 4, 2])).T)
+    return vertices // 2

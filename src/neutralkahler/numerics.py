@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,29 +106,24 @@ class ComplexField(NamedTuple):
         return self.evaluator(xi)
 
 
-class RadialFunction(NamedTuple):
-    """A real function of the radius and its closed-form derivatives.
+def _no_second_derivative(r):
+    raise DomainError("radial profile has no closed-form derivative of order 2")
 
-    ``df`` is required, so a profile without one fails where it is built; ``d2f``
-    is needed only where the second derivative is read (the ODE coefficients and
-    residuals). ``f`` and the derivatives are elementwise in ``r``: they take an
-    ndarray of radii as well as a Python scalar, and may return a scalar only
-    when constant, which callers broadcast.
-    """
+
+class RadialFunction(NamedTuple):
+    """A real function of the radius and its closed-form derivatives, read through
+    ``f`` (or the call), ``df`` and ``d2f``. ``df`` is required, so a profile without
+    one fails where it is built; one built without ``d2f`` raises ``DomainError``
+    where ``d2f`` is read (the ODE coefficients and residuals). All three are
+    elementwise in ``r``: they take an ndarray of radii as well as a Python scalar,
+    and may return a scalar only when constant, which callers broadcast."""
 
     f: Callable
     df: Callable
-    d2f: Optional[Callable] = None
+    d2f: Callable = _no_second_derivative
 
     def __call__(self, r):
         return self.f(r)
-
-    def deriv(self, r, order: int = 1):
-        if order == 1:
-            return self.df(r)
-        if order == 2 and self.d2f is not None:
-            return self.d2f(r)
-        raise DomainError(f"radial profile has no closed-form derivative of order {order}")
 
     @staticmethod
     def constant(value: float) -> "RadialFunction":
@@ -343,16 +338,20 @@ def _reprs(column: np.ndarray) -> list[str]:
     return np.array([repr(x) for x in bits.view(column.dtype).tolist()], object)[inverse].tolist()
 
 
-def _write_rows(fh, prefix: str, sep: str, numbers, labels=()) -> None:
-    """Write one line per row, ``prefix`` then the columns joined by ``sep``: the
-    ``numbers`` columns (float64 or int64 arrays), then the ``labels`` (string lists).
+def _write_rows(fh, prefix: str, sep: str, numbers, labels=()) -> int:
+    """Write one line per row and return their count: ``prefix``, then joined by ``sep``
+    the ``numbers`` columns (float64 or int64 arrays) and the ``labels`` (string lists).
 
     A number is its ``repr`` (shortest round trip), made once per distinct bit pattern
     per column in each block of ``_WRITE_BLOCK`` rows; a block is one ``fh.write``."""
+    written = 0
     for start in range(0, len(numbers[0]), _WRITE_BLOCK):
         block = slice(start, start + _WRITE_BLOCK)
         columns = [_reprs(c[block]) for c in numbers] + [c[block] for c in labels]
-        fh.write(prefix + ("\n" + prefix).join(map(sep.join, zip(*columns))) + "\n")
+        lines = list(map(sep.join, zip(*columns)))
+        fh.write(prefix + ("\n" + prefix).join(lines) + "\n")
+        written += len(lines)
+    return written
 
 
 def _first_where(mask, *arrays) -> tuple:

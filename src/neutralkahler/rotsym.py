@@ -176,8 +176,8 @@ def ode_coefficients(geom: ConformalGeometry, H: RadialFunction, r) -> OdeCoeffi
     q1 = -2.0 * (ud - r * k) / (r * d)
 
     h = H(r)
-    hd = H.deriv(r, 1)
-    hdd = H.deriv(r, 2)
+    hd = H.df(r)
+    hdd = H.d2f(r)
     g = r * hd - h
     L1 = g / (r * r * d * d) * (r * r * d * hdd - (1.0 + 2.0 * r * ud + r * r * udd) * g)
     L2 = -2.0 * g * g / (r * r)
@@ -229,13 +229,9 @@ def reduction_of_order(
         return psi1(r) * Q(r)
 
     def df(r):
-        return psi1.deriv(r, 1) * Q(r) + psi1(r) * integrand(r)
+        return psi1.df(r) * Q(r) + psi1(r) * integrand(r)
 
     return RadialFunction(f, df)
-
-
-def _radial_v(geom: ConformalGeometry) -> Callable:
-    return lambda r: np.exp(-2.0 * geom.radial_u(r))
 
 
 def _source_J(geom: ConformalGeometry, H: RadialFunction) -> Callable:
@@ -244,7 +240,7 @@ def _source_J(geom: ConformalGeometry, H: RadialFunction) -> Callable:
     def J(r):
         d = 1.0 + r * geom.radial_du(r)
         _require_nonsingular(d, r)
-        g = r * H.deriv(r, 1) - H(r)
+        g = r * H.df(r) - H(r)
         return g * g * np.exp(2.0 * geom.radial_u(r)) / (2.0 * r * d)
 
     return J
@@ -268,7 +264,9 @@ def psi_closed_form(
     # probe the path, ends included, so singular geometry fails at construction
     J(np.linspace(a, b, 257))
     I = CumulativeIntegral(J, a, b, n_quad)
-    v = _radial_v(geom)
+
+    def v(r):
+        return np.exp(-2.0 * geom.radial_u(r))
 
     def f(r):
         return a2 * r * r + v(r) * (b2 + I(r))
@@ -280,12 +278,12 @@ def psi_closed_form(
     def d2f(r):
         ud = geom.radial_du(r)
         udd = geom.radial_ddu(r)
-        g = r * H.deriv(r, 1) - H(r)
+        g = r * H.df(r) - H(r)
         jv = J(r)
         d = 1.0 + r * ud
         # J = 0 where g = 0, so dividing by 1 there makes dJ = 0
         dj = jv * (
-            2.0 * r * H.deriv(r, 2) / np.where(g != 0.0, g, 1.0)
+            2.0 * r * H.d2f(r) / np.where(g != 0.0, g, 1.0)
             + 2.0 * ud
             - (1.0 + 2.0 * r * ud + r * r * udd) / (r * d)
         )
@@ -333,7 +331,7 @@ class RotSymProfile:
         if np.any(zero):
             _, r0 = _first_where(zero, r)
             raise DomainError(f"profile derivative undefined where Psi = 0 (R = {r0})")
-        dG = self.H.deriv(r, 1) + 1j * (self.branch * self.psi.deriv(r, 1) / (2.0 * w))
+        dG = self.H.df(r) + 1j * (self.branch * self.psi.df(r) / (2.0 * w))
         return self.G(r, w), dG
 
     def section(self) -> GraphSection:
@@ -446,8 +444,8 @@ def ode_residuals(
     """
     co = ode_coefficients(geom, H, r)
     val = psi(r)
-    dval = psi.deriv(r, 1)
-    d2val = psi.deriv(r, 2)
+    dval = psi.df(r)
+    d2val = psi.d2f(r)
     r1 = d2val + co.p1 * dval + co.q1 * val - co.L1
     r2 = d2val + co.p2 * dval + co.q2 * val - co.L2
     return r1, r2

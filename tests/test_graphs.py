@@ -1063,7 +1063,7 @@ def _profile_closures(profile):
         return profile.H(r) + 1j * (profile.branch * W(r))
 
     def dG(r):
-        return profile.H.deriv(r, 1) + 1j * (profile.branch * profile.psi.deriv(r, 1) / (2.0 * W(r)))
+        return profile.H.df(r) + 1j * (profile.branch * profile.psi.df(r) / (2.0 * W(r)))
 
     return _separate_closures(G, dG, 1)
 

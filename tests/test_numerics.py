@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from neutralkahler import numerics
+from neutralkahler.ambient import flat_geometry, radial_geometry
 from neutralkahler.errors import DomainError, QuadratureError
 from neutralkahler.numerics import (
     GAUSS_LEGENDRE_4,
@@ -19,6 +20,7 @@ from neutralkahler.numerics import (
     integrate_annulus,
     integrate_circle,
 )
+from neutralkahler.rotsym import ode_coefficients
 
 
 def fd_jet(f, xi):
@@ -119,41 +121,47 @@ class TestWirtinger:
 
 
 class TestRadialDerivative:
-    """A radial profile is its closed-form derivatives: ``deriv`` reads them and
-    differences nothing."""
+    """A radial profile is its closed-form derivatives: ``df`` and ``d2f`` are
+    read as given, and nothing differences a profile."""
 
     def test_square(self):
-        assert RadialFunction(lambda r: r * r, lambda r: 2.0 * r).deriv(3.0, 1) == 6.0
+        assert RadialFunction(lambda r: r * r, lambda r: 2.0 * r).df(3.0) == 6.0
 
     def test_log_second_derivative(self):
         log = RadialFunction(np.log, lambda r: 1.0 / r, lambda r: -1.0 / (r * r))
-        assert log.deriv(2.0, 2) == -0.25
+        assert log.d2f(2.0) == -0.25
 
     def test_constant(self):
-        assert RadialFunction.constant(4.2).deriv(1.3, 1) == 0.0
-        assert RadialFunction.constant(4.2).deriv(1.3, 2) == 0.0
+        assert RadialFunction.constant(4.2).df(1.3) == 0.0
+        assert RadialFunction.constant(4.2).d2f(1.3) == 0.0
 
-    def test_third_order_rejected(self):
-        cube = RadialFunction(lambda r: r**3, lambda r: 3.0 * r * r, lambda r: 6.0 * r)
-        with pytest.raises(DomainError, match="derivative of order 3$"):
-            cube.deriv(1.0, 3)
-
-    def test_deriv_reads_the_closed_forms(self):
+    def test_callables_are_the_closed_forms(self):
         # even a wrong closed form is returned as given: nothing checks it against f here
         rf = RadialFunction(lambda r: r * r, lambda r: -1.0, lambda r: 7.0)
-        assert rf.deriv(3.0, 1) == -1.0 and rf.deriv(3.0) == -1.0
-        assert rf.deriv(3.0, 2) == 7.0
+        assert rf(3.0) == 9.0 and rf.df(3.0) == -1.0 and rf.d2f(3.0) == 7.0
         rs = np.array([0.5, 1.0, 2.0])
-        np.testing.assert_array_equal(RadialFunction(np.sin, np.cos).deriv(rs, 1), np.cos(rs))
+        np.testing.assert_array_equal(RadialFunction(np.sin, np.cos).df(rs), np.cos(rs))
 
     def test_no_fallback_without_closed_forms(self):
         # a profile without f' fails where it is built, one without f'' where f'' is read
         with pytest.raises(TypeError, match="df"):
             RadialFunction(lambda r: r**3)
         rf = RadialFunction(lambda r: r**3, lambda r: 3.0 * r * r)
-        assert rf.d2f is None and rf.deriv(2.0, 1) == 12.0
+        assert rf.d2f is numerics._no_second_derivative and rf.df(2.0) == 12.0
         with pytest.raises(DomainError, match="derivative of order 2$"):
-            rf.deriv(2.0, 2)
+            rf.d2f(2.0)
+
+    def test_missing_second_derivative_fails_where_it_is_read(self):
+        # H, u' and u are all read before H'' or u'' would be: each reader fails at d2f
+        no_d2f = RadialFunction(lambda r: 0.1 * r * r, lambda r: 0.2 * r)
+        bare = radial_geometry("bare", no_d2f)
+        assert bare.radial_du(2.0) == 0.4
+        with pytest.raises(DomainError, match="derivative of order 2$"):
+            bare.radial_ddu(2.0)
+        with pytest.raises(DomainError, match="derivative of order 2$"):
+            ode_coefficients(bare, RadialFunction.constant(1.0), np.array([0.5, 1.0]))
+        with pytest.raises(DomainError, match="derivative of order 2$"):
+            ode_coefficients(flat_geometry(), no_d2f, 1.0)
 
 
 class TestAnnulusGrid:

@@ -15,10 +15,11 @@ import pytest
 
 import test_acceptance
 import test_cli
+import test_elementwise
 import test_graphs
 import test_numerics
 import test_rotsym
-from neutralkahler import cli, graphs, numerics, rotsym
+from neutralkahler import ambient, cli, graphs, lines3d, numerics, rotsym
 from neutralkahler.ambient import AmbientFrame, ThetaForm, ambient_frame, theta_form
 from neutralkahler.cli import DEFAULT_TOLERANCES, RunConfig, run
 from neutralkahler.numerics import CumulativeIntegral
@@ -320,27 +321,40 @@ def test_radial_rule_with_m_over_r_squared_sign_flipped(monkeypatch, request):
     # of the closed profiles: only the ODE residuals read H'' and psi'' (the sections'
     # jets stop at the first derivative, psi_quadrature compares values), so of the
     # suites only ode_residual fails. No suite runs a torus, but its quartic carries
-    # m = 2 and 4, and the difference-rule test sees its psi''
+    # m = 2 and 4, and the difference-rule test sees its psi''; so does the torus oracle,
+    # where the quartic's psi'' leaves the family's (worst 26 of max(1, |x|)), and at
+    # C2 = 2 B2 also the quadrature path's
     plant_source_defect(monkeypatch, rotsym, "_radial_sum", " - m * inv * inv",
                         " + m * inv * inv")
+    monkeypatch.setattr(test_rotsym, "_radial_sum", rotsym._radial_sum)
     for geometry in ("flat", "sphere"):
         checks = verify(geometry, "all")
         assert failed(checks, *checks) == ["ode_residual"]
     with pytest.raises(AssertionError):
         test_rotsym.TestStationaryFamily().test_analytic_derivatives_match_fd("torus", request)
+    oracle, sphere = test_rotsym.TestTorusIsAFamilyMember(), request.getfixturevalue("sphere")
+    for test in (oracle.test_quartic_is_the_family_psi,
+                 oracle.test_symmetric_member_is_the_degenerate_family):
+        with pytest.raises(AssertionError):
+            test(sphere)
 
 
 def test_radial_rule_without_the_u_second_derivative(monkeypatch, request):
     # t'' without its -2 n u'' t term: u'' = 0 on the flat geometry, so flat cannot see
     # it; the sphere's H'' and psi'' leave the ODE pair, and on the bump, where u'' is not
-    # fixed by u', the difference-rule test sees them too
+    # fixed by u', the difference-rule test sees them too. The torus oracle's family psi''
+    # carries the e^{-2u} term and the quartic does not (worst 7.5 of max(1, |x|))
     plant_source_defect(monkeypatch, rotsym, "_radial_sum", " - n2 * udd")
+    monkeypatch.setattr(test_rotsym, "_radial_sum", rotsym._radial_sum)
     checks = verify("flat", "all")
     assert failed(checks, *checks) == []
     checks = verify("sphere", "all")
     assert failed(checks, *checks) == ["ode_residual"]
     with pytest.raises(AssertionError):
         test_rotsym.TestStationaryFamily().test_analytic_derivatives_match_fd("bump", request)
+    with pytest.raises(AssertionError):
+        test_rotsym.TestTorusIsAFamilyMember().test_quartic_is_the_family_psi(
+            request.getfixturevalue("sphere"))
 
 
 @pytest.mark.parametrize("geometry", ["flat", "sphere"])
@@ -436,3 +450,41 @@ def test_sweep_pairs_every_bump_with_the_first(monkeypatch):
     for config, digest in test_graphs.SWEEP_DIGESTS:
         with pytest.raises(AssertionError):
             test_graphs.TestFirstVariation().test_sweep_values_are_pinned(config, digest)
+
+
+def test_congruence_csv_drops_its_last_row(monkeypatch, tmp_path):
+    # the export's CSV without the last node's row: export_segments holds the rows the
+    # file holds against the lattice, so it fails where a count of the lattice itself,
+    # compared with the lattice, could not
+    plant_source_defect(monkeypatch, lines3d, "export_congruence", "(rs, ts, *d.T, *f.T)",
+                        "(rs[:-1], ts, *d.T, *f.T)")
+    assert cli.main(["export", "--B2", "1", "--C2", "0", "--grid", "8x8", "--format", "csv",
+                     "--out", "t.csv", "--report", "planted.json"]) == 1
+    report = json.loads((tmp_path / "planted.json").read_text())
+    assert failed({c["name"]: c for c in report["checks"]}, "export_segments") == [
+        "export_segments"]
+    assert report["values"]["segments"] == 63
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 63
+
+
+def test_frame_takes_the_stacks_first_conformal_factor(monkeypatch, request):
+    # every point of a stacked ambient_frame call takes the first point's e^{2u}; one
+    # point is untouched. The flat factor is constant, so flat cannot see it. On the
+    # sphere the stencils that difference a stacked Omega or Theta (closedness,
+    # exactness), the pullback's frames (det_oracle) and Stokes fail; calibration_floor,
+    # jplane_gap, signature_defects and compatibility (one consistent frame at each
+    # point), and the rotsym and families checks (which read no frame) miss it
+    plant_source_defect(monkeypatch, ambient, "ambient_frame",
+                        "two_w = 2.0 * geom.conformal_factor(p.xi)",
+                        "two_w = 2.0 * np.ravel(geom.conformal_factor(p.xi))[0]")
+    monkeypatch.setattr(test_elementwise, "ambient_frame", ambient.ambient_frame)
+    checks = verify("flat", "all")
+    assert failed(checks, *checks) == []
+    checks = verify("sphere", "all")
+    assert failed(checks, *checks) == ["closedness", "exactness", "det_oracle", "stokes"]
+    stack = [(0.3, -0.2, 1.0, 0.5), (1.1, 0.7, -0.4, 2.0), (-1.6, 0.4, 0.8, -1.2)]
+    test_elementwise.assert_frame_and_theta_pointwise(request.getfixturevalue("flat"), stack)
+    for geometry in ("sphere", "bump"):
+        with pytest.raises(AssertionError):
+            test_elementwise.assert_frame_and_theta_pointwise(
+                request.getfixturevalue(geometry), stack)

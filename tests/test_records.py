@@ -8,7 +8,7 @@ import pytest
 from neutralkahler.ambient import J4_MATRIX, AmbientFrame, ConformalGeometry, ThetaForm
 from neutralkahler.cli import _Option
 from neutralkahler.graphs import GraphSection, InducedMetric, SlopeData
-from neutralkahler.numerics import ComplexField, RadialFunction
+from neutralkahler.numerics import ComplexField, RadialFunction, _no_second_derivative
 from neutralkahler.rotsym import FamilyParams, OdeCoefficients
 
 #: each record with its fields in order and the defaults of the trailing ones
@@ -21,7 +21,7 @@ RECORDS = [
     (SlopeData, ("sigma", "rho"), {}),
     (InducedMetric, ("matrix", "determinant", "classification"), {}),
     (ComplexField, ("evaluator", "jet"), {}),
-    (RadialFunction, ("f", "df", "d2f"), {"d2f": None}),
+    (RadialFunction, ("f", "df", "d2f"), {"d2f": _no_second_derivative}),
     (FamilyParams, ("a1", "b1", "a2", "b2"), {"a1": 0.0, "b1": 0.0, "a2": 1.0, "b2": 0.0}),
     (OdeCoefficients, ("p1", "q1", "L1", "p2", "q2", "L2"), {}),
     (_Option, ("flag", "parse", "tasks", "choices", "rule", "help", "repeat", "field", "default"),
@@ -71,7 +71,7 @@ def test_examples_of_defaults_and_methods():
     assert repr(FamilyParams()) == "FamilyParams(a1=0.0, b1=0.0, a2=1.0, b2=0.0)"
     f = ComplexField(np.exp, lambda xi: (np.exp(xi), np.exp(xi), 0.0))
     assert f(0.0) == 1.0 and f.jet(0.0) == (1.0, 1.0, 0.0)
-    assert RadialFunction.constant(2.0).deriv(1.0, 2) == 0.0
+    assert RadialFunction.constant(2.0).d2f(1.0) == 0.0
     assert ConformalGeometry("plane", lambda xi: 0.0, lambda xi: 0j).u_of_R is None
     frame = AmbientFrame(np.eye(4), np.zeros((4, 4)))
     assert frame.J4 is AmbientFrame.J4 is J4_MATRIX

@@ -26,9 +26,14 @@ from neutralkahler.errors import (
     SingularCoefficientError,
 )
 from neutralkahler.ambient import GEOMETRIES
-from neutralkahler.lines3d import TorusFamily
-from neutralkahler.numerics import CumulativeIntegral, RadialFunction, _plane_partials
-from neutralkahler.rotsym import NULL_CIRCLE_STANDOFF, RotSymProfile, comfortable_range
+from neutralkahler.lines3d import TorusFamily, torus_section
+from neutralkahler.numerics import CumulativeIntegral, RadialFunction, _plane_partials, _polar
+from neutralkahler.rotsym import (
+    NULL_CIRCLE_STANDOFF,
+    RotSymProfile,
+    _radial_sum,
+    comfortable_range,
+)
 from neutralkahler.sampling import (
     geometry_by_name,
     off_family_profile,
@@ -120,7 +125,7 @@ class TestOdeCoefficients:
                     continue
                 co = ode_coefficients(geom, H_LINEAR, r)
                 for psi in (r2, psi2):
-                    resid = psi.deriv(r, 2) + co.p1 * psi.deriv(r, 1) + co.q1 * psi(r)
+                    resid = psi.d2f(r) + co.p1 * psi.df(r) + co.q1 * psi(r)
                     assert abs(resid) <= 1e-9 * max(1.0, abs(psi(r)))
 
 
@@ -230,7 +235,7 @@ class TestReductionOfOrder:
         P = CumulativeIntegral(p1, a, b, 512)
         for r in np.linspace(a + 0.01, b - 0.01, 7):
             r = float(r)
-            wr = psi1(r) * psi2.deriv(r, 1) - psi2(r) * psi1.deriv(r, 1)
+            wr = psi1(r) * psi2.df(r) - psi2(r) * psi1.df(r)
             assert wr == pytest.approx(math.exp(-P(r)), rel=1e-6)
 
     def test_vanishing_psi1_rejected(self):
@@ -273,7 +278,7 @@ class TestPsiClosedForm:
         rs = np.linspace(0.35, 0.85, 7)
         r1, _ = ode_residuals(geom, H, psi, rs)
         assert np.max(np.abs(r1)) <= 1e-10
-        d2 = psi.deriv(rs, 2)
+        d2 = psi.d2f(rs)
         fd = richardson_derivative(psi.df, rs)
         assert np.max(np.abs(d2 - fd) / np.maximum(np.abs(d2), 1.0)) <= 1e-9
 
@@ -303,8 +308,8 @@ class TestStationaryFamily:
             psi = stationary_family(sphere, params, 1, (0.2, 0.9)).psi
             torus = TorusFamily(b2, c2).psi()
             for r in (0.25, 0.5, 0.8):
-                got = (psi(r), psi.deriv(r, 1), psi.deriv(r, 2))
-                assert got == pytest.approx((torus(r), torus.deriv(r, 1), torus.deriv(r, 2)),
+                got = (psi(r), psi.df(r), psi.d2f(r))
+                assert got == pytest.approx((torus(r), torus.df(r), torus.d2f(r)),
                                             rel=1e-12, abs=1e-12)
 
     def test_sphere_family_is_stationary(self, sphere):
@@ -387,10 +392,10 @@ class TestStationaryFamily:
         for r in np.linspace(lo + 0.05, hi - 0.05, 5):
             r = float(r)
             for fn in fns:
-                assert fn.deriv(r, 1) == pytest.approx(
+                assert fn.df(r) == pytest.approx(
                     richardson_derivative(fn.f, r), rel=1e-6, abs=1e-8
                 )
-                assert fn.deriv(r, 2) == pytest.approx(
+                assert fn.d2f(r) == pytest.approx(
                     richardson_derivative(fn.df, r), rel=1e-5, abs=1e-5
                 )
 
@@ -415,8 +420,8 @@ class TestStationaryFamily:
         lo, hi = comfortable_range(profile)
         rs = lo + (hi - lo) * np.array(ts)
         H, psi = profile.H, profile.psi
-        fns = [H, lambda r: H.deriv(r, 1), lambda r: H.deriv(r, 2),
-               psi, lambda r: psi.deriv(r, 1), lambda r: psi.deriv(r, 2)]
+        fns = [H, lambda r: H.df(r), lambda r: H.d2f(r),
+               psi, lambda r: psi.df(r), lambda r: psi.d2f(r)]
         stack = [np.broadcast_to(fn(rs), rs.shape) for fn in fns]
         co = ode_coefficients(geom, H, rs)
         residuals = ode_residuals(geom, H, psi, rs)
@@ -443,6 +448,71 @@ class TestStationaryFamily:
             assert G == profile.G(r)
             assert F(xi) == G * xi / r
             assert F.jet(xi) == (G * xi / r, 0.5 * (dG + G / r), 0.5 * phase * phase * (dG - G / r))
+
+
+def seeded_torus_tuples(seed, count):
+    """``(B2, C2)`` drawn from the admissible cone ``B2 >= 0``, ``C2 >= -2 B2``:
+    ``B2 ~ U(0, 2)``, then ``C2 ~ U(-2 B2, 4)``."""
+    rng = rng_from_seed(seed)
+    return [(b2, float(rng.uniform(-2.0 * b2, 4.0)))
+            for b2 in rng.uniform(0.0, 2.0, count).tolist()]
+
+
+#: torus members: the symmetric C2 = 2 B2, C2 < 0 (the cone's edge C2 = -2 B2 among
+#: them), B2 = 0, and seeded draws from the cone
+TORUS_TUPLES = [(1.0, 2.0), (0.3, 0.6), (1.0, -1.5), (2.0, -4.0), (0.0, 1.0), (0.0, 3.5),
+                *seeded_torus_tuples(0, 24)]
+#: radii of the torus oracle, the poles' neighbourhoods aside
+TORUS_RADII = np.linspace(0.05, 4.0, 400)
+
+
+class TestTorusIsAFamilyMember:
+    """Claim 5's tori are claim 4's ``H = 0`` members. On the round sphere
+    ``e^{-2u} = (1 + R^2)^2 / 4``, so the quartic ``B2 + C2 R^2 + B2 R^4`` is the
+    family's ``Psi = A2 R^2 + B2' e^{-2u}`` with ``A2 = C2 - 2 B2`` and ``B2' = 4 B2``,
+    the torus written in ``R^m`` alone and the family in ``R^2`` and ``e^{-2u}``."""
+
+    @staticmethod
+    def family_psi(sphere, b2, c2):
+        return _radial_sum(((c2 - 2.0 * b2, 2, 0), (4.0 * b2, 0, 1)), sphere)
+
+    def test_quartic_is_the_family_psi(self, sphere):
+        # measured worst over these tuples and radii: 7.1e-15 of max(1, |x|), in Psi'';
+        # bound 1e-13, a margin of 14
+        for b2, c2 in TORUS_TUPLES:
+            torus, family = TorusFamily(b2, c2).psi(), self.family_psi(sphere, b2, c2)
+            for name in ("f", "df", "d2f"):
+                want = getattr(torus, name)(TORUS_RADII)
+                err = np.abs(getattr(family, name)(TORUS_RADII) - want)
+                assert np.max(err / np.maximum(1.0, np.abs(want))) <= 1e-13, (b2, c2, name)
+
+    def test_symmetric_member_is_the_degenerate_family(self, sphere):
+        # C2 = 2 B2 is A2 = 0, the degenerate family of H = 0, whose Psi is the
+        # quadrature path's e^{-2u} (4 B2 + int 0); measured worst 8.9e-16 of max(1, |x|),
+        # bound 1e-14, a margin of 11
+        for b2 in (0.3, 1.0, 2.0, *(b2 for b2, _ in seeded_torus_tuples(1, 8))):
+            deg = degenerate_family(sphere, RadialFunction.constant(0.0), 4.0 * b2, 1,
+                                    (0.1, 0.95))
+            torus = TorusFamily(b2, 2.0 * b2).psi()
+            rs = np.linspace(*deg.domain, 200)
+            for name in ("f", "df", "d2f"):
+                want = getattr(torus, name)(rs)
+                err = np.abs(getattr(deg.psi, name)(rs) - want)
+                assert np.max(err / np.maximum(1.0, np.abs(want))) <= 1e-14, (b2, name)
+
+    def test_slope_determinant_is_the_family_one(self, sphere):
+        # the family's det_factor A2 (1 + R u')^2, against the slopes of the torus section;
+        # lambda^2 - |sigma|^2 cancels, so the error is relative to max(1, lambda^2 +
+        # |sigma|^2): measured worst 3.1e-15, bound 1e-13, a margin of 32. B2 = C2 = 0
+        # is left out: Psi = 0 there, and the section has no slopes
+        rs = TORUS_RADII[::4, None]
+        xi = _polar(rs, np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False))
+        want_d = (1.0 + rs * sphere.radial_du(rs)) ** 2
+        for b2, c2 in TORUS_TUPLES:
+            sl = slopes(torus_section(TorusFamily(b2, c2)), xi)
+            scale = np.maximum(1.0, sl.lam**2 + np.abs(sl.sigma) ** 2)
+            err = np.abs(sl.det_factor - (c2 - 2.0 * b2) * want_d) / scale
+            assert np.max(err) <= 1e-13, (b2, c2)
 
 
 class TestDegenerateFamily:
